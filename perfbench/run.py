@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """tailkit benchmark: times fresh CLI processes and checks every output.
 
-    python3 perfbench/run.py --workload verify --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload verify --seed 1 --seconds 60 --trace 0
 
 Run from anywhere; the package is taken from ``src/`` next to this
 directory and nothing is installed.  A run makes:
@@ -10,15 +10,34 @@ directory and nothing is installed.  A run makes:
 * passes over the workload's operations (one fresh CLI process each,
   closed loop, one client) until ``--seconds`` is used up, at least one;
 * cold ``python -c "import tailkit.cli"`` spawns for ``setup_s``, five
-  before the first pass and two after each pass.
+  before the first pass and two after each pass;
+* one ``reference.py`` spawn after each pass, a fixed amount of exact
+  rational arithmetic that imports nothing from tailkit.
 
-``--trace 0`` reports the end-to-end metrics: ``wall_s`` and ``cpu_s`` (user
-+ system, from each child's own rusage) sum, over the operations of a pass,
-each operation's median across passes; ``peak_rss_mb`` is the largest
-per-child max RSS and ``setup_s`` the median spawn.  ``--trace 1``
-alternates plain passes with passes under ``tracer.py`` and reports the
-per-layer figures as medians over the traced passes, plus the tracing
-overhead.  The metric names and units are those of ``BENCHMARK.json``.
+``--trace 0`` reports the end-to-end metrics.  ``wall_rel`` is the wall time
+of one pass over the wall time of the reference, each the run's total
+divided by the number of passes; ``cpu_rel`` is the same for CPU time (user
++ system, from each child's own rusage).  ``peak_rss_mb`` is the largest
+per-child max RSS and ``setup_s`` the median spawn.  The raw seconds per
+pass and per reference are printed above the result line as ``wall_s`` and
+``cpu_s``.  ``--trace 1`` alternates plain passes with passes under
+``tracer.py`` and reports the per-layer figures as medians over the traced
+passes, plus the tracing overhead.  The metric names and units are those of
+``BENCHMARK.json``.
+
+Why times relative to a reference: on a shared host the whole machine
+drifts between speeds for minutes at a time.  On a 2-vCPU Xeon VM a verify
+pass took 10 to 15 s at different times, on both vCPUs alike, so a run of
+one minute cannot average the drift away.  The reference slows with the
+machine.  Over 30 verify operations made while the machine drifted, each
+next to a reference run, the ratio's spread between quartiles was half the
+raw time's (10% against 21%); in a calm stretch it was no better, and over
+runs of four passes it was slightly better (CV 4.9% against 5.5%).  A
+change to tailkit moves the ratio and leaves the reference as it is.
+
+``BENCHMARK.json`` lists ``verify`` and ``convolve``.  ``logperiodic`` runs
+the same way by hand: two workloads at one minute fit the time allowed for
+all of the benchmark's runs, three would have to be shorter and noisier.
 
 Every output is checked outside the timed region.  An operation fails on a
 non-zero exit, a traceback on stderr or a failed check; the failure rate is
@@ -190,12 +209,21 @@ def measure_setup(runner: Runner, spawns: int, into: list) -> None:
         into.append(child.wall)
 
 
+def measure_reference(runner: Runner, into: list) -> None:
+    """Append one run of the speed reference."""
+    child = runner.spawn([sys.executable, str(HERE / "reference.py")])
+    if child.exit_code != 0:
+        raise RuntimeError(f"reference.py exited {child.exit_code}: "
+                           f"{child.stderr.strip()}")
+    into.append(child)
+
+
 def run_passes(runner: Runner, ops: list, seconds: float, trace: bool,
-               setup: list) -> list[Pass]:
+               setup: list, refs: list) -> list[Pass]:
     """Closed loop over the operations until the next pass would overrun.
 
-    Set-up is sampled between passes too, so that its median spans the
-    same stretch of machine time as the passes.
+    Set-up and the reference are sampled between passes, so that they span
+    the same stretch of machine time as the passes.
     """
     passes: list[Pass] = []
     t_start = time.monotonic()
@@ -207,21 +235,24 @@ def run_passes(runner: Runner, ops: list, seconds: float, trace: bool,
                 runner.operate(op, pass_)
             passes.append(pass_)
         measure_setup(runner, SETUP_SPAWNS_PER_PASS, setup)
+        measure_reference(runner, refs)
         now = time.monotonic()
         if now - t_start + (now - t_iter) > seconds or runner.failures:
             return passes
 
 
-def op_medians(passes: list[Pass], attr: str) -> float:
-    """Sum over operations of each operation's median across passes."""
-    return sum(statistics.median(column)
-               for column in zip(*(getattr(p, attr) for p in passes)))
+def per_pass(passes: list[Pass], attr: str) -> float:
+    """Seconds per pass: the total over ``passes`` divided by their number."""
+    return statistics.fmean(sum(getattr(p, attr)) for p in passes)
 
 
-def end_to_end(passes: list[Pass], setup: list[float], runner: Runner) -> dict:
+def end_to_end(passes: list[Pass], setup: list[float], refs: list[Child],
+               runner: Runner) -> dict:
     return {
-        "wall_s": op_medians(passes, "walls"),
-        "cpu_s": op_medians(passes, "cpus"),
+        "wall_rel": (per_pass(passes, "walls")
+                     / statistics.fmean(r.wall for r in refs)),
+        "cpu_rel": (per_pass(passes, "cpus")
+                    / statistics.fmean(r.cpu for r in refs)),
         "setup_s": statistics.median(setup),
         "peak_rss_mb": runner.maxrss_kb / 1024,
     }
@@ -233,10 +264,10 @@ def per_layer(passes: list[Pass], names: list[str]) -> dict:
     values = {}
     for name in names:
         if name == "trace.overhead_s":
-            values[name] = (op_medians(traced, "walls")
-                            - op_medians(plain, "walls"))
+            values[name] = (per_pass(traced, "walls")
+                            - per_pass(plain, "walls"))
         elif name == "trace.wall_s":
-            values[name] = op_medians(traced, "walls")
+            values[name] = per_pass(traced, "walls")
         else:
             values[name] = statistics.median(p.figures.get(name, 0) for p in traced)
     return values
@@ -250,7 +281,7 @@ def layer_shares(passes: list[Pass]) -> list[tuple]:
     outside it and gets no command share.
     """
     traced = [p for p in passes if p.traced]
-    wall = op_medians(traced, "walls")
+    wall = per_pass(traced, "walls")
     command = statistics.median(p.figures["cli.main.total_s"] for p in traced)
     layers = {k[:-len(".self_s")] for p in traced for k in p.figures
               if k.endswith(".self_s")}
@@ -287,10 +318,12 @@ def main(argv=None) -> int:
         info = machine_info()
         runner.tailkit(["--help"])      # writes the bytecode cache, untimed
         setup: list[float] = []
+        refs: list[Child] = []
         measure_setup(runner, SETUP_SPAWNS_FIRST, setup)
         ops = workloads.prepare(args.workload, work, random.Random(args.seed),
                                 runner.tailkit)
-        passes = run_passes(runner, ops, args.seconds, bool(args.trace), setup)
+        passes = run_passes(runner, ops, args.seconds, bool(args.trace), setup,
+                            refs)
         info["loadavg_end"] = [round(v, 2) for v in os.getloadavg()]
     finally:
         runner.close()
@@ -303,6 +336,13 @@ def main(argv=None) -> int:
         kind = "traced" if p.traced else "plain"
         print(f"  pass {i} ({kind}): wall {sum(p.walls):.4f} s, "
               f"cpu {sum(p.cpus):.4f} s")
+    for i, r in enumerate(refs, 1):
+        print(f"  reference {i}: wall {r.wall:.4f} s, cpu {r.cpu:.4f} s")
+    plain = [p for p in passes if not p.traced]
+    print(f"wall_s = {per_pass(plain, 'walls'):.6g} s per plain pass, "
+          f"{statistics.fmean(r.wall for r in refs):.6g} s per reference")
+    print(f"cpu_s = {per_pass(plain, 'cpus'):.6g} s per plain pass, "
+          f"{statistics.fmean(r.cpu for r in refs):.6g} s per reference")
     for failure in runner.failures:
         print(f"FAILED {failure}")
     failed = len(runner.failures)
@@ -318,7 +358,7 @@ def main(argv=None) -> int:
         outside = 1 - sum(of_wall for _, of_wall, _ in shares)
         print(f"  {'(outside spans: process start, exit)':40s} {outside:7.1%}")
     else:
-        values = end_to_end(passes, setup, runner)
+        values = end_to_end(passes, setup, refs, runner)
     metrics = {}
     for m in metrics_spec:
         metrics[m["name"]] = {"value": values[m["name"]], "unit": m["unit"]}
