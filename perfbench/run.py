@@ -14,26 +14,29 @@ directory and nothing is installed.  A run makes:
 * one ``reference.py`` spawn after each pass, a fixed amount of exact
   rational arithmetic that imports nothing from tailkit.
 
-``--trace 0`` reports the end-to-end metrics.  ``wall_rel`` is the wall time
-of one pass over the wall time of the reference, each the run's total
-divided by the number of passes; ``cpu_rel`` is the same for CPU time (user
-+ system, from each child's own rusage).  ``peak_rss_mb`` is the largest
-per-child max RSS and ``setup_s`` the median spawn.  The raw seconds per
-pass and per reference are printed above the result line as ``wall_s`` and
-``cpu_s``.  ``--trace 1`` alternates plain passes with passes under
-``tracer.py`` and reports the per-layer figures as medians over the traced
-passes, plus the tracing overhead.  The metric names and units are those of
-``BENCHMARK.json``.
+``--trace 0`` reports the end-to-end metrics.  ``wall_s`` is the wall time of
+one pass and ``cpu_s`` its CPU time (user + system, from each child's own
+rusage), each the run's total divided by the number of passes; ``setup_s``
+is the median spawn and ``peak_rss_mb`` the largest per-child max RSS.  The
+three times are in reference seconds: the measured seconds times
+``REFERENCE_S`` over the reference's mean time in the same run (its wall
+time for ``wall_s`` and ``setup_s``, its CPU time for ``cpu_s``).  The raw
+seconds are printed above the result line.  ``--trace 1`` alternates plain
+passes with passes under ``tracer.py`` and reports the per-layer figures, in
+raw seconds, as medians over the traced passes, plus the tracing overhead.
+The metric names and units are those of ``BENCHMARK.json``.
 
-Why times relative to a reference: on a shared host the whole machine
-drifts between speeds for minutes at a time.  On a 2-vCPU Xeon VM a verify
-pass took 10 to 15 s at different times, on both vCPUs alike, so a run of
-one minute cannot average the drift away.  The reference slows with the
+Why reference seconds: on a shared host the whole machine drifts between
+speeds for minutes at a time.  On a 2-vCPU Xeon VM a verify pass took 10 to
+15 s at different times, on both vCPUs alike, so a run of one minute cannot
+average the drift away.  The reference slows with the
 machine.  Over 30 verify operations made while the machine drifted, each
 next to a reference run, the ratio's spread between quartiles was half the
 raw time's (10% against 21%); in a calm stretch it was no better, and over
 runs of four passes it was slightly better (CV 4.9% against 5.5%).  A
-change to tailkit moves the ratio and leaves the reference as it is.
+change to tailkit moves the ratio and leaves the reference as it is.  Set-up
+time drifts with the machine too: in two sets of ten runs its median rose
+22% in raw seconds and 4% in reference seconds.
 
 ``BENCHMARK.json`` lists ``verify`` and ``convolve``.  ``logperiodic`` runs
 the same way by hand: two workloads at one minute fit the time allowed for
@@ -74,6 +77,9 @@ import workloads  # noqa: E402
 WORKLOADS = ("verify", "convolve", "logperiodic")
 SETUP_SPAWNS_FIRST = 5
 SETUP_SPAWNS_PER_PASS = 2
+# reference.py's wall time on a 2-vCPU Xeon VM in a calm stretch; it only
+# sets the scale of the reported times, which read as seconds on that machine
+REFERENCE_S = 2.0
 # every child is killed at this point of the run, which must end within 180 s
 RUN_DEADLINE_S = 165.0
 
@@ -246,14 +252,17 @@ def per_pass(passes: list[Pass], attr: str) -> float:
     return statistics.fmean(sum(getattr(p, attr)) for p in passes)
 
 
+def to_ref(refs: list[Child], attr: str) -> float:
+    """Factor from measured seconds to reference seconds."""
+    return REFERENCE_S / statistics.fmean(getattr(r, attr) for r in refs)
+
+
 def end_to_end(passes: list[Pass], setup: list[float], refs: list[Child],
                runner: Runner) -> dict:
     return {
-        "wall_rel": (per_pass(passes, "walls")
-                     / statistics.fmean(r.wall for r in refs)),
-        "cpu_rel": (per_pass(passes, "cpus")
-                    / statistics.fmean(r.cpu for r in refs)),
-        "setup_s": statistics.median(setup),
+        "wall_s": per_pass(passes, "walls") * to_ref(refs, "wall"),
+        "cpu_s": per_pass(passes, "cpus") * to_ref(refs, "cpu"),
+        "setup_s": statistics.median(setup) * to_ref(refs, "wall"),
         "peak_rss_mb": runner.maxrss_kb / 1024,
     }
 
@@ -339,10 +348,11 @@ def main(argv=None) -> int:
     for i, r in enumerate(refs, 1):
         print(f"  reference {i}: wall {r.wall:.4f} s, cpu {r.cpu:.4f} s")
     plain = [p for p in passes if not p.traced]
-    print(f"wall_s = {per_pass(plain, 'walls'):.6g} s per plain pass, "
-          f"{statistics.fmean(r.wall for r in refs):.6g} s per reference")
-    print(f"cpu_s = {per_pass(plain, 'cpus'):.6g} s per plain pass, "
-          f"{statistics.fmean(r.cpu for r in refs):.6g} s per reference")
+    print(f"raw seconds: wall {per_pass(plain, 'walls'):.6g} and cpu "
+          f"{per_pass(plain, 'cpus'):.6g} per plain pass, setup "
+          f"{statistics.median(setup):.6g}; reference wall "
+          f"{statistics.fmean(r.wall for r in refs):.6g} and cpu "
+          f"{statistics.fmean(r.cpu for r in refs):.6g}")
     for failure in runner.failures:
         print(f"FAILED {failure}")
     failed = len(runner.failures)
