@@ -83,7 +83,7 @@ class _Context:
 
 def _float_eval(p: PiecewisePoly):
     breaks = [float(b) for b in p.breakpoints]
-    coeffs = [tuple(float(c) for c in seg) for seg in p.coeffs]
+    coeffs = [tuple(float(c) for c in seg) for seg in p.scaled_coeffs()]
 
     def f(x: float) -> float:
         if x <= breaks[0]:

@@ -26,7 +26,7 @@ from tailkit import mixture as mx
 from tailkit import notched
 from tailkit import probes
 from tailkit.errors import PrecisionFailure, UsageError
-from tailkit.numerics import DEFAULT_PRECISION
+from tailkit.numerics import DEFAULT_PRECISION, _check_precision
 from tailkit.piecewise import PiecewisePoly, dump_text, load_text
 from tailkit.probes import ProbeRow
 from tailkit.render import decimal_str
@@ -60,6 +60,18 @@ class RunConfig:
     d: Fraction = Fraction(1)
     out: Optional[str] = None
     params: dict = field(default_factory=dict)
+    params_read: set = field(default_factory=set)
+
+    def param(self, key: str, default):
+        """A key=value probe parameter, or the default; records the read."""
+        self.params_read.add(key)
+        return self.params.get(key, default)
+
+    def reject_unread_params(self) -> None:
+        unread = sorted(set(self.params) - self.params_read)
+        if unread:
+            raise UsageError(f"unknown parameter(s) {', '.join(unread)} "
+                             "for this command")
 
     def lp_params(self) -> lp.LogPeriodicParams:
         return lp.LogPeriodicParams(alpha=self.alpha, delta=self.delta,
@@ -131,7 +143,7 @@ def _point(label: str, config: RunConfig) -> Fraction:
 
 
 def _points(config: RunConfig, key: str, default: str) -> list[tuple[str, Fraction]]:
-    raw = config.params.get(key, default)
+    raw = config.param(key, default)
     return [(item, _point(item, config)) for item in str(raw).split(",") if item]
 
 
@@ -213,12 +225,12 @@ def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
     name = config.construction
 
     if probe_name == "knot_ratio_series":
-        n_max = int(config.params.get("n_max", 40))
+        n_max = int(config.param("n_max", 40))
         return [ProbeRow("knot_ratio_series", str(n), lam)
                 for n, lam in probes.knot_ratio_series(n_max, pb)]
 
     if probe_name == "knot_scan":
-        n_max = int(config.params.get("n_max", 40))
+        n_max = int(config.param("n_max", 40))
         scan = probes.notched_knot_scan(n_max, pb)
         return [ProbeRow("knot_scan", f"n<={n_max}", scan.sup_ratio,
                          {"witness_x": scan.witness_x,
@@ -226,7 +238,7 @@ def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
 
     if probe_name == "long_tail_ratio":
         f = _load_construction_density(config)
-        t = Fraction(config.params.get("t", 1))
+        t = Fraction(config.param("t", 1))
         return [ProbeRow("long_tail_ratio", label,
                          probes.long_tail_ratio(f, x, t), {"shift": t})
                 for label, x in _points(config, "x", f"c{config.n}")]
@@ -254,14 +266,14 @@ def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
 
     if probe_name == "almost_decrease_scan":
         if name == "logperiodic":
-            k_max = int(config.params.get("k_max", 8))
+            k_max = int(config.param("k_max", 8))
             scan, rows = probes.logperiodic_scan(config.lp_params(), k_max)
             return [ProbeRow("almost_decrease_scan", f"k<={k_max}",
                              scan.sup_ratio,
                              {"witness_x": scan.witness_x,
                               "witness_y": scan.witness_y})] + rows
         f = _load_construction_density(config)
-        x0 = Fraction(config.params.get("x0", 0))
+        x0 = Fraction(config.param("x0", 0))
         scan = probes.almost_decrease_scan(f, x0)
         return [ProbeRow("almost_decrease_scan", f"x0={x0}", scan.sup_ratio,
                          {"witness_x": scan.witness_x,
@@ -270,7 +282,7 @@ def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
     if probe_name == "i2_bound_check":
         nd = notched.build_density(config.n, pb)
         rows = []
-        for item in str(config.params.get("n_list", "5,10")).split(","):
+        for item in str(config.param("n_list", "5,10")).split(","):
             n = int(item)
             chk = probes.i2_bound_check(nd, n)
             rows.append(ProbeRow("i2_bound_check", str(n), chk.i2,
@@ -280,7 +292,7 @@ def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
 
     if probe_name == "split_integrals":
         nd = notched.build_density(config.n, pb)
-        n = int(config.params.get("block", config.n))
+        n = int(config.param("block", config.n))
         rows = []
         for label, x in _points(config, "x", f"c{n}"):
             i1, i2 = conv.split_integrals(nd.dense, n, x)
@@ -297,9 +309,9 @@ def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
 
     if probe_name == "middle_integral":
         p = config.lp_params()
-        h_exp = Fraction(config.params.get("h_exp", Fraction(3, 10)))
+        h_exp = Fraction(config.param("h_exp", Fraction(3, 10)))
         rows = []
-        for item in str(config.params.get("k_list", "3,4,5,6")).split(","):
+        for item in str(config.param("k_list", "3,4,5,6")).split(","):
             x = lp.anchor(int(item))
             rows.append(ProbeRow("middle_integral", f"k{item}",
                                  lp.middle_mass_ratio(x, p, h_exp),
@@ -331,6 +343,7 @@ def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
 
 def _cmd_probe(config: RunConfig, probe_name: str) -> int:
     rows = _probe_rows(config, probe_name)
+    config.reject_unread_params()
     _write(config.out, probes.render_csv(rows))
     return 0
 
@@ -358,6 +371,7 @@ def _standard_report(config: RunConfig) -> list[ProbeRow]:
 
 def _cmd_report(config: RunConfig) -> int:
     rows = _standard_report(config)
+    config.reject_unread_params()
     _write(config.out, probes.render_csv(rows))
     return 0
 
@@ -460,7 +474,9 @@ def _config_from_args(args) -> tuple[RunConfig, list[str]]:
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config, names = _config_from_args(args)
+    _check_precision(config.precision_bits)
     if args.command == "build":
+        config.reject_unread_params()
         return _cmd_build(config)
     if args.command == "probe":
         if len(names) != 2:

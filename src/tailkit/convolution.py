@@ -11,16 +11,20 @@ Three exact routes and one mixture route:
 * ``mixture_local_conv``: the window mass of the two-sided mixture's
   self-convolution for positive abscissas, where the negative*negative
   term vanishes.
+
+The kernel always sees the stored coefficients, never the factor of a
+:class:`PiecewisePoly`: each entry point applies ``p.factor * q.factor``
+once to its result, so a normalized density convolves at the cost of its
+short-denominator coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from tailkit import kernel
 from tailkit.mixture import MixtureSpec
-from tailkit.notched import NotchedDensity, a_position, m_of
+from tailkit.notched import a_position, m_of
 from tailkit.piecewise import PiecewisePoly
 
 
@@ -44,7 +48,8 @@ def conv_linear_exact(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
     qb, qc0, qc1 = _linear_table(q)
     breaks, coeffs = kernel.conv_dense(pb, pc0, pc1, qb, qc0, qc1)
     return PiecewisePoly(tuple(breaks), tuple(coeffs), continuous=True,
-                         density=p.density and q.density)
+                         density=p.density and q.density,
+                         factor=p.factor * q.factor)
 
 
 def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,
@@ -52,8 +57,9 @@ def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,
     """Integral of p(x-y) q(y) over [y_lo, y_hi], clipped to both supports."""
     pb, pc0, pc1 = _linear_table(p)
     qb, qc0, qc1 = _linear_table(q)
-    return kernel.conv_point(pb, pc0, pc1, qb, qc0, qc1,
-                             Fraction(x), Fraction(y_lo), Fraction(y_hi))
+    value = kernel.conv_point(pb, pc0, pc1, qb, qc0, qc1,
+                              Fraction(x), Fraction(y_lo), Fraction(y_hi))
+    return value * (p.factor * q.factor)
 
 
 def self_conv_value(p: PiecewisePoly, x) -> Fraction:
@@ -84,13 +90,37 @@ def split_integrals(f: PiecewisePoly, n: int, x) -> tuple[Fraction, Fraction]:
     return i1, i2
 
 
-@lru_cache(maxsize=4)
-def _normalized_self_conv(nd: NotchedDensity) -> PiecewisePoly:
-    # Convolve the unnormalized coefficients (short denominators) and scale
-    # by mass**-2 once at the end; scaling inside the sweep would drag the
-    # huge mass denominator through every cell gcd.
-    raw = conv_linear_exact(nd.dense, nd.dense)
-    return raw.scale(1 / nd.mass ** 2)
+def self_conv_window_mass(p: PiecewisePoly, x, d) -> Fraction:
+    """Mass of p*p over (x, x+d] clamped to its support, exactly.
+
+    p*p is one cubic between consecutive pairwise sums of p's breakpoints,
+    so Simpson's rule is exact on each such piece of the window; its end
+    and midpoint values come from point evaluation.  The cost grows with
+    the number of pairwise sums inside the window, not with the whole
+    dense convolution.
+    """
+    x, d = Fraction(x), Fraction(d)
+    if d <= 0:
+        raise ValueError(f"window width must be positive, got {d}")
+    lo, hi = p.support
+    w_lo, w_hi = max(x, 2 * lo), min(x + d, 2 * hi)
+    if w_hi <= w_lo:
+        return Fraction(0)
+    breaks = p.breakpoints
+    cuts = {s + t for i, s in enumerate(breaks) for t in breaks[i:]
+            if w_lo < s + t < w_hi}
+    grid = sorted(cuts | {w_lo, w_hi})
+
+    def value(t):
+        return conv_window_value(p, p, t, lo, hi)
+
+    total = Fraction(0)
+    left = value(grid[0])
+    for u, v in zip(grid, grid[1:]):
+        right = value(v)
+        total += (v - u) * (left + 4 * value((u + v) / 2) + right)
+        left = right
+    return total / 6
 
 
 def mixture_local_conv(mix: MixtureSpec, x, d) -> Fraction:
@@ -107,7 +137,7 @@ def mixture_local_conv(mix: MixtureSpec, x, d) -> Fraction:
                          "negative*negative term would contribute")
     if d <= 0:
         raise ValueError(f"window width must be positive, got {d}")
-    self_mass = _normalized_self_conv(mix.f1).interval_mass(x, d)
+    self_mass = self_conv_window_mass(mix.f1.density(), x, d)
     return (mix.q1 ** 2 * self_mass
             + 2 * mix.q1 * mix.q2 * mixture_cross_mass(mix, x, d))
 

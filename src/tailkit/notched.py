@@ -152,8 +152,8 @@ class NotchedDensity:
     """Dense truncation of the construction over [0, a_{N+1}].
 
     ``dense`` is the unnormalized f0 (3N+1 linear segments); ``mass`` its
-    exact integral.  The normalized view is available on demand; both
-    conventions stay reproducible.
+    exact integral.  The normalized view is available on demand, in O(1):
+    it shares ``dense``'s coefficients under the factor ``1/mass``.
     """
 
     truncation_n: int
@@ -162,8 +162,7 @@ class NotchedDensity:
     precision_bits: int
 
     def density(self) -> PiecewisePoly:
-        scaled, _ = self.dense.normalize()
-        return scaled
+        return self.dense.scale(1 / self.mass)
 
     def omitted_tail_bound(self) -> Fraction:
         """Upper bound on the unnormalized mass dropped by truncation.

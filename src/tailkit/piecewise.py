@@ -2,8 +2,15 @@
 
 A :class:`PiecewisePoly` is a strictly increasing breakpoint sequence plus
 one coefficient quadruple per segment, written in the local variable
-``u = x - x_lo`` of that segment.  Degree is capped at 3: the only product
-this package ever needs is the convolution of two linear pieces.
+``u = x - x_lo`` of that segment, and one exact ``factor``: the value is
+``factor * polynomial``.  Degree is capped at 3: the only product this
+package ever needs is the convolution of two linear pieces.
+
+The factor keeps normalization free.  A density's ``1/mass`` usually has a
+far longer denominator than its coefficients; dividing it into every
+coefficient would drag that denominator through all later arithmetic, so
+``normalize`` and ``scale`` change the factor alone, and evaluation and
+integration apply it once per result.
 
 Segment ownership is right-continuous: segment ``i`` owns ``(x_i, x_{i+1}]``
 and the first segment additionally owns the left support end.  All
@@ -32,12 +39,13 @@ class Knot:
         object.__setattr__(self, "f", Fraction(self.f))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewisePoly:
     breakpoints: tuple[Fraction, ...]
     coeffs: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
     continuous: bool = False
     density: bool = False
+    factor: Fraction = Fraction(1)
 
     def __post_init__(self):
         breaks = tuple(Fraction(x) for x in self.breakpoints)
@@ -56,6 +64,36 @@ class PiecewisePoly:
                 raise ValueError("segments take at most 4 coefficients (degree <= 3)")
         object.__setattr__(self, "breakpoints", breaks)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "factor", Fraction(self.factor))
+
+    def _with_factor(self, factor: Fraction, density: bool) -> "PiecewisePoly":
+        # shares the validated breakpoints and coefficients: O(1)
+        out = object.__new__(PiecewisePoly)
+        out.__dict__.update(self.__dict__, factor=factor, density=density)
+        return out
+
+    def _times_factor(self, value: Fraction) -> Fraction:
+        return value if self.factor == 1 else value * self.factor
+
+    def scaled_coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Coefficients of the represented function, factor applied."""
+        if self.factor == 1:
+            return self.coeffs
+        return tuple(tuple(c * self.factor for c in seg) for seg in self.coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, PiecewisePoly):
+            return NotImplemented
+        if (self.breakpoints, self.continuous, self.density) != \
+                (other.breakpoints, other.continuous, other.density):
+            return False
+        if self.factor == other.factor:
+            return self.coeffs == other.coeffs
+        return self.scaled_coeffs() == other.scaled_coeffs()
+
+    def __hash__(self):
+        return hash((self.breakpoints, self.scaled_coeffs(), self.continuous,
+                     self.density))
 
     # ------------------------------------------------------------------
     @property
@@ -64,6 +102,8 @@ class PiecewisePoly:
 
     @property
     def degree(self) -> int:
+        if self.factor == 0:
+            return 0
         d = 0
         for seg in self.coeffs:
             for k in (3, 2, 1):
@@ -85,7 +125,7 @@ class PiecewisePoly:
         i = self._segment_of(x)
         u = x - self.breakpoints[i]
         c0, c1, c2, c3 = self.coeffs[i]
-        return ((c3 * u + c2) * u + c1) * u + c0
+        return self._times_factor(((c3 * u + c2) * u + c1) * u + c0)
 
     def _segment_integral(self, i: int, u_lo: Fraction, u_hi: Fraction) -> Fraction:
         c0, c1, c2, c3 = self.coeffs[i]
@@ -112,7 +152,7 @@ class PiecewisePoly:
             if b > a:
                 total += self._segment_integral(i, a - breaks[i], b - breaks[i])
             i += 1
-        return total
+        return self._times_factor(total)
 
     def interval_mass(self, x, d) -> Fraction:
         """Mass over (x, x+d] clamped to the support; 0 when disjoint."""
@@ -140,17 +180,11 @@ class PiecewisePoly:
         mass = self.total_mass()
         if mass <= 0:
             raise ValueError(f"cannot normalize: total mass {mass} is not positive")
-        scaled = tuple(tuple(c / mass for c in seg) for seg in self.coeffs)
-        return (PiecewisePoly(self.breakpoints, scaled,
-                              continuous=self.continuous, density=self.density),
-                mass)
+        return self._with_factor(self.factor / mass, self.density), mass
 
-    def scale(self, factor) -> "PiecewisePoly":
-        factor = Fraction(factor)
-        scaled = tuple(tuple(c * factor for c in seg) for seg in self.coeffs)
-        return PiecewisePoly(self.breakpoints, scaled,
-                             continuous=self.continuous,
-                             density=self.density and factor > 0)
+    def scale(self, k) -> "PiecewisePoly":
+        k = Fraction(k)
+        return self._with_factor(self.factor * k, self.density and k > 0)
 
 
 def from_linear_knots(knots: Iterable) -> PiecewisePoly:
@@ -196,6 +230,7 @@ def _fmt(q: Fraction) -> str:
 
 
 def dump_lines(p: PiecewisePoly) -> list[str]:
+    """Serialize the represented function: coefficients carry the factor."""
     lines = ["# tailkit piecewise v1"]
     flags = []
     if p.continuous:
@@ -203,13 +238,14 @@ def dump_lines(p: PiecewisePoly) -> list[str]:
     if p.density:
         flags.append("density")
     lines.append("# flags: " + " ".join(flags))
+    coeffs = p.scaled_coeffs()
     if p.continuous and p.degree <= 1:
         for i, x in enumerate(p.breakpoints[:-1]):
-            lines.append(f"knot {_fmt(x)} {_fmt(p.coeffs[i][0])}")
+            lines.append(f"knot {_fmt(x)} {_fmt(coeffs[i][0])}")
         lines.append(f"knot {_fmt(p.breakpoints[-1])} {_fmt(p.eval(p.breakpoints[-1]))}")
     else:
-        for i in range(len(p.coeffs)):
-            c = p.coeffs[i]
+        for i in range(len(coeffs)):
+            c = coeffs[i]
             lines.append("seg " + " ".join(
                 [_fmt(p.breakpoints[i]), _fmt(p.breakpoints[i + 1])]
                 + [_fmt(ci) for ci in c]))
@@ -230,12 +266,17 @@ def load_lines(lines: Sequence[str]) -> PiecewisePoly:
                 flags.update(body[len("flags:"):].split())
             continue
         parts = line.split()
-        if parts[0] == "knot" and len(parts) == 3:
-            knots.append((Fraction(parts[1]), Fraction(parts[2])))
-        elif parts[0] == "seg" and len(parts) == 7:
-            segs.append(tuple(Fraction(v) for v in parts[1:]))
-        else:
+        if not ((parts[0] == "knot" and len(parts) == 3)
+                or (parts[0] == "seg" and len(parts) == 7)):
             raise ValueError(f"unrecognized piecewise line: {raw!r}")
+        try:
+            values = tuple(Fraction(v) for v in parts[1:])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad rational in piecewise line {raw!r}: {exc}") from None
+        if parts[0] == "knot":
+            knots.append(values)
+        else:
+            segs.append(values)
     if knots and segs:
         raise ValueError("a piecewise file may not mix knot and seg lines")
     if knots:

@@ -4,9 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion; the same battery backs ``tailkit verify``.
 """
 
+import hashlib
+
 import pytest
 
 from tailkit import acceptance
+
+# sha256 of the battery CSV: exact results are the spec, byte for byte
+BATTERY_CSV_SHA256 = "d3ac6cbb790ed0c71bf46f51e321843f80c00d6b0fa5a65a2993672d8ae0ec1b"
 
 CRITERIA = [name for name, _, _ in acceptance._CHECKS]
 CRITERIA.insert(11, "12_determinism")
@@ -42,3 +47,9 @@ def test_acceptance_csv_deterministic(results):
     b = acceptance.acceptance_csv(ordered)
     assert a == b
     assert a.startswith("probe,x_or_n,value,aux_json,precision_flag")
+
+
+def test_acceptance_csv_matches_spec(results):
+    ordered = [results[name] for name in CRITERIA]
+    csv = acceptance.acceptance_csv(ordered)
+    assert hashlib.sha256(csv.encode()).hexdigest() == BATTERY_CSV_SHA256

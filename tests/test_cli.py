@@ -110,6 +110,18 @@ class TestProbeCommand:
     def test_probe_needs_two_names(self):
         assert run_cli("probe", "notched") == 2
 
+    def test_typo_parameter_rejected(self, tmp_path, capsys):
+        out = tmp_path / "series.csv"
+        assert run_cli("probe", "notched", "knot_ratio_series", "n_mx=5",
+                       "--out", str(out)) == 2
+        assert "n_mx" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_parameter_rejected(self, capsys):
+        assert run_cli("probe", "notched", "subexp_ratio", "n=3",
+                       "points=zz") == 2
+        assert "points" in capsys.readouterr().err
+
     def test_blowup_probe(self, tmp_path):
         out = tmp_path / "blowup.csv"
         assert run_cli("probe", "mixture", "blowup", "m_max=2", "d=1",
@@ -169,6 +181,13 @@ class TestConvolve:
     def test_missing_file_is_io_error(self, tmp_path):
         assert run_cli("convolve", str(tmp_path / "ghost.pw")) == 4
 
+    def test_bad_rational_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "f.pw"
+        src.write_text("knot 0 1/0\nknot 1 0\n")
+        assert run_cli("convolve", str(src), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "knot 0 1/0" in err and "Traceback" not in err
+
     def test_tampered_file_rejected(self, tmp_path, capsys):
         # swapping knot lines breaks the strict-increase invariant on load
         from tailkit import notched
@@ -208,6 +227,13 @@ class TestReportDeterminism:
             outputs.append(child.stdout)
         assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
 
+    def test_report_rejects_typo_parameter(self, tmp_path, capsys):
+        out = tmp_path / "mix.csv"
+        assert run_cli("report", "mixture", "m_max=2", "n_mx=5",
+                       "--out", str(out)) == 2
+        assert "n_mx" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_logperiodic_report(self, tmp_path):
         out = tmp_path / "lp.csv"
         assert run_cli("report", "logperiodic", "--out", str(out)) == 0
@@ -224,6 +250,12 @@ class TestVerify:
         assert out_a.read_bytes() == out_b.read_bytes()
         stdout = capsys.readouterr().out
         assert "PASS 12_determinism" in stdout
+
+    def test_invalid_precision_is_usage_error(self, capsys):
+        assert run_cli("verify", "--precision-bits", "0") == 2
+        captured = capsys.readouterr()
+        assert "precision_bits" in captured.err
+        assert "FAIL" not in captured.out
 
     def test_verify_fails_at_reduced_precision(self, tmp_path, capsys):
         assert run_cli("verify", "--precision-bits", "64") == 1

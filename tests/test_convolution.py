@@ -1,10 +1,31 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailkit import convolution as conv
 from tailkit import notched
 from tailkit.mixture import AtomList, MixtureSpec
+from tailkit.piecewise import from_linear_knots
+
+
+@st.composite
+def small_densities(draw):
+    """Piecewise-linear densities with small rational knots."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    xs = draw(st.lists(
+        st.fractions(min_value=0, max_value=12, max_denominator=8),
+        min_size=n, max_size=n, unique=True))
+    fs = [draw(st.fractions(min_value=0, max_value=4, max_denominator=8))
+          for _ in range(n)]
+    if all(f == 0 for f in fs):
+        fs[0] = Fraction(1)
+    return from_linear_knots(list(zip(sorted(xs), fs)))
+
+
+factors = st.fractions(min_value="1/64", max_value=64, max_denominator=64)
+unit = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
 
 class TestWindowValues:
@@ -33,6 +54,62 @@ class TestWindowValues:
         low = conv.conv_window_value(f, f, x, Fraction(0), a)
         high = conv.conv_window_value(f, f, x, x - a, x)
         assert low == high
+
+
+class TestFactor:
+    """The kernel sees stored coefficients; factors multiply the result."""
+
+    @given(small_densities(), small_densities(), factors, factors)
+    @settings(max_examples=40, deadline=None)
+    def test_dense_carries_product_of_factors(self, p, q, s, t):
+        plain = conv.conv_linear_exact(p, q)
+        scaled = conv.conv_linear_exact(p.scale(s), q.scale(t))
+        assert scaled.breakpoints == plain.breakpoints
+        for x in plain.breakpoints:
+            assert scaled.eval(x) == s * t * plain.eval(x)
+
+    @given(small_densities(), small_densities(), factors, factors,
+           unit, unit, unit)
+    @settings(max_examples=60, deadline=None)
+    def test_window_value_carries_product_of_factors(self, p, q, s, t,
+                                                     fx, f_lo, f_hi):
+        top = p.support[1] + q.support[1]
+        x = top * fx
+        y_lo, y_hi = sorted((q.support[1] * f_lo, q.support[1] * f_hi))
+        plain = conv.conv_window_value(p, q, x, y_lo, y_hi)
+        scaled = conv.conv_window_value(p.scale(s), q.scale(t), x, y_lo, y_hi)
+        assert scaled == s * t * plain
+
+    @given(small_densities(), small_densities(), factors, factors)
+    @settings(max_examples=40, deadline=None)
+    def test_mass_multiplies(self, p, q, s, t):
+        p, q = p.scale(s), q.scale(t)
+        assert (conv.conv_linear_exact(p, q).total_mass()
+                == p.total_mass() * q.total_mass())
+
+
+class TestSelfConvWindowMass:
+    @given(small_densities(), factors, unit,
+           st.fractions(min_value="1/64", max_value=30, max_denominator=64))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_interval_mass(self, p, s, fx, d):
+        p = p.scale(s)
+        lo, hi = p.support
+        x = 2 * lo - 1 + (2 * (hi - lo) + 2) * fx
+        assert (conv.self_conv_window_mass(p, x, d)
+                == conv.conv_linear_exact(p, p).interval_mass(x, d))
+
+    def test_matches_dense_on_notched(self, nd3):
+        f = nd3.density()
+        dense = conv.conv_linear_exact(f, f)
+        for x, d in ((Fraction(30), Fraction(1)), (Fraction(7, 3), Fraction(50)),
+                     (notched.knot_position("b", 2), Fraction(1, 3)),
+                     (Fraction(-5), Fraction(6)), (2 * f.support[1], Fraction(1))):
+            assert conv.self_conv_window_mass(f, x, d) == dense.interval_mass(x, d)
+
+    def test_rejects_bad_window(self, nd3):
+        with pytest.raises(ValueError):
+            conv.self_conv_window_mass(nd3.dense, 1, 0)
 
 
 class TestSplitIntegrals:

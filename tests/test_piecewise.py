@@ -22,6 +22,9 @@ def linear_knots(min_size=2, max_size=8):
     ).filter(lambda t: len(t[0]) >= min_size).map(lambda t: list(zip(*t)))
 
 
+factors = st.fractions(min_value="1/64", max_value=64, max_denominator=64)
+
+
 class TestConstruction:
     def test_two_point_line(self):
         p = from_linear_knots([(0, 1), (2, Fraction(1, 4))])
@@ -151,14 +154,15 @@ class TestNormalize:
         with pytest.raises(ValueError):
             flat.normalize()
 
-    @given(linear_knots())
+    @given(linear_knots(), factors)
     @settings(max_examples=80, deadline=None)
-    def test_normalized_mass_exactly_one(self, knots):
-        p = from_linear_knots(knots)
+    def test_normalized_mass_exactly_one(self, knots, s):
+        p = from_linear_knots(knots).scale(s)
         if p.total_mass() == 0:
             return
-        scaled, _ = p.normalize()
+        scaled, mass = p.normalize()
         assert scaled.total_mass() == 1
+        assert mass == p.total_mass()
 
 
 class TestSerialization:
@@ -172,7 +176,8 @@ class TestSerialization:
             (Fraction(0), Fraction(1, 3), Fraction(2)),
             ((Fraction(1, 7), Fraction(2), Fraction(0), Fraction(1)),
              (Fraction(0), Fraction(-1, 2), Fraction(3), Fraction(0))))
-        assert load_text(dump_text(p)) == p
+        for q in (p, p.scale(Fraction(3, 7))):
+            assert load_text(dump_text(q)) == q
 
     def test_comments_ignored(self):
         text = "# a comment\nknot 0 1\n# another\nknot 1 0\n"
@@ -186,3 +191,51 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             load_text("knot 0\n")
+
+    @pytest.mark.parametrize("line", ["knot 0 1/0", "knot 0 one",
+                                      "seg 0 1 1 0 0 2/0"])
+    def test_bad_rational_names_the_line(self, line):
+        with pytest.raises(ValueError, match="bad rational") as info:
+            load_text(f"knot 5 1\n{line}\n")
+        assert line in str(info.value)
+
+
+class TestFactor:
+    """value = factor * polynomial; normalize and scale touch only the factor."""
+
+    def test_normalize_shares_coefficients(self):
+        doubled = TRIANGLE.scale(2)
+        scaled, mass = doubled.normalize()
+        assert scaled.coeffs is TRIANGLE.coeffs
+        assert (doubled.factor, scaled.factor, mass) == (2, 1, 2)
+
+    def test_equality_compares_the_represented_function(self):
+        doubled = TRIANGLE.scale(2)
+        stored = PiecewisePoly(TRIANGLE.breakpoints,
+                               tuple(tuple(2 * c for c in seg)
+                                     for seg in TRIANGLE.coeffs),
+                               continuous=True, density=True)
+        assert doubled == stored and hash(doubled) == hash(stored)
+        assert doubled.scale(Fraction(1, 2)) == TRIANGLE
+        assert doubled != TRIANGLE
+
+    def test_dump_writes_materialized_values(self):
+        assert dump_text(TRIANGLE.scale(Fraction(1, 3))) == dump_text(
+            from_linear_knots([(0, 0), (1, Fraction(1, 3)), (2, 0)]))
+
+    @given(linear_knots(), factors,
+           st.fractions(min_value=0, max_value=1, max_denominator=64))
+    @settings(max_examples=80, deadline=None)
+    def test_eval_and_integral_carry_the_factor(self, knots, s, frac):
+        p = from_linear_knots(knots)
+        lo, hi = p.support
+        x = lo + (hi - lo) * frac
+        scaled = p.scale(s)
+        assert scaled.eval(x) == s * p.eval(x)
+        assert scaled.integral(lo, x) == s * p.integral(lo, x)
+
+    @given(linear_knots(), factors)
+    @settings(max_examples=80, deadline=None)
+    def test_scaled_knot_round_trip(self, knots, s):
+        scaled = from_linear_knots(knots).scale(s)
+        assert load_text(dump_text(scaled)) == scaled
