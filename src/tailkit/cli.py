@@ -33,16 +33,25 @@ from tailkit.render import decimal_str
 
 CONSTRUCTIONS = ("notched", "logperiodic", "mixture")
 
+
+def _rational(value, name: str = "value") -> Fraction:
+    """Parse a rational option or parameter; malformed input is a usage error."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad rational for {name}: {value!r}") from exc
+
+
 _CONFIG_KEYS = {
     "construction": str,
     "n": int,
     "m_max": int,
     "precision_bits": int,
-    "alpha": Fraction,
-    "delta": Fraction,
-    "quad_tol": Fraction,
-    "x_max": Fraction,
-    "d": Fraction,
+    "alpha": _rational,
+    "delta": _rational,
+    "quad_tol": _rational,
+    "x_max": _rational,
+    "d": _rational,
     "out": str,
 }
 
@@ -121,7 +130,7 @@ def _apply(config: RunConfig, values: dict) -> None:
         elif key == "precision_bits":
             config.precision_bits = int(value)
         elif key in ("alpha", "delta", "quad_tol", "x_max", "d"):
-            setattr(config, key, Fraction(str(value)))
+            setattr(config, key, _rational(value, key))
         elif key == "construction":
             config.construction = str(value)
         elif key == "out":
@@ -136,10 +145,7 @@ def _point(label: str, config: RunConfig) -> Fraction:
     if label[:1] in notched.KNOT_KINDS and label[1:].isdigit():
         return notched.knot_position(label[0], int(label[1:]),
                                      config.precision_bits)
-    try:
-        return Fraction(label)
-    except ValueError as exc:
-        raise UsageError(f"cannot parse point {label!r}") from exc
+    return _rational(label, "point")
 
 
 def _points(config: RunConfig, key: str, default: str) -> list[tuple[str, Fraction]]:
@@ -238,7 +244,7 @@ def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
 
     if probe_name == "long_tail_ratio":
         f = _load_construction_density(config)
-        t = Fraction(config.param("t", 1))
+        t = _rational(config.param("t", 1), "t")
         return [ProbeRow("long_tail_ratio", label,
                          probes.long_tail_ratio(f, x, t), {"shift": t})
                 for label, x in _points(config, "x", f"c{config.n}")]
@@ -273,7 +279,7 @@ def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
                              {"witness_x": scan.witness_x,
                               "witness_y": scan.witness_y})] + rows
         f = _load_construction_density(config)
-        x0 = Fraction(config.param("x0", 0))
+        x0 = _rational(config.param("x0", 0), "x0")
         scan = probes.almost_decrease_scan(f, x0)
         return [ProbeRow("almost_decrease_scan", f"x0={x0}", scan.sup_ratio,
                          {"witness_x": scan.witness_x,
@@ -309,7 +315,7 @@ def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
 
     if probe_name == "middle_integral":
         p = config.lp_params()
-        h_exp = Fraction(config.param("h_exp", Fraction(3, 10)))
+        h_exp = _rational(config.param("h_exp", Fraction(3, 10)), "h_exp")
         rows = []
         for item in str(config.param("k_list", "3,4,5,6")).split(","):
             x = lp.anchor(int(item))

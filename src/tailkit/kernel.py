@@ -1,21 +1,32 @@
 """Exact convolution kernel over rationals.
 
 Two entry points, a dense sweep and a point evaluation, which are
-independent exact routes to the same integral.  Rationals travel through
-the hot loops as plain ``(num, den)`` int pairs (den > 0, gcd-reduced) to
-avoid per-operation Fraction overhead; Fractions appear only at the API
-boundary.
+independent exact routes to the same integral.
 
 ``conv_dense(P, Q)`` builds the full piecewise-cubic convolution of two
-piecewise-linear functions: output breakpoints are all pairwise sums of
-input breakpoints, and every (segment, segment) pair contributes up to
-three cubic-in-x pieces that are accumulated with a difference-array sweep
-over the output cells, so the total work is O(pairs + cells).
+piecewise-linear functions.  Each operand is written in truncated powers,
+``sum_i J_i (x - s_i)_+^0 + W_i (x - s_i)_+^1``, where ``J_i`` and ``W_i``
+are its jumps in value and in slope at breakpoint ``s_i`` (support ends and
+interior discontinuities included).  Since
+
+    (x - s)_+^a / a!  *  (x - t)_+^b / b!  =  (x - s - t)_+^(a+b+1) / (a+b+1)!
+
+every breakpoint pair adds ``J K (x-z)_+ + (J V + W K) (x-z)_+^2 / 2 +
+W V (x-z)_+^3 / 6`` at ``z = s + t``.  One sweep over the sorted sums keeps
+a running cubic in the local variable ``u = x - z``: at each sum it is
+Taylor-shifted by the step from the previous sum and the new terms are
+added.  That running cubic is the output cell's coefficients, so every
+intermediate stays the size of an output coefficient; a cubic in global
+``x`` would carry ``z**3``-sized terms that cancel only at the end.  The
+work is O(pairs + cells).
 
 ``conv_point(P, Q, x, y_lo, y_hi)`` evaluates the windowed convolution
 integral at one abscissa without building the dense object: the y-range is
 cut at every Q breakpoint and every reflected P breakpoint, and each cell
-integrates a product of two linears in closed form.
+integrates a product of two linears in closed form.  Its rationals travel
+through the hot loop as plain ``(num, den)`` int pairs (den > 0,
+gcd-reduced) to avoid per-operation Fraction overhead; Fractions appear only
+at the API boundary.
 """
 
 from fractions import Fraction
@@ -146,115 +157,56 @@ def conv_point(p_breaks, p_c0, p_c1, q_breaks, q_c0, q_c1, x, y_lo, y_hi):
 
 # ------------------------- dense convolution -------------------------
 
-def _poly_add(a, b):
-    return [_add(x, y) for x, y in zip(a, b)]
+def _jumps(breaks, c0, c1):
+    """(s_i, J_i, W_i) per breakpoint: the jumps in value and in slope.
 
-
-def _poly_sub(a, b):
-    return [_sub(x, y) for x, y in zip(a, b)]
-
-
-def _poly_mul(a, b):
-    out = [_ZERO, _ZERO, _ZERO, _ZERO]
-    for i, ai in enumerate(a):
-        if ai[0] == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj[0] == 0 or i + j > 3:
-                continue
-            out[i + j] = _add(out[i + j], _mul(ai, bj))
-    return out
-
-
-def _poly_scale(a, s):
-    return [_mul(x, s) for x in a]
-
-
-def _piece_coeffs(alpha0, alpha1, p1, beta, q1, lpoly, upoly):
-    """Global-x cubic for the integral with bounds L(x), U(x) (linear)."""
-    alpha = [alpha0, alpha1, _ZERO, _ZERO]
-    u2 = _poly_mul(upoly, upoly)
-    l2 = _poly_mul(lpoly, lpoly)
-    term = _poly_scale(_poly_mul(alpha, _poly_sub(upoly, lpoly)), beta)
-    lin = [_sub(_mul(alpha0, q1), _mul(p1, beta)),
-           _mul(alpha1, q1), _ZERO, _ZERO]
-    half = _poly_scale(_poly_mul(lin, _poly_sub(u2, l2)), (1, 2))
-    term = _poly_add(term, half)
-    d3 = _poly_sub(_poly_mul(u2, upoly), _poly_mul(l2, lpoly))
-    pq = _mul(p1, q1)
-    return _poly_sub(term, _poly_scale(d3, (pq[0], pq[1] * 3)))
+    A piecewise-linear function that vanishes outside its support equals
+    sum_i J_i (x - s_i)_+^0 + W_i (x - s_i)_+^1; both support ends count.
+    """
+    zero = Fraction(0)
+    breaks = [Fraction(s) for s in breaks]
+    right = [(Fraction(v), Fraction(w)) for v, w in zip(c0, c1)]
+    left = [(zero, zero)] + [(v + w * (b - a), w)
+                             for (v, w), a, b in zip(right, breaks, breaks[1:])]
+    right.append((zero, zero))
+    return [(s, rv - lv, rw - lw)
+            for s, (rv, rw), (lv, lw) in zip(breaks, right, left)]
 
 
 def conv_dense(p_breaks, p_c0, p_c1, q_breaks, q_c0, q_c1):
     """Full piecewise-cubic convolution of two piecewise-linear functions.
 
-    Returns (breakpoints, coefficient quadruples); coefficients are in the
-    local variable of each output cell.
+    Returns (breakpoints, coefficient quadruples): the breakpoints are every
+    pairwise sum of input breakpoints, and each cell's coefficients are in
+    its local variable x - breakpoint.
     """
-    sb = _pairs(p_breaks)
-    tb = _pairs(q_breaks)
-    pc0 = _pairs(p_c0)
-    pc1 = _pairs(p_c1)
-    qc0 = _pairs(q_c0)
-    qc1 = _pairs(q_c1)
+    zero = Fraction(0)
+    q_jumps = _jumps(q_breaks, q_c0, q_c1)
+    terms = {}
+    for s, j, w in _jumps(p_breaks, p_c0, p_c1):
+        for t, k, v in q_jumps:
+            # coefficients of (x-z)_+, (x-z)_+^2/2 and (x-z)_+^3/6, z = s+t;
+            # a sum whose terms cancel still cuts the grid
+            acc = terms.setdefault(s + t, [zero, zero, zero])
+            acc[0] += j * k
+            acc[1] += j * v + w * k
+            acc[2] += w * v
 
-    sums = {}
-    for s in sb:
-        for t in tb:
-            sums[_add(s, t)] = 0
-    grid = sorted(sums, key=lambda p: Fraction(p[0], p[1]))
-    index = {p: k for k, p in enumerate(grid)}
-    ncells = len(grid) - 1
-    diff = [[_ZERO, _ZERO, _ZERO, _ZERO] for _ in range(ncells + 1)]
-
-    for i in range(len(sb) - 1):
-        s0, s1 = sb[i], sb[i + 1]
-        p0, p1 = pc0[i], pc1[i]
-        for j in range(len(tb) - 1):
-            t0, t1 = tb[j], tb[j + 1]
-            q0, q1 = qc0[j], qc1[j]
-            alpha0 = _sub(p0, _mul(p1, s0))
-            beta = _sub(q0, _mul(q1, t0))
-            a = _add(s0, t0)
-            b = _add(s0, t1)
-            c = _add(s1, t0)
-            d = _add(s1, t1)
-            b_le_c = _cmp(b, c) <= 0
-            e, f = (b, c) if b_le_c else (c, b)
-
-            neg_s0 = (-s0[0], s0[1])
-            neg_s1 = (-s1[0], s1[1])
-            const_t0 = [t0, _ZERO, _ZERO, _ZERO]
-            const_t1 = [t1, _ZERO, _ZERO, _ZERO]
-            lin_s0 = [neg_s0, (1, 1), _ZERO, _ZERO]
-            lin_s1 = [neg_s1, (1, 1), _ZERO, _ZERO]
-
-            pieces = [(a, e, const_t0, lin_s0)]
-            if _cmp(e, f) < 0:
-                if b_le_c:
-                    pieces.append((e, f, const_t0, const_t1))
-                else:
-                    pieces.append((e, f, lin_s1, lin_s0))
-            pieces.append((f, d, lin_s1, const_t1))
-
-            for xlo, xhi, lpoly, upoly in pieces:
-                coeffs = _piece_coeffs(alpha0, p1, p1, beta, q1, lpoly, upoly)
-                k0 = index[xlo]
-                k1 = index[xhi]
-                diff[k0] = _poly_add(diff[k0], coeffs)
-                diff[k1] = _poly_sub(diff[k1], coeffs)
-
-    out_breaks = [Fraction(p[0], p[1]) for p in grid]
-    out_coeffs = []
-    run = [_ZERO, _ZERO, _ZERO, _ZERO]
-    for k in range(ncells):
-        run = _poly_add(run, diff[k])
-        a = grid[k]
-        c0, c1, c2, c3 = run
-        a2 = _mul(a, a)
-        a3 = _mul(a2, a)
-        d0 = _add(_add(c0, _mul(c1, a)), _add(_mul(c2, a2), _mul(c3, a3)))
-        d1 = _add(c1, _add(_mul((2 * c2[0], c2[1]), a), _mul((3 * c3[0], c3[1]), a2)))
-        d2 = _add(c2, _mul((3 * c3[0], c3[1]), a))
-        out_coeffs.append((Fraction(*d0), Fraction(*d1), Fraction(*d2), Fraction(*c3)))
-    return out_breaks, out_coeffs
+    grid = sorted(terms)
+    c0 = c1 = c2 = c3 = zero
+    coeffs = []
+    prev = grid[0]
+    for z in grid[:-1]:
+        # Taylor-shift the running cubic to u = x - z, then add z's terms
+        h = z - prev
+        c3h = c3 * h
+        c0 += ((c3h + c2) * h + c1) * h
+        c1 += (3 * c3h + 2 * c2) * h
+        c2 += 3 * c3h
+        first, second, third = terms[z]
+        c1 += first
+        c2 += second / 2
+        c3 += third / 6
+        coeffs.append((c0, c1, c2, c3))
+        prev = z
+    return grid, coeffs

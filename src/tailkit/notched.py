@@ -164,6 +164,12 @@ class NotchedDensity:
     def density(self) -> PiecewisePoly:
         return self.dense.scale(1 / self.mass)
 
+    def check_block(self, n: int) -> None:
+        """Raise ValueError unless block n lies inside the truncation."""
+        if not 1 <= n <= self.truncation_n:
+            raise ValueError(f"block {n} is not materialized "
+                             f"(N={self.truncation_n})")
+
     def omitted_tail_bound(self) -> Fraction:
         """Upper bound on the unnormalized mass dropped by truncation.
 
@@ -205,8 +211,7 @@ def slope_value_separation(nd: NotchedDensity, n: int) -> Fraction:
     Finite-n restatement of the slope-versus-value separation: this ratio
     is finite at every n and decreasing from n=5 on.
     """
-    if not 1 <= n <= nd.truncation_n:
-        raise ValueError(f"block {n} is not materialized (N={nd.truncation_n})")
+    nd.check_block(n)
     pb, dl = nd.precision_bits, max(DENSE_LIMIT, nd.truncation_n + 1)
     pts = [knot_position("a", n, pb, dl), knot_position("b", n, pb, dl),
            knot_position("c", n, pb, dl), a_position(n + 1)]

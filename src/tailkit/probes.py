@@ -233,6 +233,7 @@ def i2_bound_check(nd: notched.NotchedDensity, n: int) -> I2Check:
     2**(-6*m*m + (n+1)**2 + 2) with m = m(n); the inequality is pure
     sup-times-length, hence valid at every finite n.
     """
+    nd.check_block(n)
     pb = nd.precision_bits
     dl = max(notched.DENSE_LIMIT, nd.truncation_n + 1)
     x = notched.knot_position("c", n, pb, dl)

@@ -1,12 +1,19 @@
+import hashlib
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import tailkit
 from tailkit import cli
 from tailkit.piecewise import from_linear_knots, load_text
+
+# sha256 of `tailkit convolve` on the notched N=4 knot file: the dense
+# convolution's exact output is the spec, byte for byte
+NOTCHED4_CONV_SHA256 = "0640e7835bb91572d5df651380f0f71f3f00e55f49fa66f7b618734b5252937d"
 
 
 def run_cli(*argv):
@@ -84,6 +91,12 @@ class TestConfig:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run_cli("build", "--config", str(tmp_path / "nope.cfg")) == 2
 
+    def test_zero_denominator_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("construction = logperiodic\ndelta = 1/0\n")
+        assert run_cli("build", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert "run.cfg:2" in capsys.readouterr().err
+
 
 class TestProbeCommand:
     def test_knot_ratio_series(self, tmp_path, capsys):
@@ -121,6 +134,22 @@ class TestProbeCommand:
         assert run_cli("probe", "notched", "subexp_ratio", "n=3",
                        "points=zz") == 2
         assert "points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("probe", "notched", "local_tail_ratio", "--d", "1/0"),
+        ("probe", "notched", "long_tail_ratio", "t=1/0"),
+        ("build", "logperiodic", "--delta", "1/0"),
+    ])
+    def test_zero_denominator_is_usage_error(self, argv, tmp_path, capsys):
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "1/0" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_i2_bound_check_rejects_block_outside_truncation(self, capsys):
+        assert run_cli("probe", "notched", "i2_bound_check", "n=10",
+                       "n_list=5,12") == 2
+        assert "block 12 is not materialized" in capsys.readouterr().err
 
     def test_blowup_probe(self, tmp_path):
         out = tmp_path / "blowup.csv"
@@ -162,6 +191,13 @@ class TestConvolve:
         expected = conv.conv_linear_exact(nd.dense, nd.dense)
         for x in (Fraction(1), Fraction(20), Fraction(100, 3)):
             assert loaded.eval(x) == expected.eval(x)
+
+    def test_notched_convolution_matches_spec(self, tmp_path):
+        assert run_cli("build", "notched", "n=4", "--out", str(tmp_path)) == 0
+        out = tmp_path / "conv.pw"
+        assert run_cli("convolve", str(tmp_path / "notched.knots"),
+                       "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == NOTCHED4_CONV_SHA256
 
     def test_round_trip_probe_equality(self, tmp_path):
         # build -> serialize -> load -> probe equals the in-memory probe

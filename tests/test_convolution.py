@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailkit import convolution as conv
@@ -118,6 +118,16 @@ class TestSplitIntegrals:
             x = notched.knot_position(label, 10)
             i1, i2 = conv.split_integrals(nd10.dense, 10, x)
             assert 2 * i1 + i2 == conv.self_conv_value(nd10.dense, x)
+
+    @given(st.integers(min_value=1, max_value=10),
+           st.fractions(min_value=0, max_value=1, max_denominator=2 ** 40))
+    @settings(max_examples=40, deadline=None)
+    def test_partition_identity_in_block(self, nd10, n, u):
+        lo, hi = notched.a_position(n), notched.a_position(n + 1)
+        x = lo + (hi - lo) * u
+        assume(x > lo and x >= 2 * notched.a_position(notched.m_of(n)))
+        i1, i2 = conv.split_integrals(nd10.dense, n, x)
+        assert 2 * i1 + i2 == conv.self_conv_value(nd10.dense, x)
 
     def test_i1_tracks_local_value(self, nd10):
         x = notched.knot_position("c", 10)

@@ -7,7 +7,7 @@ routes to the same integral, so they must agree to the last bit.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailkit import convolution as conv
@@ -29,8 +29,26 @@ def random_density(draw):
     return from_linear_knots(list(zip(sorted(xs), fs)))
 
 
+def random_jump_function(draw):
+    """Seg-built piecewise linear with signed values and an interior jump."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    xs = draw(st.lists(
+        st.fractions(min_value=-6, max_value=12, max_denominator=8),
+        min_size=n + 1, max_size=n + 1, unique=True))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+    segs = [[draw(coeff), draw(coeff)] for _ in range(n)]
+    xs.sort()
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    left_limit = segs[k - 1][0] + segs[k - 1][1] * (xs[k] - xs[k - 1])
+    jump = draw(coeff.filter(lambda v: v != 0))
+    segs[k][0] = left_limit + jump
+    return PiecewisePoly(tuple(xs), tuple(map(tuple, segs)))
+
+
 densities = st.composite(random_density)()
+jump_functions = st.composite(random_jump_function)()
 points = st.fractions(min_value=0, max_value=40, max_denominator=32)
+unit = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
 
 class TestTextbookCases:
@@ -92,6 +110,18 @@ class TestProperties:
         lo, hi = dense.support
         x = min(max(x, lo), hi)
         assert conv.self_conv_value(p, x) == dense.eval(x)
+
+    @given(jump_functions, jump_functions, unit)
+    @settings(max_examples=60, deadline=None)
+    def test_discontinuous_unequal_operands(self, p, q, fx):
+        # interior value jumps: the dense sweep against point evaluation
+        # at every output breakpoint and a drawn abscissa, and the masses
+        assume(p != q)
+        pq = conv.conv_linear_exact(p, q)
+        lo, hi = pq.support
+        for x in pq.breakpoints + (lo + (hi - lo) * fx,):
+            assert pq.eval(x) == conv.conv_window_value(p, q, x, *q.support)
+        assert pq.total_mass() == p.total_mass() * q.total_mass()
 
     @given(densities, points)
     @settings(max_examples=50, deadline=None)
