@@ -56,7 +56,8 @@ def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,
                       y_lo, y_hi) -> Fraction:
     """Integral of p(x-y) q(y) over [y_lo, y_hi], clipped to both supports."""
     pb, pc0, pc1 = _linear_table(p)
-    qb, qc0, qc1 = _linear_table(q)
+    # the same lists tell the kernel that the operands are identical
+    qb, qc0, qc1 = (pb, pc0, pc1) if q is p else _linear_table(q)
     value = kernel.conv_point(pb, pc0, pc1, qb, qc0, qc1,
                               Fraction(x), Fraction(y_lo), Fraction(y_hi))
     return value * (p.factor * q.factor)

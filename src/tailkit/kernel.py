@@ -21,43 +21,47 @@ intermediate stays the size of an output coefficient; a cubic in global
 work is O(pairs + cells).
 
 ``conv_point(P, Q, x, y_lo, y_hi)`` evaluates the windowed convolution
-integral at one abscissa without building the dense object: the y-range is
-cut at every Q breakpoint and every reflected P breakpoint, and each cell
-integrates a product of two linears in closed form.  Its rationals travel
-through the hot loop as plain ``(num, den)`` int pairs (den > 0,
-gcd-reduced) to avoid per-operation Fraction overhead; Fractions appear only
-at the API boundary.
+integral at one abscissa without building the dense object.  It walks the
+y-range once, cut at every Q breakpoint and every reflected P breakpoint
+``x - s``, and tracks the segment of each factor that owns the current cell.
+A cell ``[u, v]`` is integrated from the factors' endpoint values,
+
+    (v - u) * (2 A_u B_u + A_u B_v + A_v B_u + 2 A_v B_v) / 6,
+
+where ``A`` and ``B`` are the owning segments' linears at the cell ends (at
+a jump, the owning segment's own limit).  These are of the size of the
+function values, where an antiderivative in ``y`` would difference cubes of
+``y``.  The cell values are added in a balanced tree, so each addition
+meets operands of like size.  When P and Q are the same lists and the
+clipped window is symmetric about ``x/2``, so is the integrand: the walk
+stops at ``x/2`` and the result is doubled.  Its rationals travel through
+the hot loop as plain ``(num, den)`` int pairs (den > 0, gcd-reduced) to
+avoid per-operation Fraction overhead; Fractions appear only at the API
+boundary.
 """
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 _ZERO = (0, 1)
 
 
-def _norm(n, d):
-    if n == 0:
-        return _ZERO
-    g = gcd(n, d)
-    if g > 1:
-        return n // g, d // g
-    return n, d
-
-
 def _add(a, b):
+    """a + b, with gcds taken on denominator-sized numbers (Knuth 4.5.1)."""
     an, ad = a
     bn, bd = b
-    if ad == bd:
-        return _norm(an + bn, ad)
-    return _norm(an * bd + bn * ad, ad * bd)
+    g = gcd(ad, bd)
+    s = ad // g
+    n = an * (bd // g) + bn * s
+    if n == 0:
+        return _ZERO
+    g2 = gcd(n, g)
+    return n // g2, s * (bd // g2)
 
 
 def _sub(a, b):
-    an, ad = a
-    bn, bd = b
-    if ad == bd:
-        return _norm(an - bn, ad)
-    return _norm(an * bd - bn * ad, ad * bd)
+    return _add(a, (-b[0], b[1]))
 
 
 def _mul(a, b):
@@ -75,6 +79,9 @@ def _cmp(a, b):
     return (v > 0) - (v < 0)
 
 
+_by_value = cmp_to_key(_cmp)
+
+
 def _pairs(values):
     out = []
     for v in values:
@@ -83,76 +90,79 @@ def _pairs(values):
     return out
 
 
-def _cell_value(alpha, p1, beta, q1, u, v):
-    """Integral over y in [u, v] of (alpha - p1*y) * (beta + q1*y)."""
-    u2 = _mul(u, u)
-    v2 = _mul(v, v)
-    d1 = _sub(v, u)
-    d2 = _sub(v2, u2)
-    d3 = _sub(_mul(v2, v), _mul(u2, u))
-    total = _mul(_mul(alpha, beta), d1)
-    lin = _sub(_mul(alpha, q1), _mul(p1, beta))
-    total = _add(total, _mul(lin, (d2[0], d2[1] * 2)))
-    pq = _mul(p1, q1)
-    return _sub(total, _mul(pq, (d3[0], d3[1] * 3)))
-
-
-def _owner(breaks, x):
-    """Index of the segment (breaks[i], breaks[i+1]] owning x (x strictly
-    inside the support and never equal to an interior cut by construction)."""
-    lo, hi = 0, len(breaks) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _cmp(breaks[mid], x) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _balanced_sum(values):
+    """Sum of int pairs, added pairwise so that operands stay of like size."""
+    while len(values) > 1:
+        paired = [_add(a, b) for a, b in zip(values[::2], values[1::2])]
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return values[0]
 
 
 def conv_point(p_breaks, p_c0, p_c1, q_breaks, q_c0, q_c1, x, y_lo, y_hi):
     """Exact value of the windowed convolution integral at x.
 
     Integrates P(x-y) * Q(y) over y in [y_lo, y_hi] clipped to the region
-    where both factors are inside their supports.
+    where both factors are inside their supports.  Passing the same three
+    lists for P and Q declares the operands identical.
     """
-    sb = _pairs(p_breaks)
-    tb = _pairs(q_breaks)
-    pc0 = _pairs(p_c0)
-    pc1 = _pairs(p_c1)
-    qc0 = _pairs(q_c0)
-    qc1 = _pairs(q_c1)
-    xf = Fraction(x)
-    xp = (xf.numerator, xf.denominator)
-    lo = _pairs([y_lo])[0]
-    hi = _pairs([y_hi])[0]
+    same = p_breaks is q_breaks and p_c0 is q_c0 and p_c1 is q_c1
+    sb, pc0, pc1 = _pairs(p_breaks), _pairs(p_c0), _pairs(p_c1)
+    if same:
+        tb, qc0, qc1 = sb, pc0, pc1
+    else:
+        tb, qc0, qc1 = _pairs(q_breaks), _pairs(q_c0), _pairs(q_c1)
+    xp, lo, hi = _pairs([x, y_lo, y_hi])
 
-    key = lambda p: Fraction(p[0], p[1])
-    wlo = max(lo, tb[0], _sub(xp, sb[-1]), key=key)
-    whi = min(hi, tb[-1], _sub(xp, sb[0]), key=key)
+    wlo = max(lo, tb[0], _sub(xp, sb[-1]), key=_by_value)
+    whi = min(hi, tb[-1], _sub(xp, sb[0]), key=_by_value)
     if _cmp(whi, wlo) <= 0:
         return Fraction(0)
+    # P(x-y) P(y) is symmetric about y = x/2: on a window symmetric about
+    # x/2, integrate its lower half and double
+    double = same and _add(wlo, whi) == xp
+    if double:
+        whi = _mul(xp, (1, 2))
 
-    cuts = {wlo, whi}
-    for t in tb:
-        if _cmp(wlo, t) < 0 and _cmp(t, whi) < 0:
-            cuts.add(t)
-    for s in sb:
-        y = _sub(xp, s)
-        if _cmp(wlo, y) < 0 and _cmp(y, whi) < 0:
-            cuts.add(y)
-    grid = sorted(cuts, key=lambda p: Fraction(p[0], p[1]))
+    def p_at(i, y):
+        return _add(pc0[i], _mul(pc1[i], _sub(_sub(xp, y), sb[i])))
 
-    total = _ZERO
-    for u, v in zip(grid, grid[1:]):
-        half_sum = _add(u, v)
-        mid = _norm(half_sum[0], half_sum[1] * 2)
-        j = _owner(tb, mid)
-        i = _owner(sb, _sub(xp, mid))
-        alpha = _add(pc0[i], _mul(pc1[i], _sub(xp, sb[i])))
-        beta = _sub(qc0[j], _mul(qc1[j], tb[j]))
-        total = _add(total, _cell_value(alpha, pc1[i], beta, qc1[j], u, v))
-    return Fraction(total[0], total[1])
+    def q_at(j, y):
+        return _add(qc0[j], _mul(qc1[j], _sub(y, tb[j])))
+
+    # the cell [u, v] lies in Q's segment j, (tb[j], tb[j+1]), and in P's
+    # segment i, which covers y in (x - sb[i+1], x - sb[i])
+    j = 0
+    while _cmp(tb[j + 1], wlo) <= 0:
+        j += 1
+    i = len(sb) - 2
+    while _cmp(_sub(xp, sb[i]), wlo) <= 0:
+        i -= 1
+    u, a_u, b_u = wlo, p_at(i, wlo), q_at(j, wlo)
+    cells = []
+    while True:
+        q_next = tb[j + 1]
+        p_next = _sub(xp, sb[i])
+        v = min(whi, q_next, p_next, key=_by_value)
+        a_v, b_v = p_at(i, v), q_at(j, v)
+        # h * (2 A_u B_u + A_u B_v + A_v B_u + 2 A_v B_v), the /6 comes last
+        s = _add(_mul(a_u, _add(_add(b_u, b_u), b_v)),
+                 _mul(a_v, _add(b_u, _add(b_v, b_v))))
+        cells.append(_mul(_sub(v, u), s))
+        if v == whi:
+            break
+        # past a breakpoint, the next cell starts from the next segment's
+        # limit, which differs from this one's at a jump
+        if v == q_next:
+            j += 1
+            b_v = q_at(j, v)
+        if v == p_next:
+            i -= 1
+            a_v = p_at(i, v)
+        u, a_u, b_u = v, a_v, b_v
+    num, den = _balanced_sum(cells)
+    return Fraction(2 * num if double else num, 6 * den)
 
 
 # ------------------------- dense convolution -------------------------

@@ -246,18 +246,6 @@ def i2_bound_check(nd: notched.NotchedDensity, n: int) -> I2Check:
                    bound_log2_closed_form=exponent, passed=i2 <= bound)
 
 
-def notched_middle_integral(f: PiecewisePoly, n: int, x) -> Fraction:
-    """Middle self-convolution mass over [a_m, x-a_m] divided by f(x)."""
-    x = Fraction(x)
-    cut = notched.a_position(notched.m_of(n))
-    if x - cut < cut:
-        raise ValueError(f"x={x} leaves no middle range for block {n}")
-    denom = f.eval(x)
-    if denom == 0:
-        raise ValueError(f"density vanishes at x={x}")
-    return conv.conv_window_value(f, f, x, cut, x - cut) / denom
-
-
 def mixture_blowup_probe(mix: mx.MixtureSpec, schedule: mx.BlowupSchedule,
                          d) -> list[ProbeRow]:
     """One exact row (m=1) plus symbolic lower-bound rows (m >= 2).

@@ -1,7 +1,27 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import tailkit
 from tailkit import logperiodic as lp
 from tailkit import notched
+
+# sha256 of the battery CSV: exact results are the spec, byte for byte
+BATTERY_CSV_SHA256 = "d3ac6cbb790ed0c71bf46f51e321843f80c00d6b0fa5a65a2993672d8ae0ec1b"
+
+
+def child_env(**overrides):
+    """os.environ with the imported tailkit's directory first on PYTHONPATH.
+
+    Children may run outside the checkout, where a relative PYTHONPATH
+    (e.g. ``src``) would not reach the package.
+    """
+    package_root = str(Path(tailkit.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": package_root + (os.pathsep + path if path else ""),
+            **overrides}
 
 
 @pytest.fixture(scope="session")

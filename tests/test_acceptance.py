@@ -5,13 +5,14 @@ line per criterion; the same battery backs ``tailkit verify``.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
+from conftest import BATTERY_CSV_SHA256, child_env
 
 from tailkit import acceptance
-
-# sha256 of the battery CSV: exact results are the spec, byte for byte
-BATTERY_CSV_SHA256 = "d3ac6cbb790ed0c71bf46f51e321843f80c00d6b0fa5a65a2993672d8ae0ec1b"
 
 CRITERIA = [name for name, _, _ in acceptance._CHECKS]
 CRITERIA.insert(11, "12_determinism")
@@ -41,12 +42,19 @@ def test_budgets_respected(results):
         assert r.elapsed < r.budget, f"{r.name} exceeded its runtime budget"
 
 
-def test_acceptance_csv_deterministic(results):
+def test_acceptance_csv_deterministic(results, tmp_path):
+    # a fresh process, with cold caches and another hash seed, writes the
+    # same bytes
     ordered = [results[name] for name in CRITERIA]
-    a = acceptance.acceptance_csv(ordered)
-    b = acceptance.acceptance_csv(ordered)
-    assert a == b
-    assert a.startswith("probe,x_or_n,value,aux_json,precision_flag")
+    csv = acceptance.acceptance_csv(ordered)
+    assert csv.startswith("probe,x_or_n,value,aux_json,precision_flag")
+    out = tmp_path / "battery.csv"
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    child = subprocess.run(
+        [sys.executable, "-m", "tailkit.cli", "verify", "--out", str(out)],
+        capture_output=True, cwd=tmp_path, env=child_env(PYTHONHASHSEED=seed))
+    assert child.returncode == 0, child.stderr
+    assert out.read_bytes() == csv.encode()
 
 
 def test_acceptance_csv_matches_spec(results):

@@ -1,13 +1,11 @@
 import hashlib
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from conftest import BATTERY_CSV_SHA256, child_env
 
-import tailkit
 from tailkit import cli
 from tailkit.piecewise import from_linear_knots, load_text
 
@@ -18,19 +16,6 @@ NOTCHED4_CONV_SHA256 = "0640e7835bb91572d5df651380f0f71f3f00e55f49fa66f7b618734b
 
 def run_cli(*argv):
     return cli.main(list(argv))
-
-
-def child_env(**overrides):
-    """os.environ with the imported tailkit's directory first on PYTHONPATH.
-
-    Children may run outside the checkout, where a relative PYTHONPATH
-    (e.g. ``src``) would not reach the package.
-    """
-    package_root = str(Path(tailkit.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ,
-            "PYTHONPATH": package_root + (os.pathsep + path if path else ""),
-            **overrides}
 
 
 class TestBuild:
@@ -279,11 +264,11 @@ class TestReportDeterminism:
 
 class TestVerify:
     def test_verify_passes_and_is_deterministic(self, tmp_path, capsys):
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        assert run_cli("verify", "--out", str(out_a)) == 0
-        assert run_cli("verify", "--out", str(out_b)) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
+        # bytes across processes: tests/test_acceptance.py
+        out = tmp_path / "battery.csv"
+        assert run_cli("verify", "--out", str(out)) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == BATTERY_CSV_SHA256
         stdout = capsys.readouterr().out
         assert "PASS 12_determinism" in stdout
 

@@ -103,13 +103,16 @@ class TestProperties:
         x = min(max(x, lo), hi)
         assert got.eval(x) >= 0
 
-    @given(densities, points)
+    @given(densities, points, st.integers(min_value=0, max_value=6))
     @settings(max_examples=60, deadline=None)
-    def test_point_matches_dense(self, p, x):
+    def test_point_matches_dense(self, p, x, k):
+        # the point route integrates up to x/2 and doubles; x/2 is drawn
+        # anywhere and on a breakpoint of p
         dense = conv.conv_linear_exact(p, p)
         lo, hi = dense.support
-        x = min(max(x, lo), hi)
-        assert conv.self_conv_value(p, x) == dense.eval(x)
+        on_break = 2 * p.breakpoints[k % len(p.breakpoints)]
+        for x in (min(max(x, lo), hi), on_break):
+            assert conv.self_conv_value(p, x) == dense.eval(x)
 
     @given(jump_functions, jump_functions, unit)
     @settings(max_examples=60, deadline=None)
@@ -132,3 +135,46 @@ class TestProperties:
             c0, c1, c2, c3 = dense.coeffs[i - 1]
             left_limit = ((c3 * u + c2) * u + c1) * u + c0
             assert left_limit == dense.coeffs[i][0]
+
+
+class TestPointWindows:
+    """The point route's half-window must double only symmetric windows of
+    one operand, and read each cell from the segments that own it."""
+
+    @given(jump_functions, unit, st.integers(min_value=0, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_self_conv_with_jumps(self, p, fx, k):
+        # at a jump the cells on either side read different limits
+        dense = conv.conv_linear_exact(p, p)
+        lo, hi = dense.support
+        on_break = 2 * p.breakpoints[k % len(p.breakpoints)]
+        for x in (lo + (hi - lo) * fx, on_break):
+            assert conv.self_conv_value(p, x) == dense.eval(x)
+
+    @given(jump_functions, unit, unit)
+    @settings(max_examples=60, deadline=None)
+    def test_one_sided_windows_partition(self, p, fx, fc):
+        # [lo, c] and [c, hi] are each clipped on one side only; their sum
+        # is the full self-convolution
+        dense = conv.conv_linear_exact(p, p)
+        x = dense.support[0] + (dense.support[1] - dense.support[0]) * fx
+        lo, hi = p.support
+        c = lo + (hi - lo) * fc
+        below = conv.conv_window_value(p, p, x, lo, c)
+        above = conv.conv_window_value(p, p, x, c, hi)
+        assert below + above == dense.eval(x)
+
+    @given(jump_functions, unit, unit, unit)
+    @settings(max_examples=60, deadline=None)
+    def test_equal_but_distinct_operands(self, p, fx, f1, f2):
+        # an equal copy takes the walk over the whole window
+        twin = PiecewisePoly(p.breakpoints, p.coeffs)
+        assert twin == p and twin is not p
+        dense = conv.conv_linear_exact(p, p)
+        x = dense.support[0] + (dense.support[1] - dense.support[0]) * fx
+        lo, hi = p.support
+        y_lo, y_hi = sorted((lo + (hi - lo) * f1, lo + (hi - lo) * f2))
+        for window in ((lo, hi), (y_lo, y_hi), (y_lo, x - y_lo)):
+            assert (conv.conv_window_value(p, p, x, *window)
+                    == conv.conv_window_value(p, twin, x, *window))
+        assert conv.conv_window_value(p, twin, x, lo, hi) == dense.eval(x)

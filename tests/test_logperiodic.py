@@ -13,9 +13,6 @@ import mpmath
 import pytest
 
 from tailkit import logperiodic as lp
-from tailkit import notched
-from tailkit import convolution as conv
-from tailkit import probes
 from tailkit.errors import PrecisionFailure
 
 # frozen from the adaptive-Simpson engine at tol 1e-8, alpha=1, delta=1/4;
@@ -187,11 +184,3 @@ class TestMiddleIntegral:
         ratio = lp.middle_mass_ratio(lp.anchor(4), lp_default, Fraction(3, 10))
         assert ratio.sign == 1
         assert ratio.log2mag > 1000
-
-    def test_notched_cross_check_equals_split(self, nd10):
-        # the same probe on the piecewise construction is exactly I2/f(x)
-        x = notched.knot_position("c", 10)
-        f = nd10.dense
-        got = probes.notched_middle_integral(f, 10, x)
-        _, i2 = conv.split_integrals(f, 10, x)
-        assert got == i2 / f.eval(x)
