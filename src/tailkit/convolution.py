@@ -45,7 +45,8 @@ def conv_linear_exact(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
     deduplicated with exact equality.
     """
     pb, pc0, pc1 = _linear_table(p)
-    qb, qc0, qc1 = _linear_table(q)
+    # the same lists tell the kernel that the operands are identical
+    qb, qc0, qc1 = (pb, pc0, pc1) if q is p else _linear_table(q)
     breaks, coeffs = kernel.conv_dense(pb, pc0, pc1, qb, qc0, qc1)
     return PiecewisePoly(tuple(breaks), tuple(coeffs), continuous=True,
                          density=p.density and q.density,
@@ -54,12 +55,18 @@ def conv_linear_exact(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
 
 def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,
                       y_lo, y_hi) -> Fraction:
-    """Integral of p(x-y) q(y) over [y_lo, y_hi], clipped to both supports."""
+    """Integral of p(x-y) q(y) over [y_lo, y_hi], clipped to both supports.
+
+    A window that the supports clip to nothing gives 0; a reversed one,
+    y_lo > y_hi, is an error, as it is for ``PiecewisePoly.integral``.
+    """
+    x, y_lo, y_hi = Fraction(x), Fraction(y_lo), Fraction(y_hi)
+    if y_lo > y_hi:
+        raise ValueError(f"reversed bounds: {y_lo} > {y_hi}")
     pb, pc0, pc1 = _linear_table(p)
     # the same lists tell the kernel that the operands are identical
     qb, qc0, qc1 = (pb, pc0, pc1) if q is p else _linear_table(q)
-    value = kernel.conv_point(pb, pc0, pc1, qb, qc0, qc1,
-                              Fraction(x), Fraction(y_lo), Fraction(y_hi))
+    value = kernel.conv_point(pb, pc0, pc1, qb, qc0, qc1, x, y_lo, y_hi)
     return value * (p.factor * q.factor)
 
 

@@ -12,13 +12,18 @@ interior discontinuities included).  Since
     (x - s)_+^a / a!  *  (x - t)_+^b / b!  =  (x - s - t)_+^(a+b+1) / (a+b+1)!
 
 every breakpoint pair adds ``J K (x-z)_+ + (J V + W K) (x-z)_+^2 / 2 +
-W V (x-z)_+^3 / 6`` at ``z = s + t``.  One sweep over the sorted sums keeps
-a running cubic in the local variable ``u = x - z``: at each sum it is
-Taylor-shifted by the step from the previous sum and the new terms are
-added.  That running cubic is the output cell's coefficients, so every
-intermediate stays the size of an output coefficient; a cubic in global
-``x`` would carry ``z**3``-sized terms that cancel only at the end.  The
-work is O(pairs + cells).
+W V (x-z)_+^3 / 6`` at ``z = s + t``.  A product with a zero jump factor
+is skipped: a continuous density jumps in value only at its support ends,
+so most pairs add slope terms alone.  Every pairwise sum still enters the
+grid, also when all of its terms are zero.  When P and Q are the same
+lists, the pairs ``(s, t)`` and ``(t, s)`` add the same terms, so only the
+pairs with ``s`` at or before ``t`` are visited and those with ``s != t``
+count twice.  One sweep over the sorted sums keeps a running cubic in the
+local variable ``u = x - z``: at each sum it is Taylor-shifted by the step
+from the previous sum and the new terms are added.  That running cubic is
+the output cell's coefficients, so every intermediate stays the size of an
+output coefficient; a cubic in global ``x`` would carry ``z**3``-sized
+terms that cancel only at the end.  The work is O(pairs + cells).
 
 ``conv_point(P, Q, x, y_lo, y_hi)`` evaluates the windowed convolution
 integral at one abscissa without building the dense object.  It walks the
@@ -188,19 +193,33 @@ def conv_dense(p_breaks, p_c0, p_c1, q_breaks, q_c0, q_c1):
 
     Returns (breakpoints, coefficient quadruples): the breakpoints are every
     pairwise sum of input breakpoints, and each cell's coefficients are in
-    its local variable x - breakpoint.
+    its local variable x - breakpoint.  Passing the same three lists for P
+    and Q declares the operands identical.
     """
     zero = Fraction(0)
-    q_jumps = _jumps(q_breaks, q_c0, q_c1)
+    same = p_breaks is q_breaks and p_c0 is q_c0 and p_c1 is q_c1
+    p_jumps = _jumps(p_breaks, p_c0, p_c1)
+    q_jumps = p_jumps if same else _jumps(q_breaks, q_c0, q_c1)
     terms = {}
-    for s, j, w in _jumps(p_breaks, p_c0, p_c1):
-        for t, k, v in q_jumps:
+    for a, (s, j, w) in enumerate(p_jumps):
+        # identical operands: the pair (a, b), b > a, stands for (b, a) too
+        start, j2, w2 = (a, j + j, w + w) if same else (0, j, w)
+        for b in range(start, len(q_jumps)):
+            t, k, v = q_jumps[b]
+            jb, wb = (j, w) if b == a else (j2, w2)
             # coefficients of (x-z)_+, (x-z)_+^2/2 and (x-z)_+^3/6, z = s+t;
-            # a sum whose terms cancel still cuts the grid
+            # a sum whose terms are all zero still cuts the grid
             acc = terms.setdefault(s + t, [zero, zero, zero])
-            acc[0] += j * k
-            acc[1] += j * v + w * k
-            acc[2] += w * v
+            if jb:
+                if k:
+                    acc[0] += jb * k
+                if v:
+                    acc[1] += jb * v
+            if wb:
+                if k:
+                    acc[1] += wb * k
+                if v:
+                    acc[2] += wb * v
 
     grid = sorted(terms)
     c0 = c1 = c2 = c3 = zero

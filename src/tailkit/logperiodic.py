@@ -15,20 +15,21 @@ the rebounds there and can silently miss percent-level mass).
 All numerics run in fixed-precision mpmath (deterministic software
 floats); integrals carry an explicit error budget and a certified
 analytic tail bound, and raise :class:`PrecisionFailure` instead of
-returning a value that missed its budget.
+returning a value that missed its budget.  mpmath is imported by the
+functions that evaluate, so it loads on first use, not with this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
-
-import mpmath
-from mpmath import mpf
+from typing import TYPE_CHECKING, Callable, Optional
 
 from tailkit.errors import PrecisionFailure
 from tailkit.numerics import LogValue, _snap
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 _WP = 192          # working precision (bits) for all mpmath evaluation
 _SNAP_BITS = 96    # precision of rationals snapped out of mpmath
@@ -59,13 +60,15 @@ class LogPeriodicParams:
 
 
 def _to_mpf(q: Fraction) -> mpf:
-    return mpf(q.numerator) / q.denominator
+    import mpmath
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
 def _chi_mpf(x: mpf, delta: mpf) -> mpf:
+    import mpmath
     if x == 0:
-        return mpf(0)
-    exponent = mpf(1) / 2 + delta * mpmath.cos(mpmath.log(x + 1))
+        return mpmath.mpf(0)
+    exponent = mpmath.mpf(1) / 2 + delta * mpmath.cos(mpmath.log(x + 1))
     return mpmath.exp(exponent * mpmath.log(x))
 
 
@@ -76,6 +79,7 @@ def chi(x, p: LogPeriodicParams, precision_bits: int = _SNAP_BITS) -> Fraction:
         raise ValueError(f"chi is defined on x >= 0, got {x}")
     if x == 0:
         return Fraction(0)
+    import mpmath
     with mpmath.workprec(max(_WP, precision_bits + 64)):
         return _snap(_chi_mpf(_to_mpf(x), _to_mpf(p.delta)), precision_bits)
 
@@ -86,6 +90,7 @@ def anchor(k: int, precision_bits: int = _SNAP_BITS) -> Fraction:
         raise ValueError("anchor index must be nonnegative")
     if k == 0:
         return Fraction(0)
+    import mpmath
     with mpmath.workprec(max(_WP, precision_bits + 64)):
         return _snap(mpmath.exp(k * mpmath.pi) - 1, precision_bits)
 
@@ -118,6 +123,8 @@ def _integrate(f: Callable[[mpf], mpf], points, rel_tol: mpf):
     split across panels in proportion to their coarse share, so panels that
     carry no mass are not refined.
     """
+    import mpmath
+    from mpmath import mpf
     panels = []
     for a, b in zip(points, points[1:]):
         if b <= a:
@@ -147,6 +154,7 @@ def _integrate(f: Callable[[mpf], mpf], points, rel_tol: mpf):
 
 
 def _anchor_points(lo: mpf, hi: mpf) -> list:
+    import mpmath
     pts = [lo]
     k = 1
     while True:
@@ -162,6 +170,8 @@ def _anchor_points(lo: mpf, hi: mpf) -> list:
 
 def _chi_tail_bound(T: mpf, delta: mpf) -> mpf:
     """Certified bound on integral_T^inf exp(-y**(1/2-delta)) dy."""
+    import mpmath
+    from mpmath import mpf
     c = mpf(1) / 2 - delta
     u0 = T ** c
     k = 1 / c - 1
@@ -192,6 +202,8 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
         return _NORMALIZER_CACHE[p]
     except KeyError:
         pass
+    import mpmath
+    from mpmath import mpf
     with mpmath.workprec(_WP):
         delta = _to_mpf(p.delta)
         alpha = _to_mpf(p.alpha)
@@ -248,6 +260,7 @@ def density_log(x, p: LogPeriodicParams) -> LogValue:
     if x < 0:
         raise ValueError(f"density is supported on x >= 0, got {x}")
     norm = normalizers(p)
+    import mpmath
     with mpmath.workprec(_WP):
         log2_val = (mpmath.log(_to_mpf(norm.a))
                     - _chi_mpf(_to_mpf(x), _to_mpf(p.delta))) / mpmath.ln2
@@ -259,6 +272,7 @@ def f0_tail_log(x, p: LogPeriodicParams) -> LogValue:
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"the tail is defined on x >= 0, got {x}")
+    import mpmath
     with mpmath.workprec(_WP):
         val = -(_to_mpf(p.alpha) * _to_mpf(x)
                 + _chi_mpf(_to_mpf(x), _to_mpf(p.delta))) / mpmath.ln2
@@ -267,6 +281,7 @@ def f0_tail_log(x, p: LogPeriodicParams) -> LogValue:
 
 def _tail_integral(x: mpf, p: LogPeriodicParams):
     """integral_x^inf exp(-alpha*y - chi(y)) dy with certified tail."""
+    import mpmath
     with mpmath.workprec(_WP):
         delta = _to_mpf(p.delta)
         alpha = _to_mpf(p.alpha)
@@ -289,6 +304,7 @@ def f0I_tail_log(x, p: LogPeriodicParams) -> LogValue:
     if x < 0:
         raise ValueError(f"the integrated tail is defined on x >= 0, got {x}")
     norm = normalizers(p)
+    import mpmath
     with mpmath.workprec(_WP):
         val, _ = _tail_integral(_to_mpf(x), p)
         log2_val = mpmath.log(_to_mpf(norm.b) * val) / mpmath.ln2
@@ -304,6 +320,7 @@ def karamata_ratio(x, p: LogPeriodicParams) -> Fraction:
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
+    import mpmath
     with mpmath.workprec(_WP):
         xm = _to_mpf(x)
         val, _ = _tail_integral(xm, p)
@@ -324,6 +341,7 @@ def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
     if not Fraction(0) < h_exp < 1:
         raise ValueError(f"h_exp must lie in (0, 1), got {h_exp}")
     norm = normalizers(p)
+    import mpmath
     with mpmath.workprec(_WP):
         xm = _to_mpf(x)
         delta = _to_mpf(p.delta)

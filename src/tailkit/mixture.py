@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from tailkit.errors import PrecisionFailure
 from tailkit.notched import NotchedDensity, knot_logf, knot_position, threshold_knots
 from tailkit.numerics import DEFAULT_PRECISION, LogValue, log_nat, root_snap
@@ -103,6 +101,7 @@ def schedule_index(m: int, precision_bits: int = DEFAULT_PRECISION) -> int:
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
+    import mpmath
     k = m ** 4
     wp = max(precision_bits, 3 * k // 2 + 192)
     for _ in range(8):

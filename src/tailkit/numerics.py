@@ -17,7 +17,8 @@ hold exactly in rational arithmetic.
 
 All snap functions are deterministic: identical arguments give
 bit-identical rationals, and results are cached with idempotent inserts,
-so concurrent readers are safe.
+so concurrent readers are safe.  mpmath is imported on the first snap
+that needs it, so a caller that snaps nothing never loads it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import mpmath
-from mpmath.libmp import to_fixed
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 Real = Fraction
 
@@ -48,8 +50,9 @@ def _check_precision(precision_bits: int) -> None:
             f"got {precision_bits!r}")
 
 
-def _snap(value: mpmath.mpf, precision_bits: int) -> Fraction:
+def _snap(value: mpf, precision_bits: int) -> Fraction:
     """Round an mpf to the nearest multiple of 2**-precision_bits."""
+    from mpmath.libmp import to_fixed
     # int() guards against the gmpy backend handing back an mpz, which would
     # otherwise leak into Fraction internals
     fixed = int(to_fixed(value._mpf_, precision_bits + 1))
@@ -65,6 +68,7 @@ def ln_snap(q: Fraction, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
         raise ValueError(f"ln_snap requires a positive argument, got {q}")
     if q == 1:
         return Fraction(0)
+    import mpmath
     with mpmath.workprec(precision_bits + _GUARD):
         v = mpmath.log(mpmath.mpf(q.numerator)) - mpmath.log(mpmath.mpf(q.denominator))
         return _snap(v, precision_bits)
@@ -80,6 +84,7 @@ def log2_snap(q: Fraction, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
     num, den = q.numerator, q.denominator
     if num & (num - 1) == 0 and den & (den - 1) == 0:
         return Fraction(num.bit_length() - den.bit_length())
+    import mpmath
     with mpmath.workprec(precision_bits + _GUARD):
         v = (mpmath.log(mpmath.mpf(num)) - mpmath.log(mpmath.mpf(den))) / mpmath.ln2
         return _snap(v, precision_bits)
@@ -101,6 +106,7 @@ def exp2_snap(q: Fraction, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
     if frac == 0:
         scaled = Fraction(1)
     else:
+        import mpmath
         with mpmath.workprec(precision_bits + _GUARD):
             f = mpmath.mpf(frac.numerator) / mpmath.mpf(frac.denominator)
             scaled = _snap(mpmath.power(2, f), precision_bits)

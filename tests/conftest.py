@@ -2,10 +2,18 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 import tailkit
 from tailkit import logperiodic as lp
 from tailkit import notched
+
+# Opt-in profile for reading a failure fast: `pytest --hypothesis-profile=
+# triage` reports each failing property's first counterexample unshrunk.
+# Shrinking a kernel fault repeats dense convolutions for minutes; the
+# default profile, which Tier-1 uses, is unchanged.
+settings.register_profile(
+    "triage", phases=[p for p in Phase if p is not Phase.shrink])
 
 # sha256 of the battery CSV: exact results are the spec, byte for byte
 BATTERY_CSV_SHA256 = "d3ac6cbb790ed0c71bf46f51e321843f80c00d6b0fa5a65a2993672d8ae0ec1b"

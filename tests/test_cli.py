@@ -2,6 +2,7 @@ import hashlib
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import BATTERY_CSV_SHA256, child_env
@@ -282,3 +283,61 @@ class TestVerify:
         assert run_cli("verify", "--precision-bits", "64") == 1
         stdout = capsys.readouterr().out
         assert "FAIL 13_precision_self_consistency" in stdout
+
+
+class TestImportStructure:
+    """What a process loads.  The test session has loaded mpmath already, so
+    each check runs in a child process."""
+
+    # runs `tailkit.cli.main(argv)` when given arguments, then prints the
+    # exit code and whether mpmath was loaded
+    CHILD = ("import sys\n"
+             "import tailkit.cli\n"
+             "rc = tailkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "print(rc, 'mpmath' in sys.modules)\n")
+
+    def run_child(self, *argv):
+        done = subprocess.run([sys.executable, "-c", self.CHILD, *argv],
+                              capture_output=True, text=True, cwd="/",
+                              env=child_env())
+        assert "Traceback" not in done.stderr, done.stderr
+        return done.stdout.split()[-2:]
+
+    @pytest.fixture()
+    def knots(self, tmp_path):
+        assert run_cli("build", "notched", "n=2", "--out", str(tmp_path)) == 0
+        return str(tmp_path / "notched.knots")
+
+    def test_import_does_not_load_mpmath(self):
+        assert self.run_child() == ["0", "False"]
+
+    def test_convolve_does_not_load_mpmath(self, knots, tmp_path):
+        out = tmp_path / "conv.pw"
+        assert self.run_child("convolve", knots, "--out", str(out)) == [
+            "0", "False"]
+        from tailkit import convolution as conv
+        from tailkit.piecewise import dump_text
+        p = load_text(Path(knots).read_text())
+        assert out.read_text() == dump_text(conv.conv_linear_exact(p, p))
+
+    def test_convolve_rejects_low_precision(self, knots, tmp_path):
+        out = tmp_path / "conv.pw"
+        assert self.run_child("convolve", knots, "--precision-bits", "8",
+                              "--out", str(out)) == ["2", "False"]
+        assert not out.exists()
+
+    def test_import_loads_every_layer_module(self):
+        # perfbench/tracer.py wraps each layer it lists by reading the layer's
+        # module from sys.modules right after `import tailkit.cli`; a layer
+        # module loaded later, on first use, would run untraced
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        code = ("import sys\n"
+                f"sys.path.insert(0, {str(perfbench)!r})\n"
+                "import pkgutil, tailkit, tailkit.cli, tracer\n"
+                "names = {m for m, *_ in tracer.LAYERS} | {'tailkit.' + m.name "
+                "for m in pkgutil.iter_modules(tailkit.__path__)}\n"
+                "print(sorted(n for n in names if n not in sys.modules))\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, cwd="/", env=child_env())
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -40,9 +40,11 @@ class TestWindowValues:
 
     def test_empty_window_is_zero(self, nd3):
         f = nd3.dense
-        # reversed bounds and windows pushed outside either support clip away
-        assert conv.conv_window_value(f, f, Fraction(10), Fraction(9),
-                                      Fraction(8)) == 0
+        # a window pushed outside either support clips away; reversed bounds
+        # are an error, as they are for PiecewisePoly.integral
+        with pytest.raises(ValueError, match="reversed bounds"):
+            conv.conv_window_value(f, f, Fraction(10), Fraction(9),
+                                   Fraction(8))
         assert conv.conv_window_value(f, f, Fraction(10), Fraction(20),
                                       Fraction(30)) == 0
 

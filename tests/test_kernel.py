@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailkit import convolution as conv
-from tailkit.piecewise import PiecewisePoly, from_linear_knots
+from tailkit.piecewise import (PiecewisePoly, dump_text, from_linear_knots,
+                               load_text)
 
 UNIFORM = from_linear_knots([(0, 1), (1, 1)])
 TRIANGLE = from_linear_knots([(0, 0), (1, 1), (2, 0)])
@@ -174,7 +175,45 @@ class TestPointWindows:
         x = dense.support[0] + (dense.support[1] - dense.support[0]) * fx
         lo, hi = p.support
         y_lo, y_hi = sorted((lo + (hi - lo) * f1, lo + (hi - lo) * f2))
-        for window in ((lo, hi), (y_lo, y_hi), (y_lo, x - y_lo)):
+        symmetric = tuple(sorted((y_lo, x - y_lo)))
+        for window in ((lo, hi), (y_lo, y_hi), symmetric):
             assert (conv.conv_window_value(p, p, x, *window)
                     == conv.conv_window_value(p, twin, x, *window))
         assert conv.conv_window_value(p, twin, x, lo, hi) == dense.eval(x)
+
+
+class TestSymmetricPairTable:
+    """A self-convolution visits each unordered breakpoint pair once and
+    skips zero products; an equal copy takes the full pair table."""
+
+    @staticmethod
+    def assert_same_as_twin(p):
+        twin = load_text(dump_text(p))
+        assert twin == p and twin is not p
+        alone = conv.conv_linear_exact(p, p)
+        paired = conv.conv_linear_exact(p, twin)
+        assert alone.breakpoints == paired.breakpoints
+        assert alone.coeffs == paired.coeffs
+        assert alone.factor == paired.factor
+
+    @given(densities)
+    @settings(max_examples=60, deadline=None)
+    def test_density_matches_twin(self, p):
+        self.assert_same_as_twin(p)
+
+    @given(jump_functions)
+    @settings(max_examples=60, deadline=None)
+    def test_jump_function_matches_twin(self, p):
+        # interior value jumps make the J*K and J*V products nonzero
+        self.assert_same_as_twin(p)
+
+    def test_zero_term_sums_cut_the_grid(self):
+        # the knot at 1/3 is collinear: no jump in value or slope there, so
+        # every pair with it adds zero terms, and only those pairs give the
+        # cuts at 1/3, 2/3 and 4/3
+        p = from_linear_knots([(0, 1), (Fraction(1, 3), 1), (1, 1)])
+        got = conv.conv_linear_exact(p, p)
+        assert got.breakpoints == (0, Fraction(1, 3), Fraction(2, 3), 1,
+                                   Fraction(4, 3), 2)
+        for x in got.breakpoints:
+            assert got.eval(x) == TRIANGLE.eval(x)
