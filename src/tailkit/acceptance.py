@@ -43,6 +43,11 @@ class CheckResult:
         return f"{status} {self.name} ({self.elapsed:.2f}s/{self.budget:.0f}s): {self.detail}"
 
 
+# the largest notched truncation a check reads (03); every other truncation
+# is cut from this one build
+_TOP_N = 40
+
+
 class _Context:
     """Lazily built shared fixtures for the checks."""
 
@@ -53,7 +58,10 @@ class _Context:
     def density(self, n: int) -> notched.NotchedDensity:
         key = ("nd", n)
         if key not in self._cache:
-            self._cache[key] = notched.build_density(n, self.precision_bits)
+            if "top" not in self._cache:
+                self._cache["top"] = notched.build_density(_TOP_N,
+                                                           self.precision_bits)
+            self._cache[key] = self._cache["top"].truncate(n)
         return self._cache[key]
 
     def normalized(self, n: int) -> PiecewisePoly:

@@ -70,6 +70,8 @@ class RunConfig:
     out: Optional[str] = None
     params: dict = field(default_factory=dict)
     params_read: set = field(default_factory=set)
+    _notched: Optional[notched.NotchedDensity] = field(default=None, repr=False,
+                                                       compare=False)
 
     def param(self, key: str, default):
         """A key=value probe parameter, or the default; records the read."""
@@ -85,6 +87,12 @@ class RunConfig:
     def lp_params(self) -> lp.LogPeriodicParams:
         return lp.LogPeriodicParams(alpha=self.alpha, delta=self.delta,
                                     quad_tol=self.quad_tol, x_max=self.x_max)
+
+    def notched_density(self) -> notched.NotchedDensity:
+        """The notched build at (n, precision_bits), made once per run."""
+        if self._notched is None:
+            self._notched = notched.build_density(self.n, self.precision_bits)
+        return self._notched
 
 
 def _parse_config_file(path: str) -> dict:
@@ -171,7 +179,7 @@ def _cmd_build(config: RunConfig) -> int:
     out_dir = Path(config.out or "tailkit-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.construction == "notched":
-        nd = notched.build_density(config.n, config.precision_bits)
+        nd = config.notched_density()
         (out_dir / "notched.knots").write_text(dump_text(nd.dense))
         meta = _meta_text([
             ("construction", "notched"),
@@ -222,7 +230,7 @@ def _load_construction_density(config: RunConfig) -> PiecewisePoly:
     if name.startswith("file:"):
         return load_text(Path(name[5:]).read_text())
     if name == "notched":
-        return notched.build_density(config.n, config.precision_bits).density()
+        return config.notched_density().density()
     raise UsageError(f"probe needs a piecewise construction, got {name!r}")
 
 
@@ -286,7 +294,7 @@ def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
                           "witness_y": scan.witness_y})]
 
     if probe_name == "i2_bound_check":
-        nd = notched.build_density(config.n, pb)
+        nd = config.notched_density()
         rows = []
         for item in str(config.param("n_list", "5,10")).split(","):
             n = int(item)
@@ -297,7 +305,7 @@ def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
         return rows
 
     if probe_name == "split_integrals":
-        nd = notched.build_density(config.n, pb)
+        nd = config.notched_density()
         n = int(config.param("block", config.n))
         rows = []
         for label, x in _points(config, "x", f"c{n}"):

@@ -17,6 +17,12 @@ floats); integrals carry an explicit error budget and a certified
 analytic tail bound, and raise :class:`PrecisionFailure` instead of
 returning a value that missed its budget.  mpmath is imported by the
 functions that evaluate, so it loads on first use, not with this module.
+
+The three integrals behind :func:`normalizers` (a coarse scale, ``1/a``
+and ``1/b``) share their first anchor panel, so one table, kept for one
+call, holds chi at every abscissa up to the ``b`` cutoff: each such chi is
+computed once, at the same working precision, and the normalizers are
+bit-for-bit those of three independent integrals.
 """
 
 from __future__ import annotations
@@ -208,9 +214,21 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
         delta = _to_mpf(p.delta)
         alpha = _to_mpf(p.alpha)
         tol = _to_mpf(p.quad_tol)
+        z0 = (mpmath.log(10 / (alpha * tol)) + 4) / alpha
+        # chi for every abscissa the b integral can reach, each computed
+        # once and read by all three integrands; the table ends with the call
+        chi_table: dict = {}
+
+        def chi_at(y):
+            if y > z0:
+                return _chi_mpf(y, delta)
+            value = chi_table.get(y)
+            if value is None:
+                value = chi_table[y] = _chi_mpf(y, delta)
+            return value
 
         def chi_integrand(y):
-            return mpmath.exp(-_chi_mpf(y, delta))
+            return mpmath.exp(-chi_at(y))
 
         coarse, _ = _integrate(chi_integrand, _anchor_points(mpf(0), mpf(4096)),
                                mpf("1e-3"))
@@ -237,9 +255,8 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
         err_a += tail
 
         def tail_integrand(y):
-            return mpmath.exp(-alpha * y - _chi_mpf(y, delta))
+            return mpmath.exp(-alpha * y - chi_at(y))
 
-        z0 = (mpmath.log(10 / (alpha * tol)) + 4) / alpha
         inv_b, err_b = _integrate(tail_integrand, _anchor_points(mpf(0), z0),
                                   tol / 2)
         b_tail = mpmath.exp(-alpha * z0) / alpha
@@ -267,20 +284,11 @@ def density_log(x, p: LogPeriodicParams) -> LogValue:
         return LogValue(1, _snap(log2_val, _SNAP_BITS))
 
 
-def f0_tail_log(x, p: LogPeriodicParams) -> LogValue:
-    """log2 view of the tail exp(-alpha*x - chi(x))."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError(f"the tail is defined on x >= 0, got {x}")
-    import mpmath
-    with mpmath.workprec(_WP):
-        val = -(_to_mpf(p.alpha) * _to_mpf(x)
-                + _chi_mpf(_to_mpf(x), _to_mpf(p.delta))) / mpmath.ln2
-        return LogValue(1, _snap(val, _SNAP_BITS))
-
-
 def _tail_integral(x: mpf, p: LogPeriodicParams):
-    """integral_x^inf exp(-alpha*y - chi(y)) dy with certified tail."""
+    """integral_x^inf exp(-alpha*y - chi(y)) dy with certified tail.
+
+    Returns (value, error bound, chi(x)); chi(x) sets the cutoff.
+    """
     import mpmath
     with mpmath.workprec(_WP):
         delta = _to_mpf(p.delta)
@@ -295,20 +303,7 @@ def _tail_integral(x: mpf, p: LogPeriodicParams):
         pts = [t for t in _anchor_points(x, x + z)]
         val, err = _integrate(integrand, pts, tol / 2)
         err += mpmath.exp(-alpha * (x + z)) / alpha
-        return val, err
-
-
-def f0I_tail_log(x, p: LogPeriodicParams) -> LogValue:
-    """log2 view of the integrated tail b * integral_x^inf of the tail."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError(f"the integrated tail is defined on x >= 0, got {x}")
-    norm = normalizers(p)
-    import mpmath
-    with mpmath.workprec(_WP):
-        val, _ = _tail_integral(_to_mpf(x), p)
-        log2_val = mpmath.log(_to_mpf(norm.b) * val) / mpmath.ln2
-        return LogValue(1, _snap(log2_val, _SNAP_BITS))
+        return val, err, chi_x
 
 
 def karamata_ratio(x, p: LogPeriodicParams) -> Fraction:
@@ -323,9 +318,8 @@ def karamata_ratio(x, p: LogPeriodicParams) -> Fraction:
     import mpmath
     with mpmath.workprec(_WP):
         xm = _to_mpf(x)
-        val, _ = _tail_integral(xm, p)
-        tail_x = mpmath.exp(-_to_mpf(p.alpha) * xm
-                            - _chi_mpf(xm, _to_mpf(p.delta)))
+        val, _, chi_x = _tail_integral(xm, p)
+        tail_x = mpmath.exp(-_to_mpf(p.alpha) * xm - chi_x)
         return _snap(_to_mpf(p.alpha) * val / tail_x, _SNAP_BITS)
 
 

@@ -22,7 +22,7 @@ at arbitrary ``n``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from tailkit.numerics import DEFAULT_PRECISION, LogValue, log2_snap, log_nat, root_snap
@@ -151,18 +151,37 @@ def threshold_knots(n: int,
 class NotchedDensity:
     """Dense truncation of the construction over [0, a_{N+1}].
 
-    ``dense`` is the unnormalized f0 (3N+1 linear segments); ``mass`` its
-    exact integral.  The normalized view is available on demand, in O(1):
-    it shares ``dense``'s coefficients under the factor ``1/mass``.
+    ``dense`` is the unnormalized f0 (3N+1 linear segments).
+    ``prefix_masses[n-1]`` is its exact integral over [0, a_{n+1}], the mass
+    of truncation n, so that ``truncate`` cuts every smaller truncation out
+    of one build; ``mass`` is the last entry.  The normalized view is
+    available on demand, in O(1): it shares ``dense``'s coefficients under
+    the factor ``1/mass``.
     """
 
     truncation_n: int
     dense: PiecewisePoly
-    mass: Fraction
     precision_bits: int
+    prefix_masses: tuple[Fraction, ...] = field(repr=False)
+
+    @property
+    def mass(self) -> Fraction:
+        return self.prefix_masses[-1]
 
     def density(self) -> PiecewisePoly:
         return self.dense.scale(1 / self.mass)
+
+    def truncate(self, n: int) -> "NotchedDensity":
+        """The build at truncation n <= N: its first 3n+1 segments.
+
+        Equal to ``build_density(n)`` with the same precision; it shares this
+        build's values instead of computing them again.
+        """
+        if not isinstance(n, int) or not 1 <= n <= self.truncation_n:
+            raise ValueError(f"truncation {n!r} is outside 1..{self.truncation_n}")
+        return NotchedDensity(truncation_n=n, dense=self.dense.head(3 * n + 1),
+                              precision_bits=self.precision_bits,
+                              prefix_masses=self.prefix_masses[:n])
 
     def check_block(self, n: int) -> None:
         """Raise ValueError unless block n lies inside the truncation."""
@@ -191,18 +210,27 @@ def build_density(truncation_n: int,
     if n_top + 1 > dense_limit:
         raise ValueError(
             f"truncation index {n_top} needs knots beyond the dense limit {dense_limit}")
-    knots = [(Fraction(0), Fraction(1)),
-             (a_position(1), knot_value("a", 1, precision_bits, dense_limit))]
+    a_1, f_1 = a_position(1), knot_value("a", 1, precision_bits, dense_limit)
+    knots = [(Fraction(0), Fraction(1)), (a_1, f_1)]
+    # The trapezoid rule is exact on linear segments, and f0(a_n) = f0(c_n)
+    # folds block n's first two trapezoids into one over [a_n, c_n].  After
+    # block n the running mass is the mass of truncation n.
+    mass = a_1 * (1 + f_1) / 2
+    prefix_masses = []
     for n in range(1, n_top + 1):
-        knots.append((knot_position("b", n, precision_bits, dense_limit),
-                      knot_value("b", n, precision_bits, dense_limit)))
-        knots.append((knot_position("c", n, precision_bits, dense_limit),
-                      knot_value("c", n, precision_bits, dense_limit)))
-        knots.append((a_position(n + 1),
-                      knot_value("a", n + 1, precision_bits, dense_limit)))
-    dense = from_linear_knots(knots)
-    return NotchedDensity(truncation_n=n_top, dense=dense,
-                          mass=dense.total_mass(), precision_bits=precision_bits)
+        a, f_a = knots[-1]
+        b, f_b = (knot_position("b", n, precision_bits, dense_limit),
+                  knot_value("b", n, precision_bits, dense_limit))
+        c, f_c = (knot_position("c", n, precision_bits, dense_limit),
+                  knot_value("c", n, precision_bits, dense_limit))
+        a_next, f_next = (a_position(n + 1),
+                          knot_value("a", n + 1, precision_bits, dense_limit))
+        knots += [(b, f_b), (c, f_c), (a_next, f_next)]
+        mass += ((c - a) * (f_a + f_b) + (a_next - c) * (f_c + f_next)) / 2
+        prefix_masses.append(mass)
+    return NotchedDensity(truncation_n=n_top, dense=from_linear_knots(knots),
+                          precision_bits=precision_bits,
+                          prefix_masses=tuple(prefix_masses))
 
 
 def slope_value_separation(nd: NotchedDensity, n: int) -> Fraction:

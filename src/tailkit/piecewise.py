@@ -72,6 +72,24 @@ class PiecewisePoly:
         out.__dict__.update(self.__dict__, factor=factor, density=density)
         return out
 
+    def head(self, segments: int) -> "PiecewisePoly":
+        """The first ``segments`` segments, on the support they cover.
+
+        A prefix of a validated polynomial is valid, so it shares this
+        instance's values in O(segments).  A prefix of a density is a
+        density unless it is identically zero.
+        """
+        if not 1 <= segments <= len(self.coeffs):
+            raise ValueError(f"a prefix takes 1..{len(self.coeffs)} segments, "
+                             f"got {segments}")
+        coeffs = self.coeffs[:segments]
+        out = object.__new__(PiecewisePoly)
+        out.__dict__.update(self.__dict__,
+                            breakpoints=self.breakpoints[:segments + 1],
+                            coeffs=coeffs,
+                            density=self.density and any(map(any, coeffs)))
+        return out
+
     def _times_factor(self, value: Fraction) -> Fraction:
         return value if self.factor == 1 else value * self.factor
 

@@ -12,18 +12,39 @@ import sys
 import pytest
 from conftest import BATTERY_CSV_SHA256, child_env
 
-from tailkit import acceptance
+from tailkit import acceptance, notched
+from tailkit.numerics import DEFAULT_PRECISION
 
 CRITERIA = [name for name, _, _ in acceptance._CHECKS]
 CRITERIA.insert(11, "12_determinism")
 
 
 @pytest.fixture(scope="module")
-def results():
-    out = acceptance.run_all()
+def battery():
+    """One battery run, and the (N, precision) of each notched build in it."""
+    builds = []
+    build = notched.build_density
+
+    def counting(n, precision_bits=DEFAULT_PRECISION, *args):
+        builds.append((n, precision_bits))
+        return build(n, precision_bits, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(notched, "build_density", counting)
+        out = acceptance.run_all()
     for r in out:
         print(r.line())
-    return {r.name: r for r in out}
+    return {r.name: r for r in out}, builds
+
+
+@pytest.fixture(scope="module")
+def results(battery):
+    return battery[0]
+
+
+def test_one_notched_build(battery):
+    # every truncation a check reads is cut from the largest one
+    assert battery[1] == [(40, DEFAULT_PRECISION)]
 
 
 @pytest.mark.parametrize("name", CRITERIA)

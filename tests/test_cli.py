@@ -15,6 +15,14 @@ from tailkit.piecewise import from_linear_knots, load_text
 NOTCHED4_CONV_SHA256 = "0640e7835bb91572d5df651380f0f71f3f00e55f49fa66f7b618734b5252937d"
 
 
+# sha256 of `tailkit report <construction>` at its defaults
+REPORT_SHA256 = {
+    "notched": "063e92b0d7c3a89f9c11388c49bcd20a905f25836fdcd2bfaa609ebda8f82046",
+    "logperiodic": "6be5e26bc88d2d574b0af0f3c6548b3688bc0f830a90184690fb0ef4b99bf6b3",
+    "mixture": "46d1dc88b48149d0b7a8e644a0c0d9aa684087133e6277402c546631bc5a7f84",
+}
+
+
 def run_cli(*argv):
     return cli.main(list(argv))
 
@@ -255,6 +263,26 @@ class TestReportDeterminism:
                        "--out", str(out)) == 2
         assert "n_mx" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("construction", sorted(REPORT_SHA256))
+    def test_report_matches_spec(self, construction, tmp_path):
+        out = tmp_path / "report.csv"
+        assert run_cli("report", construction, "--out", str(out)) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == REPORT_SHA256[construction]
+
+    def test_notched_report_builds_once(self, tmp_path, monkeypatch):
+        builds = []
+        build = cli.notched.build_density
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cli.notched, "build_density", counting)
+        assert run_cli("report", "notched", "--out",
+                       str(tmp_path / "report.csv")) == 0
+        assert len(builds) == 1
 
     def test_logperiodic_report(self, tmp_path):
         out = tmp_path / "lp.csv"

@@ -7,6 +7,7 @@ The pinned normalizer constant below was computed once at quad_tol 1e-8
 and frozen.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -19,6 +20,13 @@ from tailkit.errors import PrecisionFailure
 # the mpmath.quad cross-check below re-derives it independently
 PINNED_A = Fraction("0.1699929587")
 PINNED_B = Fraction("2.0437349750")
+# the default normalizers bit for bit, as computed with mpmath 1.3.0
+PINNED_NORMALIZERS = lp.Normalizers(
+    a=Fraction(13468229759855505416607311051, 79228162514264337593543950336),
+    a_err=Fraction(6302902084097032685, 9903520314283042199192993792),
+    b=Fraction(80960683367516753399878682219, 39614081257132168796771975168),
+    b_err=Fraction(50657902001137504909, 2475880078570760549798248448),
+    x_max=Fraction(1048576))
 
 
 def _quad_oracle_inv_a(p, x_max: float) -> mpmath.mpf:
@@ -96,10 +104,39 @@ class TestParams:
 
 
 class TestNormalizers:
+    @pytest.fixture(scope="class")
+    def fresh(self, lp_default):
+        """Default normalizers computed afresh, and chi's calls per abscissa."""
+        calls = Counter()
+        chi_mpf = lp._chi_mpf
+
+        def counting(x, delta):
+            calls[x] += 1
+            return chi_mpf(x, delta)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "_NORMALIZER_CACHE", {})
+            mp.setattr(lp, "_chi_mpf", counting)
+            return lp.normalizers(lp_default), calls
+
     def test_pinned_constants(self, lp_default):
         n = lp.normalizers(lp_default)
         assert abs(n.a - PINNED_A) < Fraction(1, 10 ** 9)
         assert abs(n.b - PINNED_B) < Fraction(1, 10 ** 9)
+
+    def test_fresh_values_are_pinned_bit_for_bit(self, fresh):
+        assert fresh[0] == PINNED_NORMALIZERS
+
+    def test_one_chi_per_abscissa(self, fresh, lp_default):
+        # every abscissa up to the b integral's cutoff (alpha = 1) is
+        # computed once; above it the table does not reach, and 28 calls
+        # repeat an abscissa that the coarse and a integrals share or an
+        # anchor that ends one panel and starts the next
+        _, calls = fresh
+        with mpmath.workprec(lp._WP):
+            z0 = mpmath.log(10 / lp._to_mpf(lp_default.quad_tol)) + 4
+            assert max(n for y, n in calls.items() if y <= z0) == 1
+        assert sum(calls.values()) <= 1357
 
     def test_errors_reported(self, lp_default):
         n = lp.normalizers(lp_default)
@@ -133,29 +170,24 @@ class TestNormalizers:
 
 
 class TestTails:
-    def test_tail_at_zero_is_one(self, lp_default):
-        assert lp.f0_tail_log(0, lp_default).log2mag == 0
+    """The integrated tail behind karamata_ratio."""
 
     def test_integrated_tail_at_zero_is_one(self, lp_default):
-        assert abs(lp.f0I_tail_log(0, lp_default).log2mag) < Fraction(1, 10 ** 6)
-
-    def test_tail_monotone_on_grid(self, lp_default):
-        xs = [Fraction(k) for k in range(0, 200, 5)]
-        logs = [lp.f0_tail_log(x, lp_default).log2mag for x in xs]
-        assert all(a >= b for a, b in zip(logs, logs[1:]))
+        b = lp.normalizers(lp_default).b
+        with mpmath.workprec(lp._WP):
+            val, _, _ = lp._tail_integral(mpmath.mpf(0), lp_default)
+            assert abs(lp._to_mpf(b) * val - 1) < mpmath.mpf(10) ** -6
 
     def test_integrated_tail_nonincreasing(self, lp_default):
-        xs = [Fraction(10) ** k for k in range(0, 5)]
-        logs = [lp.f0I_tail_log(x, lp_default).log2mag for x in xs]
-        assert all(a > b for a, b in zip(logs, logs[1:]))
-
-    def test_tail_value(self, lp_default):
-        # log2 e^{-10 - chi(10)}: chi(10) ~ 10**0.33557 ~ 2.1655
-        got = lp.f0_tail_log(10, lp_default).log2mag
-        with mpmath.workprec(120):
-            chi10 = float(lp.chi(10, lp_default))
-            want = -(10 + chi10) / float(mpmath.ln2)
-        assert abs(float(got) - want) < 1e-9
+        vals = []
+        with mpmath.workprec(lp._WP):
+            delta = lp._to_mpf(lp_default.delta)
+            for k in range(0, 5):
+                x = mpmath.mpf(10) ** k
+                val, _, chi_x = lp._tail_integral(x, lp_default)
+                assert chi_x == lp._chi_mpf(x, delta)
+                vals.append(val)
+        assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 class TestKaramata:

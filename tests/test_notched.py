@@ -152,6 +152,27 @@ class TestBuild:
             notched.build_density(0)
 
 
+class TestTruncate:
+    """Every truncation is a prefix of the N=40 build, cut out exactly."""
+
+    @pytest.fixture(scope="class")
+    def nd40(self):
+        return notched.build_density(40)
+
+    def test_every_truncation_equals_its_build(self, nd40):
+        for n in range(1, 41):
+            cut, built = nd40.truncate(n), notched.build_density(n)
+            assert cut.truncation_n == built.truncation_n == n
+            assert cut.mass == built.mass == cut.dense.total_mass()
+            assert cut.dense == built.dense
+            assert cut == built
+
+    @pytest.mark.parametrize("n", [0, -1, 41, 3.0])
+    def test_rejects_outside_the_build(self, nd40, n):
+        with pytest.raises(ValueError):
+            nd40.truncate(n)
+
+
 class TestThresholds:
     def test_crossings_exact(self, nd3):
         d2, s2 = notched.threshold_knots(2)

@@ -165,6 +165,24 @@ class TestNormalize:
         assert mass == p.total_mass()
 
 
+class TestHead:
+    @given(linear_knots(), st.integers(min_value=1, max_value=7))
+    @settings(max_examples=80, deadline=None)
+    def test_head_is_the_build_of_the_first_knots(self, knots, k):
+        p = from_linear_knots(knots)
+        k = min(k, len(knots) - 1)
+        assert p.head(k) == from_linear_knots(knots[:k + 1])
+
+    def test_zero_prefix_is_not_a_density(self):
+        p = from_linear_knots([(0, 0), (1, 0), (2, 1)])
+        assert p.density and not p.head(1).density
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_rejects_outside_the_segments(self, k):
+        with pytest.raises(ValueError):
+            TRIANGLE.head(k)
+
+
 class TestSerialization:
     def test_knot_round_trip(self, nd3):
         text = dump_text(nd3.dense)
