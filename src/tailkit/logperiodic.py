@@ -12,34 +12,34 @@ astronomically many orders of magnitude: values are returned as
 ``exp(k*pi) - 1`` where the modulation peaks (naive uniform panels alias
 the rebounds there and can silently miss percent-level mass).
 
-All numerics run in fixed-precision mpmath (deterministic software
-floats); integrals carry an explicit error budget and a certified
-analytic tail bound, and raise :class:`PrecisionFailure` instead of
-returning a value that missed its budget.  mpmath is imported by the
-functions that evaluate, so it loads on first use, not with this module.
-
-The three integrals behind :func:`normalizers` (a coarse scale, ``1/a``
-and ``1/b``) share their first anchor panel, so one table, kept for one
-call, holds chi at every abscissa up to the ``b`` cutoff: each such chi is
-computed once, at the same working precision, and the normalizers are
-bit-for-bit those of three independent integrals.
+All numerics run on libmp's raw mpf tuples at fixed precision: each step
+calls the libmp function that mpmath's ``mpf`` operator would call (``4*fm``
+is ``mpf_mul_int``, ``/6`` is ``mpf_div`` by ``from_int(6)``), at the same
+precision with round-to-nearest, so every value keeps the bits of the
+``mpf`` expression, without its per-operation dispatch and allocation.
+mpmath loads on first evaluation, not with this module.  Integrals carry
+an error budget and a certified analytic tail bound, and raise
+:class:`PrecisionFailure` rather than return a value that missed it, also
+when one piece stops at the depth cap.  :func:`normalizers` (whose three
+integrals share a panel) and :func:`middle_mass_ratio` (symmetric about
+``x/2``) keep chi per abscissa for one call: each is computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from tailkit.errors import PrecisionFailure
-from tailkit.numerics import LogValue, _snap
+from tailkit.numerics import LogValue, _snap_raw
 
-if TYPE_CHECKING:
-    from mpmath import mpf
-
-_WP = 192          # working precision (bits) for all mpmath evaluation
-_SNAP_BITS = 96    # precision of rationals snapped out of mpmath
+_WP = 192          # working precision (bits) for all evaluation
+_SNAP_BITS = 96    # precision of rationals snapped out of the floats
 _MAX_DEPTH = 52
+_RND = "n"         # round to nearest, mpmath's default rounding
+
+Raw = tuple        # libmp's raw mpf: (sign, mantissa, exponent, bitcount)
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,24 @@ class LogPeriodicParams:
             raise ValueError(f"quad_tol must lie in (0, 1e-4], got {self.quad_tol}")
 
 
-def _to_mpf(q: Fraction) -> mpf:
-    import mpmath
-    return mpmath.mpf(q.numerator) / q.denominator
+def _raw(q: Fraction, wp: int = _WP) -> Raw:
+    """``mpf(q.numerator) / q.denominator`` at wp bits."""
+    from mpmath.libmp import from_int, mpf_div, mpf_pos
+    num = mpf_pos(from_int(q.numerator), wp, _RND)
+    return mpf_div(num, from_int(q.denominator), wp, _RND)
 
 
-def _chi_mpf(x: mpf, delta: mpf) -> mpf:
-    import mpmath
-    if x == 0:
-        return mpmath.mpf(0)
-    exponent = mpmath.mpf(1) / 2 + delta * mpmath.cos(mpmath.log(x + 1))
-    return mpmath.exp(exponent * mpmath.log(x))
+def _chi_raw(delta: Raw, wp: int = _WP) -> Callable[[Raw], Raw]:
+    """chi(x) = x ** (1/2 + delta*cos(ln(x+1))) on raw x, at wp bits."""
+    from mpmath.libmp import fhalf, fone, fzero, mpf_add, mpf_cos, mpf_exp, mpf_log, mpf_mul
+
+    def chi_of(x: Raw) -> Raw:
+        if x == fzero:
+            return fzero
+        cos = mpf_cos(mpf_log(mpf_add(x, fone, wp, _RND), wp, _RND), wp, _RND)
+        exponent = mpf_add(fhalf, mpf_mul(delta, cos, wp, _RND), wp, _RND)
+        return mpf_exp(mpf_mul(exponent, mpf_log(x, wp, _RND), wp, _RND), wp, _RND)
+    return chi_of
 
 
 def chi(x, p: LogPeriodicParams, precision_bits: int = _SNAP_BITS) -> Fraction:
@@ -85,9 +92,15 @@ def chi(x, p: LogPeriodicParams, precision_bits: int = _SNAP_BITS) -> Fraction:
         raise ValueError(f"chi is defined on x >= 0, got {x}")
     if x == 0:
         return Fraction(0)
-    import mpmath
-    with mpmath.workprec(max(_WP, precision_bits + 64)):
-        return _snap(_chi_mpf(_to_mpf(x), _to_mpf(p.delta)), precision_bits)
+    wp = max(_WP, precision_bits + 64)
+    return _snap_raw(_chi_raw(_raw(p.delta, wp), wp)(_raw(x, wp)), precision_bits)
+
+
+def _anchor_raw(k: int, wp: int = _WP) -> Raw:
+    """exp(k*pi) - 1 at wp bits."""
+    from mpmath.libmp import fone, mpf_exp, mpf_mul_int, mpf_pi, mpf_sub
+    k_pi = mpf_mul_int(mpf_pi(wp, _RND), k, wp, _RND)
+    return mpf_sub(mpf_exp(k_pi, wp, _RND), fone, wp, _RND)
 
 
 def anchor(k: int, precision_bits: int = _SNAP_BITS) -> Fraction:
@@ -96,94 +109,121 @@ def anchor(k: int, precision_bits: int = _SNAP_BITS) -> Fraction:
         raise ValueError("anchor index must be nonnegative")
     if k == 0:
         return Fraction(0)
-    import mpmath
-    with mpmath.workprec(max(_WP, precision_bits + 64)):
-        return _snap(mpmath.exp(k * mpmath.pi) - 1, precision_bits)
+    return _snap_raw(_anchor_raw(k, max(_WP, precision_bits + 64)), precision_bits)
+
+
+def _memo(chi_of: Callable[[Raw], Raw], upto: Optional[Raw] = None) -> Callable[[Raw], Raw]:
+    """chi_of computing each abscissa (up to ``upto``, if given) only once."""
+    from mpmath.libmp import mpf_gt
+    table: dict = {}
+
+    def chi_at(y: Raw) -> Raw:
+        if upto is not None and mpf_gt(y, upto):
+            return chi_of(y)
+        if y not in table:
+            table[y] = chi_of(y)
+        return table[y]
+    return chi_at
 
 
 # --------------------------- quadrature core ---------------------------
 
-def _simpson(fa, fm, fb, a, b):
-    return (b - a) * (fa + 4 * fm + fb) / 6
-
-
-def _adapt(f, a, fa, m, fm, b, fb, whole, budget, depth):
-    lm = (a + m) / 2
-    rm = (m + b) / 2
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, a, m)
-    right = _simpson(fm, frm, fb, m, b)
-    err = abs(left + right - whole) / 15
-    if err <= budget or depth >= _MAX_DEPTH:
-        return left + right + (left + right - whole) / 15, err
-    lv, le = _adapt(f, a, fa, lm, flm, m, fm, left, budget / 2, depth + 1)
-    rv, re = _adapt(f, m, fm, rm, frm, b, fb, right, budget / 2, depth + 1)
-    return lv + rv, le + re
-
-
-def _integrate(f: Callable[[mpf], mpf], points, rel_tol: mpf):
+def _integrate(f: Callable[[Raw], Raw], points, rel_tol: Raw):
     """Adaptive Simpson over fixed panels; returns (value, error_estimate).
 
     The relative tolerance is taken against the coarse total magnitude and
     split across panels in proportion to their coarse share, so panels that
-    carry no mass are not refined.
+    carry no mass are not refined.  A piece that reaches the depth cap above
+    its share of the budget raises :class:`PrecisionFailure`.
     """
-    import mpmath
-    from mpmath import mpf
+    from mpmath.libmp import (ftwo, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_gt,
+                              mpf_le, mpf_mul, mpf_mul_int, mpf_pow_int, mpf_sub,
+                              prec_to_dps, to_str)
+    wp, rnd = _WP, _RND
+    six, fifteen = from_int(6), from_int(15)
+
+    def stalled(where, err, budget):
+        rel = to_str(mpf_div(err, scale, wp, rnd), prec_to_dps(wp))
+        return PrecisionFailure(f"quadrature stalled{where}: error estimate {to_str(err, 6)} "
+                                f"exceeds budget {to_str(budget, 6)}", achieved=Fraction(rel))
+
+    def simpson(fa, fm, fb, a, b):
+        weighted = mpf_add(mpf_add(fa, mpf_mul_int(fm, 4, wp, rnd), wp, rnd), fb, wp, rnd)
+        return mpf_div(mpf_mul(mpf_sub(b, a, wp, rnd), weighted, wp, rnd), six, wp, rnd)
+
+    def adapt(a, fa, m, fm, b, fb, whole, budget, depth):
+        lm = mpf_div(mpf_add(a, m, wp, rnd), ftwo, wp, rnd)
+        rm = mpf_div(mpf_add(m, b, wp, rnd), ftwo, wp, rnd)
+        flm, frm = f(lm), f(rm)
+        left = simpson(fa, flm, fm, a, m)
+        right = simpson(fm, frm, fb, m, b)
+        both = mpf_add(left, right, wp, rnd)
+        gap = mpf_sub(both, whole, wp, rnd)
+        err = mpf_div(mpf_abs(gap, wp, rnd), fifteen, wp, rnd)
+        if mpf_le(err, budget):
+            return mpf_add(both, mpf_div(gap, fifteen, wp, rnd), wp, rnd), err
+        if depth >= _MAX_DEPTH:
+            raise stalled(f" at depth {depth}, x = {to_str(a, 6)}, width "
+                          f"{to_str(mpf_sub(b, a, wp, rnd), 6)}", err, budget)
+        half = mpf_div(budget, ftwo, wp, rnd)
+        lv, le = adapt(a, fa, lm, flm, m, fm, left, half, depth + 1)
+        rv, re = adapt(m, fm, rm, frm, b, fb, right, half, depth + 1)
+        return mpf_add(lv, rv, wp, rnd), mpf_add(le, re, wp, rnd)
+
     panels = []
     for a, b in zip(points, points[1:]):
-        if b <= a:
+        if mpf_le(b, a):
             continue
-        m = (a + b) / 2
+        m = mpf_div(mpf_add(a, b, wp, rnd), ftwo, wp, rnd)
         fa, fm, fb = f(a), f(m), f(b)
-        panels.append((a, fa, m, fm, b, fb, _simpson(fa, fm, fb, a, b)))
+        panels.append((a, fa, m, fm, b, fb, simpson(fa, fm, fb, a, b)))
     if not panels:
-        return mpf(0), mpf(0)
-    scale = sum(abs(p[6]) for p in panels)
-    if scale == 0:
-        scale = mpf(2) ** (-_WP // 2)
-    abs_budget = rel_tol * scale
-    weights = [abs(p[6]) + scale / (8 * len(panels)) for p in panels]
-    wsum = sum(weights)
-    total = mpf(0)
-    err = mpf(0)
+        return fzero, fzero
+    scale = wsum = fzero  # sums start from zero, as sum() does
+    for p in panels:
+        scale = mpf_add(scale, mpf_abs(p[6], wp, rnd), wp, rnd)
+    if scale == fzero:
+        scale = mpf_pow_int(ftwo, -_WP // 2, wp, rnd)
+    abs_budget = mpf_mul(rel_tol, scale, wp, rnd)
+    share = mpf_div(scale, from_int(8 * len(panels)), wp, rnd)
+    weights = [mpf_add(mpf_abs(p[6], wp, rnd), share, wp, rnd) for p in panels]
+    for w in weights:
+        wsum = mpf_add(wsum, w, wp, rnd)
+    total = err = fzero
     for (a, fa, m, fm, b, fb, whole), w in zip(panels, weights):
-        v, e = _adapt(f, a, fa, m, fm, b, fb, whole, abs_budget * w / wsum, 0)
-        total += v
-        err += e
-    if err > 4 * abs_budget:
-        raise PrecisionFailure(
-            f"quadrature stalled: error estimate {mpmath.nstr(err)} exceeds "
-            f"budget {mpmath.nstr(abs_budget)}", achieved=Fraction(str(err / scale)))
+        budget = mpf_div(mpf_mul(abs_budget, w, wp, rnd), wsum, wp, rnd)
+        v, e = adapt(a, fa, m, fm, b, fb, whole, budget, 0)
+        total = mpf_add(total, v, wp, rnd)
+        err = mpf_add(err, e, wp, rnd)
+    if mpf_gt(err, mpf_mul_int(abs_budget, 4, wp, rnd)):
+        raise stalled("", err, abs_budget)
     return total, err
 
 
-def _anchor_points(lo: mpf, hi: mpf) -> list:
-    import mpmath
-    pts = [lo]
-    k = 1
-    while True:
-        x = mpmath.exp(k * mpmath.pi) - 1
-        if x >= hi:
-            break
-        if x > lo:
+def _anchor_points(lo: Raw, hi: Raw) -> list:
+    from mpmath.libmp import mpf_gt, mpf_lt
+    pts, k = [lo], 1
+    while mpf_lt(x := _anchor_raw(k), hi):
+        if mpf_gt(x, lo):
             pts.append(x)
         k += 1
-    pts.append(hi)
-    return pts
+    return pts + [hi]
 
 
-def _chi_tail_bound(T: mpf, delta: mpf) -> mpf:
+def _chi_tail_bound(T: Raw, delta: Raw) -> Raw:
     """Certified bound on integral_T^inf exp(-y**(1/2-delta)) dy."""
-    import mpmath
-    from mpmath import mpf
-    c = mpf(1) / 2 - delta
-    u0 = T ** c
-    k = 1 / c - 1
-    if u0 <= 2 * k + 2:
-        return mpf("inf")
-    return (1 / c) * u0 ** k * mpmath.exp(-u0) / (1 - k / u0)
+    from mpmath.libmp import (fhalf, finf, fone, ftwo, mpf_add, mpf_div, mpf_exp, mpf_le,
+                              mpf_mul, mpf_mul_int, mpf_neg, mpf_pow, mpf_rdiv_int, mpf_sub)
+    wp, rnd = _WP, _RND
+    c = mpf_sub(fhalf, delta, wp, rnd)
+    u0 = mpf_pow(T, c, wp, rnd)
+    inv_c = mpf_rdiv_int(1, c, wp, rnd)
+    k = mpf_sub(inv_c, fone, wp, rnd)
+    if mpf_le(u0, mpf_add(mpf_mul_int(k, 2, wp, rnd), ftwo, wp, rnd)):
+        return finf
+    head = mpf_mul(mpf_mul(inv_c, mpf_pow(u0, k, wp, rnd), wp, rnd),
+                   mpf_exp(mpf_neg(u0, wp, rnd), wp, rnd), wp, rnd)
+    return mpf_div(head, mpf_sub(fone, mpf_div(k, u0, wp, rnd), wp, rnd), wp, rnd)
 
 
 @dataclass(frozen=True)
@@ -204,70 +244,61 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
     The cutoff for the chi-only integral is grown until its analytic tail
     bound drops below quad_tol/10 of the integral.
     """
-    try:
+    if p in _NORMALIZER_CACHE:
         return _NORMALIZER_CACHE[p]
-    except KeyError:
-        pass
-    import mpmath
-    from mpmath import mpf
-    with mpmath.workprec(_WP):
-        delta = _to_mpf(p.delta)
-        alpha = _to_mpf(p.alpha)
-        tol = _to_mpf(p.quad_tol)
-        z0 = (mpmath.log(10 / (alpha * tol)) + 4) / alpha
-        # chi for every abscissa the b integral can reach, each computed
-        # once and read by all three integrands; the table ends with the call
-        chi_table: dict = {}
+    from mpmath.libmp import (finf, fninf, from_int, from_str, ftwo, fzero, mpf_add, mpf_div,
+                              mpf_exp, mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_mul_int,
+                              mpf_neg, mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_sub, to_str)
+    wp, rnd = _WP, _RND
+    delta, alpha, tol = _raw(p.delta), _raw(p.alpha), _raw(p.quad_tol)
+    neg_alpha = mpf_neg(alpha, wp, rnd)
+    z0 = mpf_div(mpf_add(mpf_log(mpf_rdiv_int(10, mpf_mul(alpha, tol, wp, rnd), wp, rnd),
+                                 wp, rnd), from_int(4), wp, rnd), alpha, wp, rnd)
+    # chi for every abscissa the b integral can reach, each computed once
+    # and read by all three integrands; the table ends with the call
+    chi_at = _memo(_chi_raw(delta), upto=z0)
 
-        def chi_at(y):
-            if y > z0:
-                return _chi_mpf(y, delta)
-            value = chi_table.get(y)
-            if value is None:
-                value = chi_table[y] = _chi_mpf(y, delta)
-            return value
+    def chi_integrand(y):
+        return mpf_exp(mpf_neg(chi_at(y), wp, rnd), wp, rnd)
 
-        def chi_integrand(y):
-            return mpmath.exp(-chi_at(y))
+    half_tol = mpf_div(tol, ftwo, wp, rnd)
+    coarse, _ = _integrate(chi_integrand, _anchor_points(fzero, from_int(4096)),
+                           mpf_pos(from_str("1e-3", wp, rnd), wp, rnd))
+    if p.x_max is not None:
+        x_max = _raw(p.x_max)
+        tail = _chi_tail_bound(x_max, delta)
+        if not mpf_lt(tail, mpf_mul(tol, coarse, wp, rnd)):
+            raise PrecisionFailure(
+                f"cutoff x_max={p.x_max} leaves a certified tail bound "
+                f"{to_str(tail, 6)} above the quadrature budget",
+                achieved=None if tail in (finf, fninf)
+                else _snap_raw(mpf_div(tail, coarse, wp, rnd), _SNAP_BITS))
+    else:
+        x_max = from_int(4096)
+        tail_target = mpf_div(mpf_mul(tol, coarse, wp, rnd), from_int(10), wp, rnd)
+        while not mpf_lt(tail := _chi_tail_bound(x_max, delta), tail_target):
+            x_max = mpf_mul_int(x_max, 2, wp, rnd)
+            if mpf_gt(x_max, mpf_pow_int(ftwo, 64, wp, rnd)):
+                raise PrecisionFailure("no cutoff reaches the tail target")
+    inv_a, err_a = _integrate(chi_integrand, _anchor_points(fzero, x_max), half_tol)
+    err_a = mpf_add(err_a, tail, wp, rnd)
 
-        coarse, _ = _integrate(chi_integrand, _anchor_points(mpf(0), mpf(4096)),
-                               mpf("1e-3"))
-        if p.x_max is not None:
-            x_max = _to_mpf(p.x_max)
-            tail = _chi_tail_bound(x_max, delta)
-            if not tail < tol * coarse:
-                raise PrecisionFailure(
-                    f"cutoff x_max={p.x_max} leaves a certified tail bound "
-                    f"{mpmath.nstr(tail)} above the quadrature budget",
-                    achieved=None if mpmath.isinf(tail)
-                    else _snap(tail / coarse, _SNAP_BITS))
-        else:
-            x_max = mpf(4096)
-            while True:
-                tail = _chi_tail_bound(x_max, delta)
-                if tail < tol * coarse / 10:
-                    break
-                x_max *= 2
-                if x_max > mpf(2) ** 64:
-                    raise PrecisionFailure("no cutoff reaches the tail target")
-        inv_a, err_a = _integrate(chi_integrand, _anchor_points(mpf(0), x_max),
-                                  tol / 2)
-        err_a += tail
+    def tail_integrand(y):
+        return mpf_exp(mpf_sub(mpf_mul(neg_alpha, y, wp, rnd), chi_at(y), wp, rnd), wp, rnd)
 
-        def tail_integrand(y):
-            return mpmath.exp(-alpha * y - chi_at(y))
+    inv_b, err_b = _integrate(tail_integrand, _anchor_points(fzero, z0), half_tol)
+    b_tail = mpf_div(mpf_exp(mpf_mul(neg_alpha, z0, wp, rnd), wp, rnd), alpha, wp, rnd)
+    err_b = mpf_add(err_b, b_tail, wp, rnd)
+    ulp = mpf_pow_int(ftwo, -_SNAP_BITS, wp, rnd)
 
-        inv_b, err_b = _integrate(tail_integrand, _anchor_points(mpf(0), z0),
-                                  tol / 2)
-        b_tail = mpmath.exp(-alpha * z0) / alpha
-        err_b += b_tail
+    def inverse_and_error(inv, err):
+        rel = mpf_div(err, mpf_mul(inv, inv, wp, rnd), wp, rnd)
+        return (_snap_raw(mpf_rdiv_int(1, inv, wp, rnd), _SNAP_BITS),
+                _snap_raw(mpf_add(rel, ulp, wp, rnd), _SNAP_BITS))
 
-        result = Normalizers(
-            a=_snap(1 / inv_a, _SNAP_BITS),
-            a_err=_snap(err_a / (inv_a * inv_a) + mpf(2) ** (-_SNAP_BITS), _SNAP_BITS) ,
-            b=_snap(1 / inv_b, _SNAP_BITS),
-            b_err=_snap(err_b / (inv_b * inv_b) + mpf(2) ** (-_SNAP_BITS), _SNAP_BITS),
-            x_max=_snap(x_max, 8))
+    a, a_err = inverse_and_error(inv_a, err_a)
+    b, b_err = inverse_and_error(inv_b, err_b)
+    result = Normalizers(a=a, a_err=a_err, b=b, b_err=b_err, x_max=_snap_raw(x_max, 8))
     return _NORMALIZER_CACHE.setdefault(p, result)
 
 
@@ -277,33 +308,35 @@ def density_log(x, p: LogPeriodicParams) -> LogValue:
     if x < 0:
         raise ValueError(f"density is supported on x >= 0, got {x}")
     norm = normalizers(p)
-    import mpmath
-    with mpmath.workprec(_WP):
-        log2_val = (mpmath.log(_to_mpf(norm.a))
-                    - _chi_mpf(_to_mpf(x), _to_mpf(p.delta))) / mpmath.ln2
-        return LogValue(1, _snap(log2_val, _SNAP_BITS))
+    from mpmath.libmp import mpf_div, mpf_ln2, mpf_log, mpf_sub
+    chi_x = _chi_raw(_raw(p.delta))(_raw(x))
+    log_a = mpf_log(_raw(norm.a), _WP, _RND)
+    log2_val = mpf_div(mpf_sub(log_a, chi_x, _WP, _RND), mpf_ln2(_WP, _RND), _WP, _RND)
+    return LogValue(1, _snap_raw(log2_val, _SNAP_BITS))
 
 
-def _tail_integral(x: mpf, p: LogPeriodicParams):
-    """integral_x^inf exp(-alpha*y - chi(y)) dy with certified tail.
+def _tail_integral(x: Raw, p: LogPeriodicParams):
+    """(integral_x^inf exp(-alpha*y - chi(y)) dy, its certified error, chi(x)).
 
-    Returns (value, error bound, chi(x)); chi(x) sets the cutoff.
-    """
-    import mpmath
-    with mpmath.workprec(_WP):
-        delta = _to_mpf(p.delta)
-        alpha = _to_mpf(p.alpha)
-        tol = _to_mpf(p.quad_tol)
-        chi_x = _chi_mpf(x, delta)
-        z = (chi_x + mpmath.log(10 / tol) + 4) / alpha
+    chi(x) sets the cutoff beyond which the analytic tail bound takes over."""
+    from mpmath.libmp import (from_int, ftwo, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
+                              mpf_neg, mpf_rdiv_int, mpf_sub)
+    wp, rnd = _WP, _RND
+    alpha, tol = _raw(p.alpha), _raw(p.quad_tol)
+    neg_alpha = mpf_neg(alpha, wp, rnd)
+    chi_of = _chi_raw(_raw(p.delta))
+    chi_x = chi_of(x)
+    log_term = mpf_log(mpf_rdiv_int(10, tol, wp, rnd), wp, rnd)
+    z = mpf_div(mpf_add(mpf_add(chi_x, log_term, wp, rnd), from_int(4), wp, rnd),
+                alpha, wp, rnd)
 
-        def integrand(y):
-            return mpmath.exp(-alpha * y - _chi_mpf(y, delta))
+    def integrand(y):
+        return mpf_exp(mpf_sub(mpf_mul(neg_alpha, y, wp, rnd), chi_of(y), wp, rnd), wp, rnd)
 
-        pts = [t for t in _anchor_points(x, x + z)]
-        val, err = _integrate(integrand, pts, tol / 2)
-        err += mpmath.exp(-alpha * (x + z)) / alpha
-        return val, err, chi_x
+    end = mpf_add(x, z, wp, rnd)
+    val, err = _integrate(integrand, _anchor_points(x, end), mpf_div(tol, ftwo, wp, rnd))
+    cut = mpf_div(mpf_exp(mpf_mul(neg_alpha, end, wp, rnd), wp, rnd), alpha, wp, rnd)
+    return val, mpf_add(err, cut, wp, rnd), chi_x
 
 
 def karamata_ratio(x, p: LogPeriodicParams) -> Fraction:
@@ -315,12 +348,13 @@ def karamata_ratio(x, p: LogPeriodicParams) -> Fraction:
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    import mpmath
-    with mpmath.workprec(_WP):
-        xm = _to_mpf(x)
-        val, _, chi_x = _tail_integral(xm, p)
-        tail_x = mpmath.exp(-_to_mpf(p.alpha) * xm - chi_x)
-        return _snap(_to_mpf(p.alpha) * val / tail_x, _SNAP_BITS)
+    from mpmath.libmp import mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sub
+    wp, rnd = _WP, _RND
+    xm, alpha = _raw(x), _raw(p.alpha)
+    val, _, chi_x = _tail_integral(xm, p)
+    tail_x = mpf_exp(mpf_sub(mpf_mul(mpf_neg(alpha, wp, rnd), xm, wp, rnd), chi_x, wp, rnd),
+                     wp, rnd)
+    return _snap_raw(mpf_div(mpf_mul(alpha, val, wp, rnd), tail_x, wp, rnd), _SNAP_BITS)
 
 
 def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
@@ -335,25 +369,31 @@ def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
     if not Fraction(0) < h_exp < 1:
         raise ValueError(f"h_exp must lie in (0, 1), got {h_exp}")
     norm = normalizers(p)
-    import mpmath
-    with mpmath.workprec(_WP):
-        xm = _to_mpf(x)
-        delta = _to_mpf(p.delta)
-        h = xm ** _to_mpf(h_exp)
-        if not xm > 2 * h:
-            raise ValueError(f"need x > 2 * x**h_exp (x={x}, h={mpmath.nstr(h)})")
-        chi_x = _chi_mpf(xm, delta)
+    from functools import cmp_to_key
+    from mpmath.libmp import (ftwo, fzero, mpf_add, mpf_cmp, mpf_div, mpf_exp, mpf_gt,
+                              mpf_le, mpf_ln2, mpf_log, mpf_mul_int, mpf_pow, mpf_sub, to_str)
+    wp, rnd = _WP, _RND
+    xm = _raw(x)
+    h = mpf_pow(xm, _raw(h_exp), wp, rnd)
+    if not mpf_gt(xm, mpf_mul_int(h, 2, wp, rnd)):
+        raise ValueError(f"need x > 2 * x**h_exp (x={x}, h={to_str(h, 6)})")
+    # the integrand is symmetric about x/2 and its points are mirrored, so
+    # most abscissas recur as x - y; the table ends with the call
+    chi_at = _memo(_chi_raw(_raw(p.delta)))
+    chi_x = chi_at(xm)
 
-        def integrand(y):
-            return mpmath.exp(chi_x - _chi_mpf(xm - y, delta) - _chi_mpf(y, delta))
+    def integrand(y):
+        rest = mpf_sub(chi_x, chi_at(mpf_sub(xm, y, wp, rnd)), wp, rnd)
+        return mpf_exp(mpf_sub(rest, chi_at(y), wp, rnd), wp, rnd)
 
-        pts = sorted(set(
-            [h, xm - h, xm / 2]
-            + [t for t in _anchor_points(h, xm - h)]
-            + [xm - t for t in _anchor_points(h, xm - h)]))
-        pts = [t for t in pts if h <= t <= xm - h]
-        val, _ = _integrate(integrand, pts, _to_mpf(p.quad_tol))
-        if val <= 0:
-            return LogValue(0)
-        log2_val = (mpmath.log(_to_mpf(norm.a)) + mpmath.log(val)) / mpmath.ln2
-        return LogValue(1, _snap(log2_val, _SNAP_BITS))
+    top = mpf_sub(xm, h, wp, rnd)
+    anchors = _anchor_points(h, top)
+    pts = sorted(set([h, top, mpf_div(xm, ftwo, wp, rnd)] + anchors
+                     + [mpf_sub(xm, t, wp, rnd) for t in anchors]),
+                 key=cmp_to_key(mpf_cmp))
+    pts = [t for t in pts if mpf_le(h, t) and mpf_le(t, top)]
+    val, _ = _integrate(integrand, pts, _raw(p.quad_tol))
+    if mpf_le(val, fzero):
+        return LogValue(0)
+    log_sum = mpf_add(mpf_log(_raw(norm.a), wp, rnd), mpf_log(val, wp, rnd), wp, rnd)
+    return LogValue(1, _snap_raw(mpf_div(log_sum, mpf_ln2(wp, rnd), wp, rnd), _SNAP_BITS))

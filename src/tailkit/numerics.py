@@ -52,10 +52,15 @@ def _check_precision(precision_bits: int) -> None:
 
 def _snap(value: mpf, precision_bits: int) -> Fraction:
     """Round an mpf to the nearest multiple of 2**-precision_bits."""
+    return _snap_raw(value._mpf_, precision_bits)
+
+
+def _snap_raw(value: tuple, precision_bits: int) -> Fraction:
+    """:func:`_snap` for libmp's raw mpf tuple."""
     from mpmath.libmp import to_fixed
     # int() guards against the gmpy backend handing back an mpz, which would
     # otherwise leak into Fraction internals
-    fixed = int(to_fixed(value._mpf_, precision_bits + 1))
+    fixed = int(to_fixed(value, precision_bits + 1))
     return Fraction((fixed + 1) >> 1, 1 << precision_bits)
 
 

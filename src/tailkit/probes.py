@@ -20,7 +20,7 @@ from tailkit import convolution as conv
 from tailkit import logperiodic as lp
 from tailkit import mixture as mx
 from tailkit import notched
-from tailkit.numerics import DEFAULT_PRECISION, LogValue, log_nat
+from tailkit.numerics import DEFAULT_PRECISION, LogValue, _snap, log_nat
 from tailkit.piecewise import PiecewisePoly
 from tailkit.render import decimal_str, int_str, value_str
 
@@ -177,7 +177,7 @@ def logperiodic_scan(p: lp.LogPeriodicParams, k_max: int,
         grid = []
         steps = k_max * points_per_period
         for j in range(steps + 1):
-            x = lp._snap(mpmath.exp(mpmath.pi * j / points_per_period) - 1, 64)
+            x = _snap(mpmath.exp(mpmath.pi * j / points_per_period) - 1, 64)
             grid.append(x)
     logs = [(x, lp.density_log(x, p)) for x in grid]
     best: Optional[Fraction] = None

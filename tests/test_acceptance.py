@@ -78,6 +78,7 @@ def test_acceptance_csv_deterministic(results, tmp_path):
     assert out.read_bytes() == csv.encode()
 
 
+@pytest.mark.pin
 def test_acceptance_csv_matches_spec(results):
     ordered = [results[name] for name in CRITERIA]
     csv = acceptance.acceptance_csv(ordered)

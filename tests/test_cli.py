@@ -21,6 +21,11 @@ REPORT_SHA256 = {
     "logperiodic": "6be5e26bc88d2d574b0af0f3c6548b3688bc0f830a90184690fb0ef4b99bf6b3",
     "mixture": "46d1dc88b48149d0b7a8e644a0c0d9aa684087133e6277402c546631bc5a7f84",
 }
+# sha256 of `tailkit report logperiodic --delta <delta>` beyond the default
+LOGPERIODIC_DELTA_SHA256 = {
+    "1/8": "f7900046511dd0a3ab6e2c544de2f9cc27ddf3e0aa2e154da3d95e772b7a0f25",
+    "3/8": "71f499afafee2a1327823dc5dc0605912f2f18ec9e1d80bcd43f07f1586e1fa6",
+}
 
 
 def run_cli(*argv):
@@ -145,6 +150,16 @@ class TestProbeCommand:
                        "n_list=5,12") == 2
         assert "block 12 is not materialized" in capsys.readouterr().err
 
+    def test_karamata_past_the_depth_cap_is_exit_3(self, capsys):
+        assert run_cli("probe", "logperiodic", "karamata_ratio", "x=1e28") == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "karamata_ratio,1e28,1.00000000039514258201118349500542628116,{},0")
+        # this used to print 539544.149... with exit 0
+        assert run_cli("probe", "logperiodic", "karamata_ratio", "x=1e30") == 3
+        captured = capsys.readouterr()
+        assert "quadrature stalled at depth 52" in captured.err
+        assert "karamata_ratio" not in captured.out
+
     def test_blowup_probe(self, tmp_path):
         out = tmp_path / "blowup.csv"
         assert run_cli("probe", "mixture", "blowup", "m_max=2", "d=1",
@@ -186,6 +201,7 @@ class TestConvolve:
         for x in (Fraction(1), Fraction(20), Fraction(100, 3)):
             assert loaded.eval(x) == expected.eval(x)
 
+    @pytest.mark.pin
     def test_notched_convolution_matches_spec(self, tmp_path):
         assert run_cli("build", "notched", "n=4", "--out", str(tmp_path)) == 0
         out = tmp_path / "conv.pw"
@@ -264,12 +280,22 @@ class TestReportDeterminism:
         assert "n_mx" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.pin
     @pytest.mark.parametrize("construction", sorted(REPORT_SHA256))
     def test_report_matches_spec(self, construction, tmp_path):
         out = tmp_path / "report.csv"
         assert run_cli("report", construction, "--out", str(out)) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == REPORT_SHA256[construction]
+
+    @pytest.mark.pin
+    @pytest.mark.parametrize("delta", sorted(LOGPERIODIC_DELTA_SHA256))
+    def test_logperiodic_report_at_delta_matches_spec(self, delta, tmp_path):
+        out = tmp_path / "report.csv"
+        assert run_cli("report", "logperiodic", "--delta", delta,
+                       "--out", str(out)) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == LOGPERIODIC_DELTA_SHA256[delta]
 
     def test_notched_report_builds_once(self, tmp_path, monkeypatch):
         builds = []

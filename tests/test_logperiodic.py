@@ -15,6 +15,7 @@ import pytest
 
 from tailkit import logperiodic as lp
 from tailkit.errors import PrecisionFailure
+from tailkit.numerics import _snap
 
 # frozen from the adaptive-Simpson engine at tol 1e-8, alpha=1, delta=1/4;
 # the mpmath.quad cross-check below re-derives it independently
@@ -27,6 +28,35 @@ PINNED_NORMALIZERS = lp.Normalizers(
     b=Fraction(80960683367516753399878682219, 39614081257132168796771975168),
     b_err=Fraction(50657902001137504909, 2475880078570760549798248448),
     x_max=Fraction(1048576))
+# exact values of the default parameters, as computed with mpmath 1.3.0
+PINNED_KARAMATA = {
+    100: Fraction(69180892456200168776121247201, 79228162514264337593543950336),
+    10 ** 4: Fraction(9905961180240299948145119921, 9903520314283042199192993792),
+    10 ** 28: Fraction(79228162545570758297432020283, 79228162514264337593543950336),
+}
+PINNED_CHI_ANCHOR2_512 = Fraction(
+    "14904364977611639956956226305246538322761266410870409843944189112605113128556120"
+    "83718183849241432115173952285391241637127803113663650449607338325828534889963/13"
+    "40780792994259709957402499820584612747936582059239337772356144372176403007354697"
+    "6801874298166903427690031858186486050853753882811946569946433649006084096")
+
+
+def _mpf(raw) -> mpmath.mpf:
+    return mpmath.mp.make_mpf(raw)
+
+
+def _counting_chi(calls: Counter):
+    """A stand-in for lp._chi_raw that counts calls per abscissa."""
+    chi_raw = lp._chi_raw
+
+    def factory(delta, wp=lp._WP):
+        chi_of = chi_raw(delta, wp)
+
+        def counting(x):
+            calls[x] += 1
+            return chi_of(x)
+        return counting
+    return factory
 
 
 def _quad_oracle_inv_a(p, x_max: float) -> mpmath.mpf:
@@ -70,7 +100,7 @@ class TestChi:
         got = lp.chi(x, lp_default)
         with mpmath.workprec(200):
             want = (mpmath.exp(mpmath.pi) - 1) ** mpmath.mpf(0.25)
-            assert abs(got - lp._snap(want, 96)) < Fraction(1, 1 << 80)
+            assert abs(got - _snap(want, 96)) < Fraction(1, 1 << 80)
 
     def test_double_precision_agreement(self, lp_default):
         x = Fraction(12345, 7)
@@ -92,6 +122,11 @@ class TestChi:
         with pytest.raises(ValueError):
             lp.chi(-1, lp_default)
 
+    @pytest.mark.pin
+    def test_anchor_two_at_512_bits_is_pinned(self, lp_default):
+        # the precision self-consistency check's high-precision side
+        assert lp.chi(lp.anchor(2), lp_default, 512) == PINNED_CHI_ANCHOR2_512
+
 
 class TestParams:
     def test_validation(self):
@@ -108,15 +143,9 @@ class TestNormalizers:
     def fresh(self, lp_default):
         """Default normalizers computed afresh, and chi's calls per abscissa."""
         calls = Counter()
-        chi_mpf = lp._chi_mpf
-
-        def counting(x, delta):
-            calls[x] += 1
-            return chi_mpf(x, delta)
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp, "_NORMALIZER_CACHE", {})
-            mp.setattr(lp, "_chi_mpf", counting)
+            mp.setattr(lp, "_chi_raw", _counting_chi(calls))
             return lp.normalizers(lp_default), calls
 
     def test_pinned_constants(self, lp_default):
@@ -124,6 +153,7 @@ class TestNormalizers:
         assert abs(n.a - PINNED_A) < Fraction(1, 10 ** 9)
         assert abs(n.b - PINNED_B) < Fraction(1, 10 ** 9)
 
+    @pytest.mark.pin
     def test_fresh_values_are_pinned_bit_for_bit(self, fresh):
         assert fresh[0] == PINNED_NORMALIZERS
 
@@ -134,8 +164,8 @@ class TestNormalizers:
         # anchor that ends one panel and starts the next
         _, calls = fresh
         with mpmath.workprec(lp._WP):
-            z0 = mpmath.log(10 / lp._to_mpf(lp_default.quad_tol)) + 4
-            assert max(n for y, n in calls.items() if y <= z0) == 1
+            z0 = mpmath.log(10 / _mpf(lp._raw(lp_default.quad_tol))) + 4
+            assert max(n for y, n in calls.items() if _mpf(y) <= z0) == 1
         assert sum(calls.values()) <= 1357
 
     def test_errors_reported(self, lp_default):
@@ -175,18 +205,18 @@ class TestTails:
     def test_integrated_tail_at_zero_is_one(self, lp_default):
         b = lp.normalizers(lp_default).b
         with mpmath.workprec(lp._WP):
-            val, _, _ = lp._tail_integral(mpmath.mpf(0), lp_default)
-            assert abs(lp._to_mpf(b) * val - 1) < mpmath.mpf(10) ** -6
+            val, _, _ = lp._tail_integral(lp._raw(Fraction(0)), lp_default)
+            assert abs(_mpf(lp._raw(b)) * _mpf(val) - 1) < mpmath.mpf(10) ** -6
 
     def test_integrated_tail_nonincreasing(self, lp_default):
         vals = []
+        chi_of = lp._chi_raw(lp._raw(lp_default.delta))
         with mpmath.workprec(lp._WP):
-            delta = lp._to_mpf(lp_default.delta)
             for k in range(0, 5):
-                x = mpmath.mpf(10) ** k
+                x = lp._raw(Fraction(10 ** k))
                 val, _, chi_x = lp._tail_integral(x, lp_default)
-                assert chi_x == lp._chi_mpf(x, delta)
-                vals.append(val)
+                assert chi_x == chi_of(x)
+                vals.append(_mpf(val))
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -201,6 +231,18 @@ class TestKaramata:
         assert abs(float(lp.karamata_ratio(100, lp_default)) - 0.873186) < 1e-4
         assert abs(float(lp.karamata_ratio(10 ** 4, lp_default)) - 1.000246) < 1e-4
 
+    @pytest.mark.pin
+    @pytest.mark.parametrize("x", sorted(PINNED_KARAMATA))
+    def test_exact_values_are_pinned(self, lp_default, x):
+        assert lp.karamata_ratio(x, lp_default) == PINNED_KARAMATA[x]
+
+    def test_depth_cap_raises(self, lp_default):
+        # at x = 1e30 the panel [x, x + z] has z ~ chi(x) ~ 3e22; its leftmost
+        # piece stops at the depth cap 6.9e6 wide, far above its budget, which
+        # used to come back as a ratio of 539544
+        with pytest.raises(PrecisionFailure, match="at depth 52"):
+            lp.karamata_ratio(10 ** 30, lp_default)
+
 
 class TestMiddleIntegral:
     def test_domain_check(self, lp_default):
@@ -210,6 +252,18 @@ class TestMiddleIntegral:
     def test_h_exp_validation(self, lp_default):
         with pytest.raises(ValueError):
             lp.middle_mass_ratio(Fraction(100), lp_default, Fraction(2))
+
+    def test_one_chi_per_abscissa(self, lp_default):
+        # the integrand is symmetric about x/2 and its points are mirrored:
+        # without a table chi ran 1,101 times at these 568 abscissas
+        calls = Counter()
+        lp.normalizers(lp_default)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "_chi_raw", _counting_chi(calls))
+            ratio = lp.middle_mass_ratio(lp.anchor(4), lp_default, Fraction(3, 10))
+        assert ratio.log2mag > 1000
+        assert max(calls.values()) == 1
+        assert len(calls) == 568
 
     def test_even_anchor_blows_up(self, lp_default):
         # at an even anchor chi(x) ~ x**(3/4) dwarfs the interior exponents
