@@ -6,18 +6,23 @@ given the same configuration, and exit codes are stable:
 
     0 success, 1 check failure, 2 usage, 3 precision failure, 4 I/O.
 
-A flat ``key = value`` config file can seed any option; command-line flags
-override file values.  Unknown config keys are rejected.
+Two tables define the surface.  The option fields of :class:`RunConfig`
+give each option's name, parser, default and help; an option is set by a
+flag (its name with ``-`` for ``_``), a ``key = value`` line of a config
+file (``--config``) or a ``key=value`` argument, in rising precedence.
+:data:`PROBES` gives each probe's constructions, parameters and row
+builder.  Anything a command does not read is rejected before it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from tailkit import acceptance
 from tailkit import convolution as conv
@@ -32,57 +37,35 @@ from tailkit.probes import ProbeRow
 from tailkit.render import decimal_str
 
 CONSTRUCTIONS = ("notched", "logperiodic", "mixture")
+PIECEWISE = ("notched", "file:<path>")
+
+# commands that take a construction read every option; the others read
+# only the options marked every_command
+_CONSTRUCTION_COMMANDS = ("build", "probe", "report")
 
 
-def _rational(value, name: str = "value") -> Fraction:
-    """Parse a rational option or parameter; malformed input is a usage error."""
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational for {name}: {value!r}") from exc
-
-
-_CONFIG_KEYS = {
-    "construction": str,
-    "n": int,
-    "m_max": int,
-    "precision_bits": int,
-    "alpha": _rational,
-    "delta": _rational,
-    "quad_tol": _rational,
-    "x_max": _rational,
-    "d": _rational,
-    "out": str,
-}
+def _option(default, parse: Callable[[str], object], help: Optional[str] = None,
+            every_command: bool = False):
+    return field(default=default, metadata={"parse": parse, "help": help,
+                                            "every_command": every_command})
 
 
 @dataclass
 class RunConfig:
-    construction: str = "notched"
-    n: int = 10
-    m_max: int = 6
-    precision_bits: int = DEFAULT_PRECISION
-    alpha: Fraction = Fraction(1)
-    delta: Fraction = Fraction(1, 4)
-    quad_tol: Fraction = Fraction(1, 10 ** 8)
-    x_max: Optional[Fraction] = None
-    d: Fraction = Fraction(1)
-    out: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    params_read: set = field(default_factory=set)
+    construction: str = _option("notched", str,
+                                "notched | logperiodic | mixture | file:<path>")
+    n: int = _option(10, int, "truncation index of the notched construction")
+    m_max: int = _option(6, int, "number of blow-up schedule atoms")
+    precision_bits: int = _option(DEFAULT_PRECISION, int, every_command=True)
+    alpha: Fraction = _option(Fraction(1), Fraction)
+    delta: Fraction = _option(Fraction(1, 4), Fraction)
+    quad_tol: Fraction = _option(Fraction(1, 10 ** 8), Fraction)
+    x_max: Optional[Fraction] = _option(None, Fraction)
+    d: Fraction = _option(Fraction(1), Fraction, "window width")
+    out: Optional[str] = _option(None, str, "output path", every_command=True)
+    params: dict = field(default_factory=dict)  # probe key=value parameters
     _notched: Optional[notched.NotchedDensity] = field(default=None, repr=False,
                                                        compare=False)
-
-    def param(self, key: str, default):
-        """A key=value probe parameter, or the default; records the read."""
-        self.params_read.add(key)
-        return self.params.get(key, default)
-
-    def reject_unread_params(self) -> None:
-        unread = sorted(set(self.params) - self.params_read)
-        if unread:
-            raise UsageError(f"unknown parameter(s) {', '.join(unread)} "
-                             "for this command")
 
     def lp_params(self) -> lp.LogPeriodicParams:
         return lp.LogPeriodicParams(alpha=self.alpha, delta=self.delta,
@@ -95,7 +78,27 @@ class RunConfig:
         return self._notched
 
 
-def _parse_config_file(path: str) -> dict:
+OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _command_options(command: str) -> list[str]:
+    return [name for name, meta in OPTIONS.items()
+            if command in _CONSTRUCTION_COMMANDS or meta["every_command"]]
+
+
+def _parse(key: str, parse, text: str, *context):
+    """parse(text, *context); malformed input is a usage error naming key."""
+    try:
+        return parse(text, *context)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad value for {key}: {text!r}") from exc
+
+
+def _parse_config_file(path: str, allowed: list[str]) -> dict:
     values: dict = {}
     try:
         text = Path(path).read_text()
@@ -109,56 +112,15 @@ def _parse_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in allowed:
+            raise UsageError(f"{path}:{lineno}: this command does not read {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            values[key] = _parse(key, OPTIONS[key]["parse"], value.strip())
+        except UsageError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from exc
     return values
-
-
-def _parse_kv_pairs(pairs: list[str]) -> dict:
-    out: dict = {}
-    for item in pairs:
-        if "=" not in item:
-            raise UsageError(f"expected key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        out[key.strip().lower()] = value.strip()
-    return out
-
-
-def _apply(config: RunConfig, values: dict) -> None:
-    for key, value in values.items():
-        if key in ("n", "n_top"):
-            config.n = int(value)
-        elif key == "m_max":
-            config.m_max = int(value)
-        elif key == "precision_bits":
-            config.precision_bits = int(value)
-        elif key in ("alpha", "delta", "quad_tol", "x_max", "d"):
-            setattr(config, key, _rational(value, key))
-        elif key == "construction":
-            config.construction = str(value)
-        elif key == "out":
-            config.out = str(value)
-        else:
-            config.params[key] = value
-
-
-def _point(label: str, config: RunConfig) -> Fraction:
-    """Parse an abscissa: a decimal string or a knot label like 'c10'."""
-    label = label.strip()
-    if label[:1] in notched.KNOT_KINDS and label[1:].isdigit():
-        return notched.knot_position(label[0], int(label[1:]),
-                                     config.precision_bits)
-    return _rational(label, "point")
-
-
-def _points(config: RunConfig, key: str, default: str) -> list[tuple[str, Fraction]]:
-    raw = config.param(key, default)
-    return [(item, _point(item, config)) for item in str(raw).split(",") if item]
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -176,6 +138,9 @@ def _meta_text(pairs: list[tuple[str, str]]) -> str:
 # ------------------------------ build ------------------------------
 
 def _cmd_build(config: RunConfig) -> int:
+    if config.params:
+        raise UsageError(f"unknown parameter(s) {', '.join(sorted(config.params))} "
+                         "for build")
     out_dir = Path(config.out or "tailkit-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.construction == "notched":
@@ -219,175 +184,241 @@ def _cmd_build(config: RunConfig) -> int:
         (out_dir / "mixture.meta").write_text(meta)
     else:
         raise UsageError(f"unknown construction {config.construction!r}; "
-                         f"expected one of {CONSTRUCTIONS} or file:<path>")
+                         f"build takes one of {', '.join(CONSTRUCTIONS)}")
     return 0
 
 
 # ------------------------------ probes ------------------------------
 
-def _load_construction_density(config: RunConfig) -> PiecewisePoly:
+def _int(text: str, config: RunConfig) -> int:
+    return int(text)
+
+
+def _ints(text: str, config: RunConfig) -> list[int]:
+    return [int(item) for item in text.split(",")]
+
+
+def _rational(text: str, config: RunConfig) -> Fraction:
+    return Fraction(text)
+
+
+def _points(text: str, config: RunConfig) -> list[tuple[str, Fraction]]:
+    """Abscissas: decimal strings or knot labels like 'c10'."""
+    points = []
+    for label in (item.strip() for item in text.split(",")):
+        if label[:1] in notched.KNOT_KINDS and label[1:].isdigit():
+            points.append((label, notched.knot_position(
+                label[0], int(label[1:]), config.precision_bits)))
+        elif label:
+            points.append((label, Fraction(label)))
+    return points
+
+
+def _density(config: RunConfig) -> PiecewisePoly:
     name = config.construction
     if name.startswith("file:"):
         return load_text(Path(name[5:]).read_text())
-    if name == "notched":
-        return config.notched_density().density()
-    raise UsageError(f"probe needs a piecewise construction, got {name!r}")
+    return config.notched_density().density()
 
 
-def _probe_rows(config: RunConfig, probe_name: str) -> list[ProbeRow]:
-    pb = config.precision_bits
-    name = config.construction
-
-    if probe_name == "knot_ratio_series":
-        n_max = int(config.param("n_max", 40))
-        return [ProbeRow("knot_ratio_series", str(n), lam)
-                for n, lam in probes.knot_ratio_series(n_max, pb)]
-
-    if probe_name == "knot_scan":
-        n_max = int(config.param("n_max", 40))
-        scan = probes.notched_knot_scan(n_max, pb)
-        return [ProbeRow("knot_scan", f"n<={n_max}", scan.sup_ratio,
-                         {"witness_x": scan.witness_x,
-                          "witness_y": scan.witness_y})]
-
-    if probe_name == "long_tail_ratio":
-        f = _load_construction_density(config)
-        t = _rational(config.param("t", 1), "t")
-        return [ProbeRow("long_tail_ratio", label,
-                         probes.long_tail_ratio(f, x, t), {"shift": t})
-                for label, x in _points(config, "x", f"c{config.n}")]
-
-    if probe_name == "subexp_ratio":
-        f = _load_construction_density(config)
-        rows = []
-        for label, x in _points(config, "x", f"c{config.n}"):
-            rows.append(ProbeRow("subexp_ratio", label, probes.subexp_ratio(f, x)))
-        if len(rows) > 1:
-            devs = [abs(Fraction(1) - r.value) for r in rows]
-            improving = all(a > b for a, b in zip(devs, devs[1:]))
-            span = f"{rows[0].x_or_n}..{rows[-1].x_or_n}"
-            rows.append(ProbeRow("subexp_trend", span,
-                                 Fraction(int(improving)),
-                                 {"monotone_improvement": improving}))
-        return rows
-
-    if probe_name == "local_tail_ratio":
-        f = _load_construction_density(config)
-        return [ProbeRow("local_tail_ratio", label,
-                         probes.local_tail_ratio(f, x, config.d),
-                         {"window": config.d})
-                for label, x in _points(config, "x", f"c{config.n}")]
-
-    if probe_name == "almost_decrease_scan":
-        if name == "logperiodic":
-            k_max = int(config.param("k_max", 8))
-            scan, rows = probes.logperiodic_scan(config.lp_params(), k_max)
-            return [ProbeRow("almost_decrease_scan", f"k<={k_max}",
-                             scan.sup_ratio,
-                             {"witness_x": scan.witness_x,
-                              "witness_y": scan.witness_y})] + rows
-        f = _load_construction_density(config)
-        x0 = _rational(config.param("x0", 0), "x0")
-        scan = probes.almost_decrease_scan(f, x0)
-        return [ProbeRow("almost_decrease_scan", f"x0={x0}", scan.sup_ratio,
-                         {"witness_x": scan.witness_x,
-                          "witness_y": scan.witness_y})]
-
-    if probe_name == "i2_bound_check":
-        nd = config.notched_density()
-        rows = []
-        for item in str(config.param("n_list", "5,10")).split(","):
-            n = int(item)
-            chk = probes.i2_bound_check(nd, n)
-            rows.append(ProbeRow("i2_bound_check", str(n), chk.i2,
-                                 {"bound_log2": chk.bound_log2_closed_form,
-                                  "passed": chk.passed}))
-        return rows
-
-    if probe_name == "split_integrals":
-        nd = config.notched_density()
-        n = int(config.param("block", config.n))
-        rows = []
-        for label, x in _points(config, "x", f"c{n}"):
-            i1, i2 = conv.split_integrals(nd.dense, n, x)
-            whole = conv.self_conv_value(nd.dense, x)
-            rows.append(ProbeRow("split_integrals", label, whole,
-                                 {"i1": i1, "i2": i2,
-                                  "exact_partition": 2 * i1 + i2 == whole}))
-        return rows
-
-    if probe_name == "karamata_ratio":
-        p = config.lp_params()
-        return [ProbeRow("karamata_ratio", label, lp.karamata_ratio(x, p))
-                for label, x in _points(config, "x", "100,10000")]
-
-    if probe_name == "middle_integral":
-        p = config.lp_params()
-        h_exp = _rational(config.param("h_exp", Fraction(3, 10)), "h_exp")
-        rows = []
-        for item in str(config.param("k_list", "3,4,5,6")).split(","):
-            x = lp.anchor(int(item))
-            rows.append(ProbeRow("middle_integral", f"k{item}",
-                                 lp.middle_mass_ratio(x, p, h_exp),
-                                 {"h_exp": h_exp}))
-        return rows
-
-    if probe_name == "chi":
-        p = config.lp_params()
-        return [ProbeRow("chi", label, lp.chi(x, p))
-                for label, x in _points(config, "x", "1")]
-
-    if probe_name == "blowup":
-        sch = mx.build_schedule(config.m_max, pb)
-        mix = mx.mixture_from_schedule(sch, notched.build_density(4, pb))
-        return probes.mixture_blowup_probe(mix, sch, config.d)
-
-    if probe_name == "schedule":
-        sch = mx.build_schedule(config.m_max, pb)
-        return [ProbeRow("schedule", str(e.m), e.mass,
-                         {"n_m": e.n_m, "lower_bound": e.lower_bound})
-                for e in sch.entries]
-
-    raise UsageError(
-        f"unknown probe {probe_name!r}; valid probes: knot_ratio_series, "
-        "knot_scan, long_tail_ratio, subexp_ratio, local_tail_ratio, "
-        "almost_decrease_scan, i2_bound_check, split_integrals, "
-        "karamata_ratio, middle_integral, chi, blowup, schedule")
+def _witness(scan) -> dict:
+    return {"witness_x": scan.witness_x, "witness_y": scan.witness_y}
 
 
-def _cmd_probe(config: RunConfig, probe_name: str) -> int:
-    rows = _probe_rows(config, probe_name)
-    config.reject_unread_params()
-    _write(config.out, probes.render_csv(rows))
-    return 0
+# Row builders: (row, config, args) -> rows, where row(x_or_n, value, aux)
+# makes a row named after the probe and args holds the parsed parameters.
+
+def _knot_ratio_series(row, config, args):
+    return [row(str(n), lam) for n, lam in
+            probes.knot_ratio_series(args["n_max"], config.precision_bits)]
 
 
-def _standard_report(config: RunConfig) -> list[ProbeRow]:
-    name = config.construction
-    rows: list[ProbeRow] = []
-    if name == "notched":
-        for probe_name in ("knot_ratio_series", "knot_scan", "long_tail_ratio",
-                           "subexp_ratio", "local_tail_ratio",
-                           "almost_decrease_scan", "i2_bound_check",
-                           "split_integrals"):
-            rows.extend(_probe_rows(config, probe_name))
-    elif name == "logperiodic":
-        for probe_name in ("chi", "almost_decrease_scan", "karamata_ratio",
-                           "middle_integral"):
-            rows.extend(_probe_rows(config, probe_name))
-    elif name == "mixture":
-        for probe_name in ("schedule", "blowup"):
-            rows.extend(_probe_rows(config, probe_name))
-    else:
-        raise UsageError(f"unknown construction {name!r}")
+def _knot_scan(row, config, args):
+    scan = probes.notched_knot_scan(args["n_max"], config.precision_bits)
+    return [row(f"n<={args['n_max']}", scan.sup_ratio, _witness(scan))]
+
+
+def _long_tail_ratio(row, config, args):
+    f, t = _density(config), args["t"]
+    return [row(label, probes.long_tail_ratio(f, x, t), {"shift": t})
+            for label, x in args["x"]]
+
+
+def _subexp_ratio(row, config, args):
+    f = _density(config)
+    rows = [row(label, probes.subexp_ratio(f, x)) for label, x in args["x"]]
+    if len(rows) > 1:
+        devs = [abs(Fraction(1) - r.value) for r in rows]
+        improving = all(a > b for a, b in zip(devs, devs[1:]))
+        span = f"{rows[0].x_or_n}..{rows[-1].x_or_n}"
+        rows.append(ProbeRow("subexp_trend", span, Fraction(int(improving)),
+                             {"monotone_improvement": improving}))
     return rows
 
 
-def _cmd_report(config: RunConfig) -> int:
-    rows = _standard_report(config)
-    config.reject_unread_params()
+def _local_tail_ratio(row, config, args):
+    f = _density(config)
+    return [row(label, probes.local_tail_ratio(f, x, config.d),
+                {"window": config.d})
+            for label, x in args["x"]]
+
+
+def _piecewise_scan(row, config, args):
+    scan = probes.almost_decrease_scan(_density(config), args["x0"])
+    return [row(f"x0={args['x0']}", scan.sup_ratio, _witness(scan))]
+
+
+def _logperiodic_scan(row, config, args):
+    scan, rows = probes.logperiodic_scan(config.lp_params(), args["k_max"])
+    return [row(f"k<={args['k_max']}", scan.sup_ratio, _witness(scan))] + rows
+
+
+def _i2_bound_check(row, config, args):
+    nd = config.notched_density()
+    rows = []
+    for n in args["n_list"]:
+        chk = probes.i2_bound_check(nd, n)
+        rows.append(row(str(n), chk.i2, {"bound_log2": chk.bound_log2_closed_form,
+                                         "passed": chk.passed}))
+    return rows
+
+
+def _split_integrals(row, config, args):
+    nd = config.notched_density()
+    rows = []
+    for label, x in args["x"]:
+        i1, i2 = conv.split_integrals(nd.dense, args["block"], x)
+        whole = conv.self_conv_value(nd.dense, x)
+        rows.append(row(label, whole, {"i1": i1, "i2": i2,
+                                       "exact_partition": 2 * i1 + i2 == whole}))
+    return rows
+
+
+def _chi(row, config, args):
+    p = config.lp_params()
+    return [row(label, lp.chi(x, p)) for label, x in args["x"]]
+
+
+def _karamata_ratio(row, config, args):
+    p = config.lp_params()
+    return [row(label, lp.karamata_ratio(x, p)) for label, x in args["x"]]
+
+
+def _middle_integral(row, config, args):
+    p, h_exp = config.lp_params(), args["h_exp"]
+    return [row(f"k{k}", lp.middle_mass_ratio(lp.anchor(k), p, h_exp),
+                {"h_exp": h_exp})
+            for k in args["k_list"]]
+
+
+def _schedule(row, config, args):
+    sch = mx.build_schedule(config.m_max, config.precision_bits)
+    return [row(str(e.m), e.mass, {"n_m": e.n_m, "lower_bound": e.lower_bound})
+            for e in sch.entries]
+
+
+def _blowup(row, config, args):
+    pb = config.precision_bits
+    sch = mx.build_schedule(config.m_max, pb)
+    mix = mx.mixture_from_schedule(sch, notched.build_density(4, pb))
+    return probes.mixture_blowup_probe(mix, sch, config.d)
+
+
+@dataclass(frozen=True)
+class Probe:
+    name: str
+    constructions: tuple[str, ...]
+    # parameter -> (parser, default); a default may name the option n as
+    # {n} and an earlier parameter as {its name}
+    params: dict
+    rows: Callable[..., list[ProbeRow]]
+
+
+# `report <construction>` runs the probes that describe it, in this order.
+# A name may appear once per construction (almost_decrease_scan reads a
+# piecewise density and the log-periodic one differently).
+PROBES = (
+    Probe("knot_ratio_series", ("notched",), {"n_max": (_int, "40")},
+          _knot_ratio_series),
+    Probe("knot_scan", ("notched",), {"n_max": (_int, "40")}, _knot_scan),
+    Probe("long_tail_ratio", PIECEWISE,
+          {"x": (_points, "c{n}"), "t": (_rational, "1")}, _long_tail_ratio),
+    Probe("subexp_ratio", PIECEWISE, {"x": (_points, "c{n}")}, _subexp_ratio),
+    Probe("local_tail_ratio", PIECEWISE, {"x": (_points, "c{n}")},
+          _local_tail_ratio),
+    Probe("almost_decrease_scan", PIECEWISE, {"x0": (_rational, "0")},
+          _piecewise_scan),
+    Probe("i2_bound_check", ("notched",), {"n_list": (_ints, "5,10")},
+          _i2_bound_check),
+    Probe("split_integrals", ("notched",),
+          {"block": (_int, "{n}"), "x": (_points, "c{block}")}, _split_integrals),
+    Probe("chi", ("logperiodic",), {"x": (_points, "1")}, _chi),
+    Probe("almost_decrease_scan", ("logperiodic",), {"k_max": (_int, "8")},
+          _logperiodic_scan),
+    Probe("karamata_ratio", ("logperiodic",), {"x": (_points, "100,10000")},
+          _karamata_ratio),
+    Probe("middle_integral", ("logperiodic",),
+          {"h_exp": (_rational, "3/10"), "k_list": (_ints, "3,4,5,6")},
+          _middle_integral),
+    Probe("schedule", ("mixture",), {}, _schedule),
+    Probe("blowup", ("mixture",), {}, _blowup),
+)
+
+
+def _probe_help() -> str:
+    lines = ["probes (constructions: parameter=default; {n} is the option n):"]
+    for p in PROBES:
+        params = "".join(f" {k}={default}" for k, (_, default) in p.params.items())
+        lines.append(f"  {p.name:<22}{', '.join(p.constructions)}:{params}")
+    return "\n".join(lines)
+
+
+def _find_probe(name: str, construction: str) -> Probe:
+    named = [p for p in PROBES if p.name == name]
+    if not named:
+        valid = ", ".join(dict.fromkeys(p.name for p in PROBES))
+        raise UsageError(f"unknown probe {name!r}; valid probes: {valid}")
+    kind = "file:<path>" if construction.startswith("file:") else construction
+    for p in named:
+        if kind in p.constructions:
+            return p
+    accepted = ", ".join(c for p in named for c in p.constructions)
+    raise UsageError(f"probe {name} takes the construction {accepted}, "
+                     f"not {construction!r}")
+
+
+def _run_probes(config: RunConfig, selected: list[Probe], what: str) -> int:
+    """Check every parameter of the selected probes, then run them."""
+    known = {k for p in selected for k in p.params}
+    unknown = sorted(set(config.params) - known)
+    if unknown:
+        raise UsageError(f"unknown parameter(s) {', '.join(unknown)} for {what}")
+    parsed = []
+    for p in selected:
+        args: dict = {}
+        for key, (parse, default) in p.params.items():
+            text = (config.params[key] if key in config.params
+                    else default.format(n=config.n, **args))
+            args[key] = _parse(key, parse, text, config)
+        parsed.append((p, args))
+    rows = [r for p, args in parsed
+            for r in p.rows(partial(ProbeRow, p.name), config, args)]
     _write(config.out, probes.render_csv(rows))
     return 0
+
+
+def _cmd_probe(config: RunConfig, probe_name: str) -> int:
+    probe = _find_probe(probe_name, config.construction)
+    return _run_probes(config, [probe], f"probe {probe_name}")
+
+
+def _cmd_report(config: RunConfig) -> int:
+    name = config.construction
+    if name not in CONSTRUCTIONS:
+        raise UsageError(f"unknown construction {name!r}; "
+                         f"report takes one of {', '.join(CONSTRUCTIONS)}")
+    return _run_probes(config, [p for p in PROBES if name in p.constructions],
+                       f"report {name}")
 
 
 def _cmd_convolve(config: RunConfig, files: list[str]) -> int:
@@ -424,86 +455,69 @@ def _build_parser() -> argparse.ArgumentParser:
                     "counterexamples")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--construction", default=None,
-                       help="notched | logperiodic | mixture | file:<path>")
-        p.add_argument("--n", type=int, default=None,
-                       help="truncation index of the notched construction")
-        p.add_argument("--m-max", type=int, default=None, dest="m_max",
-                       help="number of blow-up schedule atoms")
-        p.add_argument("--precision-bits", type=int, default=None,
-                       dest="precision_bits")
-        p.add_argument("--alpha", default=None)
-        p.add_argument("--delta", default=None)
-        p.add_argument("--quad-tol", default=None, dest="quad_tol")
-        p.add_argument("--x-max", default=None, dest="x_max")
-        p.add_argument("--d", default=None, help="window width")
-        p.add_argument("--out", default=None, help="output path")
+    def command(name, help, **kwargs):
+        p = sub.add_parser(name, help=help, **kwargs)
+        for key in _command_options(name):
+            p.add_argument(_flag(key), dest=key, default=None,
+                           help=OPTIONS[key]["help"])
         p.add_argument("--config", default=None, help="flat key = value file")
+        return p
 
-    p_build = sub.add_parser("build", help="materialize a construction")
-    common(p_build)
-    p_build.add_argument("positional", nargs="*",
-                         help="construction name and key=value overrides")
-
-    p_probe = sub.add_parser("probe", help="run one probe, emit CSV")
-    common(p_probe)
-    p_probe.add_argument("positional", nargs="*",
-                         help="construction, probe name, key=value overrides")
-
-    p_conv = sub.add_parser("convolve", help="convolve piecewise files")
-    common(p_conv)
-    p_conv.add_argument("files", nargs="*", help="one or two piecewise files")
-
-    p_verify = sub.add_parser("verify", help="run the acceptance battery")
-    common(p_verify)
-
-    p_report = sub.add_parser("report", help="full probe battery as CSV")
-    common(p_report)
-    p_report.add_argument("positional", nargs="*",
-                          help="construction and key=value overrides")
+    command("build", "materialize a construction").add_argument(
+        "positional", nargs="*", help="construction name and key=value overrides")
+    command("probe", "run one probe, emit CSV", epilog=_probe_help(),
+            formatter_class=argparse.RawDescriptionHelpFormatter).add_argument(
+        "positional", nargs="*", help="construction, probe name, key=value overrides")
+    command("convolve", "convolve piecewise files").add_argument(
+        "files", nargs="*", help="one or two piecewise files")
+    command("verify", "run the acceptance battery")
+    command("report", "full probe battery as CSV").add_argument(
+        "positional", nargs="*", help="construction and key=value overrides")
     return parser
 
 
 def _config_from_args(args) -> tuple[RunConfig, list[str]]:
-    config = RunConfig()
-    if args.config:
-        _apply(config, _parse_config_file(args.config))
+    """Config file, then positional arguments, then flags; later sources win."""
+    allowed = _command_options(args.command)
+    values = _parse_config_file(args.config, allowed) if args.config else {}
     positional = list(getattr(args, "positional", []))
     names = [p for p in positional if "=" not in p]
-    pairs = [p for p in positional if "=" in p]
-    if len(names) > 2:
-        raise UsageError(f"too many positional names: {names}")
     if names:
-        config.construction = names[0]
-    _apply(config, _parse_kv_pairs(pairs))
-    for key in ("construction", "n", "m_max", "precision_bits", "alpha",
-                "delta", "quad_tol", "x_max", "d", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            _apply(config, {key: value})
-    return config, names
+        values["construction"] = names[0]
+    params: dict = {}
+    for item in positional:
+        if "=" in item:
+            key, _, text = item.partition("=")
+            key, text = key.strip().lower(), text.strip()
+            if key in OPTIONS:
+                values[key] = _parse(key, OPTIONS[key]["parse"], text)
+            else:
+                params[key] = text
+    for key in allowed:
+        text = getattr(args, key)
+        if text is not None:
+            values[key] = _parse(key, OPTIONS[key]["parse"], text)
+    return RunConfig(**values, params=params), names
 
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config, names = _config_from_args(args)
     _check_precision(config.precision_bits)
-    if args.command == "build":
-        config.reject_unread_params()
-        return _cmd_build(config)
     if args.command == "probe":
         if len(names) != 2:
             raise UsageError("probe needs a construction and a probe name, "
                              "e.g. 'tailkit probe notched knot_ratio_series'")
         return _cmd_probe(config, names[1])
-    if args.command == "convolve":
-        return _cmd_convolve(config, args.files)
-    if args.command == "verify":
-        return _cmd_verify(config)
+    if len(names) > 1:
+        raise UsageError(f"{args.command} takes one construction name, got {names}")
+    if args.command == "build":
+        return _cmd_build(config)
     if args.command == "report":
         return _cmd_report(config)
-    raise UsageError(f"unknown command {args.command!r}")
+    if args.command == "convolve":
+        return _cmd_convolve(config, args.files)
+    return _cmd_verify(config)
 
 
 def main(argv=None) -> int:

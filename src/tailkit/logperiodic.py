@@ -20,9 +20,10 @@ precision with round-to-nearest, so every value keeps the bits of the
 mpmath loads on first evaluation, not with this module.  Integrals carry
 an error budget and a certified analytic tail bound, and raise
 :class:`PrecisionFailure` rather than return a value that missed it, also
-when one piece stops at the depth cap.  :func:`normalizers` (whose three
-integrals share a panel) and :func:`middle_mass_ratio` (symmetric about
-``x/2``) keep chi per abscissa for one call: each is computed once.
+when one piece stops at the depth cap or the evaluation cap.
+:func:`normalizers` (whose three integrals share a panel) and
+:func:`middle_mass_ratio` (symmetric about ``x/2``) keep chi per abscissa
+for one call: each is computed once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from tailkit.numerics import LogValue, _snap_raw
 _WP = 192          # working precision (bits) for all evaluation
 _SNAP_BITS = 96    # precision of rationals snapped out of the floats
 _MAX_DEPTH = 52
+# integrand evaluations one integral may spend; the battery and the pinned
+# reports need at most 1,886, and a piece that cannot converge (chi at small
+# delta) would otherwise refine for minutes
+_MAX_EVALS = 1 << 15
 _RND = "n"         # round to nearest, mpmath's default rounding
 
 Raw = tuple        # libmp's raw mpf: (sign, mantissa, exponent, bitcount)
@@ -133,14 +138,16 @@ def _integrate(f: Callable[[Raw], Raw], points, rel_tol: Raw):
 
     The relative tolerance is taken against the coarse total magnitude and
     split across panels in proportion to their coarse share, so panels that
-    carry no mass are not refined.  A piece that reaches the depth cap above
-    its share of the budget raises :class:`PrecisionFailure`.
+    carry no mass are not refined.  A piece that reaches the depth cap, or
+    the evaluation cap, above its share of the budget raises
+    :class:`PrecisionFailure`.
     """
     from mpmath.libmp import (ftwo, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_gt,
                               mpf_le, mpf_mul, mpf_mul_int, mpf_pow_int, mpf_sub,
                               prec_to_dps, to_str)
     wp, rnd = _WP, _RND
     six, fifteen = from_int(6), from_int(15)
+    evals = 0
 
     def stalled(where, err, budget):
         rel = to_str(mpf_div(err, scale, wp, rnd), prec_to_dps(wp))
@@ -152,6 +159,8 @@ def _integrate(f: Callable[[Raw], Raw], points, rel_tol: Raw):
         return mpf_div(mpf_mul(mpf_sub(b, a, wp, rnd), weighted, wp, rnd), six, wp, rnd)
 
     def adapt(a, fa, m, fm, b, fb, whole, budget, depth):
+        nonlocal evals
+        evals += 2
         lm = mpf_div(mpf_add(a, m, wp, rnd), ftwo, wp, rnd)
         rm = mpf_div(mpf_add(m, b, wp, rnd), ftwo, wp, rnd)
         flm, frm = f(lm), f(rm)
@@ -165,6 +174,9 @@ def _integrate(f: Callable[[Raw], Raw], points, rel_tol: Raw):
         if depth >= _MAX_DEPTH:
             raise stalled(f" at depth {depth}, x = {to_str(a, 6)}, width "
                           f"{to_str(mpf_sub(b, a, wp, rnd), 6)}", err, budget)
+        if evals >= _MAX_EVALS:
+            raise stalled(f" after {evals} evaluations, x = {to_str(a, 6)}",
+                          err, budget)
         half = mpf_div(budget, ftwo, wp, rnd)
         lv, le = adapt(a, fa, lm, flm, m, fm, left, half, depth + 1)
         rv, re = adapt(m, fm, rm, frm, b, fb, right, half, depth + 1)
@@ -176,6 +188,7 @@ def _integrate(f: Callable[[Raw], Raw], points, rel_tol: Raw):
             continue
         m = mpf_div(mpf_add(a, b, wp, rnd), ftwo, wp, rnd)
         fa, fm, fb = f(a), f(m), f(b)
+        evals += 3
         panels.append((a, fa, m, fm, b, fb, simpson(fa, fm, fb, a, b)))
     if not panels:
         return fzero, fzero

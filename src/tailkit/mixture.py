@@ -151,13 +151,6 @@ def build_schedule(m_max: int,
                           precision_bits=precision_bits)
 
 
-def blowup_lower_bound(schedule: BlowupSchedule, m: int) -> Fraction:
-    """c * L(n_m)**(1/6): the diverging lower bound for row m."""
-    if not 1 <= m <= schedule.m_max:
-        raise ValueError(f"m={m} is outside the schedule (m_max={schedule.m_max})")
-    return schedule.entries[m - 1].lower_bound
-
-
 def atom_list(schedule: BlowupSchedule) -> AtomList:
     atoms = tuple((e.value, e.mass) for e in schedule.entries)
     return AtomList(atoms=atoms, residual=(RESIDUAL_VALUE, schedule.residual_mass))

@@ -231,22 +231,3 @@ def build_density(truncation_n: int,
     return NotchedDensity(truncation_n=n_top, dense=from_linear_knots(knots),
                           precision_bits=precision_bits,
                           prefix_masses=tuple(prefix_masses))
-
-
-def slope_value_separation(nd: NotchedDensity, n: int) -> Fraction:
-    """max over the three segments of block n of |slope| / inf f0.
-
-    Finite-n restatement of the slope-versus-value separation: this ratio
-    is finite at every n and decreasing from n=5 on.
-    """
-    nd.check_block(n)
-    pb, dl = nd.precision_bits, max(DENSE_LIMIT, nd.truncation_n + 1)
-    pts = [knot_position("a", n, pb, dl), knot_position("b", n, pb, dl),
-           knot_position("c", n, pb, dl), a_position(n + 1)]
-    vals = [knot_value("a", n, pb, dl), knot_value("b", n, pb, dl),
-            knot_value("c", n, pb, dl), knot_value("a", n + 1, pb, dl)]
-    worst = Fraction(0)
-    for (x0, x1, f0, f1) in zip(pts, pts[1:], vals, vals[1:]):
-        slope = abs((f1 - f0) / (x1 - x0))
-        worst = max(worst, slope / min(f0, f1))
-    return worst

@@ -39,7 +39,7 @@ MIN_PRECISION = 32
 _GUARD = 64
 
 # Beyond this many bits of log2-magnitude a dense rational would not fit
-# in memory; LogValue.to_rational refuses to materialize it.
+# in memory; exp2_snap refuses to materialize it.
 _MATERIALIZE_LIMIT = 4_000_000
 
 
@@ -100,7 +100,8 @@ def exp2_snap(q: Fraction, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
     """2**q for rational q, correct to ~2**-precision_bits relative error.
 
     The integer part of q is applied as an exact power of two, so exact
-    integer exponents round-trip exactly.
+    integer exponents round-trip exactly.  No command calls it; it stays
+    because ``perfbench/tracer.py`` reads its cache statistics.
     """
     _check_precision(precision_bits)
     q = Fraction(q)
@@ -184,118 +185,14 @@ class LogValue:
     """A signed scalar stored as log2 of its absolute value.
 
     ``sign`` is -1, 0 or +1; ``log2mag`` is ignored (and kept at 0) when the
-    sign is 0.  ``precision_loss`` marks values whose digits were partly
-    destroyed by a near-cancelling opposite-sign addition; it propagates
-    through every later operation.
+    sign is 0.
     """
 
     sign: int
     log2mag: Fraction = Fraction(0)
-    precision_loss: bool = False
 
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
         object.__setattr__(self, "log2mag",
                            Fraction(0) if self.sign == 0 else Fraction(self.log2mag))
-
-    @staticmethod
-    def zero() -> "LogValue":
-        return LogValue(0)
-
-    @staticmethod
-    def pow2(exponent) -> "LogValue":
-        """The exact value 2**exponent."""
-        return LogValue(1, Fraction(exponent))
-
-    @staticmethod
-    def from_rational(q: Fraction,
-                      precision_bits: int = DEFAULT_PRECISION) -> "LogValue":
-        q = Fraction(q)
-        if q == 0:
-            return LogValue(0)
-        sign = 1 if q > 0 else -1
-        return LogValue(sign, log2_snap(abs(q), precision_bits))
-
-    def to_rational(self, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
-        if self.sign == 0:
-            return Fraction(0)
-        return self.sign * exp2_snap(self.log2mag, precision_bits)
-
-    def __str__(self):
-        if self.sign == 0:
-            return "zero"
-        prefix = "" if self.sign > 0 else "-"
-        return f"{prefix}2^({self.log2mag})"
-
-
-def lv_mul(u: LogValue, v: LogValue) -> LogValue:
-    """Exact product: signs multiply, log-magnitudes add."""
-    if u.sign == 0 or v.sign == 0:
-        return LogValue(0, precision_loss=u.precision_loss or v.precision_loss)
-    return LogValue(u.sign * v.sign, u.log2mag + v.log2mag,
-                    u.precision_loss or v.precision_loss)
-
-
-@lru_cache(maxsize=None)
-def _log2_one_plus_pow2(delta: Fraction, precision_bits: int) -> Fraction:
-    """log2(1 + 2**delta) for delta <= 0, snapped."""
-    if delta > 0:
-        raise ValueError("delta must be <= 0")
-    if delta == 0:
-        return Fraction(1)
-    if delta <= -(precision_bits + 2):
-        return Fraction(0)
-    t = exp2_snap(delta, precision_bits + 32)
-    return log2_snap(1 + t, precision_bits)
-
-
-@lru_cache(maxsize=None)
-def _log2_one_minus_pow2(delta: Fraction, precision_bits: int) -> tuple[Fraction, bool]:
-    """(log2(1 - 2**delta), cancellation flag) for delta < 0."""
-    if delta >= 0:
-        raise ValueError("delta must be < 0")
-    if delta <= -(precision_bits + 2):
-        return Fraction(0), False
-    t = exp2_snap(delta, precision_bits + 32)
-    rel = 1 - t
-    lost = rel < Fraction(1, 1 << (precision_bits // 2))
-    return log2_snap(rel, precision_bits), lost
-
-
-def lv_add(u: LogValue, v: LogValue,
-           precision_bits: int = DEFAULT_PRECISION) -> LogValue:
-    """Sum via the factored form max * (1 + 2**(min-max)).
-
-    The raw magnitudes are never materialized.  For same-sign inputs the
-    result magnitude is >= the larger input magnitude.  Opposite-sign inputs
-    whose relative difference falls below 2**(-precision_bits/2) return with
-    ``precision_loss`` set instead of silently reporting cancelled digits.
-    """
-    _check_precision(precision_bits)
-    flags = u.precision_loss or v.precision_loss
-    if u.sign == 0:
-        return LogValue(v.sign, v.log2mag, flags)
-    if v.sign == 0:
-        return LogValue(u.sign, u.log2mag, flags)
-    hi, lo = (u, v) if u.log2mag >= v.log2mag else (v, u)
-    delta = lo.log2mag - hi.log2mag
-    if u.sign == v.sign:
-        corr = _log2_one_plus_pow2(delta, precision_bits)
-        return LogValue(u.sign, hi.log2mag + corr, flags)
-    if delta == 0:
-        return LogValue(0, precision_loss=flags)
-    corr, lost = _log2_one_minus_pow2(delta, precision_bits)
-    return LogValue(hi.sign, hi.log2mag + corr, flags or lost)
-
-
-def lv_cmp(u: LogValue, v: LogValue) -> int:
-    """Compare the represented real values: -1, 0 or +1."""
-    if u.sign != v.sign:
-        return -1 if u.sign < v.sign else 1
-    if u.sign == 0:
-        return 0
-    if u.log2mag == v.log2mag:
-        return 0
-    bigger_mag = 1 if u.log2mag > v.log2mag else -1
-    return bigger_mag * u.sign

@@ -1,4 +1,6 @@
 import hashlib
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -58,8 +60,11 @@ class TestBuild:
         assert csv[0] == "m,n_m,mass,log2_f_b,lower_bound"
         assert len(csv) == 5
 
-    def test_unknown_construction(self, tmp_path):
+    def test_unknown_construction(self, tmp_path, capsys):
         assert run_cli("build", "wavelet", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "notched, logperiodic, mixture" in err
+        assert "file:" not in err  # build has no file construction
 
     def test_unreachable_quadrature_budget_is_exit_3(self, tmp_path, capsys):
         # a tiny explicit cutoff leaves a certified tail above the budget
@@ -89,6 +94,12 @@ class TestConfig:
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run_cli("build", "--config", str(tmp_path / "nope.cfg")) == 2
+
+    def test_key_the_command_does_not_read_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("precision_bits = 256\ndelta = 1/8\n")
+        assert run_cli("verify", "--config", str(cfg)) == 2
+        assert "run.cfg:2" in capsys.readouterr().err
 
     def test_zero_denominator_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -150,6 +161,45 @@ class TestProbeCommand:
                        "n_list=5,12") == 2
         assert "block 12 is not materialized" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("construction, probe, accepted", [
+        ("file:{tri}", "split_integrals", "notched"),
+        ("file:{tri}", "i2_bound_check", "notched"),
+        ("file:{tri}", "knot_scan", "notched"),
+        ("wavelet", "knot_ratio_series", "notched"),
+        ("mixture", "chi", "logperiodic"),
+        ("logperiodic", "long_tail_ratio", "notched, file:<path>"),
+    ])
+    def test_probe_on_a_construction_it_does_not_describe(
+            self, construction, probe, accepted, tmp_path, capsys):
+        tri = tmp_path / "tri.pw"
+        from tailkit.piecewise import dump_text
+        tri.write_text(dump_text(from_linear_knots([(0, 0), (1, 1), (2, 0)])))
+        out = tmp_path / "out.csv"
+        assert run_cli("probe", construction.format(tri=tri), probe, "n=2",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"probe {probe} takes the construction {accepted}," in err
+        assert not out.exists()
+
+    def test_help_lists_every_probe(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            run_cli("probe", "--help")
+        assert done.value.code == 0
+        listing = capsys.readouterr().out
+        for p in cli.PROBES:
+            assert f"  {p.name} " in listing
+        assert "logperiodic: k_max=8" in listing
+
+    def test_parameters_checked_before_any_probe_runs(self, monkeypatch,
+                                                      capsys):
+        # n_list belongs to i2_bound_check, the seventh probe of the report
+        ran = []
+        monkeypatch.setattr(cli.probes, "knot_ratio_series",
+                            lambda *args: ran.append(args) or [])
+        assert run_cli("report", "notched", "n_list=5,x") == 2
+        assert "bad value for n_list" in capsys.readouterr().err
+        assert ran == []
+
     def test_karamata_past_the_depth_cap_is_exit_3(self, capsys):
         assert run_cli("probe", "logperiodic", "karamata_ratio", "x=1e28") == 0
         assert capsys.readouterr().out.splitlines()[1] == (
@@ -158,6 +208,16 @@ class TestProbeCommand:
         assert run_cli("probe", "logperiodic", "karamata_ratio", "x=1e30") == 3
         captured = capsys.readouterr()
         assert "quadrature stalled at depth 52" in captured.err
+        assert "karamata_ratio" not in captured.out
+
+    def test_quadrature_past_the_evaluation_cap_is_exit_3(self, monkeypatch,
+                                                          capsys):
+        monkeypatch.setattr(cli.lp, "_MAX_EVALS", 64)
+        assert run_cli("probe", "logperiodic", "karamata_ratio", "x=100") == 3
+        captured = capsys.readouterr()
+        spent = re.search(r"quadrature stalled after (\d+) evaluations",
+                          captured.err)
+        assert spent and 64 <= int(spent.group(1)) < 70
         assert "karamata_ratio" not in captured.out
 
     def test_blowup_probe(self, tmp_path):
@@ -327,6 +387,17 @@ class TestVerify:
         stdout = capsys.readouterr().out
         assert "PASS 12_determinism" in stdout
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--delta", "1/8"),
+        ("verify", "--n", "3"),
+        ("convolve", "f.pw", "--construction", "notched"),
+    ])
+    def test_option_the_command_does_not_read_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as done:
+            run_cli(*argv)
+        assert done.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_invalid_precision_is_usage_error(self, capsys):
         assert run_cli("verify", "--precision-bits", "0") == 2
         captured = capsys.readouterr()
@@ -395,3 +466,20 @@ class TestImportStructure:
                               text=True, cwd="/", env=child_env())
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+def readme_cli_lines():
+    """The `tailkit ...` lines of README's CLI block, comments dropped."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line.split("#")[0])[1:]
+            for line in block.splitlines() if line.startswith("tailkit ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # the verify example is pinned by TestVerify
+    lines = [argv for argv in readme_cli_lines() if argv[0] != "verify"]
+    assert len(lines) == 9
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert run_cli(*argv) == 0, (argv, capsys.readouterr().err)

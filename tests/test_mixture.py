@@ -52,12 +52,6 @@ class TestBuildSchedule:
         assert lbs[0] == sch.c * root_snap(log_nat(2), 6, 256)
         # L(n_2) = ln(8886111) ~ 16: second bound ~ c * 16**(1/6) ~ c * 1.5874
         assert abs(float(lbs[1] / sch.c) - 1.5874) < 1e-3
-        assert mx.blowup_lower_bound(sch, 2) == lbs[1]
-
-    def test_lower_bound_range_check(self):
-        sch = mx.build_schedule(2)
-        with pytest.raises(ValueError):
-            mx.blowup_lower_bound(sch, 3)
 
     def test_first_atom_position(self):
         sch = mx.build_schedule(1)

@@ -197,13 +197,3 @@ class TestThresholds:
     def test_n1_unsupported(self):
         with pytest.raises(ValueError):
             notched.threshold_knots(1)
-
-
-class TestSlopeSeparation:
-    def test_decreasing_from_5(self, nd10):
-        vals = [notched.slope_value_separation(nd10, n) for n in range(5, 11)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_finite_everywhere(self, nd10):
-        for n in range(1, 11):
-            assert notched.slope_value_separation(nd10, n) > 0

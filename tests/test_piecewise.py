@@ -132,10 +132,6 @@ class TestIntegral:
         mass = f.interval_mass(x, 1)
         assert abs(mass / f.eval(x) - 1) < Fraction(1, 100)
 
-    def test_tail_mass(self):
-        assert TRIANGLE.tail_mass(1) == Fraction(1, 2)
-        assert TRIANGLE.tail_mass(2) == 0
-
 
 class TestNormalize:
     def test_triangle_unchanged(self):
