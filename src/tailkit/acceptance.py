@@ -132,6 +132,19 @@ def _simpson_adaptive(f, a, b, tol, depth=0):
     return recurse(a, fa, m, fm, b, fb, whole, tol, depth)
 
 
+def _sum_left(values) -> float:
+    """Float sum, added left to right from 0.0.
+
+    The built-in ``sum`` is compensated from Python 3.12 on, so it would
+    make the oracle's figures, and the battery's bytes, depend on the
+    Python version.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _conv_quad_oracle(p: PiecewisePoly, x: Fraction, rel_tol: float) -> float:
     """Float adaptive-Simpson value of (p*p)(x): independent of the kernel."""
     f = _float_eval(p)
@@ -149,11 +162,11 @@ def _conv_quad_oracle(p: PiecewisePoly, x: Fraction, rel_tol: float) -> float:
         if y0 < rf < y1:
             cuts.append(rf)
     cuts = sorted(set(cuts))
-    coarse = sum(abs(_simpson_adaptive(lambda y: f(xf - y) * f(y), a, b, 1.0))
-                 for a, b in zip(cuts, cuts[1:]))
+    coarse = _sum_left(abs(_simpson_adaptive(lambda y: f(xf - y) * f(y), a, b, 1.0))
+                       for a, b in zip(cuts, cuts[1:]))
     budget = rel_tol * max(coarse, 1e-300) / max(len(cuts) - 1, 1)
-    return sum(_simpson_adaptive(lambda y: f(xf - y) * f(y), a, b, budget)
-               for a, b in zip(cuts, cuts[1:]))
+    return _sum_left(_simpson_adaptive(lambda y: f(xf - y) * f(y), a, b, budget)
+                     for a, b in zip(cuts, cuts[1:]))
 
 
 # ------------------------------- checks -------------------------------

@@ -211,6 +211,8 @@ def _points(text: str, config: RunConfig) -> list[tuple[str, Fraction]]:
                 label[0], int(label[1:]), config.precision_bits)))
         elif label:
             points.append((label, Fraction(label)))
+    if not points:
+        raise ValueError("no points")
     return points
 
 

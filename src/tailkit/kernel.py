@@ -39,66 +39,19 @@ function values, where an antiderivative in ``y`` would difference cubes of
 ``y``.  The cell values are added in a balanced tree, so each addition
 meets operands of like size.  When P and Q are the same lists and the
 clipped window is symmetric about ``x/2``, so is the integrand: the walk
-stops at ``x/2`` and the result is doubled.  Its rationals travel through
-the hot loop as plain ``(num, den)`` int pairs (den > 0, gcd-reduced) to
-avoid per-operation Fraction overhead; Fractions appear only at the API
-boundary.
+stops at ``x/2`` and the result is doubled.
+
+Both routes compute on ``fractions.Fraction``: inputs are converted once
+at the boundary, and every intermediate is an exact, reduced rational.
 """
 
 from fractions import Fraction
-from functools import cmp_to_key
-from math import gcd
-
-_ZERO = (0, 1)
-
-
-def _add(a, b):
-    """a + b, with gcds taken on denominator-sized numbers (Knuth 4.5.1)."""
-    an, ad = a
-    bn, bd = b
-    g = gcd(ad, bd)
-    s = ad // g
-    n = an * (bd // g) + bn * s
-    if n == 0:
-        return _ZERO
-    g2 = gcd(n, g)
-    return n // g2, s * (bd // g2)
-
-
-def _sub(a, b):
-    return _add(a, (-b[0], b[1]))
-
-
-def _mul(a, b):
-    an, ad = a
-    bn, bd = b
-    if an == 0 or bn == 0:
-        return _ZERO
-    g1 = gcd(an, bd)
-    g2 = gcd(bn, ad)
-    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
-
-
-def _cmp(a, b):
-    v = a[0] * b[1] - b[0] * a[1]
-    return (v > 0) - (v < 0)
-
-
-_by_value = cmp_to_key(_cmp)
-
-
-def _pairs(values):
-    out = []
-    for v in values:
-        f = Fraction(v)
-        out.append((f.numerator, f.denominator))
-    return out
 
 
 def _balanced_sum(values):
-    """Sum of int pairs, added pairwise so that operands stay of like size."""
+    """Sum added pairwise, so that operands stay of like size."""
     while len(values) > 1:
-        paired = [_add(a, b) for a, b in zip(values[::2], values[1::2])]
+        paired = [a + b for a, b in zip(values[::2], values[1::2])]
         if len(values) % 2:
             paired.append(values[-1])
         values = paired
@@ -113,61 +66,61 @@ def conv_point(p_breaks, p_c0, p_c1, q_breaks, q_c0, q_c1, x, y_lo, y_hi):
     lists for P and Q declares the operands identical.
     """
     same = p_breaks is q_breaks and p_c0 is q_c0 and p_c1 is q_c1
-    sb, pc0, pc1 = _pairs(p_breaks), _pairs(p_c0), _pairs(p_c1)
+    sb, pc0, pc1 = [[Fraction(v) for v in vs] for vs in (p_breaks, p_c0, p_c1)]
     if same:
         tb, qc0, qc1 = sb, pc0, pc1
     else:
-        tb, qc0, qc1 = _pairs(q_breaks), _pairs(q_c0), _pairs(q_c1)
-    xp, lo, hi = _pairs([x, y_lo, y_hi])
+        tb, qc0, qc1 = [[Fraction(v) for v in vs]
+                        for vs in (q_breaks, q_c0, q_c1)]
+    x, lo, hi = Fraction(x), Fraction(y_lo), Fraction(y_hi)
 
-    wlo = max(lo, tb[0], _sub(xp, sb[-1]), key=_by_value)
-    whi = min(hi, tb[-1], _sub(xp, sb[0]), key=_by_value)
-    if _cmp(whi, wlo) <= 0:
+    wlo = max(lo, tb[0], x - sb[-1])
+    whi = min(hi, tb[-1], x - sb[0])
+    if whi <= wlo:
         return Fraction(0)
     # P(x-y) P(y) is symmetric about y = x/2: on a window symmetric about
     # x/2, integrate its lower half and double
-    double = same and _add(wlo, whi) == xp
+    double = same and wlo + whi == x
     if double:
-        whi = _mul(xp, (1, 2))
-
-    def p_at(i, y):
-        return _add(pc0[i], _mul(pc1[i], _sub(_sub(xp, y), sb[i])))
-
-    def q_at(j, y):
-        return _add(qc0[j], _mul(qc1[j], _sub(y, tb[j])))
+        whi = x / 2
 
     # the cell [u, v] lies in Q's segment j, (tb[j], tb[j+1]), and in P's
-    # segment i, which covers y in (x - sb[i+1], x - sb[i])
+    # segment i, which covers y in (x - sb[i+1], r) with r = x - sb[i]; r is
+    # the next cut, and P(x - y) = pc0[i] + pc1[i] * (r - y)
     j = 0
-    while _cmp(tb[j + 1], wlo) <= 0:
+    while tb[j + 1] <= wlo:
         j += 1
     i = len(sb) - 2
-    while _cmp(_sub(xp, sb[i]), wlo) <= 0:
+    r = x - sb[i]
+    while r <= wlo:
         i -= 1
-    u, a_u, b_u = wlo, p_at(i, wlo), q_at(j, wlo)
+        r = x - sb[i]
+    u = wlo
+    a_u = pc0[i] + pc1[i] * (r - u)
+    b_u = qc0[j] + qc1[j] * (u - tb[j])
     cells = []
     while True:
         q_next = tb[j + 1]
-        p_next = _sub(xp, sb[i])
-        v = min(whi, q_next, p_next, key=_by_value)
-        a_v, b_v = p_at(i, v), q_at(j, v)
+        v = min(whi, q_next, r)
+        a_v = pc0[i] + pc1[i] * (r - v)
+        b_v = qc0[j] + qc1[j] * (v - tb[j])
         # h * (2 A_u B_u + A_u B_v + A_v B_u + 2 A_v B_v), the /6 comes last
-        s = _add(_mul(a_u, _add(_add(b_u, b_u), b_v)),
-                 _mul(a_v, _add(b_u, _add(b_v, b_v))))
-        cells.append(_mul(_sub(v, u), s))
+        cells.append((v - u) * (a_u * (b_u + b_u + b_v)
+                                + a_v * (b_u + b_v + b_v)))
         if v == whi:
             break
         # past a breakpoint, the next cell starts from the next segment's
         # limit, which differs from this one's at a jump
         if v == q_next:
             j += 1
-            b_v = q_at(j, v)
-        if v == p_next:
+            b_v = qc0[j] + qc1[j] * (v - tb[j])
+        if v == r:
             i -= 1
-            a_v = p_at(i, v)
+            r = x - sb[i]
+            a_v = pc0[i] + pc1[i] * (r - v)
         u, a_u, b_u = v, a_v, b_v
-    num, den = _balanced_sum(cells)
-    return Fraction(2 * num if double else num, 6 * den)
+    total = _balanced_sum(cells)
+    return (total + total if double else total) / 6
 
 
 # ------------------------- dense convolution -------------------------

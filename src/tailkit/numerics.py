@@ -2,18 +2,17 @@
 
 Two kinds of scalar live here:
 
-* exact rationals (``fractions.Fraction``, aliased ``Real``) for every
-  quantity that is rational by construction, and
+* exact rationals (``fractions.Fraction``) for every quantity that is
+  rational by construction, and
 * :class:`LogValue`, a signed base-2 log-magnitude scalar for quantities
   like ``2**(-3*n*n)`` at indices where a dense rational is impossible.
 
 Transcendental constants are never used symbolically.  Each one is
 "snapped": evaluated once at a requested precision, rounded to a dyadic
-rational (or, for ``log_nat``, cached per ``(n, precision_bits)``), and
-reused verbatim everywhere downstream.  Snapping trades transcendental
-fidelity for exactness: identities that are structural in the constant
-(for instance a ratio that equals ``log_nat(n)`` by construction) then
-hold exactly in rational arithmetic.
+rational, and reused verbatim everywhere downstream.  Snapping trades
+transcendental fidelity for exactness: identities that are structural in
+the constant (for instance a ratio that equals ``log_nat(n)`` by
+construction) then hold exactly in rational arithmetic.
 
 All snap functions are deterministic: identical arguments give
 bit-identical rationals, and results are cached with idempotent inserts,
@@ -31,8 +30,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from mpmath import mpf
-
-Real = Fraction
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 32
@@ -158,24 +155,18 @@ def root_snap(q: Fraction, k: int, precision_bits: int = DEFAULT_PRECISION) -> F
     return Fraction(t, 1 << shift)
 
 
-_LOG_NAT_CACHE: dict = {}
-
-
 def log_nat(n: int, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
     """The snapped constant for ln(n+1).
 
-    Computed once per (n, precision_bits) and reused for every downstream
-    occurrence of ln(n+1), so in-artifact identities built from it hold
-    exactly.  |result - ln(n+1)| <= 2**-precision_bits.
+    ``ln_snap(n + 1)``: computed once per (n, precision_bits) by its cache
+    and reused for every downstream occurrence of ln(n+1), so in-artifact
+    identities built from it hold exactly.
+    |result - ln(n+1)| <= 2**-precision_bits.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     _check_precision(precision_bits)
-    key = (n, precision_bits)
-    try:
-        return _LOG_NAT_CACHE[key]
-    except KeyError:
-        return _LOG_NAT_CACHE.setdefault(key, ln_snap(Fraction(n + 1), precision_bits))
+    return ln_snap(Fraction(n + 1), precision_bits)
 
 
 # ----------------------------- LogValue -----------------------------

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-DEGREE_CAP = 3
-
 
 @dataclass(frozen=True)
 class Knot:

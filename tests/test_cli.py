@@ -149,11 +149,15 @@ class TestProbeCommand:
         ("probe", "notched", "local_tail_ratio", "--d", "1/0"),
         ("probe", "notched", "long_tail_ratio", "t=1/0"),
         ("build", "logperiodic", "--delta", "1/0"),
+        # an empty point list, which would give a CSV of the header alone
+        ("probe", "notched", "subexp_ratio", "x="),
+        ("probe", "notched", "subexp_ratio", "x=,"),
     ])
     def test_zero_denominator_is_usage_error(self, argv, tmp_path, capsys):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
-        assert "usage error" in err and "1/0" in err
+        # the error quotes the bad value
+        assert "usage error" in err and repr(argv[-1].split("=")[-1]) in err
         assert not (tmp_path / "out").exists()
 
     def test_i2_bound_check_rejects_block_outside_truncation(self, capsys):

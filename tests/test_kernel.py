@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailkit import convolution as conv
+from tailkit import kernel
 from tailkit.piecewise import (PiecewisePoly, dump_text, from_linear_knots,
                                load_text)
 
@@ -76,6 +77,16 @@ class TestTextbookCases:
     def test_out_of_domain_point(self):
         with pytest.raises(ValueError):
             conv.self_conv_value(UNIFORM, 3)
+
+    @pytest.mark.parametrize("x, want", [(1, 1), (Fraction(1, 2), Fraction(1, 2))])
+    @pytest.mark.parametrize("same", [True, False])
+    def test_point_kernel_on_plain_ints_is_exact(self, x, want, same):
+        # int breakpoints, coefficients and window, and an int x where it is
+        # whole: neither the halving at x/2 nor the final /6 may give a float
+        breaks, c0, c1 = [0, 1], [1], [0]
+        q = (breaks, c0, c1) if same else (list(breaks), list(c0), list(c1))
+        got = kernel.conv_point(breaks, c0, c1, *q, x, 0, 1)
+        assert type(got) is Fraction and got == want
 
 
 class TestProperties:
