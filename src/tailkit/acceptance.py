@@ -414,11 +414,13 @@ _SUITE_BUDGET = 900.0
 
 
 def run_all(precision_bits: int = DEFAULT_PRECISION) -> list[CheckResult]:
-    """Run every acceptance check plus the determinism criterion.
+    """Run every acceptance check plus the in-process determinism check.
 
     The determinism check renders the probe rows of all other checks twice
-    and demands identical bytes, then verifies the whole suite fit its
-    15-minute budget.
+    in this process and demands identical bytes, then verifies the whole
+    suite fit its 15-minute budget.  It does not compare across processes:
+    Tier-1's ``test_acceptance_csv_deterministic`` does, against a fresh
+    process under another hash seed.
     """
     ctx = _Context(precision_bits)
     results = []

@@ -133,35 +133,46 @@ def almost_decrease_scan(p: PiecewisePoly, x0=0) -> ScanResult:
     return ScanResult(best, decimal_str(best_pair[0]), decimal_str(best_pair[1]))
 
 
+def _max_rise(points) -> tuple[Fraction, object, object]:
+    """Largest rise log2(f(y)) - log2(f(x)) over ordered pairs x <= y.
+
+    ``points`` yields (label, log2) in scan order.  Returns the rise and the
+    labels of its low and high ends; a strictly lower value moves the
+    running minimum and a strictly larger rise replaces the best, so ties
+    keep the earliest labels.
+    """
+    best = min_log = None
+    for label, log2 in points:
+        if min_log is None or log2 < min_log:
+            min_log, min_label = log2, label
+        diff = log2 - min_log
+        if best is None or diff > best:
+            best, low, high = diff, min_label, label
+    return best, low, high
+
+
 def notched_knot_scan(n_max: int,
-                      precision_bits: int = DEFAULT_PRECISION,
-                      n_start: int = 1) -> ScanResult:
+                      precision_bits: int = DEFAULT_PRECISION) -> ScanResult:
     """Symbolic knot scan of the notched construction out to block n_max.
 
     Works on log2 values, so n_max may exceed any dense limit.  The b->c
     rise inside each block realizes the ratio L_n, so the supremum over a
     horizon is L_{n_max}, attained at (b_{n_max}, c_{n_max}).
     """
-    if n_max < n_start or n_start < 1:
-        raise ValueError(f"empty scan range [{n_start}, {n_max}]")
-    best: Optional[Fraction] = None
-    best_pair = ("", "")
-    min_log: Optional[Fraction] = None
-    min_label = ""
-    for n in range(n_start, n_max + 1):
-        for kind in ("a", "b", "c"):
-            lv = notched.knot_logf(kind, n, precision_bits)
-            label = f"{kind}{n}"
-            if min_log is None or lv.log2mag < min_log:
-                min_log, min_label = lv.log2mag, label
-            diff = lv.log2mag - min_log
-            if best is None or diff > best:
-                best, best_pair = diff, (min_label, label)
-    return ScanResult(LogValue(1, best), best_pair[0], best_pair[1])
+    if n_max < 1:
+        raise ValueError(f"empty scan range [1, {n_max}]")
+    best, low, high = _max_rise(
+        (f"{kind}{n}", notched.knot_logf(kind, n, precision_bits).log2mag)
+        for n in range(1, n_max + 1) for kind in ("a", "b", "c"))
+    return ScanResult(LogValue(1, best), low, high)
 
 
-def logperiodic_scan(p: lp.LogPeriodicParams, k_max: int,
-                     points_per_period: int = 8) -> tuple[ScanResult, list[ProbeRow]]:
+# grid points per period e^pi of the log-periodic scan
+POINTS_PER_PERIOD = 8
+
+
+def logperiodic_scan(p: lp.LogPeriodicParams,
+                     k_max: int) -> tuple[ScanResult, list[ProbeRow]]:
     """Grid scan of the log-periodic density up to the k_max-th anchor.
 
     Returns the supremum ratio over ordered grid pairs plus one row per
@@ -174,26 +185,12 @@ def logperiodic_scan(p: lp.LogPeriodicParams, k_max: int,
         raise ValueError("k_max must be at least 1")
     import mpmath
     with mpmath.workprec(lp._WP):
-        grid = []
-        steps = k_max * points_per_period
-        for j in range(steps + 1):
-            x = _snap(mpmath.exp(mpmath.pi * j / points_per_period) - 1, 64)
-            grid.append(x)
-    logs = [(x, lp.density_log(x, p)) for x in grid]
-    best: Optional[Fraction] = None
-    best_pair = (Fraction(0), Fraction(0))
-    min_log: Optional[Fraction] = None
-    min_at = Fraction(0)
-    for x, lv in logs:
-        if min_log is None or lv.log2mag < min_log:
-            min_log, min_at = lv.log2mag, x
-        diff = lv.log2mag - min_log
-        if best is None or diff > best:
-            best, best_pair = diff, (min_at, x)
+        grid = [_snap(mpmath.exp(mpmath.pi * j / POINTS_PER_PERIOD) - 1, 64)
+                for j in range(k_max * POINTS_PER_PERIOD + 1)]
+    best, low, high = _max_rise((x, lp.density_log(x, p).log2mag)
+                                for x in grid)
     rows = []
     for k in range(0, k_max, 2):
-        if k + 1 > k_max:
-            break
         even = lp.density_log(lp.anchor(k), p)
         odd = lp.density_log(lp.anchor(k + 1), p)
         rows.append(ProbeRow(
@@ -202,8 +199,7 @@ def logperiodic_scan(p: lp.LogPeriodicParams, k_max: int,
             aux={"later_over_earlier_log2": decimal_str(odd.log2mag - even.log2mag),
                  "earlier_over_later_log2": decimal_str(even.log2mag - odd.log2mag),
                  "growing_direction": "later" if odd.log2mag > even.log2mag else "earlier"}))
-    scan = ScanResult(LogValue(1, best), decimal_str(best_pair[0]),
-                      decimal_str(best_pair[1]))
+    scan = ScanResult(LogValue(1, best), decimal_str(low), decimal_str(high))
     return scan, rows
 
 

@@ -1,4 +1,4 @@
-"""Convolution kernel properties.
+"""Exact convolution properties.
 
 The dense sweep and the single-point evaluator are two independent exact
 routes to the same integral, so they must agree to the last bit.
@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailkit import convolution as conv
-from tailkit import kernel
 from tailkit.piecewise import (PiecewisePoly, dump_text, from_linear_knots,
                                load_text)
 
@@ -73,6 +72,12 @@ class TestTextbookCases:
                               ((Fraction(0), Fraction(0), Fraction(0), Fraction(1)),))
         with pytest.raises(ValueError):
             conv.conv_linear_exact(cubic, cubic)
+        # distinct operands: each one is checked, in either argument order
+        for p, q in ((cubic, UNIFORM), (UNIFORM, cubic)):
+            with pytest.raises(ValueError, match="piecewise linear"):
+                conv.conv_linear_exact(p, q)
+            with pytest.raises(ValueError, match="piecewise linear"):
+                conv.conv_window_value(p, q, Fraction(1, 2), 0, 1)
 
     def test_out_of_domain_point(self):
         with pytest.raises(ValueError):
@@ -83,9 +88,9 @@ class TestTextbookCases:
     def test_point_kernel_on_plain_ints_is_exact(self, x, want, same):
         # int breakpoints, coefficients and window, and an int x where it is
         # whole: neither the halving at x/2 nor the final /6 may give a float
-        breaks, c0, c1 = [0, 1], [1], [0]
-        q = (breaks, c0, c1) if same else (list(breaks), list(c0), list(c1))
-        got = kernel.conv_point(breaks, c0, c1, *q, x, 0, 1)
+        p = PiecewisePoly((0, 1), ((1, 0),))
+        q = p if same else PiecewisePoly((0, 1), ((1, 0),))
+        got = conv.conv_window_value(p, q, x, 0, 1)
         assert type(got) is Fraction and got == want
 
 
