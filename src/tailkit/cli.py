@@ -17,6 +17,7 @@ builder.  Anything a command does not read is rejected before it runs.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -24,17 +25,39 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
-from tailkit import acceptance
-from tailkit import convolution as conv
-from tailkit import logperiodic as lp
-from tailkit import mixture as mx
-from tailkit import notched
-from tailkit import probes
 from tailkit.errors import PrecisionFailure, UsageError
 from tailkit.numerics import DEFAULT_PRECISION, _check_precision
-from tailkit.piecewise import PiecewisePoly, dump_text, load_text
-from tailkit.probes import ProbeRow
-from tailkit.render import decimal_str
+
+
+def _lazy(name: str):
+    """The module ``tailkit.<name>``, registered now and run on first use.
+
+    The layer is put in ``sys.modules`` (and on the package) as an
+    ``importlib.util.LazyLoader`` module, so a command runs only the layers
+    it touches.  A module imported already is returned as it is: each layer
+    has one module object.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+acceptance = _lazy("acceptance")
+conv = _lazy("convolution")
+lp = _lazy("logperiodic")
+mx = _lazy("mixture")
+notched = _lazy("notched")
+piecewise = _lazy("piecewise")
+probes = _lazy("probes")
+render = _lazy("render")
 
 CONSTRUCTIONS = ("notched", "logperiodic", "mixture")
 PIECEWISE = ("notched", "file:<path>")
@@ -145,14 +168,14 @@ def _cmd_build(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.construction == "notched":
         nd = config.notched_density()
-        (out_dir / "notched.knots").write_text(dump_text(nd.dense))
+        (out_dir / "notched.knots").write_text(piecewise.dump_text(nd.dense))
         meta = _meta_text([
             ("construction", "notched"),
             ("n", str(nd.truncation_n)),
             ("precision_bits", str(nd.precision_bits)),
-            ("mass", decimal_str(nd.mass)),
+            ("mass", render.decimal_str(nd.mass)),
             ("dense_limit", str(notched.DENSE_LIMIT)),
-            ("omitted_tail_bound", decimal_str(nd.omitted_tail_bound())),
+            ("omitted_tail_bound", render.decimal_str(nd.omitted_tail_bound())),
         ])
         (out_dir / "notched.meta").write_text(meta)
     elif config.construction == "logperiodic":
@@ -160,14 +183,14 @@ def _cmd_build(config: RunConfig) -> int:
         norm = lp.normalizers(params)
         meta = _meta_text([
             ("construction", "logperiodic"),
-            ("alpha", decimal_str(params.alpha)),
-            ("delta", decimal_str(params.delta)),
-            ("quad_tol", decimal_str(params.quad_tol)),
-            ("x_max", decimal_str(norm.x_max)),
-            ("a", decimal_str(norm.a)),
-            ("a_err", decimal_str(norm.a_err)),
-            ("b", decimal_str(norm.b)),
-            ("b_err", decimal_str(norm.b_err)),
+            ("alpha", render.decimal_str(params.alpha)),
+            ("delta", render.decimal_str(params.delta)),
+            ("quad_tol", render.decimal_str(params.quad_tol)),
+            ("x_max", render.decimal_str(norm.x_max)),
+            ("a", render.decimal_str(norm.a)),
+            ("a_err", render.decimal_str(norm.a_err)),
+            ("b", render.decimal_str(norm.b)),
+            ("b_err", render.decimal_str(norm.b_err)),
         ])
         (out_dir / "logperiodic.meta").write_text(meta)
     elif config.construction == "mixture":
@@ -178,8 +201,8 @@ def _cmd_build(config: RunConfig) -> int:
             ("construction", "mixture"),
             ("m_max", str(sch.m_max)),
             ("precision_bits", str(sch.precision_bits)),
-            ("c", decimal_str(sch.c)),
-            ("residual_mass", decimal_str(sch.residual_mass)),
+            ("c", render.decimal_str(sch.c)),
+            ("residual_mass", render.decimal_str(sch.residual_mass)),
         ])
         (out_dir / "mixture.meta").write_text(meta)
     else:
@@ -216,10 +239,10 @@ def _points(text: str, config: RunConfig) -> list[tuple[str, Fraction]]:
     return points
 
 
-def _density(config: RunConfig) -> PiecewisePoly:
+def _density(config: RunConfig) -> piecewise.PiecewisePoly:
     name = config.construction
     if name.startswith("file:"):
-        return load_text(Path(name[5:]).read_text())
+        return piecewise.load_text(Path(name[5:]).read_text())
     return config.notched_density().density()
 
 
@@ -253,8 +276,9 @@ def _subexp_ratio(row, config, args):
         devs = [abs(Fraction(1) - r.value) for r in rows]
         improving = all(a > b for a, b in zip(devs, devs[1:]))
         span = f"{rows[0].x_or_n}..{rows[-1].x_or_n}"
-        rows.append(ProbeRow("subexp_trend", span, Fraction(int(improving)),
-                             {"monotone_improvement": improving}))
+        rows.append(probes.ProbeRow("subexp_trend", span,
+                                    Fraction(int(improving)),
+                                    {"monotone_improvement": improving}))
     return rows
 
 
@@ -333,7 +357,7 @@ class Probe:
     # parameter -> (parser, default); a default may name the option n as
     # {n} and an earlier parameter as {its name}
     params: dict
-    rows: Callable[..., list[ProbeRow]]
+    rows: Callable[..., list[probes.ProbeRow]]
 
 
 # `report <construction>` runs the probes that describe it, in this order.
@@ -404,7 +428,7 @@ def _run_probes(config: RunConfig, selected: list[Probe], what: str) -> int:
             args[key] = _parse(key, parse, text, config)
         parsed.append((p, args))
     rows = [r for p, args in parsed
-            for r in p.rows(partial(ProbeRow, p.name), config, args)]
+            for r in p.rows(partial(probes.ProbeRow, p.name), config, args)]
     _write(config.out, probes.render_csv(rows))
     return 0
 
@@ -427,10 +451,11 @@ def _cmd_convolve(config: RunConfig, files: list[str]) -> int:
     if not 1 <= len(files) <= 2:
         raise UsageError("convolve takes one piecewise file (self-convolution) "
                          "or two (cross-convolution)")
-    first = load_text(Path(files[0]).read_text())
-    second = load_text(Path(files[1]).read_text()) if len(files) == 2 else first
+    first = piecewise.load_text(Path(files[0]).read_text())
+    second = (piecewise.load_text(Path(files[1]).read_text())
+              if len(files) == 2 else first)
     result = conv.conv_linear_exact(first, second)
-    _write(config.out, dump_text(result))
+    _write(config.out, piecewise.dump_text(result))
     return 0
 
 

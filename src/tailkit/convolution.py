@@ -61,10 +61,12 @@ convolves at the cost of its short-denominator coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from tailkit.mixture import MixtureSpec
-from tailkit.notched import a_position, m_of
 from tailkit.piecewise import PiecewisePoly
+
+if TYPE_CHECKING:
+    from tailkit.mixture import MixtureSpec
 
 
 def _linear(p: PiecewisePoly):
@@ -238,6 +240,7 @@ def split_integrals(f: PiecewisePoly, n: int, x) -> tuple[Fraction, Fraction]:
     partition [0,a_m] + [a_m, x-a_m] + [x-a_m, x] is valid and
     2*I1 + I2 reassembles the full self-convolution at x exactly.
     """
+    from tailkit.notched import a_position, m_of
     x = Fraction(x)
     if not a_position(n) < x <= a_position(n + 1):
         raise ValueError(f"x={x} is not inside block {n}")

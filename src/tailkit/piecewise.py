@@ -236,9 +236,31 @@ def from_linear_knots(knots: Iterable) -> PiecewisePoly:
 # Values are exact base-10 rational strings ("5", "-3/7"); lines starting
 # with '#' are comments, except '# flags:' which records the construction
 # flags so that load(dump(P)) reproduces P exactly.
+#
+# The text must not depend on sys.get_int_max_str_digits(): str() and
+# Fraction() refuse integers with more digits than that limit, and only
+# those values go through Decimal, which converts integers of any size.
 
 def _fmt(q: Fraction) -> str:
-    return str(q)
+    try:
+        return str(q)
+    except ValueError:
+        from decimal import Decimal
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError:
+        import re
+        from decimal import Decimal
+        match = re.fullmatch(r"([-+]?[0-9]+)(?:/([0-9]+))?", text)
+        if match is None:
+            raise
+        num, den = match.groups()
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
 def dump_lines(p: PiecewisePoly) -> list[str]:
@@ -282,7 +304,7 @@ def load_lines(lines: Sequence[str]) -> PiecewisePoly:
                 or (parts[0] == "seg" and len(parts) == 7)):
             raise ValueError(f"unrecognized piecewise line: {raw!r}")
         try:
-            values = tuple(Fraction(v) for v in parts[1:])
+            values = tuple(_rational(v) for v in parts[1:])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational in piecewise line {raw!r}: {exc}") from None
         if parts[0] == "knot":

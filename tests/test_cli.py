@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import json
 import re
 import shlex
 import subprocess
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import pytest
 from conftest import BATTERY_CSV_SHA256, child_env
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailkit import cli
 from tailkit.piecewise import from_linear_knots, load_text
@@ -298,6 +303,26 @@ class TestConvolve:
         err = capsys.readouterr().err
         assert "knot 0 1/0" in err and "Traceback" not in err
 
+    def test_bytes_independent_of_int_digit_limit(self, tmp_path):
+        # a 5,000-digit knot value: the output has values of twice that
+        # length, past Python's default limit on int-to-str conversion
+        from tailkit.piecewise import dump_text
+        src = tmp_path / "long.pw"
+        src.write_text(dump_text(from_linear_knots(
+            [(0, 0), (Fraction(1, 3), Fraction(7 ** 5916, 3)), (1, 1)])))
+        env = child_env()
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        outputs = []
+        for limit in (["-X", "int_max_str_digits=640"], [],
+                      ["-X", "int_max_str_digits=0"]):
+            out = tmp_path / f"conv{len(outputs)}.pw"
+            child = subprocess.run(
+                [sys.executable, *limit, "-m", "tailkit.cli", "convolve",
+                 str(src), "--out", str(out)], capture_output=True, env=env)
+            assert child.returncode == 0, child.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
     def test_tampered_file_rejected(self, tmp_path, capsys):
         # swapping knot lines breaks the strict-increase invariant on load
         from tailkit import notched
@@ -308,6 +333,76 @@ class TestConvolve:
         src.write_text("\n".join(lines) + "\n")
         assert run_cli("convolve", str(src), "--out", str(tmp_path / "o")) == 2
         assert "increase" in capsys.readouterr().err
+
+
+# Piecewise text for the malformed-input fuzz.  Rationals carry no exponent:
+# Fraction("1e10000000") alone takes seconds (ROADMAP item 2).
+_X = st.fractions(min_value=-4, max_value=8, max_denominator=6)
+_VALUE = st.fractions(min_value=-1, max_value=8, max_denominator=6)
+_C2 = st.sampled_from([0, 0, 0, 1])  # a nonzero c2 makes a segment nonlinear
+_NOT_RATIONAL = st.sampled_from(["1/0", "0/0", "-1/0", "x", "nan", "inf",
+                                 "1//2", "--1", "1.2.3", "/3", "½", "0x10"])
+_FIELD = st.one_of(
+    _X.map(str),
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.decimals(min_value=-100, max_value=100, places=2).map("{:f}".format),
+    _NOT_RATIONAL,
+    st.text(alphabet="0123456789+-./_ x", max_size=6))
+_EXTRA_LINE = st.one_of(
+    st.builds("knot {} {}".format, _X, _VALUE),
+    st.builds("seg {} {} {} {} {} 0".format, _X, _X, _X, _X, _C2),
+    st.builds("knot {} {}".format, _FIELD, _FIELD),
+    st.lists(_FIELD, min_size=6, max_size=6).map(" ".join).map("seg {}".format),
+    st.builds("{} {}".format,
+              st.sampled_from(["knot", "seg", "KNOT", "knots", "#", "# flags:",
+                               "# flags: continuous density"]),
+              st.lists(_FIELD, max_size=8).map(" ".join)))
+
+
+@st.composite
+def piecewise_bytes(draw):
+    """Knot or seg lines in order, then edited: lines of either kind or
+    malformed ones inserted, a field replaced, two lines swapped, bytes that
+    are not UTF-8 spliced in."""
+    xs = sorted(draw(st.lists(_X, min_size=2, max_size=6, unique=True)))
+    if draw(st.booleans()):
+        lines = [f"knot {x} {draw(_VALUE)}" for x in xs]
+    else:
+        lines = [f"seg {a} {b} {draw(_X)} {draw(_X)} {draw(_C2)} 0"
+                 for a, b in zip(xs, xs[1:])]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_EXTRA_LINE))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(" ")
+        fields[draw(st.integers(1, len(fields) - 1))] = draw(
+            st.one_of(_NOT_RATIONAL, _FIELD))
+        lines[i] = " ".join(fields)
+    if draw(st.booleans()):
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        lines[i], lines[j] = lines[j], lines[i]
+    data = ("\n".join(lines) + "\n").encode()
+    at = draw(st.integers(0, len(data)))
+    splice = draw(st.sampled_from([b""] * 5 + [b"\xff", b"\xc3(", b"\x80"]))
+    return data[:at] + splice + data[at:]
+
+
+class TestConvolveFuzz:
+    @given(piecewise_bytes())
+    @settings(max_examples=100, deadline=None)
+    def test_malformed_piecewise_text_ends_in_an_exit_code(
+            self, tmp_path_factory, data):
+        work = tmp_path_factory.mktemp("fuzz")
+        src, out = work / "in.pw", work / "out.pw"
+        src.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["convolve", str(src), "--out", str(out)])
+        assert code in (0, 2, 4), err.getvalue()
+        if code == 0:
+            load_text(out.read_text())
+        else:
+            assert err.getvalue().count("\n") == 1 and not out.exists()
 
 
 class TestReportDeterminism:
@@ -455,10 +550,93 @@ class TestImportStructure:
                               "--out", str(out)) == ["2", "False"]
         assert not out.exists()
 
+    # each layer module, the name cli gives it and one public function
+    LAYERS = {"acceptance": ("acceptance", "run_all"),
+              "convolution": ("conv", "conv_linear_exact"),
+              "logperiodic": ("lp", "normalizers"),
+              "mixture": ("mx", "build_schedule"),
+              "notched": ("notched", "build_density"),
+              "piecewise": ("piecewise", "load_text"),
+              "probes": ("probes", "render_csv"),
+              "render": ("render", "decimal_str")}
+
+    # runs `tailkit.cli.main(argv)` when given arguments, then prints the
+    # exit code, the layers that ran (read from each module's own __dict__,
+    # so that the check runs none) and the tracer's layers it left unwrapped
+    RAN = """\
+import json, sys
+import tailkit.cli
+layers, perfbench, *argv = sys.argv[1:]
+rc = tailkit.cli.main(argv) if argv else 0
+ran = sorted(name for name, (_, fn) in json.loads(layers).items()
+             if fn in object.__getattribute__(sys.modules["tailkit." + name],
+                                              "__dict__"))
+sys.path.insert(0, perfbench)
+import tracer
+tracer.install(tracer.Tracer())
+unwrapped = []
+for modname, attr, *_ in tracer.LAYERS:
+    owner = sys.modules[modname]
+    *cls, name = attr.split(".")
+    if cls:
+        owner = getattr(owner, cls[0])
+    if not hasattr(vars(owner)[name], "__wrapped__"):
+        unwrapped.append(modname + "." + attr)
+print(json.dumps([rc, ran, unwrapped]))
+"""
+
+    # `probes` imports every construction by `from tailkit import <layer>`;
+    # a probe still runs only the layers it calls
+    @pytest.mark.parametrize("argv, ran", [
+        ([], []),
+        (["convolve", "{knots}"], ["convolution", "piecewise"]),
+        (["probe", "notched", "knot_ratio_series", "n_max=3"],
+         ["piecewise", "probes", "render"]),
+    ], ids=["import", "convolve", "probe"])
+    def test_a_command_runs_only_its_layers(self, argv, ran, knots, tmp_path):
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        if argv:
+            argv = [a.format(knots=knots) for a in argv] + [
+                "--out", str(tmp_path / "out")]
+        done = subprocess.run(
+            [sys.executable, "-c", self.RAN, json.dumps(self.LAYERS),
+             str(perfbench), *argv],
+            capture_output=True, text=True, cwd="/", env=child_env())
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [0, ran, []]
+
+    def test_the_battery_runs_every_layer_when_it_loads(self):
+        # none is left to run in the middle of a check (see acceptance.py)
+        code = ("import json, sys, tailkit.cli\n"
+                "tailkit.cli.acceptance.run_all\n"
+                "print(json.dumps(sorted(\n"
+                "    name for name, (_, fn) in json.loads(sys.argv[1]).items()\n"
+                "    if fn not in object.__getattribute__(\n"
+                "        sys.modules['tailkit.' + name], '__dict__'))))\n")
+        done = subprocess.run([sys.executable, "-c", code,
+                               json.dumps(self.LAYERS)], capture_output=True,
+                              text=True, cwd="/", env=child_env())
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
+
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    def test_one_module_object_per_layer(self, layer):
+        # a layer imported before tailkit.cli keeps its module object, so a
+        # monkeypatch through cli's name reaches every other user of it
+        code = (f"import sys, tailkit.{layer} as first, tailkit.cli as cli\n"
+                f"import tailkit\n"
+                f"print(cli.{self.LAYERS[layer][0]} is first "
+                f"is sys.modules['tailkit.{layer}'] is tailkit.{layer})\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, cwd="/", env=child_env())
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"
+
     def test_import_loads_every_layer_module(self):
         # perfbench/tracer.py wraps each layer it lists by reading the layer's
-        # module from sys.modules right after `import tailkit.cli`; a layer
-        # module loaded later, on first use, would run untraced
+        # module from sys.modules right after `import tailkit.cli`.  cli puts
+        # each layer there as a lazy module, which runs on the tracer's first
+        # attribute read, so membership holds without running any layer.
         perfbench = Path(__file__).resolve().parent.parent / "perfbench"
         code = ("import sys\n"
                 f"sys.path.insert(0, {str(perfbench)!r})\n"

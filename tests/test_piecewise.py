@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,26 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             load_text("knot 0\n")
+
+    @pytest.mark.parametrize("limit", [640, 4300, 0])
+    def test_text_independent_of_int_digit_limit(self, limit):
+        # a 5,000-digit numerator and a 5,001-digit denominator, past
+        # Python's default limit of 4,300 digits on int-to-str conversion
+        long_num, long_den = Fraction(-7 ** 5916, 3), Fraction(1, 3 ** 10480)
+        p = PiecewisePoly((0, long_den, 2),
+                          ((long_num, 1), (0, long_num, long_den, 0)))
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = dump_text(p)
+            first_seg = f"seg 0 1/{3 ** 10480} {long_num} 1 0 0\n"
+            sys.set_int_max_str_digits(limit)
+            text = dump_text(p)
+            back = load_text(text)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert text == expected and back == p
+        assert first_seg in text
 
     @pytest.mark.parametrize("line", ["knot 0 1/0", "knot 0 one",
                                       "seg 0 1 1 0 0 2/0"])
