@@ -10,12 +10,8 @@ it to a dedicated exit code.
 class PrecisionFailure(ArithmeticError):
     """A computation could not be certified at the requested precision.
 
-    ``achieved`` carries the best error bound that was reached, when known.
+    The message says how far it got; callers dispatch on the type alone.
     """
-
-    def __init__(self, message: str, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
 
 
 class UsageError(ValueError):

@@ -101,20 +101,21 @@ def chi(x, p: LogPeriodicParams, precision_bits: int = _SNAP_BITS) -> Fraction:
     return _snap_raw(_chi_raw(_raw(p.delta, wp), wp)(_raw(x, wp)), precision_bits)
 
 
-def _anchor_raw(k: int, wp: int = _WP) -> Raw:
-    """exp(k*pi) - 1 at wp bits."""
+def _anchor_raw(k: int) -> Raw:
+    """exp(k*pi) - 1 at _WP bits."""
     from mpmath.libmp import fone, mpf_exp, mpf_mul_int, mpf_pi, mpf_sub
-    k_pi = mpf_mul_int(mpf_pi(wp, _RND), k, wp, _RND)
-    return mpf_sub(mpf_exp(k_pi, wp, _RND), fone, wp, _RND)
+    k_pi = mpf_mul_int(mpf_pi(_WP, _RND), k, _WP, _RND)
+    return mpf_sub(mpf_exp(k_pi, _WP, _RND), fone, _WP, _RND)
 
 
-def anchor(k: int, precision_bits: int = _SNAP_BITS) -> Fraction:
-    """exp(k*pi) - 1: the abscissa where cos(ln(x+1)) = (-1)**k exactly."""
+def anchor(k: int) -> Fraction:
+    """exp(k*pi) - 1, snapped to 2**-_SNAP_BITS: the abscissa where
+    cos(ln(x+1)) = (-1)**k exactly."""
     if k < 0:
         raise ValueError("anchor index must be nonnegative")
     if k == 0:
         return Fraction(0)
-    return _snap_raw(_anchor_raw(k, max(_WP, precision_bits + 64)), precision_bits)
+    return _snap_raw(_anchor_raw(k), _SNAP_BITS)
 
 
 def _memo(chi_of: Callable[[Raw], Raw], upto: Optional[Raw] = None) -> Callable[[Raw], Raw]:
@@ -143,16 +144,14 @@ def _integrate(f: Callable[[Raw], Raw], points, rel_tol: Raw):
     :class:`PrecisionFailure`.
     """
     from mpmath.libmp import (ftwo, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_gt,
-                              mpf_le, mpf_mul, mpf_mul_int, mpf_pow_int, mpf_sub,
-                              prec_to_dps, to_str)
+                              mpf_le, mpf_mul, mpf_mul_int, mpf_pow_int, mpf_sub, to_str)
     wp, rnd = _WP, _RND
     six, fifteen = from_int(6), from_int(15)
     evals = 0
 
     def stalled(where, err, budget):
-        rel = to_str(mpf_div(err, scale, wp, rnd), prec_to_dps(wp))
         return PrecisionFailure(f"quadrature stalled{where}: error estimate {to_str(err, 6)} "
-                                f"exceeds budget {to_str(budget, 6)}", achieved=Fraction(rel))
+                                f"exceeds budget {to_str(budget, 6)}")
 
     def simpson(fa, fm, fb, a, b):
         weighted = mpf_add(mpf_add(fa, mpf_mul_int(fm, 4, wp, rnd), wp, rnd), fb, wp, rnd)
@@ -259,9 +258,9 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
     """
     if p in _NORMALIZER_CACHE:
         return _NORMALIZER_CACHE[p]
-    from mpmath.libmp import (finf, fninf, from_int, from_str, ftwo, fzero, mpf_add, mpf_div,
-                              mpf_exp, mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_mul_int,
-                              mpf_neg, mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_sub, to_str)
+    from mpmath.libmp import (from_int, from_str, ftwo, fzero, mpf_add, mpf_div, mpf_exp,
+                              mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
+                              mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_sub, to_str)
     wp, rnd = _WP, _RND
     delta, alpha, tol = _raw(p.delta), _raw(p.alpha), _raw(p.quad_tol)
     neg_alpha = mpf_neg(alpha, wp, rnd)
@@ -283,9 +282,7 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
         if not mpf_lt(tail, mpf_mul(tol, coarse, wp, rnd)):
             raise PrecisionFailure(
                 f"cutoff x_max={p.x_max} leaves a certified tail bound "
-                f"{to_str(tail, 6)} above the quadrature budget",
-                achieved=None if tail in (finf, fninf)
-                else _snap_raw(mpf_div(tail, coarse, wp, rnd), _SNAP_BITS))
+                f"{to_str(tail, 6)} above the quadrature budget")
     else:
         x_max = from_int(4096)
         tail_target = mpf_div(mpf_mul(tol, coarse, wp, rnd), from_int(10), wp, rnd)

@@ -116,21 +116,16 @@ def schedule_index(m: int, precision_bits: int = DEFAULT_PRECISION) -> int:
     raise PrecisionFailure(f"could not certify floor(exp({k}))")
 
 
-def build_schedule(m_max: int,
-                   precision_bits: int = DEFAULT_PRECISION,
-                   residual_fraction: Fraction = RESIDUAL_FRACTION) -> BlowupSchedule:
+def build_schedule(m_max: int, precision_bits: int = DEFAULT_PRECISION) -> BlowupSchedule:
     """Atom masses c * L(n_m)**(-1/3) with c normalizing them to
-    1 - residual_fraction exactly; the residual parks the remaining mass at
+    1 - RESIDUAL_FRACTION exactly; the residual parks the remaining mass at
     X2 = 1, where it only adds a benign shifted-density term."""
     if not isinstance(m_max, int) or m_max < 1:
         raise ValueError(f"m_max must be a positive integer, got {m_max!r}")
-    residual_fraction = Fraction(residual_fraction)
-    if not 0 <= residual_fraction < 1:
-        raise ValueError("residual_fraction must lie in [0, 1)")
     indices = [schedule_index(m, precision_bits) for m in range(1, m_max + 1)]
     cbrt = [root_snap(log_nat(n, precision_bits), 3, precision_bits) for n in indices]
     inv_sum = sum(1 / u for u in cbrt)
-    c = (1 - residual_fraction) / inv_sum
+    c = (1 - RESIDUAL_FRACTION) / inv_sum
 
     entries = []
     for m, n_m, u in zip(range(1, m_max + 1), indices, cbrt):
@@ -156,10 +151,10 @@ def atom_list(schedule: BlowupSchedule) -> AtomList:
     return AtomList(atoms=atoms, residual=(RESIDUAL_VALUE, schedule.residual_mass))
 
 
-def mixture_from_schedule(schedule: BlowupSchedule, f1: NotchedDensity,
-                          q1: Fraction = Fraction(1, 2)) -> MixtureSpec:
-    q1 = Fraction(q1)
-    return MixtureSpec(q1=q1, q2=1 - q1, f1=f1, f2=atom_list(schedule))
+def mixture_from_schedule(schedule: BlowupSchedule, f1: NotchedDensity) -> MixtureSpec:
+    """The mixture with equal weights q1 = q2 = 1/2."""
+    half = Fraction(1, 2)
+    return MixtureSpec(q1=half, q2=half, f1=f1, f2=atom_list(schedule))
 
 
 def schedule_csv_lines(schedule: BlowupSchedule) -> list[str]:

@@ -13,10 +13,10 @@ without bound, which is exactly the non-almost-decreasing behaviour the
 probes measure.  Everything in sight is an exact rational once ``L_n`` is
 snapped, so knot identities are checked at zero tolerance.
 
-Indices are materialized densely only up to a configurable limit (default
-64: ``a_65`` is a ~4300-bit integer, still exact but useless beyond tests).
-Past the limit, the symbolic accessors (`knot_logf`) serve log-scale views
-at arbitrary ``n``.
+Indices are materialized densely only up to ``DENSE_LIMIT`` = 64 (``a_65``
+is a ~4300-bit integer, still exact but useless beyond tests).  Past the
+limit, the symbolic accessors (`knot_logf`) serve log-scale views at
+arbitrary ``n``.
 """
 
 from __future__ import annotations
@@ -54,45 +54,40 @@ def a_position(n: int) -> Fraction:
     return Fraction(1 << (n * n))
 
 
-def _check_dense(n: int, dense_limit: int) -> None:
+def _check_dense(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > dense_limit:
+    if n > DENSE_LIMIT:
         raise ValueError(
-            f"n={n} exceeds the dense limit {dense_limit}; "
+            f"n={n} exceeds the dense limit {DENSE_LIMIT}; "
             "use knot_logf for symbolic log-scale access")
 
 
-def knot_position(kind: str, n: int,
-                  precision_bits: int = DEFAULT_PRECISION,
-                  dense_limit: int = DENSE_LIMIT) -> Fraction:
+def knot_position(kind: str, n: int, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
     """Exact abscissa of a knot, for n within the dense limit."""
-    _check_dense(n, dense_limit)
+    _check_dense(n)
     if kind == "a":
         return a_position(n)
     if kind == "b":
         lam = log_nat(n, precision_bits)
         return a_position(n) + a_position(m_of(n)) * lam * lam
     if kind == "c":
-        return (a_position(n + 1) + knot_position("b", n, precision_bits,
-                                                  dense_limit)) / 2
+        return (a_position(n + 1) + knot_position("b", n, precision_bits)) / 2
     if kind in ("d", "s"):
-        d_knot, s_knot = threshold_knots(n, precision_bits, dense_limit)
+        d_knot, s_knot = threshold_knots(n, precision_bits)
         return d_knot.x if kind == "d" else s_knot.x
     raise ValueError(f"unknown knot kind {kind!r} (expected one of {KNOT_KINDS})")
 
 
-def knot_value(kind: str, n: int,
-               precision_bits: int = DEFAULT_PRECISION,
-               dense_limit: int = DENSE_LIMIT) -> Fraction:
+def knot_value(kind: str, n: int, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
     """Exact unnormalized value f0 at a knot, for n within the dense limit."""
-    _check_dense(n, dense_limit)
+    _check_dense(n)
     if kind in ("a", "c"):
         return Fraction(2, 1 << (3 * n * n))
     if kind == "b":
         return Fraction(2, 1 << (3 * n * n)) / log_nat(n, precision_bits)
     if kind in ("d", "s"):
-        d_knot, s_knot = threshold_knots(n, precision_bits, dense_limit)
+        d_knot, s_knot = threshold_knots(n, precision_bits)
         return d_knot.f if kind == "d" else s_knot.f
     raise ValueError(f"unknown knot kind {kind!r} (expected one of {KNOT_KINDS})")
 
@@ -120,8 +115,7 @@ def knot_logf(kind: str, n: int,
 
 
 def threshold_knots(n: int,
-                    precision_bits: int = DEFAULT_PRECISION,
-                    dense_limit: int = DENSE_LIMIT) -> tuple[Knot, Knot]:
+                    precision_bits: int = DEFAULT_PRECISION) -> tuple[Knot, Knot]:
     """The crossings d_n in (b_n, c_n] and s_n in (c_n, a_{n+1}] where f0
     equals f0(b_n) * sqrt(L_n) (square root snapped, crossing exact).
 
@@ -130,17 +124,17 @@ def threshold_knots(n: int,
     if not isinstance(n, int) or n < 2:
         raise ValueError(
             f"threshold knots need n >= 2 (L_1 = ln 2 < 1 flips the target), got {n!r}")
-    _check_dense(n, dense_limit)
+    _check_dense(n)
     lam = log_nat(n, precision_bits)
     sqrt_lam = root_snap(lam, 2, precision_bits)
-    f_a = knot_value("a", n, precision_bits, dense_limit)
-    f_b = knot_value("b", n, precision_bits, dense_limit)
-    f_next = knot_value("a", n + 1, precision_bits, dense_limit)
+    f_a = knot_value("a", n, precision_bits)
+    f_b = knot_value("b", n, precision_bits)
+    f_next = knot_value("a", n + 1, precision_bits)
     target = f_b * sqrt_lam
     if not f_b < target < f_a:
         raise ValueError(f"threshold target out of range at n={n}")
-    b = knot_position("b", n, precision_bits, dense_limit)
-    c = knot_position("c", n, precision_bits, dense_limit)
+    b = knot_position("b", n, precision_bits)
+    c = knot_position("c", n, precision_bits)
     a_next = a_position(n + 1)
     d_x = b + (target - f_b) * (c - b) / (f_a - f_b)
     s_x = c + (f_a - target) * (a_next - c) / (f_a - f_next)
@@ -197,20 +191,19 @@ class NotchedDensity:
         bounds the whole tail.
         """
         n = self.truncation_n + 1
-        return 2 * knot_value("a", n, self.precision_bits, n) * a_position(n + 1)
+        return 2 * knot_value("a", n, self.precision_bits) * a_position(n + 1)
 
 
 def build_density(truncation_n: int,
-                  precision_bits: int = DEFAULT_PRECISION,
-                  dense_limit: int = DENSE_LIMIT) -> NotchedDensity:
+                  precision_bits: int = DEFAULT_PRECISION) -> NotchedDensity:
     """Materialize the construction for n = 1..N over [0, a_{N+1}]."""
     n_top = truncation_n
     if not isinstance(n_top, int) or n_top < 1:
         raise ValueError(f"truncation index must be a positive integer, got {n_top!r}")
-    if n_top + 1 > dense_limit:
+    if n_top + 1 > DENSE_LIMIT:
         raise ValueError(
-            f"truncation index {n_top} needs knots beyond the dense limit {dense_limit}")
-    a_1, f_1 = a_position(1), knot_value("a", 1, precision_bits, dense_limit)
+            f"truncation index {n_top} needs knots beyond the dense limit {DENSE_LIMIT}")
+    a_1, f_1 = a_position(1), knot_value("a", 1, precision_bits)
     knots = [(Fraction(0), Fraction(1)), (a_1, f_1)]
     # The trapezoid rule is exact on linear segments, and f0(a_n) = f0(c_n)
     # folds block n's first two trapezoids into one over [a_n, c_n].  After
@@ -219,12 +212,9 @@ def build_density(truncation_n: int,
     prefix_masses = []
     for n in range(1, n_top + 1):
         a, f_a = knots[-1]
-        b, f_b = (knot_position("b", n, precision_bits, dense_limit),
-                  knot_value("b", n, precision_bits, dense_limit))
-        c, f_c = (knot_position("c", n, precision_bits, dense_limit),
-                  knot_value("c", n, precision_bits, dense_limit))
-        a_next, f_next = (a_position(n + 1),
-                          knot_value("a", n + 1, precision_bits, dense_limit))
+        b, f_b = knot_position("b", n, precision_bits), knot_value("b", n, precision_bits)
+        c, f_c = knot_position("c", n, precision_bits), knot_value("c", n, precision_bits)
+        a_next, f_next = a_position(n + 1), knot_value("a", n + 1, precision_bits)
         knots += [(b, f_b), (c, f_c), (a_next, f_next)]
         mass += ((c - a) * (f_a + f_b) + (a_next - c) * (f_c + f_next)) / 2
         prefix_masses.append(mass)

@@ -51,7 +51,8 @@ class PiecewisePoly:
             raise ValueError("need at least two breakpoints")
         for a, b in zip(breaks, breaks[1:]):
             if not a < b:
-                raise ValueError(f"breakpoints must strictly increase ({a} !< {b})")
+                raise ValueError(
+                    f"breakpoints must strictly increase ({_fmt(a)} !< {_fmt(b)})")
         coeffs = tuple(
             tuple(Fraction(c) for c in seg) + (Fraction(0),) * (4 - len(seg))
             for seg in self.coeffs)
@@ -204,21 +205,16 @@ def from_linear_knots(knots: Iterable) -> PiecewisePoly:
 
     Evaluation at every knot abscissa reproduces the knot value exactly.
     """
-    pts = []
-    for k in knots:
-        if isinstance(k, Knot):
-            pts.append((k.x, k.f))
-        else:
-            x, f = k
-            pts.append((Fraction(x), Fraction(f)))
+    pts = [(Fraction(x), Fraction(f)) for x, f in knots]
     if len(pts) < 2:
         raise ValueError("need at least two knots")
     for (x0, _), (x1, _) in zip(pts, pts[1:]):
         if not x0 < x1:
-            raise ValueError(f"knot abscissas must strictly increase ({x0} !< {x1})")
+            raise ValueError(
+                f"knot abscissas must strictly increase ({_fmt(x0)} !< {_fmt(x1)})")
     for _, f in pts:
         if f < 0:
-            raise ValueError(f"knot values must be nonnegative, got {f}")
+            raise ValueError(f"knot values must be nonnegative, got {_fmt(f)}")
     breaks = tuple(x for x, _ in pts)
     coeffs = []
     for (x0, f0), (x1, f1) in zip(pts, pts[1:]):
@@ -235,7 +231,9 @@ def from_linear_knots(knots: Iterable) -> PiecewisePoly:
 #   seg <x_lo> <x_hi> <c0> <c1> <c2> <c3>
 # Values are exact base-10 rational strings ("5", "-3/7"); lines starting
 # with '#' are comments, except '# flags:' which records the construction
-# flags so that load(dump(P)) reproduces P exactly.
+# flags so that load(dump(P)) reproduces P exactly.  A value with an
+# exponent is refused on load: Fraction("1e<k>") builds 10**k, so a line of
+# a few bytes could stall the load for minutes.
 #
 # The text must not depend on sys.get_int_max_str_digits(): str() and
 # Fraction() refuse integers with more digits than that limit, and only
@@ -251,6 +249,8 @@ def _fmt(q: Fraction) -> str:
 
 
 def _rational(text: str) -> Fraction:
+    if "e" in text or "E" in text:
+        raise ValueError(f"{text!r} has an exponent")
     try:
         return Fraction(text)
     except ValueError:

@@ -231,13 +231,11 @@ def i2_bound_check(nd: notched.NotchedDensity, n: int) -> I2Check:
     """
     nd.check_block(n)
     pb = nd.precision_bits
-    dl = max(notched.DENSE_LIMIT, nd.truncation_n + 1)
-    x = notched.knot_position("c", n, pb, dl)
+    x = notched.knot_position("c", n, pb)
     _, i2 = conv.split_integrals(nd.dense, n, x)
     m = notched.m_of(n)
-    bound = notched.knot_value("a", m, pb, dl) ** 2 * notched.a_position(n + 1)
+    bound = notched.knot_value("a", m, pb) ** 2 * notched.a_position(n + 1)
     exponent = -6 * m * m + (n + 1) ** 2 + 2
-    assert bound == Fraction(2) ** exponent
     return I2Check(x=x, i2=i2, bound=bound,
                    bound_log2_closed_form=exponent, passed=i2 <= bound)
 

@@ -4,10 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion; the same battery backs ``tailkit verify``.
 """
 
+import ast
 import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import BATTERY_CSV_SHA256, child_env
@@ -25,9 +27,9 @@ def battery():
     builds = []
     build = notched.build_density
 
-    def counting(n, precision_bits=DEFAULT_PRECISION, *args):
+    def counting(n, precision_bits=DEFAULT_PRECISION):
         builds.append((n, precision_bits))
-        return build(n, precision_bits, *args)
+        return build(n, precision_bits)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(notched, "build_density", counting)
@@ -88,3 +90,14 @@ def test_acceptance_csv_matches_spec(results):
 def test_oracle_sums_left_to_right():
     # the built-in sum of Python 3.12 and later is compensated and gives 1.0
     assert acceptance._sum_left([1e16, 1.0, -1e16]) == 0.0
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so a check written as one would
+    # vanish from the battery and the probes without a trace
+    package = Path(acceptance.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

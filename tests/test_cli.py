@@ -323,6 +323,36 @@ class TestConvolve:
             outputs.append(out.read_bytes())
         assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
 
+    def test_exponent_is_usage_error(self, tmp_path, capsys):
+        # Fraction("1e<k>") builds 10**k; the format never writes an exponent
+        src, out = tmp_path / "f.pw", tmp_path / "o.pw"
+        src.write_text("knot 0 0\nknot 1e5 1\n")
+        assert run_cli("convolve", str(src), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "1e5" in err and err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("lines, names", [
+        ([f"knot {'7' * 5000} 1", "knot 0 1"], "strictly increase"),
+        ([f"seg 0 {'7' * 5000} 1 0 0 0", f"seg {'7' * 5000} 1 1 0 0 0"],
+         "strictly increase"),
+        (["knot 0 1", f"knot 1 -{'7' * 5000}"], "nonnegative"),
+    ], ids=["knots-unordered", "segs-unordered", "negative-value"])
+    def test_error_names_the_fault_past_the_digit_limit(self, lines, names,
+                                                         tmp_path, capsys):
+        # the offending 5,000-digit value is past the default limit on
+        # int-to-str conversion, which must not replace the message
+        src, out = tmp_path / "f.pw", tmp_path / "o.pw"
+        src.write_text("\n".join(lines) + "\n")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code = run_cli("convolve", str(src), "--out", str(out))
+        finally:
+            sys.set_int_max_str_digits(old)
+        err = capsys.readouterr().err
+        assert code == 2 and names in err and "7" * 5000 in err
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_tampered_file_rejected(self, tmp_path, capsys):
         # swapping knot lines breaks the strict-increase invariant on load
         from tailkit import notched
@@ -335,8 +365,8 @@ class TestConvolve:
         assert "increase" in capsys.readouterr().err
 
 
-# Piecewise text for the malformed-input fuzz.  Rationals carry no exponent:
-# Fraction("1e10000000") alone takes seconds (ROADMAP item 2).
+# Piecewise text for the malformed-input fuzz.  Its exponent tokens are
+# refused on load: Fraction("1e10000000") alone would take seconds.
 _X = st.fractions(min_value=-4, max_value=8, max_denominator=6)
 _VALUE = st.fractions(min_value=-1, max_value=8, max_denominator=6)
 _C2 = st.sampled_from([0, 0, 0, 1])  # a nonzero c2 makes a segment nonlinear
@@ -347,7 +377,10 @@ _FIELD = st.one_of(
     st.integers(-10 ** 30, 10 ** 30).map(str),
     st.decimals(min_value=-100, max_value=100, places=2).map("{:f}".format),
     _NOT_RATIONAL,
-    st.text(alphabet="0123456789+-./_ x", max_size=6))
+    st.builds("{}{}{}".format, st.sampled_from(["1", "-2", "0.5", "3/"]),
+              st.sampled_from(["e", "E", "e-", "e+"]),
+              st.integers(0, 10 ** 7)),
+    st.text(alphabet="0123456789+-./_ ex", max_size=6))
 _EXTRA_LINE = st.one_of(
     st.builds("knot {} {}".format, _X, _VALUE),
     st.builds("seg {} {} {} {} {} 0".format, _X, _X, _X, _X, _C2),

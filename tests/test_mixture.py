@@ -71,14 +71,6 @@ class TestBuildSchedule:
         n2 = sch.entries[1].n_m
         assert sch.entries[1].logf_b.log2mag < Fraction(1 - 3 * n2 * n2 + 1)
 
-    def test_residual_fraction_configurable(self):
-        sch = mx.build_schedule(2, residual_fraction=Fraction(1, 10))
-        assert sch.residual_mass == Fraction(1, 10)
-
-    def test_rejects_bad_residual(self):
-        with pytest.raises(ValueError):
-            mx.build_schedule(2, residual_fraction=Fraction(3, 2))
-
 
 class TestSerialization:
     def test_csv_shape(self):
