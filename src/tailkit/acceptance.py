@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -86,11 +87,6 @@ class _Context:
                 self.schedule(), self.density(4))
         return self._cache["mixture"]
 
-    def lp_params(self) -> lp.LogPeriodicParams:
-        if "lp" not in self._cache:
-            self._cache["lp"] = lp.LogPeriodicParams()
-        return self._cache["lp"]
-
 
 # --------------------------- float quadrature oracle ---------------------------
 
@@ -99,19 +95,7 @@ def _float_eval(p: PiecewisePoly):
     coeffs = [tuple(float(c) for c in seg) for seg in p.scaled_coeffs()]
 
     def f(x: float) -> float:
-        if x <= breaks[0]:
-            i = 0
-        elif x >= breaks[-1]:
-            i = len(coeffs) - 1
-        else:
-            lo, hi = 0, len(breaks) - 1
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if breaks[mid] < x:
-                    lo = mid
-                else:
-                    hi = mid
-            i = lo
+        i = min(max(bisect_left(breaks, x) - 1, 0), len(coeffs) - 1)
         u = x - breaks[i]
         c0, c1, c2, c3 = coeffs[i]
         return ((c3 * u + c2) * u + c1) * u + c0
@@ -326,7 +310,7 @@ def _check_local_window(ctx: _Context):
 
 def _check_logperiodic_scan(ctx: _Context):
     """The anchored grid scan finds a rise above 1000."""
-    scan, pair_rows = probes.logperiodic_scan(ctx.lp_params(), 8)
+    scan, pair_rows = probes.logperiodic_scan(lp.LogPeriodicParams(), 8)
     # log2(1000) = 9.9657...; the measured supremum is astronomically larger
     ok = scan.sup_ratio.log2mag > Fraction(9966, 1000)
     ok = ok and Fraction(scan.witness_y) > Fraction(scan.witness_x)
@@ -339,7 +323,7 @@ def _check_logperiodic_scan(ctx: _Context):
 
 def _check_karamata(ctx: _Context):
     """Integrated-tail ratio improves from x=100 to x=10^4 and lands near 1."""
-    p = ctx.lp_params()
+    p = lp.LogPeriodicParams()
     r2 = lp.karamata_ratio(Fraction(100), p)
     r4 = lp.karamata_ratio(Fraction(10000), p)
     d2, d4 = abs(r2 - 1), abs(r4 - 1)
@@ -384,8 +368,8 @@ def _check_precision_self_consistency(ctx: _Context):
         lam = log_nat(k, pb)
         agree_ok = agree_ok and abs(root_snap(lam, 6, pb)
                                     - root_snap(lam, 6, 2 * pb)) <= tol
-    chi_lo = lp.chi(lp.anchor(2), ctx.lp_params(), pb)
-    chi_hi = lp.chi(lp.anchor(2), ctx.lp_params(), 2 * pb)
+    x, p = lp.anchor(2), lp.LogPeriodicParams()
+    chi_lo, chi_hi = lp.chi(x, p, pb), lp.chi(x, p, 2 * pb)
     agree_ok = agree_ok and abs(chi_lo - chi_hi) <= tol * max(1, abs(chi_hi))
 
     ok = capacity_ok and agree_ok

@@ -80,10 +80,7 @@ class RunConfig:
     n: int = _option(10, int, "truncation index of the notched construction")
     m_max: int = _option(6, int, "number of blow-up schedule atoms")
     precision_bits: int = _option(DEFAULT_PRECISION, int, every_command=True)
-    alpha: Fraction = _option(Fraction(1), Fraction)
     delta: Fraction = _option(Fraction(1, 4), Fraction)
-    quad_tol: Fraction = _option(Fraction(1, 10 ** 8), Fraction)
-    x_max: Optional[Fraction] = _option(None, Fraction)
     d: Fraction = _option(Fraction(1), Fraction, "window width")
     out: Optional[str] = _option(None, str, "output path", every_command=True)
     params: dict = field(default_factory=dict)  # probe key=value parameters
@@ -91,8 +88,7 @@ class RunConfig:
                                                        compare=False)
 
     def lp_params(self) -> lp.LogPeriodicParams:
-        return lp.LogPeriodicParams(alpha=self.alpha, delta=self.delta,
-                                    quad_tol=self.quad_tol, x_max=self.x_max)
+        return lp.LogPeriodicParams(delta=self.delta)
 
     def notched_density(self) -> notched.NotchedDensity:
         """The notched build at (n, precision_bits), made once per run."""
@@ -183,9 +179,9 @@ def _cmd_build(config: RunConfig) -> int:
         norm = lp.normalizers(params)
         meta = _meta_text([
             ("construction", "logperiodic"),
-            ("alpha", render.decimal_str(params.alpha)),
+            ("alpha", render.decimal_str(lp.ALPHA)),
             ("delta", render.decimal_str(params.delta)),
-            ("quad_tol", render.decimal_str(params.quad_tol)),
+            ("quad_tol", render.decimal_str(lp.QUAD_TOL)),
             ("x_max", render.decimal_str(norm.x_max)),
             ("a", render.decimal_str(norm.a)),
             ("a_err", render.decimal_str(norm.a_err)),

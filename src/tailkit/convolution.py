@@ -63,7 +63,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from tailkit.piecewise import PiecewisePoly
+from tailkit.piecewise import PiecewisePoly, _fmt
 
 if TYPE_CHECKING:
     from tailkit.mixture import MixtureSpec
@@ -168,7 +168,7 @@ def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,
     """
     x, y_lo, y_hi = Fraction(x), Fraction(y_lo), Fraction(y_hi)
     if y_lo > y_hi:
-        raise ValueError(f"reversed bounds: {y_lo} > {y_hi}")
+        raise ValueError(f"reversed bounds: {_fmt(y_lo)} > {_fmt(y_hi)}")
     same = q is p
     sb, pc0, pc1 = _linear(p)
     tb, qc0, qc1 = (sb, pc0, pc1) if same else _linear(q)
@@ -228,8 +228,8 @@ def self_conv_value(p: PiecewisePoly, x) -> Fraction:
     x = Fraction(x)
     lo, hi = p.support
     if not 2 * lo <= x <= 2 * hi:
-        raise ValueError(f"{x} is outside the self-convolution support "
-                         f"[{2 * lo}, {2 * hi}]")
+        raise ValueError(f"{_fmt(x)} is outside the self-convolution support "
+                         f"[{_fmt(2 * lo)}, {_fmt(2 * hi)}]")
     return conv_window_value(p, p, x, lo, hi)
 
 
@@ -243,10 +243,10 @@ def split_integrals(f: PiecewisePoly, n: int, x) -> tuple[Fraction, Fraction]:
     from tailkit.notched import a_position, m_of
     x = Fraction(x)
     if not a_position(n) < x <= a_position(n + 1):
-        raise ValueError(f"x={x} is not inside block {n}")
+        raise ValueError(f"x={_fmt(x)} is not inside block {n}")
     cut = a_position(m_of(n))
     if x - cut < cut:
-        raise ValueError(f"x={x} violates x - a_m >= a_m for block {n}")
+        raise ValueError(f"x={_fmt(x)} violates x - a_m >= a_m for block {n}")
     i1 = conv_window_value(f, f, x, Fraction(0), cut)
     i2 = conv_window_value(f, f, x, cut, x - cut)
     return i1, i2
@@ -263,7 +263,7 @@ def self_conv_window_mass(p: PiecewisePoly, x, d) -> Fraction:
     """
     x, d = Fraction(x), Fraction(d)
     if d <= 0:
-        raise ValueError(f"window width must be positive, got {d}")
+        raise ValueError(f"window width must be positive, got {_fmt(d)}")
     lo, hi = p.support
     w_lo, w_hi = max(x, 2 * lo), min(x + d, 2 * hi)
     if w_hi <= w_lo:
@@ -298,7 +298,7 @@ def mixture_local_conv(mix: MixtureSpec, x, d) -> Fraction:
         raise ValueError("x must be positive: for x <= 0 the omitted "
                          "negative*negative term would contribute")
     if d <= 0:
-        raise ValueError(f"window width must be positive, got {d}")
+        raise ValueError(f"window width must be positive, got {_fmt(d)}")
     self_mass = self_conv_window_mass(mix.f1.density(), x, d)
     return (mix.q1 ** 2 * self_mass
             + 2 * mix.q1 * mix.q2 * mixture_cross_mass(mix, x, d))
@@ -308,7 +308,7 @@ def mixture_cross_mass(mix: MixtureSpec, x, d) -> Fraction:
     """F1*F2 window mass alone (the blow-up numerator), without weights."""
     x, d = Fraction(x), Fraction(d)
     if d <= 0:
-        raise ValueError(f"window width must be positive, got {d}")
+        raise ValueError(f"window width must be positive, got {_fmt(d)}")
     f = mix.f1.density()
     cross = Fraction(0)
     for v, p in mix.f2.atoms:

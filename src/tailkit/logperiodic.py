@@ -1,6 +1,6 @@
 """Density with a log-periodically modulated power exponent.
 
-The tail ``exp(-alpha*x - chi(x))`` with
+The tail ``exp(-alpha*x - chi(x))``, with ``alpha = ALPHA = 1`` and
 
     chi(x) = x ** (1/2 + delta * cos(ln(x+1))),   0 < delta < 1/2,
 
@@ -18,9 +18,10 @@ is ``mpf_mul_int``, ``/6`` is ``mpf_div`` by ``from_int(6)``), at the same
 precision with round-to-nearest, so every value keeps the bits of the
 ``mpf`` expression, without its per-operation dispatch and allocation.
 mpmath loads on first evaluation, not with this module.  Integrals carry
-an error budget and a certified analytic tail bound, and raise
-:class:`PrecisionFailure` rather than return a value that missed it, also
-when one piece stops at the depth cap or the evaluation cap.
+the relative error budget ``QUAD_TOL`` and a certified analytic tail
+bound, and raise :class:`PrecisionFailure` rather than return a value that
+missed it, also when one piece stops at the depth cap or the evaluation
+cap.
 :func:`normalizers` (whose three integrals share a panel) and
 :func:`middle_mass_ratio` (symmetric about ``x/2``) keep chi per abscissa
 for one call: each is computed once.
@@ -43,31 +44,20 @@ _MAX_DEPTH = 52
 # delta) would otherwise refine for minutes
 _MAX_EVALS = 1 << 15
 _RND = "n"         # round to nearest, mpmath's default rounding
+ALPHA = Fraction(1)              # rate of the exponential tail factor
+QUAD_TOL = Fraction(1, 10 ** 8)  # relative error budget of every integral
 
 Raw = tuple        # libmp's raw mpf: (sign, mantissa, exponent, bitcount)
 
 
 @dataclass(frozen=True)
 class LogPeriodicParams:
-    alpha: Fraction = Fraction(1)
     delta: Fraction = Fraction(1, 4)
-    quad_tol: Fraction = Fraction(1, 10 ** 8)
-    x_max: Optional[Fraction] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "delta", Fraction(self.delta))
-        object.__setattr__(self, "quad_tol", Fraction(self.quad_tol))
-        if self.x_max is not None:
-            object.__setattr__(self, "x_max", Fraction(self.x_max))
-            if self.x_max <= 0:
-                raise ValueError("x_max must be positive")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not Fraction(0) < self.delta < Fraction(1, 2):
             raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
-        if not Fraction(0) < self.quad_tol <= Fraction(1, 10 ** 4):
-            raise ValueError(f"quad_tol must lie in (0, 1e-4], got {self.quad_tol}")
 
 
 def _raw(q: Fraction, wp: int = _WP) -> Raw:
@@ -253,16 +243,17 @@ _NORMALIZER_CACHE: dict = {}
 def normalizers(p: LogPeriodicParams) -> Normalizers:
     """Both normalizing constants with certified total error bounds.
 
-    The cutoff for the chi-only integral is grown until its analytic tail
-    bound drops below quad_tol/10 of the integral.
+    The cutoff for the chi-only integral doubles from 4096 until its
+    certified analytic tail bound drops below QUAD_TOL/10 of a coarse value
+    of the integral; past 2**64 it raises :class:`PrecisionFailure`.
     """
     if p in _NORMALIZER_CACHE:
         return _NORMALIZER_CACHE[p]
     from mpmath.libmp import (from_int, from_str, ftwo, fzero, mpf_add, mpf_div, mpf_exp,
                               mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
-                              mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_sub, to_str)
+                              mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_sub)
     wp, rnd = _WP, _RND
-    delta, alpha, tol = _raw(p.delta), _raw(p.alpha), _raw(p.quad_tol)
+    delta, alpha, tol = _raw(p.delta), _raw(ALPHA), _raw(QUAD_TOL)
     neg_alpha = mpf_neg(alpha, wp, rnd)
     z0 = mpf_div(mpf_add(mpf_log(mpf_rdiv_int(10, mpf_mul(alpha, tol, wp, rnd), wp, rnd),
                                  wp, rnd), from_int(4), wp, rnd), alpha, wp, rnd)
@@ -276,20 +267,12 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
     half_tol = mpf_div(tol, ftwo, wp, rnd)
     coarse, _ = _integrate(chi_integrand, _anchor_points(fzero, from_int(4096)),
                            mpf_pos(from_str("1e-3", wp, rnd), wp, rnd))
-    if p.x_max is not None:
-        x_max = _raw(p.x_max)
-        tail = _chi_tail_bound(x_max, delta)
-        if not mpf_lt(tail, mpf_mul(tol, coarse, wp, rnd)):
-            raise PrecisionFailure(
-                f"cutoff x_max={p.x_max} leaves a certified tail bound "
-                f"{to_str(tail, 6)} above the quadrature budget")
-    else:
-        x_max = from_int(4096)
-        tail_target = mpf_div(mpf_mul(tol, coarse, wp, rnd), from_int(10), wp, rnd)
-        while not mpf_lt(tail := _chi_tail_bound(x_max, delta), tail_target):
-            x_max = mpf_mul_int(x_max, 2, wp, rnd)
-            if mpf_gt(x_max, mpf_pow_int(ftwo, 64, wp, rnd)):
-                raise PrecisionFailure("no cutoff reaches the tail target")
+    x_max = from_int(4096)
+    tail_target = mpf_div(mpf_mul(tol, coarse, wp, rnd), from_int(10), wp, rnd)
+    while not mpf_lt(tail := _chi_tail_bound(x_max, delta), tail_target):
+        x_max = mpf_mul_int(x_max, 2, wp, rnd)
+        if mpf_gt(x_max, mpf_pow_int(ftwo, 64, wp, rnd)):
+            raise PrecisionFailure("no cutoff reaches the tail target")
     inv_a, err_a = _integrate(chi_integrand, _anchor_points(fzero, x_max), half_tol)
     err_a = mpf_add(err_a, tail, wp, rnd)
 
@@ -332,7 +315,7 @@ def _tail_integral(x: Raw, p: LogPeriodicParams):
     from mpmath.libmp import (from_int, ftwo, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
                               mpf_neg, mpf_rdiv_int, mpf_sub)
     wp, rnd = _WP, _RND
-    alpha, tol = _raw(p.alpha), _raw(p.quad_tol)
+    alpha, tol = _raw(ALPHA), _raw(QUAD_TOL)
     neg_alpha = mpf_neg(alpha, wp, rnd)
     chi_of = _chi_raw(_raw(p.delta))
     chi_x = chi_of(x)
@@ -360,7 +343,7 @@ def karamata_ratio(x, p: LogPeriodicParams) -> Fraction:
         raise ValueError(f"x must be nonnegative, got {x}")
     from mpmath.libmp import mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sub
     wp, rnd = _WP, _RND
-    xm, alpha = _raw(x), _raw(p.alpha)
+    xm, alpha = _raw(x), _raw(ALPHA)
     val, _, chi_x = _tail_integral(xm, p)
     tail_x = mpf_exp(mpf_sub(mpf_mul(mpf_neg(alpha, wp, rnd), xm, wp, rnd), chi_x, wp, rnd),
                      wp, rnd)
@@ -402,7 +385,7 @@ def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
                      + [mpf_sub(xm, t, wp, rnd) for t in anchors]),
                  key=cmp_to_key(mpf_cmp))
     pts = [t for t in pts if mpf_le(h, t) and mpf_le(t, top)]
-    val, _ = _integrate(integrand, pts, _raw(p.quad_tol))
+    val, _ = _integrate(integrand, pts, _raw(QUAD_TOL))
     if mpf_le(val, fzero):
         return LogValue(0)
     log_sum = mpf_add(mpf_log(_raw(norm.a), wp, rnd), mpf_log(val, wp, rnd), wp, rnd)

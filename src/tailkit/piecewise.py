@@ -132,7 +132,7 @@ class PiecewisePoly:
     def _segment_of(self, x: Fraction) -> int:
         lo, hi = self.support
         if x < lo or x > hi:
-            raise ValueError(f"{x} is outside the support [{lo}, {hi}]")
+            raise ValueError(f"{_fmt(x)} is outside the support [{_fmt(lo)}, {_fmt(hi)}]")
         idx = bisect_left(self.breakpoints, x) - 1
         return max(idx, 0)
 
@@ -157,9 +157,10 @@ class PiecewisePoly:
         lo, hi = Fraction(lo), Fraction(hi)
         s_lo, s_hi = self.support
         if lo > hi:
-            raise ValueError(f"reversed bounds: {lo} > {hi}")
+            raise ValueError(f"reversed bounds: {_fmt(lo)} > {_fmt(hi)}")
         if lo < s_lo or hi > s_hi:
-            raise ValueError(f"[{lo}, {hi}] exceeds the support [{s_lo}, {s_hi}]")
+            raise ValueError(f"[{_fmt(lo)}, {_fmt(hi)}] exceeds the support "
+                             f"[{_fmt(s_lo)}, {_fmt(s_hi)}]")
         total = Fraction(0)
         breaks = self.breakpoints
         i = max(bisect_left(breaks, lo) - 1, 0)
@@ -175,7 +176,7 @@ class PiecewisePoly:
         """Mass over (x, x+d] clamped to the support; 0 when disjoint."""
         x, d = Fraction(x), Fraction(d)
         if d <= 0:
-            raise ValueError(f"window width must be positive, got {d}")
+            raise ValueError(f"window width must be positive, got {_fmt(d)}")
         s_lo, s_hi = self.support
         lo = max(x, s_lo)
         hi = min(x + d, s_hi)

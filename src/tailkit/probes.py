@@ -12,16 +12,17 @@ absolute tolerances.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from tailkit import convolution as conv
 from tailkit import logperiodic as lp
 from tailkit import mixture as mx
 from tailkit import notched
 from tailkit.numerics import DEFAULT_PRECISION, LogValue, _snap, log_nat
-from tailkit.piecewise import PiecewisePoly
+from tailkit.piecewise import PiecewisePoly, _fmt
 from tailkit.render import decimal_str, int_str, value_str
 
 Value = Union[Fraction, LogValue, int]
@@ -73,7 +74,7 @@ def long_tail_ratio(p: PiecewisePoly, x, t) -> Fraction:
     x, t = Fraction(x), Fraction(t)
     denom = p.eval(x)
     if denom == 0:
-        raise ValueError(f"density vanishes at x={x}")
+        raise ValueError(f"density vanishes at x={_fmt(x)}")
     return p.eval(x + t) / denom
 
 
@@ -82,7 +83,7 @@ def subexp_ratio(p: PiecewisePoly, x) -> Fraction:
     x = Fraction(x)
     denom = p.eval(x)
     if denom == 0:
-        raise ValueError(f"density vanishes at x={x}")
+        raise ValueError(f"density vanishes at x={_fmt(x)}")
     return conv.self_conv_value(p, x) / (2 * denom)
 
 
@@ -91,7 +92,7 @@ def local_tail_ratio(p: PiecewisePoly, x, d) -> Fraction:
     x, d = Fraction(x), Fraction(d)
     denom = p.eval(x)
     if denom == 0:
-        raise ValueError(f"density vanishes at x={x}")
+        raise ValueError(f"density vanishes at x={_fmt(x)}")
     return p.interval_mass(x, d) / (d * denom)
 
 
@@ -105,49 +106,36 @@ class ScanResult:
 
 
 def almost_decrease_scan(p: PiecewisePoly, x0=0) -> ScanResult:
-    """sup of f(y)/f(x) over knot pairs x0 <= x <= y, with the maximizing
-    pair.  Exact for piecewise-linear p (extrema at knots)."""
+    """sup of f(y)/f(x) over knot pairs x0 <= x <= y with f(x) > 0, with
+    the maximizing pair.  Exact for piecewise-linear p (extrema at knots)."""
     x0 = Fraction(x0)
     lo, hi = p.support
     start = max(x0, lo)
     if start > hi:
-        raise ValueError(f"scan start {x0} is beyond the support end {hi}")
-    points = [start] + [b for b in p.breakpoints if b > start]
-    best = Fraction(0)
-    best_pair = (start, start)
-    min_val: Optional[Fraction] = None
-    min_at = start
-    for pt in points:
-        v = p.eval(pt)
-        if min_val is None or v < min_val:
-            if v > 0:
-                min_val, min_at = v, pt
-            elif min_val is None:
-                continue
-        if min_val is not None and min_val > 0:
-            ratio = v / min_val
-            if ratio > best:
-                best, best_pair = ratio, (min_at, pt)
-    if min_val is None:
-        raise ValueError("density vanishes on the whole scan range")
-    return ScanResult(best, decimal_str(best_pair[0]), decimal_str(best_pair[1]))
+        raise ValueError(f"scan start {_fmt(x0)} is beyond the support end {_fmt(hi)}")
+    values = ((x, p.eval(x)) for x in [start] + [b for b in p.breakpoints if b > start])
+    best, low, high = _max_rise(((x, v) for x, v in values if v > 0), operator.truediv)
+    return ScanResult(best, decimal_str(low), decimal_str(high))
 
 
-def _max_rise(points) -> tuple[Fraction, object, object]:
-    """Largest rise log2(f(y)) - log2(f(x)) over ordered pairs x <= y.
+def _max_rise(points, rise=operator.sub) -> tuple[Fraction, object, object]:
+    """Largest rise(f(y), f(x)) over ordered pairs x <= y.
 
-    ``points`` yields (label, log2) in scan order.  Returns the rise and the
-    labels of its low and high ends; a strictly lower value moves the
-    running minimum and a strictly larger rise replaces the best, so ties
-    keep the earliest labels.
+    ``points`` yields (label, value) in scan order, and ``rise`` compares
+    two values: the difference of log2 values, or the ratio of positive
+    values.  Returns the rise and the labels of its low and high ends; a
+    strictly lower value moves the running minimum and a strictly larger
+    rise replaces the best, so ties keep the earliest labels.
     """
-    best = min_log = None
-    for label, log2 in points:
-        if min_log is None or log2 < min_log:
-            min_log, min_label = log2, label
-        diff = log2 - min_log
-        if best is None or diff > best:
-            best, low, high = diff, min_label, label
+    best = min_value = None
+    for label, value in points:
+        if min_value is None or value < min_value:
+            min_value, min_label = value, label
+        r = rise(value, min_value)
+        if best is None or r > best:
+            best, low, high = r, min_label, label
+    if best is None:
+        raise ValueError("density vanishes on the whole scan range")
     return best, low, high
 
 
@@ -250,7 +238,7 @@ def mixture_blowup_probe(mix: mx.MixtureSpec, schedule: mx.BlowupSchedule,
     """
     d = Fraction(d)
     if d <= 0:
-        raise ValueError(f"window width must be positive, got {d}")
+        raise ValueError(f"window width must be positive, got {_fmt(d)}")
     rows = []
     pb = schedule.precision_bits
     first = schedule.entries[0]

@@ -77,8 +77,10 @@ def decimal_str(q, sig: int = SIG_DIGITS) -> str:
     # exact expansion when den = 2^a * 5^b and the result is short enough
     twos = (den & -den).bit_length() - 1
     d = den >> twos
+    # the exact branch needs shift < _EXACT_WIDTH, so counting stops there:
+    # one division per factor would make a long power of five quadratic
     fives = 0
-    while d % 5 == 0:
+    while fives < _EXACT_WIDTH and d % 5 == 0:
         d //= 5
         fives += 1
     shift = max(twos, fives)

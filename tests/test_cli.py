@@ -72,10 +72,11 @@ class TestBuild:
         assert "file:" not in err  # build has no file construction
 
     def test_unreachable_quadrature_budget_is_exit_3(self, tmp_path, capsys):
-        # a tiny explicit cutoff leaves a certified tail above the budget
-        assert run_cli("build", "logperiodic", "--x-max", "4",
+        # near delta = 1/2 no cutoff up to 2**64 certifies the tail budget
+        assert run_cli("build", "logperiodic", "--delta", "9/20",
                        "--out", str(tmp_path)) == 3
-        assert "precision failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "precision failure: no cutoff reaches the tail target" in err
 
 
 class TestConfig:
@@ -105,6 +106,22 @@ class TestConfig:
         cfg.write_text("precision_bits = 256\ndelta = 1/8\n")
         assert run_cli("verify", "--config", str(cfg)) == 2
         assert "run.cfg:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--alpha", "2"], ""),
+        (["alpha=2"], ""),
+        ([], "quad_tol = 1/10\n"),
+    ], ids=["flag", "key-value", "config-line"])
+    def test_logperiodic_constants_are_not_keys(self, argv, config, tmp_path):
+        # alpha and quad_tol are constants of the logperiodic module
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text(config)
+        try:
+            code = run_cli("build", "logperiodic", *argv, "--config", str(cfg),
+                           "--out", str(out))
+        except SystemExit as done:  # argparse's exit on an unknown flag
+            code = done.code
+        assert code == 2 and not out.exists()
 
     def test_zero_denominator_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -331,26 +348,32 @@ class TestConvolve:
         err = capsys.readouterr().err
         assert "1e5" in err and err.count("\n") == 1 and not out.exists()
 
-    @pytest.mark.parametrize("lines, names", [
-        ([f"knot {'7' * 5000} 1", "knot 0 1"], "strictly increase"),
-        ([f"seg 0 {'7' * 5000} 1 0 0 0", f"seg {'7' * 5000} 1 1 0 0 0"],
-         "strictly increase"),
-        (["knot 0 1", f"knot 1 -{'7' * 5000}"], "nonnegative"),
-    ], ids=["knots-unordered", "segs-unordered", "negative-value"])
-    def test_error_names_the_fault_past_the_digit_limit(self, lines, names,
-                                                         tmp_path, capsys):
-        # the offending 5,000-digit value is past the default limit on
-        # int-to-str conversion, which must not replace the message
+    @pytest.mark.parametrize("argv, lines, names, value", [
+        (["convolve", "{src}"], [f"knot {'7' * 5000} 1", "knot 0 1"],
+         "strictly increase", "7" * 5000),
+        (["convolve", "{src}"],
+         [f"seg 0 {'7' * 5000} 1 0 0 0", f"seg {'7' * 5000} 1 1 0 0 0"],
+         "strictly increase", "7" * 5000),
+        (["convolve", "{src}"], ["knot 0 1", f"knot 1 -{'7' * 5000}"],
+         "nonnegative", "7" * 5000),
+        (["probe", "notched", "subexp_ratio", "x=1e5000"], [],
+         "outside the support", "1" + "0" * 5000),
+    ], ids=["knots-unordered", "segs-unordered", "negative-value",
+            "subexp-outside-support"])
+    def test_error_names_the_fault_past_the_digit_limit(self, argv, lines, names,
+                                                         value, tmp_path, capsys):
+        # the offending value, of 5,000 digits or more, is past the default
+        # limit on int-to-str conversion, which must not replace the message
         src, out = tmp_path / "f.pw", tmp_path / "o.pw"
         src.write_text("\n".join(lines) + "\n")
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
-            code = run_cli("convolve", str(src), "--out", str(out))
+            code = run_cli(*[a.format(src=src) for a in argv], "--out", str(out))
         finally:
             sys.set_int_max_str_digits(old)
         err = capsys.readouterr().err
-        assert code == 2 and names in err and "7" * 5000 in err
+        assert code == 2 and names in err and value in err
         assert err.count("\n") == 1 and not out.exists()
 
     def test_tampered_file_rejected(self, tmp_path, capsys):

@@ -3,11 +3,12 @@
 Point values are verified against evaluation at twice the working
 precision; normalizers are cross-checked with mpmath's own quadrature
 (tanh-sinh, panelled at the anchors) as an independent second algorithm.
-The pinned normalizer constant below was computed once at quad_tol 1e-8
-and frozen.
+The pinned normalizer constant below was computed once at the module's
+QUAD_TOL (1e-8) and frozen.
 """
 
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import mpmath
@@ -132,10 +133,9 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             lp.LogPeriodicParams(delta=Fraction(3, 4))
-        with pytest.raises(ValueError):
-            lp.LogPeriodicParams(alpha=0)
-        with pytest.raises(ValueError):
-            lp.LogPeriodicParams(quad_tol=Fraction(1, 10))
+
+    def test_delta_is_the_only_field(self):
+        assert [f.name for f in fields(lp.LogPeriodicParams)] == ["delta"]
 
 
 class TestNormalizers:
@@ -164,7 +164,7 @@ class TestNormalizers:
         # anchor that ends one panel and starts the next
         _, calls = fresh
         with mpmath.workprec(lp._WP):
-            z0 = mpmath.log(10 / _mpf(lp._raw(lp_default.quad_tol))) + 4
+            z0 = mpmath.log(10 / _mpf(lp._raw(lp.QUAD_TOL))) + 4
             assert max(n for y, n in calls.items() if _mpf(y) <= z0) == 1
         assert sum(calls.values()) <= 1357
 
@@ -188,14 +188,11 @@ class TestNormalizers:
     def test_cached(self, lp_default):
         assert lp.normalizers(lp_default) is lp.normalizers(lp_default)
 
-    def test_explicit_x_max(self):
-        p = lp.LogPeriodicParams(x_max=Fraction(10 ** 6))
-        n = lp.normalizers(p)
-        assert n.x_max == 10 ** 6
-
     def test_unreachable_cutoff_raises(self):
-        p = lp.LogPeriodicParams(x_max=Fraction(4))
-        with pytest.raises(PrecisionFailure):
+        # at delta = 9/20 the tail is bounded through exp(-y**(1/20)), a bound
+        # that is finite only for cutoffs past 40**20, beyond the 2**64 limit
+        p = lp.LogPeriodicParams(delta=Fraction(9, 20))
+        with pytest.raises(PrecisionFailure, match="no cutoff reaches the tail target"):
             lp.normalizers(p)
 
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,13 @@ class TestScans:
         with pytest.raises(ValueError):
             probes.almost_decrease_scan(nd3.dense, notched.a_position(4) + 1)
 
+    def test_scan_skips_zeros(self):
+        f = from_linear_knots([(0, 0), (1, 2), (2, 0), (3, 3), (4, 0)])
+        scan = probes.almost_decrease_scan(f)
+        assert (scan.sup_ratio, scan.witness_x, scan.witness_y) == (Fraction(3, 2), "1", "3")
+        with pytest.raises(ValueError, match="vanishes on the whole scan range"):
+            probes.almost_decrease_scan(f, 4)
+
     def test_knot_scan_matches_dense(self):
         scan = probes.notched_knot_scan(40)
         assert scan.sup_ratio.log2mag == log2_snap(log_nat(40), 256)
@@ -195,6 +203,13 @@ class TestRendering:
         assert (decimal_str(Fraction(3, 2 ** 20001))
                 == "3.7685820865481168777702025632004150905e-6021")
         assert decimal_str(Fraction(1 - 2 ** 20001, 2 ** 20001)) == "-1"
+
+    def test_decimal_long_power_of_five_is_fast(self):
+        # the exact branch needs fewer than 80 factors of 5, so the count
+        # stops there; counting all 300,000 one division at a time took 60 s
+        start = time.perf_counter()
+        assert decimal_str(Fraction(1, 10 ** 300000)) == "1e-300000"
+        assert time.perf_counter() - start < 5
 
     def test_decimal_deterministic(self):
         q = Fraction(355, 113)
