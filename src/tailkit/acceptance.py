@@ -134,9 +134,9 @@ def _sum_left(values) -> float:
     return total
 
 
-def _conv_quad_oracle(p: PiecewisePoly, x: Fraction, rel_tol: float) -> float:
-    """Float adaptive-Simpson value of (p*p)(x): independent of the kernel."""
-    f = _float_eval(p)
+def _conv_quad_oracle(p: PiecewisePoly, f, x: Fraction, rel_tol: float) -> float:
+    """Float adaptive-Simpson value of (p*p)(x), with f = _float_eval(p):
+    independent of the kernel."""
     lo, hi = float(p.support[0]), float(p.support[1])
     xf = float(x)
     y0, y1 = max(lo, xf - hi), min(hi, xf - lo)
@@ -181,6 +181,7 @@ def _check_conv_quadrature(ctx: _Context):
     """Exact convolution against a float quadrature oracle, 1e-6 relative."""
     f3 = ctx.normalized(3)
     dense = conv.conv_linear_exact(f3, f3)
+    f3_float = _float_eval(f3)
     top = 2 * f3.support[1]
     rng = random.Random(_SEED + 1)
     worst = 0.0
@@ -192,7 +193,7 @@ def _check_conv_quadrature(ctx: _Context):
         x = Fraction(round(xf * (1 << 20)), 1 << 20)
         x = min(max(x, Fraction(1, 100)), top * Fraction(999, 1000))
         exact = dense.eval(x)
-        oracle = _conv_quad_oracle(f3, x, 1e-8)
+        oracle = _conv_quad_oracle(f3, f3_float, x, 1e-8)
         rel = abs(oracle - float(exact)) / float(exact)
         worst = max(worst, rel)
         rows.append(ProbeRow("conv_vs_quadrature", decimal_str(x, 12),

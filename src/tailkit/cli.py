@@ -160,11 +160,9 @@ def _cmd_build(config: RunConfig) -> int:
     if config.params:
         raise UsageError(f"unknown parameter(s) {', '.join(sorted(config.params))} "
                          "for build")
-    out_dir = Path(config.out or "tailkit-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every file is made before the directory, so a failed build writes nothing
     if config.construction == "notched":
         nd = config.notched_density()
-        (out_dir / "notched.knots").write_text(piecewise.dump_text(nd.dense))
         meta = _meta_text([
             ("construction", "notched"),
             ("n", str(nd.truncation_n)),
@@ -173,7 +171,7 @@ def _cmd_build(config: RunConfig) -> int:
             ("dense_limit", str(notched.DENSE_LIMIT)),
             ("omitted_tail_bound", render.decimal_str(nd.omitted_tail_bound())),
         ])
-        (out_dir / "notched.meta").write_text(meta)
+        files = {"notched.knots": piecewise.dump_text(nd.dense), "notched.meta": meta}
     elif config.construction == "logperiodic":
         params = config.lp_params()
         norm = lp.normalizers(params)
@@ -188,11 +186,10 @@ def _cmd_build(config: RunConfig) -> int:
             ("b", render.decimal_str(norm.b)),
             ("b_err", render.decimal_str(norm.b_err)),
         ])
-        (out_dir / "logperiodic.meta").write_text(meta)
+        files = {"logperiodic.meta": meta}
     elif config.construction == "mixture":
         sch = mx.build_schedule(config.m_max, config.precision_bits)
         lines = mx.schedule_csv_lines(sch)
-        (out_dir / "mixture_schedule.csv").write_text("\n".join(lines) + "\n")
         meta = _meta_text([
             ("construction", "mixture"),
             ("m_max", str(sch.m_max)),
@@ -200,10 +197,14 @@ def _cmd_build(config: RunConfig) -> int:
             ("c", render.decimal_str(sch.c)),
             ("residual_mass", render.decimal_str(sch.residual_mass)),
         ])
-        (out_dir / "mixture.meta").write_text(meta)
+        files = {"mixture_schedule.csv": "\n".join(lines) + "\n", "mixture.meta": meta}
     else:
         raise UsageError(f"unknown construction {config.construction!r}; "
                          f"build takes one of {', '.join(CONSTRUCTIONS)}")
+    out_dir = Path(config.out or "tailkit-out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
     return 0
 
 

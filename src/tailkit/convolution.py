@@ -240,16 +240,22 @@ def split_integrals(f: PiecewisePoly, n: int, x) -> tuple[Fraction, Fraction]:
     partition [0,a_m] + [a_m, x-a_m] + [x-a_m, x] is valid and
     2*I1 + I2 reassembles the full self-convolution at x exactly.
     """
-    from tailkit.notched import a_position, m_of
     x = Fraction(x)
+    cut = _split_cut(n, x)
+    i1 = conv_window_value(f, f, x, Fraction(0), cut)
+    i2 = conv_window_value(f, f, x, cut, x - cut)
+    return i1, i2
+
+
+def _split_cut(n: int, x: Fraction) -> Fraction:
+    """a_{m(n)}, once x lies in (a_n, a_{n+1}] and x - a_m >= a_m."""
+    from tailkit.notched import a_position, m_of
     if not a_position(n) < x <= a_position(n + 1):
         raise ValueError(f"x={_fmt(x)} is not inside block {n}")
     cut = a_position(m_of(n))
     if x - cut < cut:
         raise ValueError(f"x={_fmt(x)} violates x - a_m >= a_m for block {n}")
-    i1 = conv_window_value(f, f, x, Fraction(0), cut)
-    i2 = conv_window_value(f, f, x, cut, x - cut)
-    return i1, i2
+    return cut
 
 
 def self_conv_window_mass(p: PiecewisePoly, x, d) -> Fraction:

@@ -24,7 +24,9 @@ missed it, also when one piece stops at the depth cap or the evaluation
 cap.
 :func:`normalizers` (whose three integrals share a panel) and
 :func:`middle_mass_ratio` (symmetric about ``x/2``) keep chi per abscissa
-for one call: each is computed once.
+for one call: each is computed once.  The tail normalizer ``b`` is
+integrated on its first read, so a caller that reads only ``a`` never
+runs the tail integral.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ class LogPeriodicParams:
     def __post_init__(self):
         object.__setattr__(self, "delta", Fraction(self.delta))
         if not Fraction(0) < self.delta < Fraction(1, 2):
-            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
+            from tailkit.piecewise import _fmt
+            raise ValueError(f"delta must lie in (0, 1/2), got {_fmt(self.delta)}")
 
 
 def _raw(q: Fraction, wp: int = _WP) -> Raw:
@@ -84,7 +87,8 @@ def chi(x, p: LogPeriodicParams, precision_bits: int = _SNAP_BITS) -> Fraction:
     """x ** (1/2 + delta*cos(ln(x+1))) snapped to 2**-precision_bits."""
     x = Fraction(x)
     if x < 0:
-        raise ValueError(f"chi is defined on x >= 0, got {x}")
+        from tailkit.piecewise import _fmt
+        raise ValueError(f"chi is defined on x >= 0, got {_fmt(x)}")
     if x == 0:
         return Fraction(0)
     wp = max(_WP, precision_bits + 64)
@@ -228,13 +232,35 @@ def _chi_tail_bound(T: Raw, delta: Raw) -> Raw:
     return mpf_div(head, mpf_sub(fone, mpf_div(k, u0, wp, rnd), wp, rnd), wp, rnd)
 
 
-@dataclass(frozen=True)
 class Normalizers:
-    a: Fraction              # 1 / integral of exp(-chi)
-    a_err: Fraction          # bound on |a - true a| (quadrature + tail)
-    b: Fraction              # 1 / integral of the tail exp(-alpha*y - chi)
-    b_err: Fraction
-    x_max: Fraction          # upper cutoff used for the chi-only integral
+    """Both normalizing constants of one parameter set, with certified total
+    error bounds.
+
+    ``a``, ``a_err`` and ``x_max`` are computed with the object; ``b`` and
+    ``b_err`` on the first read of either, which runs the tail integral.
+    """
+
+    def __init__(self, a: Fraction, a_err: Fraction, x_max: Fraction,
+                 tail: Callable[[], tuple[Fraction, Fraction]]):
+        self.a = a              # 1 / integral of exp(-chi)
+        self.a_err = a_err      # bound on |a - true a| (quadrature + tail)
+        self.x_max = x_max      # upper cutoff used for the chi-only integral
+        self._tail = tail       # () -> (b, b_err); None once they are read
+
+    def _b_pair(self) -> tuple[Fraction, Fraction]:
+        if self._tail is not None:
+            self._b = self._tail()
+            self._tail = None   # drops the chi table the tail integral read
+        return self._b
+
+    @property
+    def b(self) -> Fraction:
+        """1 / integral of the tail exp(-alpha*y - chi)."""
+        return self._b_pair()[0]
+
+    @property
+    def b_err(self) -> Fraction:
+        return self._b_pair()[1]
 
 
 _NORMALIZER_CACHE: dict = {}
@@ -245,7 +271,9 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
 
     The cutoff for the chi-only integral doubles from 4096 until its
     certified analytic tail bound drops below QUAD_TOL/10 of a coarse value
-    of the integral; past 2**64 it raises :class:`PrecisionFailure`.
+    of the integral; past 2**64 it raises :class:`PrecisionFailure`.  The
+    coarse and ``a`` integrals run here, the ``b`` integral on the first
+    read of ``b`` or ``b_err``; the three share a panel and one chi table.
     """
     if p in _NORMALIZER_CACHE:
         return _NORMALIZER_CACHE[p]
@@ -258,7 +286,7 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
     z0 = mpf_div(mpf_add(mpf_log(mpf_rdiv_int(10, mpf_mul(alpha, tol, wp, rnd), wp, rnd),
                                  wp, rnd), from_int(4), wp, rnd), alpha, wp, rnd)
     # chi for every abscissa the b integral can reach, each computed once
-    # and read by all three integrands; the table ends with the call
+    # and read by all three integrands; the table lives until b is read
     chi_at = _memo(_chi_raw(delta), upto=z0)
 
     def chi_integrand(y):
@@ -275,13 +303,6 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
             raise PrecisionFailure("no cutoff reaches the tail target")
     inv_a, err_a = _integrate(chi_integrand, _anchor_points(fzero, x_max), half_tol)
     err_a = mpf_add(err_a, tail, wp, rnd)
-
-    def tail_integrand(y):
-        return mpf_exp(mpf_sub(mpf_mul(neg_alpha, y, wp, rnd), chi_at(y), wp, rnd), wp, rnd)
-
-    inv_b, err_b = _integrate(tail_integrand, _anchor_points(fzero, z0), half_tol)
-    b_tail = mpf_div(mpf_exp(mpf_mul(neg_alpha, z0, wp, rnd), wp, rnd), alpha, wp, rnd)
-    err_b = mpf_add(err_b, b_tail, wp, rnd)
     ulp = mpf_pow_int(ftwo, -_SNAP_BITS, wp, rnd)
 
     def inverse_and_error(inv, err):
@@ -289,9 +310,17 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
         return (_snap_raw(mpf_rdiv_int(1, inv, wp, rnd), _SNAP_BITS),
                 _snap_raw(mpf_add(rel, ulp, wp, rnd), _SNAP_BITS))
 
+    def b_and_error():
+        def tail_integrand(y):
+            return mpf_exp(mpf_sub(mpf_mul(neg_alpha, y, wp, rnd), chi_at(y), wp, rnd),
+                           wp, rnd)
+
+        inv_b, err_b = _integrate(tail_integrand, _anchor_points(fzero, z0), half_tol)
+        b_tail = mpf_div(mpf_exp(mpf_mul(neg_alpha, z0, wp, rnd), wp, rnd), alpha, wp, rnd)
+        return inverse_and_error(inv_b, mpf_add(err_b, b_tail, wp, rnd))
+
     a, a_err = inverse_and_error(inv_a, err_a)
-    b, b_err = inverse_and_error(inv_b, err_b)
-    result = Normalizers(a=a, a_err=a_err, b=b, b_err=b_err, x_max=_snap_raw(x_max, 8))
+    result = Normalizers(a, a_err, _snap_raw(x_max, 8), b_and_error)
     return _NORMALIZER_CACHE.setdefault(p, result)
 
 
@@ -299,7 +328,8 @@ def density_log(x, p: LogPeriodicParams) -> LogValue:
     """log2 view of the density a * exp(-chi(x))."""
     x = Fraction(x)
     if x < 0:
-        raise ValueError(f"density is supported on x >= 0, got {x}")
+        from tailkit.piecewise import _fmt
+        raise ValueError(f"density is supported on x >= 0, got {_fmt(x)}")
     norm = normalizers(p)
     from mpmath.libmp import mpf_div, mpf_ln2, mpf_log, mpf_sub
     chi_x = _chi_raw(_raw(p.delta))(_raw(x))
@@ -340,7 +370,8 @@ def karamata_ratio(x, p: LogPeriodicParams) -> Fraction:
     """
     x = Fraction(x)
     if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+        from tailkit.piecewise import _fmt
+        raise ValueError(f"x must be nonnegative, got {_fmt(x)}")
     from mpmath.libmp import mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sub
     wp, rnd = _WP, _RND
     xm, alpha = _raw(x), _raw(ALPHA)
@@ -360,7 +391,8 @@ def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
     x = Fraction(x)
     h_exp = Fraction(h_exp)
     if not Fraction(0) < h_exp < 1:
-        raise ValueError(f"h_exp must lie in (0, 1), got {h_exp}")
+        from tailkit.piecewise import _fmt
+        raise ValueError(f"h_exp must lie in (0, 1), got {_fmt(h_exp)}")
     norm = normalizers(p)
     from functools import cmp_to_key
     from mpmath.libmp import (ftwo, fzero, mpf_add, mpf_cmp, mpf_div, mpf_exp, mpf_gt,
@@ -369,7 +401,8 @@ def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
     xm = _raw(x)
     h = mpf_pow(xm, _raw(h_exp), wp, rnd)
     if not mpf_gt(xm, mpf_mul_int(h, 2, wp, rnd)):
-        raise ValueError(f"need x > 2 * x**h_exp (x={x}, h={to_str(h, 6)})")
+        from tailkit.piecewise import _fmt
+        raise ValueError(f"need x > 2 * x**h_exp (x={_fmt(x)}, h={to_str(h, 6)})")
     # the integrand is symmetric about x/2 and its points are mirrored, so
     # most abscissas recur as x - y; the table ends with the call
     chi_at = _memo(_chi_raw(_raw(p.delta)))

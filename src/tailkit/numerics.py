@@ -28,6 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from tailkit.errors import PrecisionFailure
+
 if TYPE_CHECKING:
     from mpmath import mpf
 
@@ -53,8 +55,14 @@ def _snap(value: mpf, precision_bits: int) -> Fraction:
 
 
 def _snap_raw(value: tuple, precision_bits: int) -> Fraction:
-    """:func:`_snap` for libmp's raw mpf tuple."""
-    from mpmath.libmp import to_fixed
+    """:func:`_snap` for libmp's raw mpf tuple.
+
+    to_fixed would turn an infinity or NaN into 0; they raise
+    :class:`PrecisionFailure` instead.
+    """
+    from mpmath.libmp import finf, fnan, fninf, to_fixed, to_str
+    if value in (finf, fninf, fnan):
+        raise PrecisionFailure(f"cannot snap {to_str(value, 6)} to a rational")
     # int() guards against the gmpy backend handing back an mpz, which would
     # otherwise leak into Fraction internals
     fixed = int(to_fixed(value, precision_bits + 1))

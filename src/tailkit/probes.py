@@ -220,7 +220,8 @@ def i2_bound_check(nd: notched.NotchedDensity, n: int) -> I2Check:
     nd.check_block(n)
     pb = nd.precision_bits
     x = notched.knot_position("c", n, pb)
-    _, i2 = conv.split_integrals(nd.dense, n, x)
+    cut = conv._split_cut(n, x)  # I1, the other part of the split, is not read
+    i2 = conv.conv_window_value(nd.dense, nd.dense, x, cut, x - cut)
     m = notched.m_of(n)
     bound = notched.knot_value("a", m, pb) ** 2 * notched.a_position(n + 1)
     exponent = -6 * m * m + (n + 1) ** 2 + 2

@@ -15,6 +15,7 @@ import pytest
 from conftest import BATTERY_CSV_SHA256, child_env
 
 from tailkit import acceptance, notched
+from tailkit import logperiodic as lp
 from tailkit.numerics import DEFAULT_PRECISION
 
 CRITERIA = [name for name, _, _ in acceptance._CHECKS]
@@ -23,20 +24,34 @@ CRITERIA.insert(11, "12_determinism")
 
 @pytest.fixture(scope="module")
 def battery():
-    """One battery run, and the (N, precision) of each notched build in it."""
-    builds = []
-    build = notched.build_density
+    """One battery run with cold log-periodic normalizers, and what it
+    computed: the (N, precision) of each notched build, the log-periodic
+    integrals and the float evaluators of check 02's oracle."""
+    computed = {"builds": [], "integrals": 0, "float_evals": 0}
+    build, integrate, float_eval = (notched.build_density, lp._integrate,
+                                    acceptance._float_eval)
 
-    def counting(n, precision_bits=DEFAULT_PRECISION):
-        builds.append((n, precision_bits))
+    def counting_build(n, precision_bits=DEFAULT_PRECISION):
+        computed["builds"].append((n, precision_bits))
         return build(n, precision_bits)
 
+    def counting_integrate(*args):
+        computed["integrals"] += 1
+        return integrate(*args)
+
+    def counting_float_eval(p):
+        computed["float_evals"] += 1
+        return float_eval(p)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(notched, "build_density", counting)
+        mp.setattr(notched, "build_density", counting_build)
+        mp.setattr(lp, "_NORMALIZER_CACHE", {})
+        mp.setattr(lp, "_integrate", counting_integrate)
+        mp.setattr(acceptance, "_float_eval", counting_float_eval)
         out = acceptance.run_all()
     for r in out:
         print(r.line())
-    return {r.name: r for r in out}, builds
+    return {r.name: r for r in out}, computed
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +61,18 @@ def results(battery):
 
 def test_one_notched_build(battery):
     # every truncation a check reads is cut from the largest one
-    assert battery[1] == [(40, DEFAULT_PRECISION)]
+    assert battery[1]["builds"] == [(40, DEFAULT_PRECISION)]
+
+
+def test_tail_normalizer_never_integrated(battery):
+    # the coarse and a normalizer integrals and check 10's two tail
+    # integrals; no check reads b, so its integral never runs
+    assert battery[1]["integrals"] == 4
+
+
+def test_one_float_evaluator(battery):
+    # check 02's oracle evaluates the same f3 at all 20 points
+    assert battery[1]["float_evals"] == 1
 
 
 @pytest.mark.parametrize("name", CRITERIA)

@@ -358,8 +358,12 @@ class TestConvolve:
          "nonnegative", "7" * 5000),
         (["probe", "notched", "subexp_ratio", "x=1e5000"], [],
          "outside the support", "1" + "0" * 5000),
+        (["build", "logperiodic", "--delta", "1e5000"], [],
+         "delta must lie in (0, 1/2)", "1" + "0" * 5000),
+        (["probe", "logperiodic", "chi", "x=-1e5000"], [],
+         "chi is defined on x >= 0", "-1" + "0" * 5000),
     ], ids=["knots-unordered", "segs-unordered", "negative-value",
-            "subexp-outside-support"])
+            "subexp-outside-support", "delta-out-of-range", "chi-negative-x"])
     def test_error_names_the_fault_past_the_digit_limit(self, argv, lines, names,
                                                          value, tmp_path, capsys):
         # the offending value, of 5,000 digits or more, is past the default

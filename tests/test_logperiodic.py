@@ -23,7 +23,7 @@ from tailkit.numerics import _snap
 PINNED_A = Fraction("0.1699929587")
 PINNED_B = Fraction("2.0437349750")
 # the default normalizers bit for bit, as computed with mpmath 1.3.0
-PINNED_NORMALIZERS = lp.Normalizers(
+PINNED_NORMALIZERS = dict(
     a=Fraction(13468229759855505416607311051, 79228162514264337593543950336),
     a_err=Fraction(6302902084097032685, 9903520314283042199192993792),
     b=Fraction(80960683367516753399878682219, 39614081257132168796771975168),
@@ -141,12 +141,15 @@ class TestParams:
 class TestNormalizers:
     @pytest.fixture(scope="class")
     def fresh(self, lp_default):
-        """Default normalizers computed afresh, and chi's calls per abscissa."""
+        """Default normalizers computed afresh, b included, and chi's calls
+        per abscissa."""
         calls = Counter()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp, "_NORMALIZER_CACHE", {})
             mp.setattr(lp, "_chi_raw", _counting_chi(calls))
-            return lp.normalizers(lp_default), calls
+            norm = lp.normalizers(lp_default)
+            norm.b
+            return norm, calls
 
     def test_pinned_constants(self, lp_default):
         n = lp.normalizers(lp_default)
@@ -155,7 +158,19 @@ class TestNormalizers:
 
     @pytest.mark.pin
     def test_fresh_values_are_pinned_bit_for_bit(self, fresh):
-        assert fresh[0] == PINNED_NORMALIZERS
+        assert {k: getattr(fresh[0], k) for k in PINNED_NORMALIZERS} == PINNED_NORMALIZERS
+
+    def test_tail_integral_runs_on_first_read_of_b(self, lp_default, monkeypatch):
+        # the coarse and a integrals run with the call; b's only when read
+        integrals = []
+        integrate = lp._integrate
+        monkeypatch.setattr(lp, "_NORMALIZER_CACHE", {})
+        monkeypatch.setattr(lp, "_integrate",
+                            lambda *args: integrals.append(args) or integrate(*args))
+        norm = lp.normalizers(lp_default)
+        assert len(integrals) == 2
+        assert (norm.b_err, norm.b) == (PINNED_NORMALIZERS["b_err"], PINNED_NORMALIZERS["b"])
+        assert len(integrals) == 3
 
     def test_one_chi_per_abscissa(self, fresh, lp_default):
         # every abscissa up to the b integral's cutoff (alpha = 1) is

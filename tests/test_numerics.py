@@ -11,8 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import finf, fnan, fninf
 
-from tailkit.numerics import (LogValue, exp2_snap, ln_snap, log2_snap,
+from tailkit.errors import PrecisionFailure
+from tailkit.numerics import (LogValue, _snap_raw, exp2_snap, ln_snap, log2_snap,
                               log_nat, root_snap)
 
 
@@ -128,6 +130,12 @@ class TestSnaps:
     def test_ln_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ln_snap(Fraction(0))
+
+    @pytest.mark.parametrize("value", [finf, fninf, fnan], ids=["inf", "-inf", "nan"])
+    def test_snap_refuses_non_finite(self, value):
+        # a silent 0 here would print as a valid constant
+        with pytest.raises(PrecisionFailure):
+            _snap_raw(value, 96)
 
 
 class TestLogValue:

@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -152,6 +153,31 @@ class TestI2Bound:
     def test_every_block_2_to_15(self):
         nd = notched.build_density(16)
         assert all(probes.i2_bound_check(nd, n).passed for n in range(2, 16))
+
+    def test_walks_i2_alone(self, nd10, monkeypatch):
+        # one point walk per block, over [a_m, x - a_m]; I1 is not computed
+        walks = []
+        window = conv_mod.conv_window_value
+        monkeypatch.setattr(conv_mod, "conv_window_value",
+                            lambda *args: walks.append(args[3:]) or window(*args))
+        checks = [probes.i2_bound_check(nd10, n) for n in (5, 8)]
+        monkeypatch.undo()
+        cuts = [notched.a_position(notched.m_of(n)) for n in (5, 8)]
+        assert walks == [(cut, chk.x - cut) for cut, chk in zip(cuts, checks)]
+        for n, chk in zip((5, 8), checks):
+            assert chk.i2 == conv_mod.split_integrals(nd10.dense, n, chk.x)[1]
+
+    @pytest.mark.parametrize("n, x, message", [
+        (10, notched.a_position(10), "is not inside block 10"),
+        (2, notched.a_position(2) + 1, "violates x - a_m >= a_m for block 2"),
+    ], ids=["outside-block", "degenerate-middle"])
+    def test_rejects_what_split_integrals_rejects(self, nd10, n, x, message,
+                                                   monkeypatch):
+        monkeypatch.setattr(notched, "knot_position", lambda kind, n, pb: x)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            probes.i2_bound_check(nd10, n)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            conv_mod.split_integrals(nd10.dense, n, x)
 
 
 class TestShiftInsensitivity:
