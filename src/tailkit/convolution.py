@@ -1,7 +1,7 @@
 """Exact convolution of piecewise-linear functions over rationals.
 
-Two exact routes, a dense sweep and a point walk, which are independent
-routes to the same integral, and what is built on them:
+Two independent exact routes to the same integral, a dense sweep and a
+point walk, and what is built on them:
 
 * ``conv_linear_exact``: the full piecewise-cubic convolution of two
   piecewise-linear functions (the dense sweep).
@@ -36,21 +36,16 @@ stays the size of an output coefficient; a cubic in global ``x`` would
 carry ``z**3``-sized terms that cancel only at the end.  The work is
 O(pairs + cells).
 
-The point walk evaluates the windowed convolution integral at one abscissa.
-It walks the y-range once, cut at every breakpoint of q and every
-reflected breakpoint ``x - s`` of p, and tracks the segment of each factor
-that owns the current cell.  A cell ``[u, v]`` is integrated from the factors' endpoint
-values,
-
-    (v - u) * (2 A_u B_u + A_u B_v + A_v B_u + 2 A_v B_v) / 6,
-
-where ``A`` and ``B`` are the owning segments' linears at the cell ends (at
-a jump, the owning segment's own limit).  These are of the size of the
-function values, where an antiderivative in ``y`` would difference cubes of
-``y``.  The cell values are added in a balanced tree, so each addition
-meets operands of like size.  For a self-convolution whose clipped window
-is symmetric about ``x/2``, so is the integrand: the walk stops at ``x/2``
-and the result is doubled.
+The point walk integrates over a y-window at one abscissa, by runs.  A
+run ends at a reflected breakpoint ``x - s`` of p, so on it p(x - y) is
+one linear ``alpha - beta y`` and the run integrates to ``alpha M0 - beta
+M1``, where ``M0`` and ``M1`` sum q's masses and first moments over it.  A
+whole segment of q reads its moments from a cache on q, filled one
+segment at a time and shared with the copies ``scale`` and ``head`` make;
+the pieces cut at the run ends take the same closed form.  Sums are added
+in balanced trees, so each addition meets operands of like size.  For a
+self-convolution whose clipped window is symmetric about ``x/2``, so is the
+integrand: the walk stops at ``x/2`` and the result is doubled.
 
 Both routes read the stored coefficients of a :class:`PiecewisePoly`,
 which are already ``Fraction``s, never its factor: each applies
@@ -60,6 +55,7 @@ convolves at the cost of its short-denominator coefficients.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -88,6 +84,13 @@ def _balanced_sum(values):
             paired.append(values[-1])
         values = paired
     return values[0]
+
+
+def _moments(u, v, b_u, slope):
+    """6 * (mass, first moment) over [u, v] of b_u + slope (y - u)."""
+    h = v - u
+    b_v = b_u + slope * h
+    return 3 * h * (b_u + b_v), h * (u * (b_u + b_u + b_v) + v * (b_u + b_v + b_v))
 
 
 def _jumps(breaks, c0, c1):
@@ -183,42 +186,39 @@ def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,
     if double:
         whi = x / 2
 
-    # the cell [u, v] lies in q's segment j, (tb[j], tb[j+1]), and in p's
-    # segment i, which covers y in (x - sb[i+1], r) with r = x - sb[i]; r is
-    # the next cut, and p(x - y) = pc0[i] + pc1[i] * (r - y)
-    j = 0
-    while tb[j + 1] <= wlo:
-        j += 1
-    i = len(sb) - 2
+    # the run [u, v] lies in p's segment i, which covers y in
+    # (x - sb[i+1], r), r = x - sb[i], where p(x - y) = pc0[i] + pc1[i] *
+    # (r - y); the piece from u lies in q's segment j
+    j = bisect_right(tb, wlo) - 1
+    i = bisect_left(sb, x - wlo) - 1
     r = x - sb[i]
-    while r <= wlo:
-        i -= 1
-        r = x - sb[i]
-    u = wlo
-    a_u = pc0[i] + pc1[i] * (r - u)
-    b_u = qc0[j] + qc1[j] * (u - tb[j])
-    cells = []
+    cache = q._moment_cache
+    u, runs = wlo, []
     while True:
-        q_next = tb[j + 1]
-        v = min(whi, q_next, r)
-        a_v = pc0[i] + pc1[i] * (r - v)
-        b_v = qc0[j] + qc1[j] * (v - tb[j])
-        # h * (2 A_u B_u + A_u B_v + A_v B_u + 2 A_v B_v), the /6 comes last
-        cells.append((v - u) * (a_u * (b_u + b_u + b_v)
-                                + a_v * (b_u + b_v + b_v)))
+        v = min(whi, r)
+        ms = []
+        while True:
+            lo, hi = tb[j], tb[j + 1]
+            end = min(v, hi)
+            if u == lo and end == hi:
+                if j not in cache:
+                    cache[j] = _moments(lo, hi, qc0[j], qc1[j])
+                ms.append(cache[j])
+            else:
+                ms.append(_moments(u, end, qc0[j] + qc1[j] * (u - lo), qc1[j]))
+            if end == v:
+                break
+            j, u = j + 1, hi
+        m0s, m1s = zip(*ms)
+        runs.append((pc0[i] + pc1[i] * r) * _balanced_sum(m0s)
+                    - pc1[i] * _balanced_sum(m1s))
         if v == whi:
             break
-        # past a breakpoint, the next cell starts from the next segment's
-        # limit, which differs from this one's at a jump
-        if v == q_next:
+        if v == tb[j + 1]:
             j += 1
-            b_v = qc0[j] + qc1[j] * (v - tb[j])
-        if v == r:
-            i -= 1
-            r = x - sb[i]
-            a_v = pc0[i] + pc1[i] * (r - v)
-        u, a_u, b_u = v, a_v, b_v
-    total = _balanced_sum(cells)
+        i -= 1
+        u, r = v, x - sb[i]
+    total = _balanced_sum(runs)
     value = (total + total if double else total) / 6
     return value * (p.factor * q.factor)
 

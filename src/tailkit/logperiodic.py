@@ -237,7 +237,8 @@ class Normalizers:
     error bounds.
 
     ``a``, ``a_err`` and ``x_max`` are computed with the object; ``b`` and
-    ``b_err`` on the first read of either, which runs the tail integral.
+    ``b_err`` on the first read of either, which runs the tail integral, and
+    ``log_a`` on its first read.
     """
 
     def __init__(self, a: Fraction, a_err: Fraction, x_max: Fraction,
@@ -246,6 +247,7 @@ class Normalizers:
         self.a_err = a_err      # bound on |a - true a| (quadrature + tail)
         self.x_max = x_max      # upper cutoff used for the chi-only integral
         self._tail = tail       # () -> (b, b_err); None once they are read
+        self._log_a = None
 
     def _b_pair(self) -> tuple[Fraction, Fraction]:
         if self._tail is not None:
@@ -261,6 +263,14 @@ class Normalizers:
     @property
     def b_err(self) -> Fraction:
         return self._b_pair()[1]
+
+    @property
+    def log_a(self) -> Raw:
+        """log(a) at the working precision, as a raw mpf."""
+        if self._log_a is None:
+            from mpmath.libmp import mpf_log
+            self._log_a = mpf_log(_raw(self.a), _WP, _RND)
+        return self._log_a
 
 
 _NORMALIZER_CACHE: dict = {}
@@ -330,10 +340,9 @@ def density_log(x, p: LogPeriodicParams) -> LogValue:
     if x < 0:
         from tailkit.piecewise import _fmt
         raise ValueError(f"density is supported on x >= 0, got {_fmt(x)}")
-    norm = normalizers(p)
-    from mpmath.libmp import mpf_div, mpf_ln2, mpf_log, mpf_sub
+    log_a = normalizers(p).log_a
+    from mpmath.libmp import mpf_div, mpf_ln2, mpf_sub
     chi_x = _chi_raw(_raw(p.delta))(_raw(x))
-    log_a = mpf_log(_raw(norm.a), _WP, _RND)
     log2_val = mpf_div(mpf_sub(log_a, chi_x, _WP, _RND), mpf_ln2(_WP, _RND), _WP, _RND)
     return LogValue(1, _snap_raw(log2_val, _SNAP_BITS))
 

@@ -64,6 +64,8 @@ class PiecewisePoly:
         object.__setattr__(self, "breakpoints", breaks)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "factor", Fraction(self.factor))
+        # segment moments for the point walk; the copies below share it
+        object.__setattr__(self, "_moment_cache", {})
 
     def _with_factor(self, factor: Fraction, density: bool) -> "PiecewisePoly":
         # shares the validated breakpoints and coefficients: O(1)

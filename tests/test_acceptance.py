@@ -9,12 +9,14 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from conftest import BATTERY_CSV_SHA256, child_env
 
 from tailkit import acceptance, notched
+from tailkit import convolution as conv
 from tailkit import logperiodic as lp
 from tailkit.numerics import DEFAULT_PRECISION
 
@@ -26,14 +28,22 @@ CRITERIA.insert(11, "12_determinism")
 def battery():
     """One battery run with cold log-periodic normalizers, and what it
     computed: the (N, precision) of each notched build, the log-periodic
-    integrals and the float evaluators of check 02's oracle."""
-    computed = {"builds": [], "integrals": 0, "float_evals": 0}
-    build, integrate, float_eval = (notched.build_density, lp._integrate,
-                                    acceptance._float_eval)
+    integrals, the float evaluators of check 02's oracle and the segment
+    moments of the point walks, by their arguments."""
+    computed = {"builds": [], "integrals": 0, "float_evals": 0,
+                "moments": Counter(), "dense": []}
+    build, integrate, float_eval, moments = (
+        notched.build_density, lp._integrate, acceptance._float_eval, conv._moments)
 
     def counting_build(n, precision_bits=DEFAULT_PRECISION):
         computed["builds"].append((n, precision_bits))
-        return build(n, precision_bits)
+        nd = build(n, precision_bits)
+        computed["dense"].append(nd.dense)
+        return nd
+
+    def counting_moments(*args):
+        computed["moments"][args] += 1
+        return moments(*args)
 
     def counting_integrate(*args):
         computed["integrals"] += 1
@@ -48,6 +58,7 @@ def battery():
         mp.setattr(lp, "_NORMALIZER_CACHE", {})
         mp.setattr(lp, "_integrate", counting_integrate)
         mp.setattr(acceptance, "_float_eval", counting_float_eval)
+        mp.setattr(conv, "_moments", counting_moments)
         out = acceptance.run_all()
     for r in out:
         print(r.line())
@@ -73,6 +84,16 @@ def test_tail_normalizer_never_integrated(battery):
 def test_one_float_evaluator(battery):
     # check 02's oracle evaluates the same f3 at all 20 points
     assert battery[1]["float_evals"] == 1
+
+
+def test_segment_moments_computed_once(battery):
+    # check 05's walks at c15, c25 and c35, and the walks of checks 06 and 07,
+    # read the truncations of one build, which share its moment cache: each
+    # of the 3*35 - 1 whole segments below c35/2 is computed once
+    (dense,) = battery[1]["dense"]
+    segments = set(zip(dense.breakpoints, dense.breakpoints[1:]))
+    whole = [n for args, n in battery[1]["moments"].items() if args[:2] in segments]
+    assert len(whole) == 104 and max(whole) == 1
 
 
 @pytest.mark.parametrize("name", CRITERIA)

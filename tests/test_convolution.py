@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,34 @@ class TestFactor:
         p, q = p.scale(s), q.scale(t)
         assert (conv.conv_linear_exact(p, q).total_mass()
                 == p.total_mass() * q.total_mass())
+
+
+class TestMomentCache:
+    def test_truncations_read_the_warm_cache(self):
+        # a cut of the warm N=40 build and a cold fresh build walk to the
+        # same value, at random windows and at c_n with the halving
+        top = notched.build_density(40)
+        f = top.dense
+        box = from_linear_knots([(0, 1), (f.support[1], 1)])
+        # box(x - y) is one run over all of f's support
+        conv.conv_window_value(box, f, f.support[1], *f.support)
+        assert len(f._moment_cache) == len(f.coeffs)
+        rng = random.Random(17)
+
+        def draw(end):
+            return end * Fraction(rng.randrange((1 << 20) + 1), 1 << 20)
+
+        for n in range(3, 41):
+            cut = top.truncate(n).density()
+            fresh = notched.build_density(n).density()
+            assert cut._moment_cache is f._moment_cache
+            assert not fresh._moment_cache
+            hi = cut.support[1]
+            calls = [(notched.knot_position("c", n), 0, hi),
+                     (draw(2 * hi), *sorted((draw(hi), draw(hi))))]
+            for x, y_lo, y_hi in calls:
+                assert (conv.conv_window_value(cut, cut, x, y_lo, y_hi)
+                        == conv.conv_window_value(fresh, fresh, x, y_lo, y_hi))
 
 
 class TestSelfConvWindowMass:

@@ -50,6 +50,31 @@ densities = st.composite(random_density)()
 jump_functions = st.composite(random_jump_function)()
 points = st.fractions(min_value=0, max_value=40, max_denominator=32)
 unit = st.fractions(min_value=0, max_value=1, max_denominator=64)
+factors = st.fractions(min_value="1/64", max_value=64, max_denominator=64)
+
+
+def milne_oracle(p, q, x, y_lo, y_hi):
+    """Integral of p(x-y) q(y) over [y_lo, y_hi], clipped, cell by cell.
+
+    The cells are cut at q's breakpoints and p's reflected ones, so the
+    integrand is one quadratic on each.  Milne's rule, the open Newton-Cotes
+    rule on the three interior quarter points, is exact for cubics; it reads
+    the integrand only through ``PiecewisePoly.eval`` inside a cell, so a
+    jump at a cell end does not enter it.
+    """
+    lo = max(y_lo, q.support[0], x - p.support[1])
+    hi = min(y_hi, q.support[1], x - p.support[0])
+    if hi <= lo:
+        return Fraction(0)
+    cuts = {t for t in q.breakpoints if lo < t < hi}
+    cuts.update(x - s for s in p.breakpoints if lo < x - s < hi)
+    grid = sorted(cuts | {lo, hi})
+    total = Fraction(0)
+    for u, v in zip(grid, grid[1:]):
+        f1, f2, f3 = (p.eval(x - y) * q.eval(y)
+                      for y in (u + (v - u) * k / 4 for k in (1, 2, 3)))
+        total += (v - u) * (2 * f1 - f2 + 2 * f3) / 3
+    return total
 
 
 class TestTextbookCases:
@@ -196,6 +221,53 @@ class TestPointWindows:
             assert (conv.conv_window_value(p, p, x, *window)
                     == conv.conv_window_value(p, twin, x, *window))
         assert conv.conv_window_value(p, twin, x, lo, hi) == dense.eval(x)
+
+
+class TestRunWalk:
+    """The point walk by runs against the cell-by-cell Milne oracle.
+
+    Window ends are drawn anywhere, so they mostly cut a segment; a second
+    call on the same operands reads the segment moments the first cached.
+    """
+
+    @given(jump_functions, jump_functions, factors, unit, unit, unit)
+    @settings(max_examples=80, deadline=None)
+    def test_unequal_operands_with_jumps(self, p, q, s, fx, f1, f2):
+        p = p.scale(s)
+        lo, hi = p.support[0] + q.support[0], p.support[1] + q.support[1]
+        x = lo + (hi - lo) * fx
+        q_lo, q_hi = q.support
+        y_lo, y_hi = sorted(q_lo - 1 + (q_hi - q_lo + 2) * f for f in (f1, f2))
+        for window in ((y_lo, y_hi), q.support):
+            assert (conv.conv_window_value(p, q, x, *window)
+                    == milne_oracle(p, q, x, *window))
+
+    @given(st.one_of(densities, jump_functions), unit, unit, unit)
+    @settings(max_examples=80, deadline=None)
+    def test_self_convolution(self, p, fx, f1, f2):
+        # the symmetric window takes the halving at x/2
+        lo, hi = p.support
+        x = 2 * lo + 2 * (hi - lo) * fx
+        y_lo, y_hi = sorted(lo + (hi - lo) * f for f in (f1, f2))
+        symmetric = tuple(sorted((y_lo, x - y_lo)))
+        for window in ((y_lo, y_hi), symmetric, p.support):
+            assert (conv.conv_window_value(p, p, x, *window)
+                    == milne_oracle(p, p, x, *window))
+
+    @given(jump_functions, jump_functions, unit, unit,
+           st.integers(min_value=1, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_head_reads_the_parent_cache(self, p, q, fx, f1, k):
+        # q's prefix shares q's moments, cached by the walk over all of q
+        lo, hi = p.support[0] + q.support[0], p.support[1] + q.support[1]
+        x = lo + (hi - lo) * fx
+        conv.conv_window_value(p, q, x, *q.support)
+        head = q.head(min(k, len(q.coeffs)))
+        assert head._moment_cache is q._moment_cache
+        window = (head.support[0], head.support[0]
+                  + (head.support[1] - head.support[0]) * f1)
+        assert (conv.conv_window_value(p, head, x, *window)
+                == milne_oracle(p, head, x, *window))
 
 
 class TestSymmetricPairTable:

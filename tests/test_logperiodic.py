@@ -172,6 +172,25 @@ class TestNormalizers:
         assert (norm.b_err, norm.b) == (PINNED_NORMALIZERS["b_err"], PINNED_NORMALIZERS["b"])
         assert len(integrals) == 3
 
+    def test_log_a_once_per_parameter_set(self, lp_default, monkeypatch):
+        # density_log reads log(a) from the normalizers: one 192-bit log
+        # for all its calls, bit for bit the one each call used to take
+        logs_of_a = []
+        mpf_log = mpmath.libmp.mpf_log
+        monkeypatch.setattr(lp, "_NORMALIZER_CACHE", {})
+        a = lp._raw(lp.normalizers(lp_default).a)
+
+        def counting(x, *args):
+            if x == a:
+                logs_of_a.append(args)
+            return mpf_log(x, *args)
+
+        monkeypatch.setattr(mpmath.libmp, "mpf_log", counting)
+        for x in (1, 10, 100, 10 ** 4):
+            lp.density_log(x, lp_default)
+        assert logs_of_a == [(lp._WP, lp._RND)]
+        assert lp.normalizers(lp_default).log_a == mpf_log(a, lp._WP, lp._RND)
+
     def test_one_chi_per_abscissa(self, fresh, lp_default):
         # every abscissa up to the b integral's cutoff (alpha = 1) is
         # computed once; above it the table does not reach, and 28 calls
