@@ -73,6 +73,21 @@ def _option(default, parse: Callable[[str], object], help: Optional[str] = None,
                                             "every_command": every_command})
 
 
+# Fraction("1e-3000000") alone computes 10**3000000, and an error message
+# would then render its digits; every knot of the notched construction lies
+# below 1e1234 (a_64 = 2**4096)
+_MAX_EXPONENT = 10_000
+
+
+def _rational(text: str, config: Optional[RunConfig] = None) -> Fraction:
+    """A decimal or p/q rational; a decimal exponent past +-_MAX_EXPONENT is
+    refused before Fraction computes its power of ten."""
+    exponent = text.lower().partition("e")[2]
+    if exponent and abs(int(exponent)) > _MAX_EXPONENT:
+        raise ValueError(f"exponent beyond +-{_MAX_EXPONENT}")
+    return Fraction(text)
+
+
 @dataclass
 class RunConfig:
     construction: str = _option("notched", str,
@@ -80,8 +95,8 @@ class RunConfig:
     n: int = _option(10, int, "truncation index of the notched construction")
     m_max: int = _option(6, int, "number of blow-up schedule atoms")
     precision_bits: int = _option(DEFAULT_PRECISION, int, every_command=True)
-    delta: Fraction = _option(Fraction(1, 4), Fraction)
-    d: Fraction = _option(Fraction(1), Fraction, "window width")
+    delta: Fraction = _option(Fraction(1, 4), _rational)
+    d: Fraction = _option(Fraction(1), _rational, "window width")
     out: Optional[str] = _option(None, str, "output path", every_command=True)
     params: dict = field(default_factory=dict)  # probe key=value parameters
     _notched: Optional[notched.NotchedDensity] = field(default=None, repr=False,
@@ -177,7 +192,7 @@ def _cmd_build(config: RunConfig) -> int:
         norm = lp.normalizers(params)
         meta = _meta_text([
             ("construction", "logperiodic"),
-            ("alpha", render.decimal_str(lp.ALPHA)),
+            ("alpha", "1"),     # the tail rate, a constant of the construction
             ("delta", render.decimal_str(params.delta)),
             ("quad_tol", render.decimal_str(lp.QUAD_TOL)),
             ("x_max", render.decimal_str(norm.x_max)),
@@ -218,10 +233,6 @@ def _ints(text: str, config: RunConfig) -> list[int]:
     return [int(item) for item in text.split(",")]
 
 
-def _rational(text: str, config: RunConfig) -> Fraction:
-    return Fraction(text)
-
-
 def _points(text: str, config: RunConfig) -> list[tuple[str, Fraction]]:
     """Abscissas: decimal strings or knot labels like 'c10'."""
     points = []
@@ -230,7 +241,7 @@ def _points(text: str, config: RunConfig) -> list[tuple[str, Fraction]]:
             points.append((label, notched.knot_position(
                 label[0], int(label[1:]), config.precision_bits)))
         elif label:
-            points.append((label, Fraction(label)))
+            points.append((label, _rational(label)))
     if not points:
         raise ValueError("no points")
     return points

@@ -1,6 +1,6 @@
 """Density with a log-periodically modulated power exponent.
 
-The tail ``exp(-alpha*x - chi(x))``, with ``alpha = ALPHA = 1`` and
+The tail ``exp(-x - chi(x))``, with
 
     chi(x) = x ** (1/2 + delta * cos(ln(x+1))),   0 < delta < 1/2,
 
@@ -17,7 +17,8 @@ calls the libmp function that mpmath's ``mpf`` operator would call (``4*fm``
 is ``mpf_mul_int``, ``/6`` is ``mpf_div`` by ``from_int(6)``), at the same
 precision with round-to-nearest, so every value keeps the bits of the
 ``mpf`` expression, without its per-operation dispatch and allocation.
-mpmath loads on first evaluation, not with this module.  Integrals carry
+mpmath loads with this module, which ``tailkit.cli`` runs only for the
+commands that use it.  Integrals carry
 the relative error budget ``QUAD_TOL`` and a certified analytic tail
 bound, and raise :class:`PrecisionFailure` rather than return a value that
 missed it, also when one piece stops at the depth cap or the evaluation
@@ -33,7 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Callable, Optional
+
+from mpmath.libmp import (fhalf, finf, fone, from_int, from_str, ftwo, fzero, mpf_abs,
+                          mpf_add, mpf_cmp, mpf_cos, mpf_div, mpf_exp, mpf_gt, mpf_le,
+                          mpf_ln2, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
+                          mpf_pos, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sub, to_str)
 
 from tailkit.errors import PrecisionFailure
 from tailkit.numerics import LogValue, _snap_raw
@@ -46,7 +53,6 @@ _MAX_DEPTH = 52
 # delta) would otherwise refine for minutes
 _MAX_EVALS = 1 << 15
 _RND = "n"         # round to nearest, mpmath's default rounding
-ALPHA = Fraction(1)              # rate of the exponential tail factor
 QUAD_TOL = Fraction(1, 10 ** 8)  # relative error budget of every integral
 
 Raw = tuple        # libmp's raw mpf: (sign, mantissa, exponent, bitcount)
@@ -65,14 +71,12 @@ class LogPeriodicParams:
 
 def _raw(q: Fraction, wp: int = _WP) -> Raw:
     """``mpf(q.numerator) / q.denominator`` at wp bits."""
-    from mpmath.libmp import from_int, mpf_div, mpf_pos
     num = mpf_pos(from_int(q.numerator), wp, _RND)
     return mpf_div(num, from_int(q.denominator), wp, _RND)
 
 
 def _chi_raw(delta: Raw, wp: int = _WP) -> Callable[[Raw], Raw]:
     """chi(x) = x ** (1/2 + delta*cos(ln(x+1))) on raw x, at wp bits."""
-    from mpmath.libmp import fhalf, fone, fzero, mpf_add, mpf_cos, mpf_exp, mpf_log, mpf_mul
 
     def chi_of(x: Raw) -> Raw:
         if x == fzero:
@@ -95,10 +99,10 @@ def chi(x, p: LogPeriodicParams, precision_bits: int = _SNAP_BITS) -> Fraction:
     return _snap_raw(_chi_raw(_raw(p.delta, wp), wp)(_raw(x, wp)), precision_bits)
 
 
-def _anchor_raw(k: int) -> Raw:
-    """exp(k*pi) - 1 at _WP bits."""
-    from mpmath.libmp import fone, mpf_exp, mpf_mul_int, mpf_pi, mpf_sub
-    k_pi = mpf_mul_int(mpf_pi(_WP, _RND), k, _WP, _RND)
+def _anchor_raw(k: int, per: int = 1) -> Raw:
+    """exp(k*pi/per) - 1 at _WP bits: the bits of mpmath's
+    ``exp(pi*k/per) - 1`` (the division by 1 is exact)."""
+    k_pi = mpf_div(mpf_mul_int(mpf_pi(_WP, _RND), k, _WP, _RND), from_int(per), _WP, _RND)
     return mpf_sub(mpf_exp(k_pi, _WP, _RND), fone, _WP, _RND)
 
 
@@ -114,7 +118,6 @@ def anchor(k: int) -> Fraction:
 
 def _memo(chi_of: Callable[[Raw], Raw], upto: Optional[Raw] = None) -> Callable[[Raw], Raw]:
     """chi_of computing each abscissa (up to ``upto``, if given) only once."""
-    from mpmath.libmp import mpf_gt
     table: dict = {}
 
     def chi_at(y: Raw) -> Raw:
@@ -137,8 +140,6 @@ def _integrate(f: Callable[[Raw], Raw], points, rel_tol: Raw):
     the evaluation cap, above its share of the budget raises
     :class:`PrecisionFailure`.
     """
-    from mpmath.libmp import (ftwo, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_gt,
-                              mpf_le, mpf_mul, mpf_mul_int, mpf_pow_int, mpf_sub, to_str)
     wp, rnd = _WP, _RND
     six, fifteen = from_int(6), from_int(15)
     evals = 0
@@ -207,7 +208,6 @@ def _integrate(f: Callable[[Raw], Raw], points, rel_tol: Raw):
 
 
 def _anchor_points(lo: Raw, hi: Raw) -> list:
-    from mpmath.libmp import mpf_gt, mpf_lt
     pts, k = [lo], 1
     while mpf_lt(x := _anchor_raw(k), hi):
         if mpf_gt(x, lo):
@@ -218,8 +218,6 @@ def _anchor_points(lo: Raw, hi: Raw) -> list:
 
 def _chi_tail_bound(T: Raw, delta: Raw) -> Raw:
     """Certified bound on integral_T^inf exp(-y**(1/2-delta)) dy."""
-    from mpmath.libmp import (fhalf, finf, fone, ftwo, mpf_add, mpf_div, mpf_exp, mpf_le,
-                              mpf_mul, mpf_mul_int, mpf_neg, mpf_pow, mpf_rdiv_int, mpf_sub)
     wp, rnd = _WP, _RND
     c = mpf_sub(fhalf, delta, wp, rnd)
     u0 = mpf_pow(T, c, wp, rnd)
@@ -230,6 +228,12 @@ def _chi_tail_bound(T: Raw, delta: Raw) -> Raw:
     head = mpf_mul(mpf_mul(inv_c, mpf_pow(u0, k, wp, rnd), wp, rnd),
                    mpf_exp(mpf_neg(u0, wp, rnd), wp, rnd), wp, rnd)
     return mpf_div(head, mpf_sub(fone, mpf_div(k, u0, wp, rnd), wp, rnd), wp, rnd)
+
+
+def _tail(y: Raw, chi_y: Raw) -> Raw:
+    """The tail exp(-y - chi(y)), given chi(y): the integrand of ``b`` and
+    of :func:`_tail_integral`."""
+    return mpf_exp(mpf_sub(mpf_neg(y), chi_y, _WP, _RND), _WP, _RND)
 
 
 class Normalizers:
@@ -257,7 +261,7 @@ class Normalizers:
 
     @property
     def b(self) -> Fraction:
-        """1 / integral of the tail exp(-alpha*y - chi)."""
+        """1 / integral of the tail exp(-y - chi(y))."""
         return self._b_pair()[0]
 
     @property
@@ -268,7 +272,6 @@ class Normalizers:
     def log_a(self) -> Raw:
         """log(a) at the working precision, as a raw mpf."""
         if self._log_a is None:
-            from mpmath.libmp import mpf_log
             self._log_a = mpf_log(_raw(self.a), _WP, _RND)
         return self._log_a
 
@@ -287,14 +290,9 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
     """
     if p in _NORMALIZER_CACHE:
         return _NORMALIZER_CACHE[p]
-    from mpmath.libmp import (from_int, from_str, ftwo, fzero, mpf_add, mpf_div, mpf_exp,
-                              mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
-                              mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_sub)
     wp, rnd = _WP, _RND
-    delta, alpha, tol = _raw(p.delta), _raw(ALPHA), _raw(QUAD_TOL)
-    neg_alpha = mpf_neg(alpha, wp, rnd)
-    z0 = mpf_div(mpf_add(mpf_log(mpf_rdiv_int(10, mpf_mul(alpha, tol, wp, rnd), wp, rnd),
-                                 wp, rnd), from_int(4), wp, rnd), alpha, wp, rnd)
+    delta, tol = _raw(p.delta), _raw(QUAD_TOL)
+    z0 = mpf_add(mpf_log(mpf_rdiv_int(10, tol, wp, rnd), wp, rnd), from_int(4), wp, rnd)
     # chi for every abscissa the b integral can reach, each computed once
     # and read by all three integrands; the table lives until b is read
     chi_at = _memo(_chi_raw(delta), upto=z0)
@@ -321,12 +319,9 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
                 _snap_raw(mpf_add(rel, ulp, wp, rnd), _SNAP_BITS))
 
     def b_and_error():
-        def tail_integrand(y):
-            return mpf_exp(mpf_sub(mpf_mul(neg_alpha, y, wp, rnd), chi_at(y), wp, rnd),
-                           wp, rnd)
-
-        inv_b, err_b = _integrate(tail_integrand, _anchor_points(fzero, z0), half_tol)
-        b_tail = mpf_div(mpf_exp(mpf_mul(neg_alpha, z0, wp, rnd), wp, rnd), alpha, wp, rnd)
+        inv_b, err_b = _integrate(lambda y: _tail(y, chi_at(y)),
+                                  _anchor_points(fzero, z0), half_tol)
+        b_tail = mpf_exp(mpf_neg(z0), wp, rnd)
         return inverse_and_error(inv_b, mpf_add(err_b, b_tail, wp, rnd))
 
     a, a_err = inverse_and_error(inv_a, err_a)
@@ -341,53 +336,41 @@ def density_log(x, p: LogPeriodicParams) -> LogValue:
         from tailkit.piecewise import _fmt
         raise ValueError(f"density is supported on x >= 0, got {_fmt(x)}")
     log_a = normalizers(p).log_a
-    from mpmath.libmp import mpf_div, mpf_ln2, mpf_sub
     chi_x = _chi_raw(_raw(p.delta))(_raw(x))
     log2_val = mpf_div(mpf_sub(log_a, chi_x, _WP, _RND), mpf_ln2(_WP, _RND), _WP, _RND)
     return LogValue(1, _snap_raw(log2_val, _SNAP_BITS))
 
 
 def _tail_integral(x: Raw, p: LogPeriodicParams):
-    """(integral_x^inf exp(-alpha*y - chi(y)) dy, its certified error, chi(x)).
+    """(integral_x^inf exp(-y - chi(y)) dy, its certified error, chi(x)).
 
     chi(x) sets the cutoff beyond which the analytic tail bound takes over."""
-    from mpmath.libmp import (from_int, ftwo, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
-                              mpf_neg, mpf_rdiv_int, mpf_sub)
     wp, rnd = _WP, _RND
-    alpha, tol = _raw(ALPHA), _raw(QUAD_TOL)
-    neg_alpha = mpf_neg(alpha, wp, rnd)
+    tol = _raw(QUAD_TOL)
     chi_of = _chi_raw(_raw(p.delta))
     chi_x = chi_of(x)
     log_term = mpf_log(mpf_rdiv_int(10, tol, wp, rnd), wp, rnd)
-    z = mpf_div(mpf_add(mpf_add(chi_x, log_term, wp, rnd), from_int(4), wp, rnd),
-                alpha, wp, rnd)
-
-    def integrand(y):
-        return mpf_exp(mpf_sub(mpf_mul(neg_alpha, y, wp, rnd), chi_of(y), wp, rnd), wp, rnd)
-
+    z = mpf_add(mpf_add(chi_x, log_term, wp, rnd), from_int(4), wp, rnd)
     end = mpf_add(x, z, wp, rnd)
-    val, err = _integrate(integrand, _anchor_points(x, end), mpf_div(tol, ftwo, wp, rnd))
-    cut = mpf_div(mpf_exp(mpf_mul(neg_alpha, end, wp, rnd), wp, rnd), alpha, wp, rnd)
+    val, err = _integrate(lambda y: _tail(y, chi_of(y)), _anchor_points(x, end),
+                          mpf_div(tol, ftwo, wp, rnd))
+    cut = mpf_exp(mpf_neg(end), wp, rnd)
     return val, mpf_add(err, cut, wp, rnd), chi_x
 
 
 def karamata_ratio(x, p: LogPeriodicParams) -> Fraction:
-    """Integrated tail over tail/alpha: the ratio that drifts to 1.
+    """Integrated tail over tail: the ratio that drifts to 1.
 
-    Computed as alpha * integral_x^inf tail / tail(x); the b normalizer
-    cancels, so no normalization error enters.
+    Computed as integral_x^inf tail / tail(x); the b normalizer cancels, so
+    no normalization error enters.
     """
     x = Fraction(x)
     if x < 0:
         from tailkit.piecewise import _fmt
         raise ValueError(f"x must be nonnegative, got {_fmt(x)}")
-    from mpmath.libmp import mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_sub
-    wp, rnd = _WP, _RND
-    xm, alpha = _raw(x), _raw(ALPHA)
+    xm = _raw(x)
     val, _, chi_x = _tail_integral(xm, p)
-    tail_x = mpf_exp(mpf_sub(mpf_mul(mpf_neg(alpha, wp, rnd), xm, wp, rnd), chi_x, wp, rnd),
-                     wp, rnd)
-    return _snap_raw(mpf_div(mpf_mul(alpha, val, wp, rnd), tail_x, wp, rnd), _SNAP_BITS)
+    return _snap_raw(mpf_div(val, _tail(xm, chi_x), _WP, _RND), _SNAP_BITS)
 
 
 def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
@@ -403,9 +386,6 @@ def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
         from tailkit.piecewise import _fmt
         raise ValueError(f"h_exp must lie in (0, 1), got {_fmt(h_exp)}")
     norm = normalizers(p)
-    from functools import cmp_to_key
-    from mpmath.libmp import (ftwo, fzero, mpf_add, mpf_cmp, mpf_div, mpf_exp, mpf_gt,
-                              mpf_le, mpf_ln2, mpf_log, mpf_mul_int, mpf_pow, mpf_sub, to_str)
     wp, rnd = _WP, _RND
     xm = _raw(x)
     h = mpf_pow(xm, _raw(h_exp), wp, rnd)
@@ -430,5 +410,5 @@ def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
     val, _ = _integrate(integrand, pts, _raw(QUAD_TOL))
     if mpf_le(val, fzero):
         return LogValue(0)
-    log_sum = mpf_add(mpf_log(_raw(norm.a), wp, rnd), mpf_log(val, wp, rnd), wp, rnd)
+    log_sum = mpf_add(norm.log_a, mpf_log(val, wp, rnd), wp, rnd)
     return LogValue(1, _snap_raw(mpf_div(log_sum, mpf_ln2(wp, rnd), wp, rnd), _SNAP_BITS))

@@ -21,7 +21,7 @@ from tailkit import convolution as conv
 from tailkit import logperiodic as lp
 from tailkit import mixture as mx
 from tailkit import notched
-from tailkit.numerics import DEFAULT_PRECISION, LogValue, _snap, log_nat
+from tailkit.numerics import DEFAULT_PRECISION, LogValue, _snap_raw, log_nat
 from tailkit.piecewise import PiecewisePoly, _fmt
 from tailkit.render import decimal_str, int_str, value_str
 
@@ -171,10 +171,8 @@ def logperiodic_scan(p: lp.LogPeriodicParams,
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    import mpmath
-    with mpmath.workprec(lp._WP):
-        grid = [_snap(mpmath.exp(mpmath.pi * j / POINTS_PER_PERIOD) - 1, 64)
-                for j in range(k_max * POINTS_PER_PERIOD + 1)]
+    grid = [_snap_raw(lp._anchor_raw(j, POINTS_PER_PERIOD), 64)
+            for j in range(k_max * POINTS_PER_PERIOD + 1)]
     best, low, high = _max_rise((x, lp.density_log(x, p).log2mag)
                                 for x in grid)
     rows = []

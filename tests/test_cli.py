@@ -380,6 +380,39 @@ class TestConvolve:
         assert code == 2 and names in err and value in err
         assert err.count("\n") == 1 and not out.exists()
 
+    @pytest.mark.parametrize("argv, key, value", [
+        (["probe", "notched", "long_tail_ratio", "x=c3", "t=1e3000000"], "t", "1e3000000"),
+        (["build", "logperiodic", "--delta", "1e-3000000"], "delta", "1e-3000000"),
+    ], ids=["shift", "delta"])
+    def test_huge_exponent_is_refused_at_once(self, argv, key, value, tmp_path):
+        # Fraction("1e-3000000") alone takes over a second, and an error
+        # message would render all 3,000,000 digits; a child that runs past
+        # the timeout fails the test
+        child = subprocess.run(
+            [sys.executable, "-m", "tailkit.cli", *argv, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=10, env=child_env())
+        assert child.returncode == 2
+        assert child.stderr == f"usage error: bad value for {key}: {value!r}\n"
+
+    @pytest.mark.parametrize("argv, key", [
+        (["probe", "notched", "subexp_ratio", "x=1e10001"], "x"),
+        (["probe", "notched", "almost_decrease_scan", "x0=-2.5E-10001"], "x0"),
+        (["probe", "notched", "local_tail_ratio", "--d", "1e+10_001"], "d"),
+        (["report", "logperiodic", "delta=1e-10001"], "delta"),
+    ], ids=["point", "rational", "d", "delta"])
+    def test_exponent_past_the_bound_names_the_key(self, argv, key, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"bad value for {key}:" in err and not out.exists()
+
+    def test_exponent_bound(self):
+        for text in ("1e10000", "-2.5E-10000", "1e+10_000", " 3e0 ", "7/2"):
+            assert cli._rational(text) == Fraction(text)
+        for text in ("1e10001", "-2.5E-10001", "1e+10_001", "1e" + "9" * 5000, "1e"):
+            with pytest.raises(ValueError):
+                cli._rational(text)
+
     def test_tampered_file_rejected(self, tmp_path, capsys):
         # swapping knot lines breaks the strict-increase invariant on load
         from tailkit import notched

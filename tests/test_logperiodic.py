@@ -16,7 +16,7 @@ import pytest
 
 from tailkit import logperiodic as lp
 from tailkit.errors import PrecisionFailure
-from tailkit.numerics import _snap
+from tailkit.numerics import _snap, _snap_raw
 
 # frozen from the adaptive-Simpson engine at tol 1e-8, alpha=1, delta=1/4;
 # the mpmath.quad cross-check below re-derives it independently
@@ -129,6 +129,22 @@ class TestChi:
         assert lp.chi(lp.anchor(2), lp_default, 512) == PINNED_CHI_ANCHOR2_512
 
 
+class TestAnchorGrid:
+    """exp(k*pi/per) - 1 on libmp against the mpf formula as the reference:
+    the scan grid of probes.logperiodic_scan (per = 8) and the anchors."""
+
+    def test_grid_matches_the_mpf_formula(self):
+        with mpmath.workprec(lp._WP):
+            for j in range(97):
+                want = mpmath.exp(mpmath.pi * j / 8) - 1
+                assert lp._anchor_raw(j, 8) == want._mpf_
+                assert _snap_raw(lp._anchor_raw(j, 8), 64) == _snap(want, 64)
+
+    def test_every_eighth_point_is_an_anchor(self):
+        for k in range(1, 13):
+            assert lp._anchor_raw(8 * k, 8) == lp._anchor_raw(k)
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -173,10 +189,11 @@ class TestNormalizers:
         assert len(integrals) == 3
 
     def test_log_a_once_per_parameter_set(self, lp_default, monkeypatch):
-        # density_log reads log(a) from the normalizers: one 192-bit log
-        # for all its calls, bit for bit the one each call used to take
+        # density_log and middle_mass_ratio read log(a) from the normalizers:
+        # one 192-bit log for all their calls, bit for bit the one each call
+        # used to take
         logs_of_a = []
-        mpf_log = mpmath.libmp.mpf_log
+        mpf_log = lp.mpf_log
         monkeypatch.setattr(lp, "_NORMALIZER_CACHE", {})
         a = lp._raw(lp.normalizers(lp_default).a)
 
@@ -185,9 +202,10 @@ class TestNormalizers:
                 logs_of_a.append(args)
             return mpf_log(x, *args)
 
-        monkeypatch.setattr(mpmath.libmp, "mpf_log", counting)
+        monkeypatch.setattr(lp, "mpf_log", counting)
         for x in (1, 10, 100, 10 ** 4):
             lp.density_log(x, lp_default)
+        lp.middle_mass_ratio(lp.anchor(3), lp_default, Fraction(3, 10))
         assert logs_of_a == [(lp._WP, lp._RND)]
         assert lp.normalizers(lp_default).log_a == mpf_log(a, lp._WP, lp._RND)
 
