@@ -6,10 +6,10 @@ given the same configuration, and exit codes are stable:
 
     0 success, 1 check failure, 2 usage, 3 precision failure, 4 I/O.
 
-Two tables define the surface.  The option fields of :class:`RunConfig`
-give each option's name, parser, default and help; an option is set by a
-flag (its name with ``-`` for ``_``), a ``key = value`` line of a config
-file (``--config``) or a ``key=value`` argument, in rising precedence.
+Two tables define the surface.  :data:`OPTIONS` gives each option's name,
+default, parser and help; an option is set by a flag (its name with ``-``
+for ``_``), a ``key = value`` line of a config file (``--config``) or a
+``key=value`` argument, in rising precedence.
 :data:`PROBES` gives each probe's constructions, parameters and row
 builder.  Anything a command does not read is rejected before it runs.
 """
@@ -19,11 +19,11 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import sys
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from tailkit.errors import PrecisionFailure, UsageError
 from tailkit.numerics import DEFAULT_PRECISION, _check_precision
@@ -67,12 +67,6 @@ PIECEWISE = ("notched", "file:<path>")
 _CONSTRUCTION_COMMANDS = ("build", "probe", "report")
 
 
-def _option(default, parse: Callable[[str], object], help: Optional[str] = None,
-            every_command: bool = False):
-    return field(default=default, metadata={"parse": parse, "help": help,
-                                            "every_command": every_command})
-
-
 # Fraction("1e-3000000") alone computes 10**3000000, and an error message
 # would then render its digits; every knot of the notched construction lies
 # below 1e1234 (a_64 = 2**4096)
@@ -88,19 +82,33 @@ def _rational(text: str, config: Optional[RunConfig] = None) -> Fraction:
     return Fraction(text)
 
 
-@dataclass
+# option name -> default, parser, --help text, every_command
+_Option = namedtuple("_Option", "default parse help every_command",
+                     defaults=(None, False))
+
+OPTIONS = {
+    "construction": _Option("notched", str,
+                            "notched | logperiodic | mixture | file:<path>"),
+    "n": _Option(10, int, "truncation index of the notched construction"),
+    "m_max": _Option(6, int, "number of blow-up schedule atoms"),
+    "precision_bits": _Option(DEFAULT_PRECISION, int, every_command=True),
+    "delta": _Option(Fraction(1, 4), _rational),
+    "d": _Option(Fraction(1), _rational, "window width"),
+    "out": _Option(None, str, "output path", every_command=True),
+}
+
+
 class RunConfig:
-    construction: str = _option("notched", str,
-                                "notched | logperiodic | mixture | file:<path>")
-    n: int = _option(10, int, "truncation index of the notched construction")
-    m_max: int = _option(6, int, "number of blow-up schedule atoms")
-    precision_bits: int = _option(DEFAULT_PRECISION, int, every_command=True)
-    delta: Fraction = _option(Fraction(1, 4), _rational)
-    d: Fraction = _option(Fraction(1), _rational, "window width")
-    out: Optional[str] = _option(None, str, "output path", every_command=True)
-    params: dict = field(default_factory=dict)  # probe key=value parameters
-    _notched: Optional[notched.NotchedDensity] = field(default=None, repr=False,
-                                                       compare=False)
+    """One run's option values, each attribute named after its option, plus
+    ``params``, the probe key=value parameters."""
+
+    def __init__(self, params: Optional[dict] = None, **values):
+        for name, option in OPTIONS.items():
+            setattr(self, name, values.pop(name, option.default))
+        if values:
+            raise TypeError(f"unknown option(s) {', '.join(sorted(values))}")
+        self.params = {} if params is None else params
+        self._notched: Optional[notched.NotchedDensity] = None
 
     def lp_params(self) -> lp.LogPeriodicParams:
         return lp.LogPeriodicParams(delta=self.delta)
@@ -112,16 +120,13 @@ class RunConfig:
         return self._notched
 
 
-OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
-
-
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
 def _command_options(command: str) -> list[str]:
-    return [name for name, meta in OPTIONS.items()
-            if command in _CONSTRUCTION_COMMANDS or meta["every_command"]]
+    return [name for name, option in OPTIONS.items()
+            if command in _CONSTRUCTION_COMMANDS or option.every_command]
 
 
 def _parse(key: str, parse, text: str, *context):
@@ -151,7 +156,7 @@ def _parse_config_file(path: str, allowed: list[str]) -> dict:
         if key not in allowed:
             raise UsageError(f"{path}:{lineno}: this command does not read {key!r}")
         try:
-            values[key] = _parse(key, OPTIONS[key]["parse"], value.strip())
+            values[key] = _parse(key, OPTIONS[key].parse, value.strip())
         except UsageError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from exc
     return values
@@ -299,7 +304,7 @@ def _local_tail_ratio(row, config, args):
 
 def _piecewise_scan(row, config, args):
     scan = probes.almost_decrease_scan(_density(config), args["x0"])
-    return [row(f"x0={args['x0']}", scan.sup_ratio, _witness(scan))]
+    return [row(f"x0={piecewise._fmt(args['x0'])}", scan.sup_ratio, _witness(scan))]
 
 
 def _logperiodic_scan(row, config, args):
@@ -358,14 +363,10 @@ def _blowup(row, config, args):
     return probes.mixture_blowup_probe(mix, sch, config.d)
 
 
-@dataclass(frozen=True)
-class Probe:
-    name: str
-    constructions: tuple[str, ...]
-    # parameter -> (parser, default); a default may name the option n as
-    # {n} and an earlier parameter as {its name}
-    params: dict
-    rows: Callable[..., list[probes.ProbeRow]]
+# params maps each parameter to (parser, default); a default may name the
+# option n as {n} and an earlier parameter as {its name}.  rows is the row
+# builder.
+Probe = namedtuple("Probe", "name constructions params rows")
 
 
 # `report <construction>` runs the probes that describe it, in this order.
@@ -494,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, **kwargs)
         for key in _command_options(name):
             p.add_argument(_flag(key), dest=key, default=None,
-                           help=OPTIONS[key]["help"])
+                           help=OPTIONS[key].help)
         p.add_argument("--config", default=None, help="flat key = value file")
         return p
 
@@ -525,13 +526,13 @@ def _config_from_args(args) -> tuple[RunConfig, list[str]]:
             key, _, text = item.partition("=")
             key, text = key.strip().lower(), text.strip()
             if key in OPTIONS:
-                values[key] = _parse(key, OPTIONS[key]["parse"], text)
+                values[key] = _parse(key, OPTIONS[key].parse, text)
             else:
                 params[key] = text
     for key in allowed:
         text = getattr(args, key)
         if text is not None:
-            values[key] = _parse(key, OPTIONS[key]["parse"], text)
+            values[key] = _parse(key, OPTIONS[key].parse, text)
     return RunConfig(**values, params=params), names
 
 

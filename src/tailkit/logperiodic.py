@@ -32,7 +32,7 @@ runs the tail integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Optional
@@ -58,15 +58,15 @@ QUAD_TOL = Fraction(1, 10 ** 8)  # relative error budget of every integral
 Raw = tuple        # libmp's raw mpf: (sign, mantissa, exponent, bitcount)
 
 
-@dataclass(frozen=True)
-class LogPeriodicParams:
-    delta: Fraction = Fraction(1, 4)
+class LogPeriodicParams(namedtuple("LogPeriodicParams", "delta")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", Fraction(self.delta))
-        if not Fraction(0) < self.delta < Fraction(1, 2):
+    def __new__(cls, delta: Fraction = Fraction(1, 4)):
+        delta = Fraction(delta)
+        if not Fraction(0) < delta < Fraction(1, 2):
             from tailkit.piecewise import _fmt
-            raise ValueError(f"delta must lie in (0, 1/2), got {_fmt(self.delta)}")
+            raise ValueError(f"delta must lie in (0, 1/2), got {_fmt(delta)}")
+        return super().__new__(cls, delta)
 
 
 def _raw(q: Fraction, wp: int = _WP) -> Raw:

@@ -16,35 +16,34 @@ needed for the series) stay unmaterialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
 from tailkit.errors import PrecisionFailure
 from tailkit.notched import NotchedDensity, knot_logf, knot_position, threshold_knots
-from tailkit.numerics import DEFAULT_PRECISION, LogValue, log_nat, root_snap
+from tailkit.numerics import DEFAULT_PRECISION, log_nat, root_snap
 from tailkit.render import decimal_str, int_str
 
 RESIDUAL_FRACTION = Fraction(1, 20)
 RESIDUAL_VALUE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class AtomList:
+class AtomList(namedtuple("AtomList", "atoms residual")):
     """Atoms of X2: (value, mass) pairs plus a residual atom.
 
-    ``value`` is None for atoms whose position is beyond any dense support
-    (they still carry mass).  Masses and the residual sum to 1 exactly.
+    ``atoms`` holds (value, mass) pairs and ``residual`` one pair.  ``value``
+    is None for atoms whose position is beyond any dense support (they still
+    carry mass).  Masses and the residual sum to 1 exactly.
     """
 
-    atoms: tuple[tuple[Optional[Fraction], Fraction], ...]
-    residual: tuple[Fraction, Fraction]
+    __slots__ = ()
 
-    def __post_init__(self):
-        total = self.residual[1]
-        if self.residual[0] <= 0 or self.residual[1] < 0:
+    def __new__(cls, atoms: tuple, residual: tuple):
+        total = residual[1]
+        if residual[0] <= 0 or residual[1] < 0:
             raise ValueError("residual atom needs a positive value and mass >= 0")
-        for v, p in self.atoms:
+        for v, p in atoms:
             if p <= 0:
                 raise ValueError(f"atom masses must be positive, got {p}")
             if v is not None and v <= 0:
@@ -52,45 +51,33 @@ class AtomList:
             total += p
         if total != 1:
             raise ValueError(f"atom masses plus residual must equal 1, got {total}")
+        return super().__new__(cls, atoms, residual)
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
+class MixtureSpec(namedtuple("MixtureSpec", "q1 q2 f1 f2")):
     """Weights and parts of the two-sided distribution.
 
-    ``f1`` is the absolutely continuous positive part; ``f2`` the discrete
-    negative part, stored through the positive values of X2.
+    ``f1`` is the absolutely continuous positive part, a NotchedDensity;
+    ``f2`` the discrete negative part, an AtomList of the positive values
+    of X2.
     """
 
-    q1: Fraction
-    q2: Fraction
-    f1: NotchedDensity
-    f2: AtomList
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "q1", Fraction(self.q1))
-        object.__setattr__(self, "q2", Fraction(self.q2))
-        if not (0 < self.q1 <= 1) or self.q1 + self.q2 != 1:
+    def __new__(cls, q1: Fraction, q2: Fraction, f1: NotchedDensity, f2: AtomList):
+        q1, q2 = Fraction(q1), Fraction(q2)
+        if not (0 < q1 <= 1) or q1 + q2 != 1:
             raise ValueError("need q1 in (0, 1] with q1 + q2 = 1")
+        return super().__new__(cls, q1, q2, f1, f2)
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
-    m: int
-    n_m: int
-    mass: Fraction
-    value: Optional[Fraction]       # position of the X2 atom, when dense
-    logf_b: LogValue                # log2 f0 at b_{n_m}
-    lower_bound: Fraction           # c * L(n_m)**(1/6)
+# One atom of the schedule: m, its block n_m, mass, value (the position of
+# the X2 atom when dense, else None), logf_b (the LogValue log2 f0 at
+# b_{n_m}) and lower_bound (c * L(n_m)**(1/6)).
+ScheduleEntry = namedtuple("ScheduleEntry", "m n_m mass value logf_b lower_bound")
 
-
-@dataclass(frozen=True)
-class BlowupSchedule:
-    m_max: int
-    entries: tuple[ScheduleEntry, ...]
-    c: Fraction
-    residual_mass: Fraction
-    precision_bits: int
+BlowupSchedule = namedtuple("BlowupSchedule",
+                            "m_max entries c residual_mass precision_bits")
 
 
 def schedule_index(m: int, precision_bits: int = DEFAULT_PRECISION) -> int:

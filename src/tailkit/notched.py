@@ -22,7 +22,7 @@ arbitrary ``n``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from tailkit.numerics import DEFAULT_PRECISION, LogValue, log2_snap, log_nat, root_snap
@@ -141,8 +141,8 @@ def threshold_knots(n: int,
     return Knot(d_x, target), Knot(s_x, target)
 
 
-@dataclass(frozen=True)
-class NotchedDensity:
+class NotchedDensity(namedtuple("NotchedDensity",
+                                "truncation_n dense precision_bits prefix_masses")):
     """Dense truncation of the construction over [0, a_{N+1}].
 
     ``dense`` is the unnormalized f0 (3N+1 linear segments).
@@ -153,10 +153,7 @@ class NotchedDensity:
     the factor ``1/mass``.
     """
 
-    truncation_n: int
-    dense: PiecewisePoly
-    precision_bits: int
-    prefix_masses: tuple[Fraction, ...] = field(repr=False)
+    __slots__ = ()
 
     @property
     def mass(self) -> Fraction:

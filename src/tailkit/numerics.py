@@ -23,7 +23,7 @@ that needs it, so a caller that snaps nothing never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -179,19 +179,17 @@ def log_nat(n: int, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
 
 # ----------------------------- LogValue -----------------------------
 
-@dataclass(frozen=True)
-class LogValue:
+class LogValue(namedtuple("LogValue", "sign log2mag")):
     """A signed scalar stored as log2 of its absolute value.
 
     ``sign`` is -1, 0 or +1; ``log2mag`` is ignored (and kept at 0) when the
     sign is 0.
     """
 
-    sign: int
-    log2mag: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        object.__setattr__(self, "log2mag",
-                           Fraction(0) if self.sign == 0 else Fraction(self.log2mag))
+    def __new__(cls, sign: int, log2mag: Fraction = Fraction(0)):
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
+        return super().__new__(cls, sign,
+                               Fraction(0) if sign == 0 else Fraction(log2mag))

@@ -20,33 +20,25 @@ operations are pure and exact over ``Fraction``; instances are immutable.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class Knot:
+class Knot(namedtuple("Knot", "x f")):
     """A breakpoint together with the function value there."""
 
-    x: Fraction
-    f: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "f", Fraction(self.f))
+    def __new__(cls, x, f):
+        return super().__new__(cls, Fraction(x), Fraction(f))
 
 
-@dataclass(frozen=True, eq=False)
 class PiecewisePoly:
-    breakpoints: tuple[Fraction, ...]
-    coeffs: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
-    continuous: bool = False
-    density: bool = False
-    factor: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        breaks = tuple(Fraction(x) for x in self.breakpoints)
+    def __init__(self, breakpoints: Iterable, coeffs: Iterable,
+                 continuous: bool = False, density: bool = False,
+                 factor: Fraction = Fraction(1)):
+        breaks = tuple(Fraction(x) for x in breakpoints)
         if len(breaks) < 2:
             raise ValueError("need at least two breakpoints")
         for a, b in zip(breaks, breaks[1:]):
@@ -55,17 +47,20 @@ class PiecewisePoly:
                     f"breakpoints must strictly increase ({_fmt(a)} !< {_fmt(b)})")
         coeffs = tuple(
             tuple(Fraction(c) for c in seg) + (Fraction(0),) * (4 - len(seg))
-            for seg in self.coeffs)
+            for seg in coeffs)
         if len(coeffs) != len(breaks) - 1:
             raise ValueError("segment count must be breakpoint count - 1")
         for seg in coeffs:
             if len(seg) != 4:
                 raise ValueError("segments take at most 4 coefficients (degree <= 3)")
-        object.__setattr__(self, "breakpoints", breaks)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "factor", Fraction(self.factor))
-        # segment moments for the point walk; the copies below share it
-        object.__setattr__(self, "_moment_cache", {})
+        # _moment_cache: segment moments for the point walk; the copies
+        # below share it
+        self.__dict__.update(breakpoints=breaks, coeffs=coeffs,
+                             continuous=continuous, density=density,
+                             factor=Fraction(factor), _moment_cache={})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def _with_factor(self, factor: Fraction, density: bool) -> "PiecewisePoly":
         # shares the validated breakpoints and coefficients: O(1)

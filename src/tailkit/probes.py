@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from tailkit import convolution as conv
 from tailkit import logperiodic as lp
@@ -46,13 +46,16 @@ def _aux_json_value(v) -> str:
     return json.dumps(v, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
-class ProbeRow:
-    probe: str
-    x_or_n: str
-    value: Value
-    aux: dict = field(default_factory=dict)
-    precision_flag: bool = False
+class ProbeRow(namedtuple("ProbeRow", "probe x_or_n value aux precision_flag")):
+    """One CSV row: ``value`` is a Value and ``aux`` a dict, empty by
+    default."""
+
+    __slots__ = ()
+
+    def __new__(cls, probe: str, x_or_n: str, value: Value,
+                aux: Optional[dict] = None, precision_flag: bool = False):
+        return super().__new__(cls, probe, x_or_n, value,
+                               {} if aux is None else aux, precision_flag)
 
     def csv(self) -> str:
         aux_json = "{" + ",".join(json.dumps(k) + ":" + _aux_json_value(v)
@@ -98,11 +101,7 @@ def local_tail_ratio(p: PiecewisePoly, x, d) -> Fraction:
 
 # ------------------------------- scans -------------------------------
 
-@dataclass(frozen=True)
-class ScanResult:
-    sup_ratio: Value
-    witness_x: str
-    witness_y: str
+ScanResult = namedtuple("ScanResult", "sup_ratio witness_x witness_y")
 
 
 def almost_decrease_scan(p: PiecewisePoly, x0=0) -> ScanResult:
@@ -199,13 +198,7 @@ def knot_ratio_series(n_max: int,
     return [(n, log_nat(n, precision_bits)) for n in range(2, n_max + 1)]
 
 
-@dataclass(frozen=True)
-class I2Check:
-    x: Fraction
-    i2: Fraction
-    bound: Fraction
-    bound_log2_closed_form: int
-    passed: bool
+I2Check = namedtuple("I2Check", "x i2 bound bound_log2_closed_form passed")
 
 
 def i2_bound_check(nd: notched.NotchedDensity, n: int) -> I2Check:

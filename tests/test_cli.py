@@ -147,6 +147,21 @@ class TestProbeCommand:
         assert body[1].startswith("long_tail_ratio,c5,")
         assert body[2].startswith("long_tail_ratio,b5,")
 
+    def test_scan_start_past_the_digit_limit(self, capsys):
+        # a start of 5,001 digits, below the support: the scan is the one
+        # from 0, and the label renders the start whole, past the default
+        # limit on int-to-str conversion
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            rows = [run_cli("probe", "notched", "almost_decrease_scan", f"x0={x0}")
+                    for x0 in ("-1e5000", "0")]
+        finally:
+            sys.set_int_max_str_digits(old)
+        far, zero = capsys.readouterr().out.splitlines()[1::2]
+        assert rows == [0, 0]
+        assert far == zero.replace("x0=0,", f"x0=-1{'0' * 5000},")
+
     def test_unknown_probe_lists_valid(self, capsys):
         assert run_cli("probe", "notched", "nope") == 2
         err = capsys.readouterr().err
@@ -498,6 +513,52 @@ class TestConvolveFuzz:
             assert err.getvalue().count("\n") == 1 and not out.exists()
 
 
+# Config-file text for the malformed-input fuzz: lines with keys that
+# convolve reads, keys it does not read and unknown keys, values that are
+# junk, out of range or past the digit limit, and lines that are not
+# assignments.
+_CONFIG_KEY = st.one_of(
+    st.sampled_from(sorted(cli.OPTIONS)),
+    st.sampled_from(["PRECISION_BITS", " out ", "alpha", "quad_tol", "x0", "",
+                     "precision-bits", "config"]),
+    st.text(max_size=8))
+_CONFIG_VALUE = st.one_of(
+    st.sampled_from(["256", "32", "31", "0", "-64", "2_56", "0x40", "1e5000",
+                     "1e-10001", "9" * 40, "9" * 5000, "1/0", "3/2", "nan",
+                     "inf", "", "notched", "file:nope"]),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.text(max_size=12))
+_CONFIG_LINE = st.one_of(
+    st.builds("{}{}{}".format, _CONFIG_KEY,
+              st.sampled_from(["=", " = ", "==", "= ="]), _CONFIG_VALUE),
+    st.sampled_from(["", "# comment", "#precision_bits = 8", "precision_bits"]),
+    st.text(max_size=16))
+
+
+class TestConfigFuzz:
+    @given(st.lists(_CONFIG_LINE, max_size=5),
+           st.sampled_from([b"", b"\xff", b"\xc3("]))
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_config_ends_in_an_exit_code(
+            self, tmp_path_factory, lines, splice):
+        work = tmp_path_factory.getbasetemp() / "config-fuzz"
+        knots, cfg, out = work / "in.pw", work / "run.cfg", work / "out.pw"
+        if not knots.exists():
+            work.mkdir()
+            knots.write_text("knot 0 0\nknot 1 1\nknot 2 0\n")
+        out.unlink(missing_ok=True)
+        cfg.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass") + splice)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["convolve", str(knots), "--config", str(cfg),
+                             "--out", str(out)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        if code == 0:
+            assert load_text(out.read_text()).total_mass() == 1
+        else:
+            assert err.getvalue().count("\n") == 1 and not out.exists()
+
+
 class TestReportDeterminism:
     def test_mixture_report_bytes_stable_across_processes(self, tmp_path):
         cmd = [sys.executable, "-m", "tailkit.cli", "report", "mixture",
@@ -642,6 +703,25 @@ class TestImportStructure:
         assert self.run_child("convolve", knots, "--precision-bits", "8",
                               "--out", str(out)) == ["2", "False"]
         assert not out.exists()
+
+    # what the child runs before it reads sys.modules; the last runs every
+    # layer (tailkit.cli, imported first, would leave them to run lazily)
+    @pytest.mark.parametrize("run", [
+        "import tailkit.cli",
+        "import tailkit.cli\nassert tailkit.cli.main(sys.argv[1:]) == 0",
+        "import tailkit.acceptance, tailkit.cli",
+    ], ids=["import", "convolve", "every-layer"])
+    def test_no_process_loads_dataclasses(self, run, knots, tmp_path):
+        # dataclasses imports inspect at its top and runs generated source
+        # for each class: together 15 ms or more of every start-up
+        code = ("import sys\n" + run + "\n"
+                "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "convolve", knots,
+             "--out", str(tmp_path / "conv.pw")],
+            capture_output=True, text=True, cwd="/", env=child_env())
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     # each layer module, the name cli gives it and one public function
     LAYERS = {"acceptance": ("acceptance", "run_all"),
