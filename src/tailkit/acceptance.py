@@ -17,7 +17,6 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 # `import tailkit.<layer>` runs a layer that tailkit.cli registered as a
 # lazy module, where `from tailkit import <layer>` would leave it to run at
@@ -41,14 +40,9 @@ _SEED = 20260808
 
 class CheckResult(namedtuple("CheckResult", "name passed detail elapsed budget rows")):
     """One check's verdict, timing against its budget in seconds, and probe
-    rows (a list, empty by default)."""
+    rows."""
 
     __slots__ = ()
-
-    def __new__(cls, name: str, passed: bool, detail: str, elapsed: float,
-                budget: float, rows: Optional[list] = None):
-        return super().__new__(cls, name, passed, detail, elapsed, budget,
-                               [] if rows is None else rows)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

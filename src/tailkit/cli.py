@@ -137,10 +137,20 @@ def _parse(key: str, parse, text: str, *context):
         raise UsageError(f"bad value for {key}: {text!r}") from exc
 
 
+def _read(path: str) -> str:
+    """A file's UTF-8 text; bytes that are not UTF-8 are a usage error
+    naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from exc
+
+
 def _parse_config_file(path: str, allowed: list[str]) -> dict:
     values: dict = {}
     try:
-        text = Path(path).read_text()
+        text = _read(path)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -167,7 +177,7 @@ def _write(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _meta_text(pairs: list[tuple[str, str]]) -> str:
@@ -224,7 +234,7 @@ def _cmd_build(config: RunConfig) -> int:
     out_dir = Path(config.out or "tailkit-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (out_dir / name).write_text(text)
+        (out_dir / name).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -255,7 +265,7 @@ def _points(text: str, config: RunConfig) -> list[tuple[str, Fraction]]:
 def _density(config: RunConfig) -> piecewise.PiecewisePoly:
     name = config.construction
     if name.startswith("file:"):
-        return piecewise.load_text(Path(name[5:]).read_text())
+        return piecewise.load_text(_read(name[5:]))
     return config.notched_density().density()
 
 
@@ -460,9 +470,8 @@ def _cmd_convolve(config: RunConfig, files: list[str]) -> int:
     if not 1 <= len(files) <= 2:
         raise UsageError("convolve takes one piecewise file (self-convolution) "
                          "or two (cross-convolution)")
-    first = piecewise.load_text(Path(files[0]).read_text())
-    second = (piecewise.load_text(Path(files[1]).read_text())
-              if len(files) == 2 else first)
+    first = piecewise.load_text(_read(files[0]))
+    second = piecewise.load_text(_read(files[1])) if len(files) == 2 else first
     result = conv.conv_linear_exact(first, second)
     _write(config.out, piecewise.dump_text(result))
     return 0

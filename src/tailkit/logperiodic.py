@@ -44,6 +44,7 @@ from mpmath.libmp import (fhalf, finf, fone, from_int, from_str, ftwo, fzero, mp
 
 from tailkit.errors import PrecisionFailure
 from tailkit.numerics import LogValue, _snap_raw
+from tailkit.piecewise import _fmt
 
 _WP = 192          # working precision (bits) for all evaluation
 _SNAP_BITS = 96    # precision of rationals snapped out of the floats
@@ -64,7 +65,6 @@ class LogPeriodicParams(namedtuple("LogPeriodicParams", "delta")):
     def __new__(cls, delta: Fraction = Fraction(1, 4)):
         delta = Fraction(delta)
         if not Fraction(0) < delta < Fraction(1, 2):
-            from tailkit.piecewise import _fmt
             raise ValueError(f"delta must lie in (0, 1/2), got {_fmt(delta)}")
         return super().__new__(cls, delta)
 
@@ -91,7 +91,6 @@ def chi(x, p: LogPeriodicParams, precision_bits: int = _SNAP_BITS) -> Fraction:
     """x ** (1/2 + delta*cos(ln(x+1))) snapped to 2**-precision_bits."""
     x = Fraction(x)
     if x < 0:
-        from tailkit.piecewise import _fmt
         raise ValueError(f"chi is defined on x >= 0, got {_fmt(x)}")
     if x == 0:
         return Fraction(0)
@@ -333,12 +332,11 @@ def density_log(x, p: LogPeriodicParams) -> LogValue:
     """log2 view of the density a * exp(-chi(x))."""
     x = Fraction(x)
     if x < 0:
-        from tailkit.piecewise import _fmt
         raise ValueError(f"density is supported on x >= 0, got {_fmt(x)}")
     log_a = normalizers(p).log_a
     chi_x = _chi_raw(_raw(p.delta))(_raw(x))
     log2_val = mpf_div(mpf_sub(log_a, chi_x, _WP, _RND), mpf_ln2(_WP, _RND), _WP, _RND)
-    return LogValue(1, _snap_raw(log2_val, _SNAP_BITS))
+    return LogValue(_snap_raw(log2_val, _SNAP_BITS))
 
 
 def _tail_integral(x: Raw, p: LogPeriodicParams):
@@ -366,7 +364,6 @@ def karamata_ratio(x, p: LogPeriodicParams) -> Fraction:
     """
     x = Fraction(x)
     if x < 0:
-        from tailkit.piecewise import _fmt
         raise ValueError(f"x must be nonnegative, got {_fmt(x)}")
     xm = _raw(x)
     val, _, chi_x = _tail_integral(xm, p)
@@ -378,19 +375,18 @@ def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
 
     Diverging values of this ratio along a subsequence witness failure of
     the self-convolution asymptotics.  The cut exponent is a caller choice;
-    nothing here claims a canonical h.
+    nothing here claims a canonical h.  An integral that is not positive
+    raises :class:`PrecisionFailure`.
     """
     x = Fraction(x)
     h_exp = Fraction(h_exp)
     if not Fraction(0) < h_exp < 1:
-        from tailkit.piecewise import _fmt
         raise ValueError(f"h_exp must lie in (0, 1), got {_fmt(h_exp)}")
     norm = normalizers(p)
     wp, rnd = _WP, _RND
     xm = _raw(x)
     h = mpf_pow(xm, _raw(h_exp), wp, rnd)
     if not mpf_gt(xm, mpf_mul_int(h, 2, wp, rnd)):
-        from tailkit.piecewise import _fmt
         raise ValueError(f"need x > 2 * x**h_exp (x={_fmt(x)}, h={to_str(h, 6)})")
     # the integrand is symmetric about x/2 and its points are mirrored, so
     # most abscissas recur as x - y; the table ends with the call
@@ -408,7 +404,8 @@ def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
                  key=cmp_to_key(mpf_cmp))
     pts = [t for t in pts if mpf_le(h, t) and mpf_le(t, top)]
     val, _ = _integrate(integrand, pts, _raw(QUAD_TOL))
-    if mpf_le(val, fzero):
-        return LogValue(0)
+    if mpf_le(val, fzero):  # the integrand is positive: the quadrature failed
+        raise PrecisionFailure(f"middle integral at x={_fmt(x)} is not positive "
+                               f"({to_str(val, 6)})")
     log_sum = mpf_add(norm.log_a, mpf_log(val, wp, rnd), wp, rnd)
-    return LogValue(1, _snap_raw(mpf_div(log_sum, mpf_ln2(wp, rnd), wp, rnd), _SNAP_BITS))
+    return LogValue(_snap_raw(mpf_div(log_sum, mpf_ln2(wp, rnd), wp, rnd), _SNAP_BITS))

@@ -103,14 +103,14 @@ def knot_logf(kind: str, n: int,
         raise ValueError(f"n must be a positive integer, got {n!r}")
     base = Fraction(1 - 3 * n * n)
     if kind in ("a", "c"):
-        return LogValue(1, base)
+        return LogValue(base)
     log2_lam = log2_snap(log_nat(n, precision_bits), precision_bits)
     if kind == "b":
-        return LogValue(1, base - log2_lam)
+        return LogValue(base - log2_lam)
     if kind in ("d", "s"):
         if n < 2:
             raise ValueError("threshold knots are undefined for n=1")
-        return LogValue(1, base - log2_lam / 2)
+        return LogValue(base - log2_lam / 2)
     raise ValueError(f"unknown knot kind {kind!r} (expected one of {KNOT_KINDS})")
 
 

@@ -4,8 +4,9 @@ Two kinds of scalar live here:
 
 * exact rationals (``fractions.Fraction``) for every quantity that is
   rational by construction, and
-* :class:`LogValue`, a signed base-2 log-magnitude scalar for quantities
-  like ``2**(-3*n*n)`` at indices where a dense rational is impossible.
+* :class:`LogValue`, a positive scalar held as its base-2 log, for
+  quantities like ``2**(-3*n*n)`` at indices where a dense rational is
+  impossible.
 
 Transcendental constants are never used symbolically.  Each one is
 "snapped": evaluated once at a requested precision, rounded to a dyadic
@@ -177,19 +178,8 @@ def log_nat(n: int, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
     return ln_snap(Fraction(n + 1), precision_bits)
 
 
-# ----------------------------- LogValue -----------------------------
-
-class LogValue(namedtuple("LogValue", "sign log2mag")):
-    """A signed scalar stored as log2 of its absolute value.
-
-    ``sign`` is -1, 0 or +1; ``log2mag`` is ignored (and kept at 0) when the
-    sign is 0.
-    """
+class LogValue(namedtuple("LogValue", "log2mag")):
+    """A positive scalar stored as ``log2mag``, the rational log2 of its
+    value."""
 
     __slots__ = ()
-
-    def __new__(cls, sign: int, log2mag: Fraction = Fraction(0)):
-        if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
-        return super().__new__(cls, sign,
-                               Fraction(0) if sign == 0 else Fraction(log2mag))

@@ -47,8 +47,9 @@ def _aux_json_value(v) -> str:
 
 
 class ProbeRow(namedtuple("ProbeRow", "probe x_or_n value aux precision_flag")):
-    """One CSV row: ``value`` is a Value and ``aux`` a dict, empty by
-    default."""
+    """One CSV row: ``value`` is a Value, a rational or int written in
+    decimal or a positive LogValue written as ``log2:<decimal>``, and
+    ``aux`` a dict, empty by default."""
 
     __slots__ = ()
 
@@ -151,7 +152,7 @@ def notched_knot_scan(n_max: int,
     best, low, high = _max_rise(
         (f"{kind}{n}", notched.knot_logf(kind, n, precision_bits).log2mag)
         for n in range(1, n_max + 1) for kind in ("a", "b", "c"))
-    return ScanResult(LogValue(1, best), low, high)
+    return ScanResult(LogValue(best), low, high)
 
 
 # grid points per period e^pi of the log-periodic scan
@@ -176,15 +177,14 @@ def logperiodic_scan(p: lp.LogPeriodicParams,
                                 for x in grid)
     rows = []
     for k in range(0, k_max, 2):
-        even = lp.density_log(lp.anchor(k), p)
-        odd = lp.density_log(lp.anchor(k + 1), p)
+        rise = (lp.density_log(lp.anchor(k + 1), p).log2mag
+                - lp.density_log(lp.anchor(k), p).log2mag)
         rows.append(ProbeRow(
-            probe="anchor_pair_ratio", x_or_n=f"k{k}",
-            value=LogValue(1, odd.log2mag - even.log2mag),
-            aux={"later_over_earlier_log2": decimal_str(odd.log2mag - even.log2mag),
-                 "earlier_over_later_log2": decimal_str(even.log2mag - odd.log2mag),
-                 "growing_direction": "later" if odd.log2mag > even.log2mag else "earlier"}))
-    scan = ScanResult(LogValue(1, best), decimal_str(low), decimal_str(high))
+            probe="anchor_pair_ratio", x_or_n=f"k{k}", value=LogValue(rise),
+            aux={"later_over_earlier_log2": decimal_str(rise),
+                 "earlier_over_later_log2": decimal_str(-rise),
+                 "growing_direction": "later" if rise > 0 else "earlier"}))
+    scan = ScanResult(LogValue(best), decimal_str(low), decimal_str(high))
     return scan, rows
 
 
@@ -244,7 +244,7 @@ def mixture_blowup_probe(mix: mx.MixtureSpec, schedule: mx.BlowupSchedule,
         probe="blowup_exact", x_or_n=f"m1_b{first.n_m}",
         value=cross / (d * f_b),
         aux={"lower_bound": first.lower_bound,
-             "conv_over_window_mass": full / local_f if local_f else Fraction(0),
+             "conv_over_window_mass": full / local_f,
              "window": d}))
     for entry in schedule.entries[1:]:
         rows.append(ProbeRow(

@@ -30,40 +30,28 @@ def int_str(n: int) -> str:
     return str(Decimal(n))
 
 
+def _at_least(num: int, den: int, e: int) -> bool:
+    """10**e <= num/den."""
+    return den * 10 ** max(e, 0) <= num * 10 ** max(-e, 0)
+
+
 def _floor_log10(num: int, den: int) -> int:
     """floor(log10(num/den)) for positive num, den."""
     e = int((num.bit_length() - den.bit_length()) * _LOG10_2)
-    while True:
-        if e >= 0:
-            ok = den * 10 ** e <= num
-        else:
-            ok = den <= num * 10 ** (-e)
-        if ok:
-            break
+    while not _at_least(num, den, e):
         e -= 1
-    while True:
-        e2 = e + 1
-        if e2 >= 0:
-            ok = den * 10 ** e2 <= num
-        else:
-            ok = den <= num * 10 ** (-e2)
-        if not ok:
-            break
-        e = e2
+    while _at_least(num, den, e + 1):
+        e += 1
     return e
 
 
 def _positional(digits: str, e: int) -> str:
-    """Place the decimal point of 0.digits * 10**(e+1)."""
-    if e >= len(digits) - 1:
-        return digits + "0" * (e - len(digits) + 1)
-    if e >= 0:
-        head, tail = digits[:e + 1], digits[e + 1:]
-        tail = tail.rstrip("0")
-        return head + ("." + tail if tail else "")
-    body = "0" * (-e - 1) + digits
-    body = body.rstrip("0")
-    return "0." + (body if body else "0")
+    """0.digits * 10**(e+1) written out, without trailing fraction zeros;
+    digits holds a nonzero digit."""
+    if e < 0:
+        digits, e = "0" * -e + digits, 0
+    head, tail = digits[:e + 1].ljust(e + 1, "0"), digits[e + 1:].rstrip("0")
+    return head + ("." + tail if tail else "")
 
 
 def decimal_str(q, sig: int = SIG_DIGITS) -> str:
@@ -96,30 +84,22 @@ def decimal_str(q, sig: int = SIG_DIGITS) -> str:
 
     e = _floor_log10(num, den)
     shift = sig - 1 - e
-    if shift >= 0:
-        scaled = (num * 10 ** shift * 2 // den + 1) // 2
-    else:
-        scaled = (num * 2 // (den * 10 ** (-shift)) + 1) // 2
+    scaled = (2 * num * 10 ** max(shift, 0)
+              // (den * 10 ** max(-shift, 0)) + 1) // 2
     digits = str(scaled)
     if len(digits) > sig:  # rounding carried into a new leading digit
         digits = digits[:sig]
         e += 1
-    digits = digits.rstrip("0") or "0"
     if -6 <= e <= sig + 6:
         return sign + _positional(digits, e)
-    mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
-    return f"{sign}{mantissa}e{e}"
+    return f"{sign}{_positional(digits, 0)}e{e}"
 
 
 def value_str(v) -> str:
-    """Render a probe value: rationals in decimal, LogValues as log2:<...>."""
+    """Render a probe value: a LogValue as log2:<decimal>, anything else as
+    a rational or int."""
     if isinstance(v, LogValue):
-        if v.sign == 0:
-            return "0"
-        prefix = "-" if v.sign < 0 else ""
-        return f"{prefix}log2:{decimal_str(v.log2mag)}"
-    if isinstance(v, bool):
-        return "true" if v else "false"
+        return f"log2:{decimal_str(v.log2mag)}"
     if isinstance(v, int):
         return int_str(v)
     return decimal_str(v)

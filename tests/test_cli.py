@@ -278,6 +278,23 @@ class TestProbeCommand:
                        "t=1/4", "--out", str(out)) == 0
         assert "long_tail_ratio,1/2," in out.read_text()
 
+    def test_file_that_is_not_utf8_names_it(self, tmp_path, capsys):
+        src = tmp_path / "tri.pw"
+        src.write_bytes(b"knot 0 0\nknot 1 \xff1\nknot 2 0\n")
+        assert run_cli("probe", f"file:{src}", "long_tail_ratio", "x=1/2") == 2
+        err = capsys.readouterr().err
+        assert f"{src}: not UTF-8 text (invalid start byte at byte 16)" in err
+
+    def test_middle_integral_that_is_not_positive_is_exit_3(self, monkeypatch,
+                                                            capsys):
+        cli.lp.normalizers(cli.lp.LogPeriodicParams())
+        monkeypatch.setattr(cli.lp, "_integrate",
+                            lambda f, pts, tol: (cli.lp.fzero, cli.lp.fzero))
+        assert run_cli("probe", "logperiodic", "middle_integral", "k_list=4") == 3
+        captured = capsys.readouterr()
+        assert "middle integral at x=" in captured.err
+        assert "middle_integral" not in captured.out
+
 
 class TestConvolve:
     def test_self_convolution(self, tmp_path):
@@ -512,6 +529,14 @@ class TestConvolveFuzz:
         else:
             assert err.getvalue().count("\n") == 1 and not out.exists()
 
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, capsys):
+        src = tmp_path / "in.pw"
+        src.write_bytes(b"knot 0 0\nknot 1 1\n\xff")
+        assert run_cli("convolve", str(src), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err == (f"usage error: {src}: not UTF-8 text "
+                       "(invalid start byte at byte 18)\n")
+
 
 # Config-file text for the malformed-input fuzz: lines with keys that
 # convolve reads, keys it does not read and unknown keys, values that are
@@ -557,6 +582,69 @@ class TestConfigFuzz:
             assert load_text(out.read_text()).total_mass() == 1
         else:
             assert err.getvalue().count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("argv", [["convolve", "{knots}"], ["report", "notched"]])
+    def test_bytes_that_are_not_utf8_name_the_file(self, argv, tmp_path, capsys):
+        knots, cfg = tmp_path / "in.pw", tmp_path / "run.cfg"
+        knots.write_text("knot 0 0\nknot 1 1\nknot 2 0\n")
+        cfg.write_bytes(b"precision_bits = 256\n\xff\n")
+        argv = [a.format(knots=knots) for a in argv]
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err == (f"usage error: {cfg}: not UTF-8 text "
+                       "(invalid start byte at byte 21)\n")
+
+
+# argv for the malformed-input fuzz: commands, constructions, probe names,
+# flags known and unknown, key=value pairs and junk, in any order.  "@knots"
+# stands for a knot file the test writes.  verify and logperiodic are left
+# out, as a valid run of either takes about half a second; no drawn number
+# exceeds 6, as a count such as n_max has no upper bound.
+_ARGV_JUNK = st.one_of(
+    st.sampled_from(["", "-", "--", "=", "1/0", "-1", "nan", "c", "file:",
+                     "file:nope", "notch"]),
+    st.text(alphabet="abcdnx-=:,./_ ", max_size=6))
+_ARGV_KEYS = sorted({*cli.OPTIONS, *(k for p in cli.PROBES for k in p.params),
+                     "N", "bogus", ""})
+_ARGV_COMMAND = st.sampled_from(["build", "probe", "report", "convolve"])
+_ARGV_CONSTRUCTION = st.sampled_from(["notched", "mixture", "file:@knots", "@knots"])
+_ARGV_PROBE = st.sampled_from(sorted({p.name for p in cli.PROBES}))
+_ARGV_TOKEN = st.one_of(
+    _ARGV_COMMAND, _ARGV_CONSTRUCTION, _ARGV_PROBE,
+    st.sampled_from([cli._flag(k) for k in cli.OPTIONS]
+                    + ["--config", "-h", "--bogus", "--n-max", "--de", "-n"]),
+    st.builds("{}={}".format, st.sampled_from(_ARGV_KEYS),
+              st.one_of(st.integers(0, 6).map(str), _ARGV_JUNK)),
+    _ARGV_JUNK)
+
+
+@st.composite
+def argv_tokens(draw):
+    """A command, often a construction and a probe name, then any tokens:
+    the leading names let a share of the draws run."""
+    head = [draw(_ARGV_COMMAND)]
+    head += draw(st.lists(_ARGV_CONSTRUCTION, max_size=1))
+    head += draw(st.lists(_ARGV_PROBE, max_size=1))
+    return head + draw(st.lists(_ARGV_TOKEN, max_size=4))
+
+
+class TestArgvFuzz:
+    @given(argv_tokens())
+    @settings(max_examples=300, deadline=None)
+    def test_any_argv_ends_in_an_exit_code(self, tmp_path_factory, tokens):
+        work = tmp_path_factory.mktemp("argv")
+        knots = work / "in.pw"
+        knots.write_text("knot 0 0\nknot 1 1\nknot 2 0\n")
+        argv = [t.replace("@knots", str(knots)) for t in tokens]
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(out):
+            mp.chdir(work)  # where build and --out write
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: --help, or a usage error
+                code = exc.code
+        assert code in (0, 1, 2, 3, 4), (argv, out.getvalue())
 
 
 class TestReportDeterminism:

@@ -7,15 +7,18 @@ The pinned normalizer constant below was computed once at the module's
 QUAD_TOL (1e-8) and frozen.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import fnone, fzero
 
 from tailkit import logperiodic as lp
 from tailkit.errors import PrecisionFailure
 from tailkit.numerics import _snap, _snap_raw
+from tailkit.piecewise import _fmt
 
 # frozen from the adaptive-Simpson engine at tol 1e-8, alpha=1, delta=1/4;
 # the mpmath.quad cross-check below re-derives it independently
@@ -316,5 +319,17 @@ class TestMiddleIntegral:
     def test_even_anchor_blows_up(self, lp_default):
         # at an even anchor chi(x) ~ x**(3/4) dwarfs the interior exponents
         ratio = lp.middle_mass_ratio(lp.anchor(4), lp_default, Fraction(3, 10))
-        assert ratio.sign == 1
         assert ratio.log2mag > 1000
+
+    @pytest.mark.parametrize("integral", [fzero, fnone], ids=["zero", "negative"])
+    def test_integral_that_is_not_positive_raises(self, lp_default, integral,
+                                                   monkeypatch):
+        # the integrand is positive, so such an integral is a failed
+        # quadrature: it used to come back as a LogValue of sign 0, printed 0
+        lp.normalizers(lp_default)
+        monkeypatch.setattr(lp, "_integrate", lambda f, pts, tol: (integral, fzero))
+        x = lp.anchor(4)
+        with pytest.raises(PrecisionFailure,
+                           match=f"middle integral at x={re.escape(_fmt(x))} is "
+                                 "not positive"):
+            lp.middle_mass_ratio(x, lp_default, Fraction(3, 10))

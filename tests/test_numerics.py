@@ -139,6 +139,9 @@ class TestSnaps:
 
 
 class TestLogValue:
-    def test_rejects_bad_sign(self):
-        with pytest.raises(ValueError):
-            LogValue(2, Fraction(0))
+    def test_magnitude_only(self):
+        # a LogValue is positive: it has no sign, and no zero
+        assert LogValue._fields == ("log2mag",)
+        assert LogValue(Fraction(-47)).log2mag == -47
+        with pytest.raises(TypeError):
+            LogValue(1, Fraction(0))

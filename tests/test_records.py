@@ -17,7 +17,7 @@ def _records():
     atoms = mx.AtomList(((Fraction(2), half),), (Fraction(1), half))
     schedule = mx.build_schedule(1)
     return {
-        "LogValue": (LogValue(1, Fraction(3)), "log2mag"),
+        "LogValue": (LogValue(Fraction(3)), "log2mag"),
         "LogPeriodicParams": (lp.LogPeriodicParams(), "delta"),
         "Knot": (Knot(0, 1), "x"),
         "PiecewisePoly": (from_linear_knots([(0, 1), (1, 1)]), "factor"),
