@@ -5,7 +5,8 @@ pathologies (non-almost-decreasing yet subexponential, long-tailed yet not
 subexponential, and a two-sided mixture whose local self-convolution blows
 up), then verifies every checkable identity and asymptotic trend about
 them with exact rational arithmetic, snapped transcendental constants and
-certified quadrature.
+quadrature that carries a quadrature error estimate plus a rigorous tail
+bound.
 """
 
 __version__ = "0.1.0"

@@ -269,10 +269,6 @@ def _density(config: RunConfig) -> piecewise.PiecewisePoly:
     return config.notched_density().density()
 
 
-def _witness(scan) -> dict:
-    return {"witness_x": scan.witness_x, "witness_y": scan.witness_y}
-
-
 # Row builders: (row, config, args) -> rows, where row(x_or_n, value, aux)
 # makes a row named after the probe and args holds the parsed parameters.
 
@@ -282,8 +278,7 @@ def _knot_ratio_series(row, config, args):
 
 
 def _knot_scan(row, config, args):
-    scan = probes.notched_knot_scan(args["n_max"], config.precision_bits)
-    return [row(f"n<={args['n_max']}", scan.sup_ratio, _witness(scan))]
+    return [probes.notched_knot_scan(args["n_max"], config.precision_bits)]
 
 
 def _long_tail_ratio(row, config, args):
@@ -313,23 +308,15 @@ def _local_tail_ratio(row, config, args):
 
 
 def _piecewise_scan(row, config, args):
-    scan = probes.almost_decrease_scan(_density(config), args["x0"])
-    return [row(f"x0={piecewise._fmt(args['x0'])}", scan.sup_ratio, _witness(scan))]
+    return [probes.almost_decrease_scan(_density(config), args["x0"])]
 
 
 def _logperiodic_scan(row, config, args):
-    scan, rows = probes.logperiodic_scan(config.lp_params(), args["k_max"])
-    return [row(f"k<={args['k_max']}", scan.sup_ratio, _witness(scan))] + rows
+    return probes.logperiodic_scan(config.lp_params(), args["k_max"], f"k<={args['k_max']}")
 
 
 def _i2_bound_check(row, config, args):
-    nd = config.notched_density()
-    rows = []
-    for n in args["n_list"]:
-        chk = probes.i2_bound_check(nd, n)
-        rows.append(row(str(n), chk.i2, {"bound_log2": chk.bound_log2_closed_form,
-                                         "passed": chk.passed}))
-    return rows
+    return [probes.i2_bound_check(config.notched_density(), n) for n in args["n_list"]]
 
 
 def _split_integrals(row, config, args):
@@ -368,14 +355,13 @@ def _schedule(row, config, args):
 
 def _blowup(row, config, args):
     pb = config.precision_bits
-    sch = mx.build_schedule(config.m_max, pb)
-    mix = mx.mixture_from_schedule(sch, notched.build_density(4, pb))
-    return probes.mixture_blowup_probe(mix, sch, config.d)
+    return probes.mixture_blowup_probe(mx.build_schedule(config.m_max, pb),
+                                       notched.build_density(4, pb), config.d)
 
 
 # params maps each parameter to (parser, default); a default may name the
-# option n as {n} and an earlier parameter as {its name}.  rows is the row
-# builder.
+# option n as {n}, max(1, n // 2) as {half} and an earlier parameter as
+# {its name}.  rows is the row builder.
 Probe = namedtuple("Probe", "name constructions params rows")
 
 
@@ -393,7 +379,7 @@ PROBES = (
           _local_tail_ratio),
     Probe("almost_decrease_scan", PIECEWISE, {"x0": (_rational, "0")},
           _piecewise_scan),
-    Probe("i2_bound_check", ("notched",), {"n_list": (_ints, "5,10")},
+    Probe("i2_bound_check", ("notched",), {"n_list": (_ints, "{half},{n}")},
           _i2_bound_check),
     Probe("split_integrals", ("notched",),
           {"block": (_int, "{n}"), "x": (_points, "c{block}")}, _split_integrals),
@@ -411,7 +397,8 @@ PROBES = (
 
 
 def _probe_help() -> str:
-    lines = ["probes (constructions: parameter=default; {n} is the option n):"]
+    lines = ["probes (constructions: parameter=default; {n} is the option n, "
+             "{half} is max(1, n // 2)):"]
     for p in PROBES:
         params = "".join(f" {k}={default}" for k, (_, default) in p.params.items())
         lines.append(f"  {p.name:<22}{', '.join(p.constructions)}:{params}")
@@ -443,7 +430,7 @@ def _run_probes(config: RunConfig, selected: list[Probe], what: str) -> int:
         args: dict = {}
         for key, (parse, default) in p.params.items():
             text = (config.params[key] if key in config.params
-                    else default.format(n=config.n, **args))
+                    else default.format(n=config.n, half=max(1, config.n // 2), **args))
             args[key] = _parse(key, parse, text, config)
         parsed.append((p, args))
     rows = [r for p, args in parsed
@@ -493,7 +480,8 @@ def _cmd_verify(config: RunConfig) -> int:
 
 # ------------------------------- main -------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each command's parser by its name."""
     parser = argparse.ArgumentParser(
         prog="tailkit",
         description="exact-arithmetic probes for heavy-tailed density "
@@ -518,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("verify", "run the acceptance battery")
     command("report", "full probe battery as CSV").add_argument(
         "positional", nargs="*", help="construction and key=value overrides")
-    return parser
+    return parser, sub.choices
 
 
 def _config_from_args(args) -> tuple[RunConfig, list[str]]:
@@ -546,7 +534,14 @@ def _config_from_args(args) -> tuple[RunConfig, list[str]]:
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command name by the top-level parser, the rest by the command's,
+    # so that flags may come anywhere among the positional arguments:
+    # argparse cannot intermix them on a parser with subcommands
+    parser, commands = _build_parser()
+    command = parser.parse_args(argv[:1]).command
+    args = commands[command].parse_intermixed_args(argv[1:])
+    args.command = command
     config, names = _config_from_args(args)
     _check_precision(config.precision_bits)
     if args.command == "probe":

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Callable, Optional
 
 from mpmath.libmp import (fhalf, finf, fone, from_int, from_str, ftwo, fzero, mpf_abs,
@@ -230,14 +230,14 @@ def _chi_tail_bound(T: Raw, delta: Raw) -> Raw:
 
 
 def _tail(y: Raw, chi_y: Raw) -> Raw:
-    """The tail exp(-y - chi(y)), given chi(y): the integrand of ``b`` and
-    of :func:`_tail_integral`."""
+    """The tail exp(-y - chi(y)), given chi(y): the integrand of
+    :func:`_tail_integral`, and so of ``b``."""
     return mpf_exp(mpf_sub(mpf_neg(y), chi_y, _WP, _RND), _WP, _RND)
 
 
 class Normalizers:
-    """Both normalizing constants of one parameter set, with certified total
-    error bounds.
+    """Both normalizing constants of one parameter set, each with an error
+    bound: a quadrature error estimate plus a rigorous tail bound.
 
     ``a``, ``a_err`` and ``x_max`` are computed with the object; ``b`` and
     ``b_err`` on the first read of either, which runs the tail integral, and
@@ -249,37 +249,35 @@ class Normalizers:
         self.a = a              # 1 / integral of exp(-chi)
         self.a_err = a_err      # bound on |a - true a| (quadrature + tail)
         self.x_max = x_max      # upper cutoff used for the chi-only integral
-        self._tail = tail       # () -> (b, b_err); None once they are read
-        self._log_a = None
+        self._tail = tail       # () -> (b, b_err); dropped once they are read
 
+    @cached_property
     def _b_pair(self) -> tuple[Fraction, Fraction]:
-        if self._tail is not None:
-            self._b = self._tail()
-            self._tail = None   # drops the chi table the tail integral read
-        return self._b
+        pair = self._tail()
+        del self._tail          # drops the chi table the tail integral read
+        return pair
 
     @property
     def b(self) -> Fraction:
         """1 / integral of the tail exp(-y - chi(y))."""
-        return self._b_pair()[0]
+        return self._b_pair[0]
 
     @property
     def b_err(self) -> Fraction:
-        return self._b_pair()[1]
+        return self._b_pair[1]
 
-    @property
+    @cached_property
     def log_a(self) -> Raw:
         """log(a) at the working precision, as a raw mpf."""
-        if self._log_a is None:
-            self._log_a = mpf_log(_raw(self.a), _WP, _RND)
-        return self._log_a
+        return mpf_log(_raw(self.a), _WP, _RND)
 
 
 _NORMALIZER_CACHE: dict = {}
 
 
 def normalizers(p: LogPeriodicParams) -> Normalizers:
-    """Both normalizing constants with certified total error bounds.
+    """Both normalizing constants, each with a quadrature error estimate
+    plus a rigorous tail bound.
 
     The cutoff for the chi-only integral doubles from 4096 until its
     certified analytic tail bound drops below QUAD_TOL/10 of a coarse value
@@ -318,10 +316,9 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
                 _snap_raw(mpf_add(rel, ulp, wp, rnd), _SNAP_BITS))
 
     def b_and_error():
-        inv_b, err_b = _integrate(lambda y: _tail(y, chi_at(y)),
-                                  _anchor_points(fzero, z0), half_tol)
-        b_tail = mpf_exp(mpf_neg(z0), wp, rnd)
-        return inverse_and_error(inv_b, mpf_add(err_b, b_tail, wp, rnd))
+        # the tail integral from 0, where chi vanishes: its cutoff is z0
+        inv_b, err_b, _ = _tail_integral(fzero, chi_at)
+        return inverse_and_error(inv_b, err_b)
 
     a, a_err = inverse_and_error(inv_a, err_a)
     result = Normalizers(a, a_err, _snap_raw(x_max, 8), b_and_error)
@@ -339,13 +336,13 @@ def density_log(x, p: LogPeriodicParams) -> LogValue:
     return LogValue(_snap_raw(log2_val, _SNAP_BITS))
 
 
-def _tail_integral(x: Raw, p: LogPeriodicParams):
-    """(integral_x^inf exp(-y - chi(y)) dy, its certified error, chi(x)).
+def _tail_integral(x: Raw, chi_of: Callable[[Raw], Raw]):
+    """(integral_x^inf exp(-y - chi(y)) dy, a quadrature error estimate plus
+    a rigorous tail bound, chi(x)) for chi given as ``chi_of``.
 
     chi(x) sets the cutoff beyond which the analytic tail bound takes over."""
     wp, rnd = _WP, _RND
     tol = _raw(QUAD_TOL)
-    chi_of = _chi_raw(_raw(p.delta))
     chi_x = chi_of(x)
     log_term = mpf_log(mpf_rdiv_int(10, tol, wp, rnd), wp, rnd)
     z = mpf_add(mpf_add(chi_x, log_term, wp, rnd), from_int(4), wp, rnd)
@@ -366,7 +363,7 @@ def karamata_ratio(x, p: LogPeriodicParams) -> Fraction:
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {_fmt(x)}")
     xm = _raw(x)
-    val, _, chi_x = _tail_integral(xm, p)
+    val, _, chi_x = _tail_integral(xm, _chi_raw(_raw(p.delta)))
     return _snap_raw(mpf_div(val, _tail(xm, chi_x), _WP, _RND), _SNAP_BITS)
 
 

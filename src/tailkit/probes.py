@@ -6,7 +6,8 @@ densities enumerate knots only (extrema of a piecewise-linear function sit
 at knots); scans over the log-periodic density use a log-spaced grid
 augmented with the anchor abscissas where the exponent modulation peaks.
 Trend claims are encoded as two-point monotone-improvement checks, not
-absolute tolerances.
+absolute tolerances.  The scans, the I2 bound and the blow-up return their
+rows, which ``tailkit report`` and the acceptance battery both write.
 """
 
 from __future__ import annotations
@@ -102,10 +103,12 @@ def local_tail_ratio(p: PiecewisePoly, x, d) -> Fraction:
 
 # ------------------------------- scans -------------------------------
 
-ScanResult = namedtuple("ScanResult", "sup_ratio witness_x witness_y")
+def _scan_row(probe: str, label: str, best: Value, low: str, high: str) -> ProbeRow:
+    """A scan's row: its largest rise, and the low and high ends as witnesses."""
+    return ProbeRow(probe, label, best, {"witness_x": low, "witness_y": high})
 
 
-def almost_decrease_scan(p: PiecewisePoly, x0=0) -> ScanResult:
+def almost_decrease_scan(p: PiecewisePoly, x0=0) -> ProbeRow:
     """sup of f(y)/f(x) over knot pairs x0 <= x <= y with f(x) > 0, with
     the maximizing pair.  Exact for piecewise-linear p (extrema at knots)."""
     x0 = Fraction(x0)
@@ -115,7 +118,8 @@ def almost_decrease_scan(p: PiecewisePoly, x0=0) -> ScanResult:
         raise ValueError(f"scan start {_fmt(x0)} is beyond the support end {_fmt(hi)}")
     values = ((x, p.eval(x)) for x in [start] + [b for b in p.breakpoints if b > start])
     best, low, high = _max_rise(((x, v) for x, v in values if v > 0), operator.truediv)
-    return ScanResult(best, decimal_str(low), decimal_str(high))
+    return _scan_row("almost_decrease_scan", f"x0={_fmt(x0)}", best,
+                     decimal_str(low), decimal_str(high))
 
 
 def _max_rise(points, rise=operator.sub) -> tuple[Fraction, object, object]:
@@ -140,7 +144,7 @@ def _max_rise(points, rise=operator.sub) -> tuple[Fraction, object, object]:
 
 
 def notched_knot_scan(n_max: int,
-                      precision_bits: int = DEFAULT_PRECISION) -> ScanResult:
+                      precision_bits: int = DEFAULT_PRECISION) -> ProbeRow:
     """Symbolic knot scan of the notched construction out to block n_max.
 
     Works on log2 values, so n_max may exceed any dense limit.  The b->c
@@ -152,22 +156,23 @@ def notched_knot_scan(n_max: int,
     best, low, high = _max_rise(
         (f"{kind}{n}", notched.knot_logf(kind, n, precision_bits).log2mag)
         for n in range(1, n_max + 1) for kind in ("a", "b", "c"))
-    return ScanResult(LogValue(best), low, high)
+    return _scan_row("knot_scan", f"n<={n_max}", LogValue(best), low, high)
 
 
 # grid points per period e^pi of the log-periodic scan
 POINTS_PER_PERIOD = 8
 
 
-def logperiodic_scan(p: lp.LogPeriodicParams,
-                     k_max: int) -> tuple[ScanResult, list[ProbeRow]]:
+def logperiodic_scan(p: lp.LogPeriodicParams, k_max: int,
+                     label: str) -> list[ProbeRow]:
     """Grid scan of the log-periodic density up to the k_max-th anchor.
 
-    Returns the supremum ratio over ordered grid pairs plus one row per
-    even/odd anchor pair recording both directed ratios (log2), since the
-    growing direction at consecutive anchors is itself a finding: the later
-    anchor holds the larger density, which witnesses the failure of almost
-    decrease just as well as the reverse orientation would.
+    Returns the row of the supremum ratio over ordered grid pairs, labelled
+    ``label``, then one row per even/odd anchor pair recording both
+    directed ratios (log2), since the growing direction at consecutive
+    anchors is itself a finding: the later anchor holds the larger density,
+    which witnesses the failure of almost decrease just as well as the
+    reverse orientation would.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -175,7 +180,8 @@ def logperiodic_scan(p: lp.LogPeriodicParams,
             for j in range(k_max * POINTS_PER_PERIOD + 1)]
     best, low, high = _max_rise((x, lp.density_log(x, p).log2mag)
                                 for x in grid)
-    rows = []
+    rows = [_scan_row("almost_decrease_scan", label, LogValue(best),
+                      decimal_str(low), decimal_str(high))]
     for k in range(0, k_max, 2):
         rise = (lp.density_log(lp.anchor(k + 1), p).log2mag
                 - lp.density_log(lp.anchor(k), p).log2mag)
@@ -184,8 +190,7 @@ def logperiodic_scan(p: lp.LogPeriodicParams,
             aux={"later_over_earlier_log2": decimal_str(rise),
                  "earlier_over_later_log2": decimal_str(-rise),
                  "growing_direction": "later" if rise > 0 else "earlier"}))
-    scan = ScanResult(LogValue(best), decimal_str(low), decimal_str(high))
-    return scan, rows
+    return rows
 
 
 # --------------------------- series & bounds ---------------------------
@@ -198,15 +203,13 @@ def knot_ratio_series(n_max: int,
     return [(n, log_nat(n, precision_bits)) for n in range(2, n_max + 1)]
 
 
-I2Check = namedtuple("I2Check", "x i2 bound bound_log2_closed_form passed")
-
-
-def i2_bound_check(nd: notched.NotchedDensity, n: int) -> I2Check:
+def i2_bound_check(nd: notched.NotchedDensity, n: int) -> ProbeRow:
     """I2 at x = c_n against the sup-value-times-length bound.
 
     On the unnormalized construction the bound is exactly the power of two
     2**(-6*m*m + (n+1)**2 + 2) with m = m(n); the inequality is pure
-    sup-times-length, hence valid at every finite n.
+    sup-times-length, hence valid at every finite n.  The row passes when
+    both hold: I2 is within the bound, and the bound is that power of two.
     """
     nd.check_block(n)
     pb = nd.precision_bits
@@ -216,13 +219,15 @@ def i2_bound_check(nd: notched.NotchedDensity, n: int) -> I2Check:
     m = notched.m_of(n)
     bound = notched.knot_value("a", m, pb) ** 2 * notched.a_position(n + 1)
     exponent = -6 * m * m + (n + 1) ** 2 + 2
-    return I2Check(x=x, i2=i2, bound=bound,
-                   bound_log2_closed_form=exponent, passed=i2 <= bound)
+    return ProbeRow("i2_bound_check", str(n), i2, {
+        "bound_log2": exponent,
+        "passed": i2 <= bound and bound == Fraction(2) ** exponent})
 
 
-def mixture_blowup_probe(mix: mx.MixtureSpec, schedule: mx.BlowupSchedule,
+def mixture_blowup_probe(schedule: mx.BlowupSchedule, f1: notched.NotchedDensity,
                          d) -> list[ProbeRow]:
-    """One exact row (m=1) plus symbolic lower-bound rows (m >= 2).
+    """One exact row (m=1) plus symbolic lower-bound rows (m >= 2), on the
+    mixture of the notched f1 and the schedule's atoms.
 
     The exact row reports the cross-convolution window mass over
     d * f(b_{n_1}); the symbolic rows carry c * L(n_m)**(1/6), whose
@@ -231,21 +236,19 @@ def mixture_blowup_probe(mix: mx.MixtureSpec, schedule: mx.BlowupSchedule,
     d = Fraction(d)
     if d <= 0:
         raise ValueError(f"window width must be positive, got {_fmt(d)}")
-    rows = []
-    pb = schedule.precision_bits
     first = schedule.entries[0]
-    b1 = notched.knot_position("b", first.n_m, pb)
-    f1 = mix.f1.density()
+    b1 = notched.knot_position("b", first.n_m, schedule.precision_bits)
+    mix = mx.mixture_from_schedule(schedule, f1)
+    f = f1.density()
     cross = conv.mixture_cross_mass(mix, b1, d)
-    f_b = f1.eval(b1)
     full = conv.mixture_local_conv(mix, b1, d)
-    local_f = mix.q1 * f1.interval_mass(b1, d)
-    rows.append(ProbeRow(
+    local_f = mix.q1 * f.interval_mass(b1, d)
+    rows = [ProbeRow(
         probe="blowup_exact", x_or_n=f"m1_b{first.n_m}",
-        value=cross / (d * f_b),
+        value=cross / (d * f.eval(b1)),
         aux={"lower_bound": first.lower_bound,
              "conv_over_window_mass": full / local_f,
-             "window": d}))
+             "window": d})]
     for entry in schedule.entries[1:]:
         rows.append(ProbeRow(
             probe="blowup_lower_bound", x_or_n=f"m{entry.m}",

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from conftest import BATTERY_CSV_SHA256, child_env
 
-from tailkit import acceptance, notched
+from tailkit import acceptance, cli, notched, probes
 from tailkit import convolution as conv
 from tailkit import logperiodic as lp
 from tailkit.numerics import DEFAULT_PRECISION
@@ -101,6 +101,22 @@ def test_criterion(results, name):
     r = results[name]
     print(r.line())
     assert r.passed, f"{name}: {r.detail}"
+
+
+@pytest.mark.parametrize("name, argv, relabel", [
+    ("06_i2_bound", ["notched", "i2_bound_check", "n_list=5,10,15", "--n", "16"], {}),
+    ("09_logperiodic_scan", ["logperiodic", "almost_decrease_scan"],
+     {"logperiodic_k<=8": "k<=8"}),
+    ("11_blowup_series", ["mixture", "blowup"], {}),
+])
+def test_probe_writes_the_check_rows(results, name, argv, relabel, tmp_path):
+    # the check and the probe command take their rows from one probe
+    # function; only the scan's label differs
+    out = tmp_path / "probe.csv"
+    assert cli.main(["probe", *argv, "--out", str(out)]) == 0
+    rows = [r._replace(x_or_n=relabel.get(r.x_or_n, r.x_or_n))
+            for r in results[name].rows]
+    assert out.read_text(encoding="utf-8") == probes.render_csv(rows)
 
 
 def test_all_names_present(results):

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain, zip_longest
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,18 @@ class TestProbeCommand:
         # the error quotes the bad value
         assert "usage error" in err and repr(argv[-1].split("=")[-1]) in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 11, 63])
+    def test_report_notched_at_every_truncation(self, n, tmp_path, capsys):
+        # i2_bound_check's blocks default to max(1, n // 2) and n, both
+        # materialized at every n
+        out = tmp_path / "report.csv"
+        assert run_cli("report", "notched", "--n", str(n), "--out", str(out)) == 0, \
+            capsys.readouterr().err
+        half = max(1, n // 2)
+        rows = [line for line in out.read_text().splitlines()
+                if line.startswith("i2_bound_check,")]
+        assert [row.split(",")[1] for row in rows] == [str(half), str(n)]
 
     def test_i2_bound_check_rejects_block_outside_truncation(self, capsys):
         assert run_cli("probe", "notched", "i2_bound_check", "n=10",
@@ -926,3 +939,68 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in lines:
         assert run_cli(*argv) == 0, (argv, capsys.readouterr().err)
+
+
+def flag_orders(argv):
+    """argv with its flags, each next to its value, before, between and
+    after the positional arguments that follow the command name."""
+    command, rest = argv[0], argv[1:]
+    valued = {i + 1 for i, token in enumerate(rest) if token.startswith("--")}
+    flags = [rest[i - 1:i + 1] for i in sorted(valued)]
+    positional = [[token] for i, token in enumerate(rest)
+                  if i not in valued and not token.startswith("--")]
+    first, second = (positional, flags) if len(positional) > 1 else (flags, positional)
+    between = [t for pair in zip_longest(first, second, fillvalue=[])
+               for part in pair for t in part]
+    return {"before": [command, *chain(*flags), *chain(*positional)],
+            "between": [command, *between],
+            "after": [command, *chain(*positional), *chain(*flags)]}
+
+
+# the pinned commands, a probe with a flag among its parameters, and a
+# notched report whose i2_bound_check blocks follow --n
+PINNED_CLI_LINES = [
+    ["report", "notched", "--out", "notched.csv"],
+    ["report", "mixture", "--out", "mixture.csv"],
+    ["report", "logperiodic", "--out", "logperiodic.csv"],
+    ["report", "logperiodic", "--delta", "1/8", "--out", "lp_1_8.csv"],
+    ["report", "logperiodic", "--delta", "3/8", "--out", "lp_3_8.csv"],
+    ["build", "notched", "--n", "4", "--out", "n4"],
+    ["convolve", "n4/notched.knots", "--out", "n4/conv.pw"],
+    ["verify", "--out", "battery.csv"],
+    ["probe", "notched", "knot_scan", "--n", "12", "n_max=5"],
+    ["report", "notched", "n_list=2,5", "--n", "5", "--out", "n5.csv"],
+]
+
+
+def test_flags_anywhere(tmp_path, monkeypatch, capsys):
+    # each line's flags before, between and after its positional arguments:
+    # the same exit codes, standard output and files
+    lines = readme_cli_lines() + PINNED_CLI_LINES
+    assert flag_orders(["build", "notched", "n=3", "--out", "o"]) == {
+        "before": ["build", "--out", "o", "notched", "n=3"],
+        "between": ["build", "notched", "--out", "o", "n=3"],
+        "after": ["build", "notched", "n=3", "--out", "o"]}
+    outcomes = {}
+    for order in ("before", "between", "after"):
+        work = tmp_path / order
+        work.mkdir()
+        monkeypatch.chdir(work)
+        runs = []
+        for argv in lines:
+            code = run_cli(*flag_orders(argv)[order])
+            captured = capsys.readouterr()
+            assert code == 0, (order, argv, captured.err)
+            # verify prints the seconds each check and the suite took
+            runs.append(re.sub(r"[\d.]+s\b", "_s", captured.out))
+        files = {str(path.relative_to(work)): path.read_bytes()
+                 for path in sorted(work.rglob("*")) if path.is_file()}
+        outcomes[order] = runs, files
+    assert outcomes["before"] == outcomes["between"] == outcomes["after"]
+    files = outcomes["before"][1]
+    for name, digest in [*REPORT_SHA256.items(),
+                         *(("lp_" + d.replace("/", "_"), h)
+                           for d, h in LOGPERIODIC_DELTA_SHA256.items())]:
+        assert hashlib.sha256(files[f"{name}.csv"]).hexdigest() == digest, name
+    assert hashlib.sha256(files["n4/conv.pw"]).hexdigest() == NOTCHED4_CONV_SHA256
+    assert hashlib.sha256(files["battery.csv"]).hexdigest() == BATTERY_CSV_SHA256

@@ -18,13 +18,27 @@ UNIFORM = from_linear_knots([(0, 1), (1, 1)])
 TRIANGLE = from_linear_knots([(0, 0), (1, 1), (2, 0)])
 
 
+def fractions_upto_8ths(lo: int, hi: int):
+    """Every fraction of denominator at most 8 in [lo, hi], simplest first
+    (by denominator, then by |value|), so that shrinking still heads to
+    small denominators near 0.  It draws the values of ``st.fractions``
+    with ``max_denominator=8`` without that strategy's per-draw validation
+    and filtering, which took most of this file's time."""
+    values = {Fraction(num, den) for den in range(1, 9)
+              for num in range(lo * den, hi * den + 1)}
+    return st.sampled_from(sorted(values, key=lambda v: (v.denominator, abs(v), v)))
+
+
+KNOTS = fractions_upto_8ths(0, 20)
+VALUES = fractions_upto_8ths(0, 4)
+JUMP_KNOTS = fractions_upto_8ths(-6, 12)
+COEFFS = fractions_upto_8ths(-4, 4)
+
+
 def random_density(draw):
     n = draw(st.integers(min_value=2, max_value=6))
-    xs = draw(st.lists(
-        st.fractions(min_value=0, max_value=20, max_denominator=8),
-        min_size=n, max_size=n, unique=True))
-    fs = [draw(st.fractions(min_value=0, max_value=4, max_denominator=8))
-          for _ in range(n)]
+    xs = draw(st.lists(KNOTS, min_size=n, max_size=n, unique=True))
+    fs = [draw(VALUES) for _ in range(n)]
     if all(f == 0 for f in fs):
         fs[0] = Fraction(1)
     return from_linear_knots(list(zip(sorted(xs), fs)))
@@ -33,15 +47,12 @@ def random_density(draw):
 def random_jump_function(draw):
     """Seg-built piecewise linear with signed values and an interior jump."""
     n = draw(st.integers(min_value=2, max_value=5))
-    xs = draw(st.lists(
-        st.fractions(min_value=-6, max_value=12, max_denominator=8),
-        min_size=n + 1, max_size=n + 1, unique=True))
-    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=8)
-    segs = [[draw(coeff), draw(coeff)] for _ in range(n)]
+    xs = draw(st.lists(JUMP_KNOTS, min_size=n + 1, max_size=n + 1, unique=True))
+    segs = [[draw(COEFFS), draw(COEFFS)] for _ in range(n)]
     xs.sort()
     k = draw(st.integers(min_value=1, max_value=n - 1))
     left_limit = segs[k - 1][0] + segs[k - 1][1] * (xs[k] - xs[k - 1])
-    jump = draw(coeff.filter(lambda v: v != 0))
+    jump = draw(COEFFS.filter(lambda v: v != 0))
     segs[k][0] = left_limit + jump
     return PiecewisePoly(tuple(xs), tuple(map(tuple, segs)))
 

@@ -255,8 +255,9 @@ class TestTails:
 
     def test_integrated_tail_at_zero_is_one(self, lp_default):
         b = lp.normalizers(lp_default).b
+        chi_of = lp._chi_raw(lp._raw(lp_default.delta))
         with mpmath.workprec(lp._WP):
-            val, _, _ = lp._tail_integral(lp._raw(Fraction(0)), lp_default)
+            val, _, _ = lp._tail_integral(lp._raw(Fraction(0)), chi_of)
             assert abs(_mpf(lp._raw(b)) * _mpf(val) - 1) < mpmath.mpf(10) ** -6
 
     def test_integrated_tail_nonincreasing(self, lp_default):
@@ -265,7 +266,7 @@ class TestTails:
         with mpmath.workprec(lp._WP):
             for k in range(0, 5):
                 x = lp._raw(Fraction(10 ** k))
-                val, _, chi_x = lp._tail_integral(x, lp_default)
+                val, _, chi_x = lp._tail_integral(x, chi_of)
                 assert chi_x == chi_of(x)
                 vals.append(_mpf(val))
         assert all(a > b for a, b in zip(vals, vals[1:]))

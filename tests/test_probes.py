@@ -111,19 +111,22 @@ class TestRatios:
 class TestScans:
     def test_monotone_decreasing_sup_at_most_one(self):
         f = from_linear_knots([(0, 4), (1, 2), (3, 1), (7, Fraction(1, 2))])
-        scan = probes.almost_decrease_scan(f)
-        assert scan.sup_ratio <= 1
-        assert scan.witness_x == scan.witness_y
+        row = probes.almost_decrease_scan(f)
+        assert row.value <= 1
+        assert row.aux["witness_x"] == row.aux["witness_y"]
 
     def test_notched_dense_sup_is_lambda(self, nd10):
-        scan = probes.almost_decrease_scan(nd10.dense)
-        assert scan.sup_ratio == log_nat(10)
-        assert scan.witness_x == decimal_str(notched.knot_position("b", 10))
-        assert scan.witness_y == decimal_str(notched.knot_position("c", 10))
+        row = probes.almost_decrease_scan(nd10.dense)
+        assert (row.probe, row.x_or_n) == ("almost_decrease_scan", "x0=0")
+        assert row.value == log_nat(10)
+        assert row.aux == {
+            "witness_x": decimal_str(notched.knot_position("b", 10)),
+            "witness_y": decimal_str(notched.knot_position("c", 10))}
 
     def test_scan_start_inside(self, nd10):
-        scan = probes.almost_decrease_scan(nd10.dense, notched.a_position(9))
-        assert scan.sup_ratio == log_nat(10)
+        row = probes.almost_decrease_scan(nd10.dense, notched.a_position(9))
+        assert row.value == log_nat(10)
+        assert row.x_or_n == f"x0={decimal_str(notched.a_position(9))}"
 
     def test_scan_empty_range(self, nd3):
         with pytest.raises(ValueError):
@@ -131,23 +134,27 @@ class TestScans:
 
     def test_scan_skips_zeros(self):
         f = from_linear_knots([(0, 0), (1, 2), (2, 0), (3, 3), (4, 0)])
-        scan = probes.almost_decrease_scan(f)
-        assert (scan.sup_ratio, scan.witness_x, scan.witness_y) == (Fraction(3, 2), "1", "3")
+        row = probes.almost_decrease_scan(f)
+        assert (row.value, row.aux["witness_x"], row.aux["witness_y"]) == (
+            Fraction(3, 2), "1", "3")
         with pytest.raises(ValueError, match="vanishes on the whole scan range"):
             probes.almost_decrease_scan(f, 4)
 
     def test_knot_scan_matches_dense(self):
-        scan = probes.notched_knot_scan(40)
-        assert scan.sup_ratio.log2mag == log2_snap(log_nat(40), 256)
-        assert (scan.witness_x, scan.witness_y) == ("b40", "c40")
+        row = probes.notched_knot_scan(40)
+        assert (row.probe, row.x_or_n) == ("knot_scan", "n<=40")
+        assert row.value.log2mag == log2_snap(log_nat(40), 256)
+        assert row.aux == {"witness_x": "b40", "witness_y": "c40"}
 
     def test_knot_scan_beyond_dense_limit(self):
-        scan = probes.notched_knot_scan(500)
-        assert scan.sup_ratio.log2mag == log2_snap(log_nat(500), 256)
+        row = probes.notched_knot_scan(500)
+        assert row.value.log2mag == log2_snap(log_nat(500), 256)
 
     def test_logperiodic_scan_direction_recorded(self, lp_default):
-        scan, rows = probes.logperiodic_scan(lp_default, 4)
-        assert scan.sup_ratio.log2mag > 10
+        scan, *rows = probes.logperiodic_scan(lp_default, 4, "k<=4")
+        assert (scan.probe, scan.x_or_n) == ("almost_decrease_scan", "k<=4")
+        assert scan.value.log2mag > 10
+        assert {r.probe for r in rows} == {"anchor_pair_ratio"}
         directions = [r.aux["growing_direction"] for r in rows]
         # x=0 dominates its pair (the density peaks there); from the first
         # genuine modulation trough on, the later anchor carries the larger
@@ -174,14 +181,15 @@ class TestSeries:
 class TestI2Bound:
     def test_small_blocks(self, nd10):
         for n in (5, 8):
-            chk = probes.i2_bound_check(nd10, n)
-            assert chk.passed
+            row = probes.i2_bound_check(nd10, n)
+            assert (row.probe, row.x_or_n) == ("i2_bound_check", str(n))
+            assert row.aux["passed"]
             m = notched.m_of(n)
-            assert chk.bound_log2_closed_form == -6 * m * m + (n + 1) ** 2 + 2
+            assert row.aux["bound_log2"] == -6 * m * m + (n + 1) ** 2 + 2
 
     def test_every_block_2_to_15(self):
         nd = notched.build_density(16)
-        assert all(probes.i2_bound_check(nd, n).passed for n in range(2, 16))
+        assert all(probes.i2_bound_check(nd, n).aux["passed"] for n in range(2, 16))
 
     def test_walks_i2_alone(self, nd10, monkeypatch):
         # one point walk per block, over [a_m, x - a_m]; I1 is not computed
@@ -189,12 +197,13 @@ class TestI2Bound:
         window = conv_mod.conv_window_value
         monkeypatch.setattr(conv_mod, "conv_window_value",
                             lambda *args: walks.append(args[3:]) or window(*args))
-        checks = [probes.i2_bound_check(nd10, n) for n in (5, 8)]
+        rows = [probes.i2_bound_check(nd10, n) for n in (5, 8)]
         monkeypatch.undo()
+        xs = [notched.knot_position("c", n) for n in (5, 8)]
         cuts = [notched.a_position(notched.m_of(n)) for n in (5, 8)]
-        assert walks == [(cut, chk.x - cut) for cut, chk in zip(cuts, checks)]
-        for n, chk in zip((5, 8), checks):
-            assert chk.i2 == conv_mod.split_integrals(nd10.dense, n, chk.x)[1]
+        assert walks == [(cut, x - cut) for cut, x in zip(cuts, xs)]
+        for n, x, row in zip((5, 8), xs, rows):
+            assert row.value == conv_mod.split_integrals(nd10.dense, n, x)[1]
 
     @pytest.mark.parametrize("n, x, message", [
         (10, notched.a_position(10), "is not inside block 10"),
@@ -222,8 +231,7 @@ class TestShiftInsensitivity:
 class TestBlowupProbe:
     def test_rows_shape(self, nd3):
         sch = mx.build_schedule(3)
-        mix = mx.mixture_from_schedule(sch, nd3)
-        rows = probes.mixture_blowup_probe(mix, sch, 1)
+        rows = probes.mixture_blowup_probe(sch, nd3, 1)
         assert len(rows) == 3
         assert rows[0].probe == "blowup_exact"
         assert rows[0].value > 0
@@ -231,10 +239,8 @@ class TestBlowupProbe:
                                                for e in sch.entries[1:]]
 
     def test_rejects_bad_window(self, nd3):
-        sch = mx.build_schedule(1)
-        mix = mx.mixture_from_schedule(sch, nd3)
-        with pytest.raises(ValueError):
-            probes.mixture_blowup_probe(mix, sch, 0)
+        with pytest.raises(ValueError, match="window width must be positive"):
+            probes.mixture_blowup_probe(mx.build_schedule(1), nd3, 0)
 
 
 class TestRendering:

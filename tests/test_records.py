@@ -26,8 +26,7 @@ def _records():
         "MixtureSpec": (mx.MixtureSpec(half, half, nd, atoms), "q1"),
         "ScheduleEntry": (schedule.entries[0], "mass"),
         "BlowupSchedule": (schedule, "c"),
-        "ScanResult": (probes.notched_knot_scan(2), "sup_ratio"),
-        "I2Check": (probes.I2Check(Fraction(1), 0, 1, 0, True), "passed"),
+        "ProbeRow": (probes.notched_knot_scan(2), "value"),
         "Probe": (cli.PROBES[0], "rows"),
     }
 
