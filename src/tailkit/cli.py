@@ -23,10 +23,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from tailkit.errors import PrecisionFailure, UsageError
-from tailkit.numerics import DEFAULT_PRECISION, _check_precision
+from tailkit.numerics import DEFAULT_PRECISION, DENSE_LIMIT, _check_precision
 
 
 def _lazy(name: str):
@@ -82,6 +82,19 @@ def _rational(text: str, config: Optional[RunConfig] = None) -> Fraction:
     return Fraction(text)
 
 
+# the largest truncation the notched build makes: block n reaches a_{n+1},
+# which must lie within the dense limit
+_N_MAX = DENSE_LIMIT - 1
+
+
+def _truncation(text: str) -> int:
+    """The option n; a value outside 1.._N_MAX is refused, naming the range."""
+    n = int(text)
+    if not 1 <= n <= _N_MAX:
+        raise UsageError(f"bad value for n: {text!r} (n takes 1..{_N_MAX})")
+    return n
+
+
 # option name -> default, parser, --help text, every_command
 _Option = namedtuple("_Option", "default parse help every_command",
                      defaults=(None, False))
@@ -89,7 +102,8 @@ _Option = namedtuple("_Option", "default parse help every_command",
 OPTIONS = {
     "construction": _Option("notched", str,
                             "notched | logperiodic | mixture | file:<path>"),
-    "n": _Option(10, int, "truncation index of the notched construction"),
+    "n": _Option(10, _truncation,
+                 f"truncation index of the notched construction, 1..{_N_MAX}"),
     "m_max": _Option(6, int, "number of blow-up schedule atoms"),
     "precision_bits": _Option(DEFAULT_PRECISION, int, every_command=True),
     "delta": _Option(Fraction(1, 4), _rational),
@@ -130,9 +144,12 @@ def _command_options(command: str) -> list[str]:
 
 
 def _parse(key: str, parse, text: str, *context):
-    """parse(text, *context); malformed input is a usage error naming key."""
+    """parse(text, *context); malformed input is a usage error naming key,
+    unless the parser raised a usage error of its own."""
     try:
         return parse(text, *context)
+    except UsageError:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad value for {key}: {text!r}") from exc
 
@@ -172,12 +189,21 @@ def _parse_config_file(path: str, allowed: list[str]) -> dict:
     return values
 
 
-def _write(path: Optional[str], text: str) -> None:
+def _write(path: Optional[str], chunks: Iterable[str]) -> None:
+    """Write the text chunks verbatim, in order, to the file at path (UTF-8,
+    made with its directory) or, when path is None, to standard output.
+
+    Every command computes its result before it calls this, so an error
+    before the write leaves an existing file as it was; a chunk is written
+    as soon as it is made, so a serializer that yields line by line never
+    has its whole text in memory.
+    """
     if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text, encoding="utf-8")
+        sys.stdout.writelines(chunks)
+        return
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(chunks)
 
 
 def _meta_text(pairs: list[tuple[str, str]]) -> str:
@@ -190,7 +216,8 @@ def _cmd_build(config: RunConfig) -> int:
     if config.params:
         raise UsageError(f"unknown parameter(s) {', '.join(sorted(config.params))} "
                          "for build")
-    # every file is made before the directory, so a failed build writes nothing
+    # every value is computed before the directory is made, so a failed
+    # build writes nothing; the knot file streams from its serializer
     if config.construction == "notched":
         nd = config.notched_density()
         meta = _meta_text([
@@ -201,7 +228,8 @@ def _cmd_build(config: RunConfig) -> int:
             ("dense_limit", str(notched.DENSE_LIMIT)),
             ("omitted_tail_bound", render.decimal_str(nd.omitted_tail_bound())),
         ])
-        files = {"notched.knots": piecewise.dump_text(nd.dense), "notched.meta": meta}
+        files = {"notched.knots": piecewise.dump_lines(nd.dense),
+                 "notched.meta": (meta,)}
     elif config.construction == "logperiodic":
         params = config.lp_params()
         norm = lp.normalizers(params)
@@ -216,7 +244,7 @@ def _cmd_build(config: RunConfig) -> int:
             ("b", render.decimal_str(norm.b)),
             ("b_err", render.decimal_str(norm.b_err)),
         ])
-        files = {"logperiodic.meta": meta}
+        files = {"logperiodic.meta": (meta,)}
     elif config.construction == "mixture":
         sch = mx.build_schedule(config.m_max, config.precision_bits)
         lines = mx.schedule_csv_lines(sch)
@@ -227,14 +255,14 @@ def _cmd_build(config: RunConfig) -> int:
             ("c", render.decimal_str(sch.c)),
             ("residual_mass", render.decimal_str(sch.residual_mass)),
         ])
-        files = {"mixture_schedule.csv": "\n".join(lines) + "\n", "mixture.meta": meta}
+        files = {"mixture_schedule.csv": ("\n".join(lines) + "\n",),
+                 "mixture.meta": (meta,)}
     else:
         raise UsageError(f"unknown construction {config.construction!r}; "
                          f"build takes one of {', '.join(CONSTRUCTIONS)}")
     out_dir = Path(config.out or "tailkit-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
+    for name, chunks in files.items():
+        _write(str(out_dir / name), chunks)
     return 0
 
 
@@ -316,7 +344,10 @@ def _logperiodic_scan(row, config, args):
 
 
 def _i2_bound_check(row, config, args):
-    return [probes.i2_bound_check(config.notched_density(), n) for n in args["n_list"]]
+    # each block once, in the order it first appears: the default
+    # {half},{n} names block 1 twice at n = 1
+    return [probes.i2_bound_check(config.notched_density(), n)
+            for n in dict.fromkeys(args["n_list"])]
 
 
 def _split_integrals(row, config, args):
@@ -435,7 +466,7 @@ def _run_probes(config: RunConfig, selected: list[Probe], what: str) -> int:
         parsed.append((p, args))
     rows = [r for p, args in parsed
             for r in p.rows(partial(probes.ProbeRow, p.name), config, args)]
-    _write(config.out, probes.render_csv(rows))
+    _write(config.out, (probes.render_csv(rows),))
     return 0
 
 
@@ -460,7 +491,7 @@ def _cmd_convolve(config: RunConfig, files: list[str]) -> int:
     first = piecewise.load_text(_read(files[0]))
     second = piecewise.load_text(_read(files[1])) if len(files) == 2 else first
     result = conv.conv_linear_exact(first, second)
-    _write(config.out, piecewise.dump_text(result))
+    _write(config.out, piecewise.dump_lines(result))
     return 0
 
 
@@ -469,7 +500,7 @@ def _cmd_verify(config: RunConfig) -> int:
     for r in results:
         print(r.line())
     if config.out:
-        _write(config.out, acceptance.acceptance_csv(results))
+        _write(config.out, (acceptance.acceptance_csv(results),))
     failed = [r.name for r in results if not r.passed]
     if failed:
         print(f"FAILED: {', '.join(failed)}")

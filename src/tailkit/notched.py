@@ -25,11 +25,11 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from tailkit.numerics import DEFAULT_PRECISION, LogValue, log2_snap, log_nat, root_snap
+from tailkit.numerics import (DEFAULT_PRECISION, DENSE_LIMIT, LogValue, log2_snap,
+                              log_nat, root_snap)
 from tailkit.piecewise import Knot, PiecewisePoly, from_linear_knots
 
 KNOT_KINDS = ("a", "b", "c", "d", "s")
-DENSE_LIMIT = 64
 
 
 def m_of(n: int) -> int:

@@ -42,6 +42,12 @@ _GUARD = 64
 # in memory; exp2_snap refuses to materialize it.
 _MATERIALIZE_LIMIT = 4_000_000
 
+# The notched construction's knots are materialized for indices up to this
+# (see tailkit.notched).  It is defined here, beside the other limit on
+# materializing, so that the CLI can state the range of its option n
+# without loading the construction.
+DENSE_LIMIT = 64
+
 
 def _check_precision(precision_bits: int) -> None:
     if not isinstance(precision_bits, int) or precision_bits < MIN_PRECISION:

@@ -15,6 +15,12 @@ integration apply it once per result.
 Segment ownership is right-continuous: segment ``i`` owns ``(x_i, x_{i+1}]``
 and the first segment additionally owns the left support end.  All
 operations are pure and exact over ``Fraction``; instances are immutable.
+
+Serialization streams: :func:`dump_lines` yields the text one line at a
+time, and the CLI writes each line as it is made, so an exact result of
+megabytes (``tailkit convolve``) is never held as one string.  The CLI
+opens its output file only after the result exists, so a rejected input
+leaves an existing file as it was.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class Knot(namedtuple("Knot", "x f")):
@@ -261,27 +267,26 @@ def _rational(text: str) -> Fraction:
         return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
-def dump_lines(p: PiecewisePoly) -> list[str]:
-    """Serialize the represented function: coefficients carry the factor."""
-    lines = ["# tailkit piecewise v1"]
+def dump_lines(p: PiecewisePoly) -> Iterator[str]:
+    """Serialize the represented function, one newline-ended line at a
+    time: coefficients carry the factor, applied segment by segment, so no
+    copy of the text or of the scaled coefficients is ever held whole."""
+    yield "# tailkit piecewise v1\n"
     flags = []
     if p.continuous:
         flags.append("continuous")
     if p.density:
         flags.append("density")
-    lines.append("# flags: " + " ".join(flags))
-    coeffs = p.scaled_coeffs()
+    yield "# flags: " + " ".join(flags) + "\n"
+    breaks = p.breakpoints
     if p.continuous and p.degree <= 1:
-        for i, x in enumerate(p.breakpoints[:-1]):
-            lines.append(f"knot {_fmt(x)} {_fmt(coeffs[i][0])}")
-        lines.append(f"knot {_fmt(p.breakpoints[-1])} {_fmt(p.eval(p.breakpoints[-1]))}")
+        for x, seg in zip(breaks, p.coeffs):
+            yield f"knot {_fmt(x)} {_fmt(p._times_factor(seg[0]))}\n"
+        yield f"knot {_fmt(breaks[-1])} {_fmt(p.eval(breaks[-1]))}\n"
     else:
-        for i in range(len(coeffs)):
-            c = coeffs[i]
-            lines.append("seg " + " ".join(
-                [_fmt(p.breakpoints[i]), _fmt(p.breakpoints[i + 1])]
-                + [_fmt(ci) for ci in c]))
-    return lines
+        for lo, hi, seg in zip(breaks, breaks[1:], p.coeffs):
+            yield " ".join(["seg", _fmt(lo), _fmt(hi)]
+                           + [_fmt(p._times_factor(c)) for c in seg]) + "\n"
 
 
 def load_lines(lines: Sequence[str]) -> PiecewisePoly:
@@ -328,7 +333,7 @@ def load_lines(lines: Sequence[str]) -> PiecewisePoly:
 
 
 def dump_text(p: PiecewisePoly) -> str:
-    return "\n".join(dump_lines(p)) + "\n"
+    return "".join(dump_lines(p))
 
 
 def load_text(text: str) -> PiecewisePoly:

@@ -1,8 +1,11 @@
+import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import Phase, settings
+from hypothesis import strategies as st
 
 import tailkit
 from tailkit import logperiodic as lp
@@ -17,6 +20,22 @@ settings.register_profile(
 
 # sha256 of the battery CSV: exact results are the spec, byte for byte
 BATTERY_CSV_SHA256 = "d3ac6cbb790ed0c71bf46f51e321843f80c00d6b0fa5a65a2993672d8ae0ec1b"
+
+
+def small_fractions(lo, hi, max_denominator):
+    """Every fraction of denominator at most max_denominator in [lo, hi],
+    simplest first (by denominator, then by |value|), so that shrinking
+    still heads to small denominators near 0.
+
+    It draws the values of ``st.fractions(lo, hi, max_denominator=...)``
+    without that strategy's per-draw validation and filtering, which took
+    most of the time of the properties that use it.  Meant for sets of a
+    few thousand values at most: the set is built in full.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    values = {Fraction(num, den) for den in range(1, max_denominator + 1)
+              for num in range(math.ceil(lo * den), math.floor(hi * den) + 1)}
+    return st.sampled_from(sorted(values, key=lambda v: (v.denominator, abs(v), v)))
 
 
 def child_env(**overrides):

@@ -6,12 +6,13 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, zip_longest
 from pathlib import Path
 
 import pytest
-from conftest import BATTERY_CSV_SHA256, child_env
+from conftest import BATTERY_CSV_SHA256, child_env, small_fractions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,7 +209,55 @@ class TestProbeCommand:
         half = max(1, n // 2)
         rows = [line for line in out.read_text().splitlines()
                 if line.startswith("i2_bound_check,")]
-        assert [row.split(",")[1] for row in rows] == [str(half), str(n)]
+        assert [row.split(",")[1] for row in rows] == (
+            [str(n)] if half == n else [str(half), str(n)])
+
+    @pytest.mark.parametrize("argv, blocks", [
+        (["report", "notched", "--n", "1"], ["1"]),
+        (["probe", "notched", "i2_bound_check", "n_list=5,5,10"], ["5", "10"]),
+        (["probe", "notched", "i2_bound_check", "n_list=10,5,10,5"], ["10", "5"]),
+    ], ids=["default-at-n1", "repeated-first", "repeated-interleaved"])
+    def test_i2_bound_check_writes_each_block_once(self, argv, blocks, capsys):
+        # a block named twice is computed and written once, where it first
+        # appears: the rows of the blocks listed once each
+        assert run_cli(*argv) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("i2_bound_check,")]
+        assert [row.split(",")[1] for row in rows] == blocks
+        n = argv[-1] if argv[-2] == "--n" else "10"
+        assert run_cli("probe", "notched", "i2_bound_check",
+                       "n_list=" + ",".join(blocks), "--n", n) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == rows
+
+    @pytest.mark.parametrize("source", ["flag", "key", "config"])
+    @pytest.mark.parametrize("n", ["0", "64", "-1", "100000"])
+    def test_n_outside_the_dense_limit_is_refused_at_parse(self, n, source,
+                                                           tmp_path, capsys):
+        # the option's range is the build's: block n needs a_{n+1}, and
+        # a_64 is the last knot the dense limit materializes
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = {n}\n")
+        given = {"flag": ["--n", n], "key": [f"n={n}"],
+                 "config": ["--config", str(cfg)]}[source]
+        # knot_ratio_series never builds the density: the parse refuses n
+        assert run_cli("probe", "notched", "knot_ratio_series", "n_max=2",
+                       *given, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"bad value for n: {n!r} (n takes 1..63)" in err
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_n_at_the_dense_limit_builds(self, tmp_path):
+        from tailkit import notched
+        assert notched.DENSE_LIMIT == 64
+        assert run_cli("build", "notched", "--n", "63", "--out", str(tmp_path)) == 0
+        assert "n = 63\n" in (tmp_path / "notched.meta").read_text()
+
+    def test_help_states_the_range_of_n(self, capsys):
+        for command in ("build", "probe", "report"):
+            with pytest.raises(SystemExit):
+                run_cli(command, "--help")
+            assert "construction, 1..63" in capsys.readouterr().out
 
     def test_i2_bound_check_rejects_block_outside_truncation(self, capsys):
         assert run_cli("probe", "notched", "i2_bound_check", "n=10",
@@ -458,6 +507,62 @@ class TestConvolve:
             with pytest.raises(ValueError):
                 cli._rational(text)
 
+    @pytest.fixture(scope="class")
+    def knot_files(self, tmp_path_factory):
+        """Notched knot files by N; the self-convolution at N=8 is 2.2 MB
+        of text."""
+        files = {}
+        for n in (4, 8):
+            work = tmp_path_factory.mktemp(f"notched{n}")
+            assert run_cli("build", "notched", f"n={n}", "--out", str(work)) == 0
+            files[n] = work / "notched.knots"
+        return files
+
+    def test_output_streams_below_its_size(self, knot_files, tmp_path):
+        # the writer takes the serializer's lines one at a time: the command
+        # never holds its text whole (as a list of lines, a joined string or
+        # its encoding), so its traced peak stays below the file's size
+        from tailkit import convolution, piecewise
+        # the layers are lazy modules: run them before the trace starts
+        assert convolution.conv_linear_exact and piecewise.dump_lines
+        out = tmp_path / "conv.pw"
+        tracemalloc.start()
+        try:
+            assert cli.main(["convolve", str(knot_files[8]), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size, (peak, out.stat().st_size)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_stdout_and_file_write_the_same_bytes(self, n, knot_files, tmp_path,
+                                                  capsysbinary):
+        from tailkit import convolution as conv
+        from tailkit.piecewise import dump_text
+        knots, out = knot_files[n], tmp_path / "conv.pw"
+        assert run_cli("convolve", str(knots), "--out", str(out)) == 0
+        assert run_cli("convolve", str(knots)) == 0
+        printed = capsysbinary.readouterr().out
+        p = load_text(knots.read_text())
+        expected = dump_text(conv.conv_linear_exact(p, p)).encode()
+        assert printed == out.read_bytes() == expected
+        if n == 4:
+            assert hashlib.sha256(printed).hexdigest() == NOTCHED4_CONV_SHA256
+
+    @pytest.mark.parametrize("text, code", [
+        ("seg 0 1 1 0 1 0\nseg 1 2 1 0 0 0\n", 2),     # not linear
+        ("knot 0 1\nknot 1\n", 2),                     # malformed
+        ("knot 1 1\nknot 0 1\n", 2),                   # unordered
+    ], ids=["nonlinear", "malformed", "unordered"])
+    def test_rejected_input_leaves_the_output_file(self, text, code, tmp_path,
+                                                   capsys):
+        src, out = tmp_path / "in.pw", tmp_path / "conv.pw"
+        src.write_text(text)
+        out.write_bytes(b"an earlier result\n")
+        assert run_cli("convolve", str(src), "--out", str(out)) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert out.read_bytes() == b"an earlier result\n"
+
     def test_tampered_file_rejected(self, tmp_path, capsys):
         # swapping knot lines breaks the strict-increase invariant on load
         from tailkit import notched
@@ -472,8 +577,8 @@ class TestConvolve:
 
 # Piecewise text for the malformed-input fuzz.  Its exponent tokens are
 # refused on load: Fraction("1e10000000") alone would take seconds.
-_X = st.fractions(min_value=-4, max_value=8, max_denominator=6)
-_VALUE = st.fractions(min_value=-1, max_value=8, max_denominator=6)
+_X = small_fractions(-4, 8, max_denominator=6)
+_VALUE = small_fractions(-1, 8, max_denominator=6)
 _C2 = st.sampled_from([0, 0, 0, 1])  # a nonzero c2 makes a segment nonlinear
 _NOT_RATIONAL = st.sampled_from(["1/0", "0/0", "-1/0", "x", "nan", "inf",
                                  "1//2", "--1", "1.2.3", "/3", "½", "0x10"])

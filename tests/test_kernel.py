@@ -7,6 +7,7 @@ routes to the same integral, so they must agree to the last bit.
 from fractions import Fraction
 
 import pytest
+from conftest import small_fractions
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,21 +19,10 @@ UNIFORM = from_linear_knots([(0, 1), (1, 1)])
 TRIANGLE = from_linear_knots([(0, 0), (1, 1), (2, 0)])
 
 
-def fractions_upto_8ths(lo: int, hi: int):
-    """Every fraction of denominator at most 8 in [lo, hi], simplest first
-    (by denominator, then by |value|), so that shrinking still heads to
-    small denominators near 0.  It draws the values of ``st.fractions``
-    with ``max_denominator=8`` without that strategy's per-draw validation
-    and filtering, which took most of this file's time."""
-    values = {Fraction(num, den) for den in range(1, 9)
-              for num in range(lo * den, hi * den + 1)}
-    return st.sampled_from(sorted(values, key=lambda v: (v.denominator, abs(v), v)))
-
-
-KNOTS = fractions_upto_8ths(0, 20)
-VALUES = fractions_upto_8ths(0, 4)
-JUMP_KNOTS = fractions_upto_8ths(-6, 12)
-COEFFS = fractions_upto_8ths(-4, 4)
+KNOTS = small_fractions(0, 20, max_denominator=8)
+VALUES = small_fractions(0, 4, max_denominator=8)
+JUMP_KNOTS = small_fractions(-6, 12, max_denominator=8)
+COEFFS = small_fractions(-4, 4, max_denominator=8)
 
 
 def random_density(draw):

@@ -2,6 +2,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import small_fractions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +14,9 @@ TRIANGLE = from_linear_knots([(0, 0), (1, 1), (2, 0)])
 
 def linear_knots(min_size=2, max_size=8):
     """Strategy: strictly increasing abscissas with nonnegative values."""
-    xs = st.lists(st.fractions(min_value=0, max_value=50, max_denominator=16),
+    xs = st.lists(small_fractions(0, 50, max_denominator=16),
                   min_size=min_size, max_size=max_size, unique=True)
-    fs = st.fractions(min_value=0, max_value=10, max_denominator=16)
+    fs = small_fractions(0, 10, max_denominator=16)
     return xs.flatmap(
         lambda pts: st.tuples(
             st.just(sorted(pts)),
@@ -24,6 +25,8 @@ def linear_knots(min_size=2, max_size=8):
 
 
 factors = st.fractions(min_value="1/64", max_value=64, max_denominator=64)
+unit = small_fractions(0, 1, max_denominator=64)
+widths = small_fractions("1/16", 3, max_denominator=16)
 
 
 class TestConstruction:
@@ -101,7 +104,7 @@ class TestIntegral:
         with pytest.raises(ValueError):
             TRIANGLE.integral(2, 0)
 
-    @given(linear_knots(), st.fractions(min_value=0, max_value=1, max_denominator=64))
+    @given(linear_knots(), unit)
     @settings(max_examples=100, deadline=None)
     def test_additivity_exact(self, knots, frac):
         p = from_linear_knots(knots)
@@ -109,9 +112,7 @@ class TestIntegral:
         mid = lo + (hi - lo) * frac
         assert p.integral(lo, mid) + p.integral(mid, hi) == p.integral(lo, hi)
 
-    @given(linear_knots(),
-           st.fractions(min_value="1/16", max_value=3, max_denominator=16),
-           st.fractions(min_value="1/16", max_value=3, max_denominator=16))
+    @given(linear_knots(), widths, widths)
     @settings(max_examples=100, deadline=None)
     def test_interval_mass_chains(self, knots, d1, d2):
         p = from_linear_knots(knots)
@@ -258,8 +259,7 @@ class TestFactor:
         assert dump_text(TRIANGLE.scale(Fraction(1, 3))) == dump_text(
             from_linear_knots([(0, 0), (1, Fraction(1, 3)), (2, 0)]))
 
-    @given(linear_knots(), factors,
-           st.fractions(min_value=0, max_value=1, max_denominator=64))
+    @given(linear_knots(), factors, unit)
     @settings(max_examples=80, deadline=None)
     def test_eval_and_integral_carry_the_factor(self, knots, s, frac):
         p = from_linear_knots(knots)
