@@ -9,9 +9,10 @@ given the same configuration, and exit codes are stable:
 Two tables define the surface.  :data:`OPTIONS` gives each option's name,
 default, parser and help; an option is set by a flag (its name with ``-``
 for ``_``), a ``key = value`` line of a config file (``--config``) or a
-``key=value`` argument, in rising precedence.
-:data:`PROBES` gives each probe's constructions, parameters and row
-builder.  Anything a command does not read is rejected before it runs.
+``key=value`` argument, in rising precedence.  ``probes.PROBES`` gives each
+probe's constructions, parameters and row builder; only ``probe`` and
+``report`` read it.  Anything a command does not read is rejected before
+it runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from tailkit.errors import PrecisionFailure, UsageError
-from tailkit.numerics import DEFAULT_PRECISION, DENSE_LIMIT, _check_precision
+from tailkit.numerics import DEFAULT_PRECISION, DENSE_LIMIT, MIN_PRECISION, _rational
 
 
 def _lazy(name: str):
@@ -60,39 +61,32 @@ probes = _lazy("probes")
 render = _lazy("render")
 
 CONSTRUCTIONS = ("notched", "logperiodic", "mixture")
-PIECEWISE = ("notched", "file:<path>")
 
 # commands that take a construction read every option; the others read
 # only the options marked every_command
 _CONSTRUCTION_COMMANDS = ("build", "probe", "report")
 
 
-# Fraction("1e-3000000") alone computes 10**3000000, and an error message
-# would then render its digits; every knot of the notched construction lies
-# below 1e1234 (a_64 = 2**4096)
-_MAX_EXPONENT = 10_000
-
-
-def _rational(text: str, config: Optional[RunConfig] = None) -> Fraction:
-    """A decimal or p/q rational; a decimal exponent past +-_MAX_EXPONENT is
-    refused before Fraction computes its power of ten."""
-    exponent = text.lower().partition("e")[2]
-    if exponent and abs(int(exponent)) > _MAX_EXPONENT:
-        raise ValueError(f"exponent beyond +-{_MAX_EXPONENT}")
-    return Fraction(text)
+def _int_range(key: str, lo: int, hi: int):
+    """A parser of the integer option key; a value outside lo..hi is
+    refused, naming the range."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise UsageError(f"bad value for {key}: {text!r} "
+                             f"({key} takes {lo}..{hi})")
+        return value
+    return parse
 
 
 # the largest truncation the notched build makes: block n reaches a_{n+1},
 # which must lie within the dense limit
 _N_MAX = DENSE_LIMIT - 1
 
-
-def _truncation(text: str) -> int:
-    """The option n; a value outside 1.._N_MAX is refused, naming the range."""
-    n = int(text)
-    if not 1 <= n <= _N_MAX:
-        raise UsageError(f"bad value for n: {text!r} (n takes 1..{_N_MAX})")
-    return n
+# the most bits a run may snap its constants to: `verify`, the slowest
+# command, takes about 10 s at 6,144 bits on a 2-vCPU Xeon VM (5.7 s at
+# 4,096, 18.5 s at 8,192), and its cost grows faster than the bits
+_PRECISION_MAX = 6144
 
 
 # option name -> default, parser, --help text, every_command
@@ -102,10 +96,14 @@ _Option = namedtuple("_Option", "default parse help every_command",
 OPTIONS = {
     "construction": _Option("notched", str,
                             "notched | logperiodic | mixture | file:<path>"),
-    "n": _Option(10, _truncation,
+    "n": _Option(10, _int_range("n", 1, _N_MAX),
                  f"truncation index of the notched construction, 1..{_N_MAX}"),
     "m_max": _Option(6, int, "number of blow-up schedule atoms"),
-    "precision_bits": _Option(DEFAULT_PRECISION, int, every_command=True),
+    "precision_bits": _Option(
+        DEFAULT_PRECISION,
+        _int_range("precision_bits", MIN_PRECISION, _PRECISION_MAX),
+        f"bits of every snapped constant, {MIN_PRECISION}..{_PRECISION_MAX}",
+        every_command=True),
     "delta": _Option(Fraction(1, 4), _rational),
     "d": _Option(Fraction(1), _rational, "window width"),
     "out": _Option(None, str, "output path", every_command=True),
@@ -132,6 +130,14 @@ class RunConfig:
         if self._notched is None:
             self._notched = notched.build_density(self.n, self.precision_bits)
         return self._notched
+
+    def density(self) -> piecewise.PiecewisePoly:
+        """The piecewise density the construction names: a file's, or the
+        notched build's."""
+        name = self.construction
+        if name.startswith("file:"):
+            return piecewise.load_text(_read(name[5:]))
+        return self.notched_density().density()
 
 
 def _flag(name: str) -> str:
@@ -193,10 +199,11 @@ def _write(path: Optional[str], chunks: Iterable[str]) -> None:
     """Write the text chunks verbatim, in order, to the file at path (UTF-8,
     made with its directory) or, when path is None, to standard output.
 
-    Every command computes its result before it calls this, so an error
-    before the write leaves an existing file as it was; a chunk is written
-    as soon as it is made, so a serializer that yields line by line never
-    has its whole text in memory.
+    Every command checks its input before it calls this, so a rejected
+    input leaves an existing file as it was; a chunk is written as soon as
+    it is made, so a serializer that yields line by line never has its
+    whole text in memory.  ``convolve`` makes its result as it writes it,
+    so a sweep cut short leaves a partial file.
     """
     if path is None:
         sys.stdout.writelines(chunks)
@@ -268,189 +275,7 @@ def _cmd_build(config: RunConfig) -> int:
 
 # ------------------------------ probes ------------------------------
 
-def _int(text: str, config: RunConfig) -> int:
-    return int(text)
-
-
-def _ints(text: str, config: RunConfig) -> list[int]:
-    return [int(item) for item in text.split(",")]
-
-
-def _points(text: str, config: RunConfig) -> list[tuple[str, Fraction]]:
-    """Abscissas: decimal strings or knot labels like 'c10'."""
-    points = []
-    for label in (item.strip() for item in text.split(",")):
-        if label[:1] in notched.KNOT_KINDS and label[1:].isdigit():
-            points.append((label, notched.knot_position(
-                label[0], int(label[1:]), config.precision_bits)))
-        elif label:
-            points.append((label, _rational(label)))
-    if not points:
-        raise ValueError("no points")
-    return points
-
-
-def _density(config: RunConfig) -> piecewise.PiecewisePoly:
-    name = config.construction
-    if name.startswith("file:"):
-        return piecewise.load_text(_read(name[5:]))
-    return config.notched_density().density()
-
-
-# Row builders: (row, config, args) -> rows, where row(x_or_n, value, aux)
-# makes a row named after the probe and args holds the parsed parameters.
-
-def _knot_ratio_series(row, config, args):
-    return [row(str(n), lam) for n, lam in
-            probes.knot_ratio_series(args["n_max"], config.precision_bits)]
-
-
-def _knot_scan(row, config, args):
-    return [probes.notched_knot_scan(args["n_max"], config.precision_bits)]
-
-
-def _long_tail_ratio(row, config, args):
-    f, t = _density(config), args["t"]
-    return [row(label, probes.long_tail_ratio(f, x, t), {"shift": t})
-            for label, x in args["x"]]
-
-
-def _subexp_ratio(row, config, args):
-    f = _density(config)
-    rows = [row(label, probes.subexp_ratio(f, x)) for label, x in args["x"]]
-    if len(rows) > 1:
-        devs = [abs(Fraction(1) - r.value) for r in rows]
-        improving = all(a > b for a, b in zip(devs, devs[1:]))
-        span = f"{rows[0].x_or_n}..{rows[-1].x_or_n}"
-        rows.append(probes.ProbeRow("subexp_trend", span,
-                                    Fraction(int(improving)),
-                                    {"monotone_improvement": improving}))
-    return rows
-
-
-def _local_tail_ratio(row, config, args):
-    f = _density(config)
-    return [row(label, probes.local_tail_ratio(f, x, config.d),
-                {"window": config.d})
-            for label, x in args["x"]]
-
-
-def _piecewise_scan(row, config, args):
-    return [probes.almost_decrease_scan(_density(config), args["x0"])]
-
-
-def _logperiodic_scan(row, config, args):
-    return probes.logperiodic_scan(config.lp_params(), args["k_max"], f"k<={args['k_max']}")
-
-
-def _i2_bound_check(row, config, args):
-    # each block once, in the order it first appears: the default
-    # {half},{n} names block 1 twice at n = 1
-    return [probes.i2_bound_check(config.notched_density(), n)
-            for n in dict.fromkeys(args["n_list"])]
-
-
-def _split_integrals(row, config, args):
-    nd = config.notched_density()
-    rows = []
-    for label, x in args["x"]:
-        i1, i2 = conv.split_integrals(nd.dense, args["block"], x)
-        whole = conv.self_conv_value(nd.dense, x)
-        rows.append(row(label, whole, {"i1": i1, "i2": i2,
-                                       "exact_partition": 2 * i1 + i2 == whole}))
-    return rows
-
-
-def _chi(row, config, args):
-    p = config.lp_params()
-    return [row(label, lp.chi(x, p)) for label, x in args["x"]]
-
-
-def _karamata_ratio(row, config, args):
-    p = config.lp_params()
-    return [row(label, lp.karamata_ratio(x, p)) for label, x in args["x"]]
-
-
-def _middle_integral(row, config, args):
-    p, h_exp = config.lp_params(), args["h_exp"]
-    return [row(f"k{k}", lp.middle_mass_ratio(lp.anchor(k), p, h_exp),
-                {"h_exp": h_exp})
-            for k in args["k_list"]]
-
-
-def _schedule(row, config, args):
-    sch = mx.build_schedule(config.m_max, config.precision_bits)
-    return [row(str(e.m), e.mass, {"n_m": e.n_m, "lower_bound": e.lower_bound})
-            for e in sch.entries]
-
-
-def _blowup(row, config, args):
-    pb = config.precision_bits
-    return probes.mixture_blowup_probe(mx.build_schedule(config.m_max, pb),
-                                       notched.build_density(4, pb), config.d)
-
-
-# params maps each parameter to (parser, default); a default may name the
-# option n as {n}, max(1, n // 2) as {half} and an earlier parameter as
-# {its name}.  rows is the row builder.
-Probe = namedtuple("Probe", "name constructions params rows")
-
-
-# `report <construction>` runs the probes that describe it, in this order.
-# A name may appear once per construction (almost_decrease_scan reads a
-# piecewise density and the log-periodic one differently).
-PROBES = (
-    Probe("knot_ratio_series", ("notched",), {"n_max": (_int, "40")},
-          _knot_ratio_series),
-    Probe("knot_scan", ("notched",), {"n_max": (_int, "40")}, _knot_scan),
-    Probe("long_tail_ratio", PIECEWISE,
-          {"x": (_points, "c{n}"), "t": (_rational, "1")}, _long_tail_ratio),
-    Probe("subexp_ratio", PIECEWISE, {"x": (_points, "c{n}")}, _subexp_ratio),
-    Probe("local_tail_ratio", PIECEWISE, {"x": (_points, "c{n}")},
-          _local_tail_ratio),
-    Probe("almost_decrease_scan", PIECEWISE, {"x0": (_rational, "0")},
-          _piecewise_scan),
-    Probe("i2_bound_check", ("notched",), {"n_list": (_ints, "{half},{n}")},
-          _i2_bound_check),
-    Probe("split_integrals", ("notched",),
-          {"block": (_int, "{n}"), "x": (_points, "c{block}")}, _split_integrals),
-    Probe("chi", ("logperiodic",), {"x": (_points, "1")}, _chi),
-    Probe("almost_decrease_scan", ("logperiodic",), {"k_max": (_int, "8")},
-          _logperiodic_scan),
-    Probe("karamata_ratio", ("logperiodic",), {"x": (_points, "100,10000")},
-          _karamata_ratio),
-    Probe("middle_integral", ("logperiodic",),
-          {"h_exp": (_rational, "3/10"), "k_list": (_ints, "3,4,5,6")},
-          _middle_integral),
-    Probe("schedule", ("mixture",), {}, _schedule),
-    Probe("blowup", ("mixture",), {}, _blowup),
-)
-
-
-def _probe_help() -> str:
-    lines = ["probes (constructions: parameter=default; {n} is the option n, "
-             "{half} is max(1, n // 2)):"]
-    for p in PROBES:
-        params = "".join(f" {k}={default}" for k, (_, default) in p.params.items())
-        lines.append(f"  {p.name:<22}{', '.join(p.constructions)}:{params}")
-    return "\n".join(lines)
-
-
-def _find_probe(name: str, construction: str) -> Probe:
-    named = [p for p in PROBES if p.name == name]
-    if not named:
-        valid = ", ".join(dict.fromkeys(p.name for p in PROBES))
-        raise UsageError(f"unknown probe {name!r}; valid probes: {valid}")
-    kind = "file:<path>" if construction.startswith("file:") else construction
-    for p in named:
-        if kind in p.constructions:
-            return p
-    accepted = ", ".join(c for p in named for c in p.constructions)
-    raise UsageError(f"probe {name} takes the construction {accepted}, "
-                     f"not {construction!r}")
-
-
-def _run_probes(config: RunConfig, selected: list[Probe], what: str) -> int:
+def _run_probes(config: RunConfig, selected: list[probes.Probe], what: str) -> int:
     """Check every parameter of the selected probes, then run them."""
     known = {k for p in selected for k in p.params}
     unknown = sorted(set(config.params) - known)
@@ -471,7 +296,7 @@ def _run_probes(config: RunConfig, selected: list[Probe], what: str) -> int:
 
 
 def _cmd_probe(config: RunConfig, probe_name: str) -> int:
-    probe = _find_probe(probe_name, config.construction)
+    probe = probes._find_probe(probe_name, config.construction)
     return _run_probes(config, [probe], f"probe {probe_name}")
 
 
@@ -480,8 +305,8 @@ def _cmd_report(config: RunConfig) -> int:
     if name not in CONSTRUCTIONS:
         raise UsageError(f"unknown construction {name!r}; "
                          f"report takes one of {', '.join(CONSTRUCTIONS)}")
-    return _run_probes(config, [p for p in PROBES if name in p.constructions],
-                       f"report {name}")
+    selected = [p for p in probes.PROBES if name in p.constructions]
+    return _run_probes(config, selected, f"report {name}")
 
 
 def _cmd_convolve(config: RunConfig, files: list[str]) -> int:
@@ -490,8 +315,10 @@ def _cmd_convolve(config: RunConfig, files: list[str]) -> int:
                          "or two (cross-convolution)")
     first = piecewise.load_text(_read(files[0]))
     second = piecewise.load_text(_read(files[1])) if len(files) == 2 else first
-    result = conv.conv_linear_exact(first, second)
-    _write(config.out, piecewise.dump_lines(result))
+    # the sweep checks its operands before the file opens, then makes each
+    # cell as the writer asks for its line
+    grid, cells, degree, flags = conv.dense_sweep(first, second)
+    _write(config.out, piecewise.dump_cells(grid, cells, degree, **flags))
     return 0
 
 
@@ -511,33 +338,47 @@ def _cmd_verify(config: RunConfig) -> int:
 
 # ------------------------------- main -------------------------------
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser, and each command's parser by its name."""
+# command -> its --help line, and its positional arguments' name and help
+_COMMANDS = {
+    "build": ("materialize a construction",
+              "positional", "construction name and key=value overrides"),
+    "probe": ("run one probe, emit CSV",
+              "positional", "construction, probe name, key=value overrides"),
+    "convolve": ("convolve piecewise files",
+                 "files", "one or two piecewise files"),
+    "verify": ("run the acceptance battery", None, None),
+    "report": ("full probe battery as CSV",
+               "positional", "construction and key=value overrides"),
+}
+
+
+def _command_parser(argv: list[str]) -> tuple[str, argparse.ArgumentParser]:
+    """The command argv names, read by the top-level parser, and its parser.
+
+    Each command's parser is made bare for the top-level listing, and only
+    the invoked one gets its arguments: the probe listing of ``probe
+    --help`` reads the probe catalogue, which no other command runs.
+    """
     parser = argparse.ArgumentParser(
         prog="tailkit",
         description="exact-arithmetic probes for heavy-tailed density "
                     "counterexamples")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help, **kwargs):
-        p = sub.add_parser(name, help=help, **kwargs)
-        for key in _command_options(name):
-            p.add_argument(_flag(key), dest=key, default=None,
-                           help=OPTIONS[key].help)
-        p.add_argument("--config", default=None, help="flat key = value file")
-        return p
-
-    command("build", "materialize a construction").add_argument(
-        "positional", nargs="*", help="construction name and key=value overrides")
-    command("probe", "run one probe, emit CSV", epilog=_probe_help(),
-            formatter_class=argparse.RawDescriptionHelpFormatter).add_argument(
-        "positional", nargs="*", help="construction, probe name, key=value overrides")
-    command("convolve", "convolve piecewise files").add_argument(
-        "files", nargs="*", help="one or two piecewise files")
-    command("verify", "run the acceptance battery")
-    command("report", "full probe battery as CSV").add_argument(
-        "positional", nargs="*", help="construction and key=value overrides")
-    return parser, sub.choices
+    for name, (text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=text)
+    command = parser.parse_args(argv[:1]).command
+    p = sub.choices[command]
+    for key in _command_options(command):
+        p.add_argument(_flag(key), dest=key, default=None,
+                       help=OPTIONS[key].help)
+    p.add_argument("--config", default=None, help="flat key = value file")
+    _, dest, text = _COMMANDS[command]
+    if dest:
+        p.add_argument(dest, nargs="*", help=text)
+    if command == "probe":
+        p.epilog = probes._probe_help()
+        p.formatter_class = argparse.RawDescriptionHelpFormatter
+    return command, p
 
 
 def _config_from_args(args) -> tuple[RunConfig, list[str]]:
@@ -569,12 +410,10 @@ def run(argv=None) -> int:
     # the command name by the top-level parser, the rest by the command's,
     # so that flags may come anywhere among the positional arguments:
     # argparse cannot intermix them on a parser with subcommands
-    parser, commands = _build_parser()
-    command = parser.parse_args(argv[:1]).command
-    args = commands[command].parse_intermixed_args(argv[1:])
+    command, parser = _command_parser(argv)
+    args = parser.parse_intermixed_args(argv[1:])
     args.command = command
     config, names = _config_from_args(args)
-    _check_precision(config.precision_bits)
     if args.command == "probe":
         if len(names) != 2:
             raise UsageError("probe needs a construction and a probe name, "

@@ -4,7 +4,9 @@ Two independent exact routes to the same integral, a dense sweep and a
 point walk, and what is built on them:
 
 * ``conv_linear_exact``: the full piecewise-cubic convolution of two
-  piecewise-linear functions (the dense sweep).
+  piecewise-linear functions (the dense sweep).  ``dense_sweep`` is the
+  same sweep with its cells made one at a time, so that ``tailkit
+  convolve`` writes each cell as it is made and never holds the result.
 * ``conv_window_value`` / ``self_conv_value``: single-abscissa values,
   optionally over a restricted y-window, without building the dense object
   (the point walk).
@@ -108,17 +110,32 @@ def _jumps(breaks, c0, c1):
             for s, (rv, rw), (lv, lw) in zip(breaks, right, left)]
 
 
-def conv_linear_exact(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
-    """Exact piecewise-cubic representation of the convolution p*q.
+def dense_sweep(p: PiecewisePoly, q: PiecewisePoly):
+    """The dense sweep of p*q: checked and set up now, its cells to come.
 
-    Output breakpoints are all pairwise sums of input breakpoints,
-    deduplicated with exact equality; each cell's coefficients are in its
-    local variable x - breakpoint.
+    Returns ``(grid, cells, degree, flags)``: the sorted pairwise sums of
+    the breakpoints; an iterator that makes one coefficient quadruple per
+    cell, in the cell's local variable ``x - z``, as the sweep reaches it;
+    the degree of p*q; and the ``continuous``, ``density`` and ``factor``
+    arguments of its ``PiecewisePoly``.  An operand that is not piecewise
+    linear is refused here, before any cell is made.
+
+    The degree is known before the first cell: it is deg p + deg q + 1
+    when neither operand is zero, else 0, where an operand's degree is 1
+    if a slope is nonzero.  The earliest pair of nonzero top jumps (in
+    slope, else in value) is the only pair at its sum, which is not the
+    last sum, so the cell that starts there has a nonzero top coefficient.
     """
     zero = Fraction(0)
     same = q is p
-    p_jumps = _jumps(*_linear(p))
-    q_jumps = p_jumps if same else _jumps(*_linear(q))
+    p_linear = _linear(p)
+    q_linear = p_linear if same else _linear(q)
+    p_jumps = _jumps(*p_linear)
+    q_jumps = p_jumps if same else _jumps(*q_linear)
+    degree = 0
+    if p.factor * q.factor and all(any(c0s) or any(c1s)
+                                   for _, c0s, c1s in (p_linear, q_linear)):
+        degree = any(p_linear[2]) + any(q_linear[2]) + 1
     terms = {}
     for a, (s, j, w) in enumerate(p_jumps):
         # identical operands: the pair (a, b), b > a, stands for (b, a) too
@@ -139,10 +156,16 @@ def conv_linear_exact(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
                     acc[1] += wb * k
                 if v:
                     acc[2] += wb * v
-
     grid = sorted(terms)
-    c0 = c1 = c2 = c3 = zero
-    coeffs = []
+    flags = {"continuous": True, "density": p.density and q.density,
+             "factor": p.factor * q.factor}
+    return grid, _cells(grid, terms), degree, flags
+
+
+def _cells(grid, terms):
+    """The sweep proper: one running cubic, shifted from sum to sum; each
+    sum's terms are dropped from ``terms`` once they are added."""
+    c0 = c1 = c2 = c3 = Fraction(0)
     prev = grid[0]
     for z in grid[:-1]:
         # Taylor-shift the running cubic to u = x - z, then add z's terms
@@ -151,15 +174,23 @@ def conv_linear_exact(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
         c0 += ((c3h + c2) * h + c1) * h
         c1 += (3 * c3h + 2 * c2) * h
         c2 += 3 * c3h
-        first, second, third = terms[z]
+        first, second, third = terms.pop(z)
         c1 += first
         c2 += second / 2
         c3 += third / 6
-        coeffs.append((c0, c1, c2, c3))
+        yield c0, c1, c2, c3
         prev = z
-    return PiecewisePoly(tuple(grid), tuple(coeffs), continuous=True,
-                         density=p.density and q.density,
-                         factor=p.factor * q.factor)
+
+
+def conv_linear_exact(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
+    """Exact piecewise-cubic representation of the convolution p*q.
+
+    Output breakpoints are all pairwise sums of input breakpoints,
+    deduplicated with exact equality; each cell's coefficients are in its
+    local variable x - breakpoint.
+    """
+    grid, cells, _, flags = dense_sweep(p, q)
+    return PiecewisePoly(grid, cells, **flags)
 
 
 def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,

@@ -49,6 +49,23 @@ _MATERIALIZE_LIMIT = 4_000_000
 DENSE_LIMIT = 64
 
 
+# Fraction("1e-3000000") alone computes 10**3000000, and an error message
+# would then render its digits; every knot of the notched construction lies
+# below 1e1234 (a_64 = 2**4096)
+_MAX_EXPONENT = 10_000
+
+
+def _rational(text: str, config=None) -> Fraction:
+    """A decimal or p/q rational; a decimal exponent past +-_MAX_EXPONENT is
+    refused before Fraction computes its power of ten.  ``config``, the
+    run's options, is what every probe parameter parser is given; a
+    rational reads none of them."""
+    exponent = text.lower().partition("e")[2]
+    if exponent and abs(int(exponent)) > _MAX_EXPONENT:
+        raise ValueError(f"exponent beyond +-{_MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def _check_precision(precision_bits: int) -> None:
     if not isinstance(precision_bits, int) or precision_bits < MIN_PRECISION:
         raise ValueError(

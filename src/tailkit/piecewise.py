@@ -16,11 +16,14 @@ Segment ownership is right-continuous: segment ``i`` owns ``(x_i, x_{i+1}]``
 and the first segment additionally owns the left support end.  All
 operations are pure and exact over ``Fraction``; instances are immutable.
 
-Serialization streams: :func:`dump_lines` yields the text one line at a
-time, and the CLI writes each line as it is made, so an exact result of
-megabytes (``tailkit convolve``) is never held as one string.  The CLI
-opens its output file only after the result exists, so a rejected input
-leaves an existing file as it was.
+Serialization streams: :func:`dump_cells` yields the text one line at a
+time, each line from one cell as the cell arrives, and the CLI writes each
+line as it is made.  ``tailkit convolve`` hands it the dense sweep's cells
+as the sweep makes them (``convolution.dense_sweep``), so an exact result
+of megabytes is held neither as text nor as coefficients.  Its inputs are
+checked before the output file is opened, so a rejected input leaves an
+existing file as it was; a sweep cut short leaves a partial file, as a
+cut-short write always could.
 """
 
 from __future__ import annotations
@@ -269,24 +272,49 @@ def _rational(text: str) -> Fraction:
 
 def dump_lines(p: PiecewisePoly) -> Iterator[str]:
     """Serialize the represented function, one newline-ended line at a
-    time: coefficients carry the factor, applied segment by segment, so no
-    copy of the text or of the scaled coefficients is ever held whole."""
+    time (see :func:`dump_cells`)."""
+    return dump_cells(p.breakpoints, p.coeffs, p.degree, p.continuous,
+                      p.density, p.factor)
+
+
+def dump_cells(breaks: Sequence[Fraction], cells: Iterable, degree: int,
+               continuous: bool, density: bool,
+               factor: Fraction) -> Iterator[str]:
+    """Serialize the function ``factor * cells`` on ``breaks``, one
+    newline-ended line at a time.
+
+    ``cells`` yields one coefficient quadruple per segment, in order, and
+    is read once: each line is made from its cell as the cell arrives, and
+    the factor is applied coefficient by coefficient, so neither the text
+    nor the scaled coefficients are ever held whole.  ``degree`` is the
+    function's degree, given up front because it picks the format before
+    the first cell: a continuous function of degree at most 1 is written
+    as knots, any other as segments.
+    """
     yield "# tailkit piecewise v1\n"
     flags = []
-    if p.continuous:
+    if continuous:
         flags.append("continuous")
-    if p.density:
+    if density:
         flags.append("density")
     yield "# flags: " + " ".join(flags) + "\n"
-    breaks = p.breakpoints
-    if p.continuous and p.degree <= 1:
-        for x, seg in zip(breaks, p.coeffs):
-            yield f"knot {_fmt(x)} {_fmt(p._times_factor(seg[0]))}\n"
-        yield f"knot {_fmt(breaks[-1])} {_fmt(p.eval(breaks[-1]))}\n"
+    one = factor == 1
+
+    def scaled(c: Fraction) -> str:
+        return _fmt(c if one else c * factor)
+
+    if continuous and degree <= 1:
+        for x, seg in zip(breaks, cells):
+            yield f"knot {_fmt(x)} {scaled(seg[0])}\n"
+        # the value at the right end, from the last cell
+        u = breaks[-1] - breaks[-2]
+        c0, c1, c2, c3 = seg
+        end = ((c3 * u + c2) * u + c1) * u + c0
+        yield f"knot {_fmt(breaks[-1])} {scaled(end)}\n"
     else:
-        for lo, hi, seg in zip(breaks, breaks[1:], p.coeffs):
+        for lo, hi, seg in zip(breaks, breaks[1:], cells):
             yield " ".join(["seg", _fmt(lo), _fmt(hi)]
-                           + [_fmt(p._times_factor(c)) for c in seg]) + "\n"
+                           + [scaled(c) for c in seg]) + "\n"
 
 
 def load_lines(lines: Sequence[str]) -> PiecewisePoly:

@@ -8,6 +8,14 @@ augmented with the anchor abscissas where the exponent modulation peaks.
 Trend claims are encoded as two-point monotone-improvement checks, not
 absolute tolerances.  The scans, the I2 bound and the blow-up return their
 rows, which ``tailkit report`` and the acceptance battery both write.
+
+:data:`PROBES` is the catalogue behind ``tailkit probe`` and ``tailkit
+report``: each probe's constructions, parameters and row builder.  A row
+builder reads the run's options from ``config``, a duck type with the
+attributes ``n``, ``d``, ``m_max`` and ``precision_bits`` and the methods
+``density()`` (the piecewise density the construction names),
+``notched_density()`` and ``lp_params()``; ``cli.RunConfig`` is the one the
+CLI passes.  Only ``probe``, ``report`` and ``verify`` run this module.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ from tailkit import convolution as conv
 from tailkit import logperiodic as lp
 from tailkit import mixture as mx
 from tailkit import notched
-from tailkit.numerics import DEFAULT_PRECISION, LogValue, _snap_raw, log_nat
+from tailkit.errors import UsageError
+from tailkit.numerics import (DEFAULT_PRECISION, LogValue, _rational, _snap_raw,
+                              log_nat)
 from tailkit.piecewise import PiecewisePoly, _fmt
 from tailkit.render import decimal_str, int_str, value_str
 
@@ -256,3 +266,181 @@ def mixture_blowup_probe(schedule: mx.BlowupSchedule, f1: notched.NotchedDensity
             aux={"n_m": entry.n_m, "logf_b": entry.logf_b,
                  "mass": entry.mass}))
     return rows
+
+
+# ----------------------------- catalogue -----------------------------
+
+PIECEWISE = ("notched", "file:<path>")
+
+
+def _int(text: str, config) -> int:
+    return int(text)
+
+
+def _ints(text: str, config) -> list[int]:
+    return [int(item) for item in text.split(",")]
+
+
+def _points(text: str, config) -> list[tuple[str, Fraction]]:
+    """Abscissas: decimal strings or knot labels like 'c10'."""
+    points = []
+    for label in (item.strip() for item in text.split(",")):
+        if label[:1] in notched.KNOT_KINDS and label[1:].isdigit():
+            points.append((label, notched.knot_position(
+                label[0], int(label[1:]), config.precision_bits)))
+        elif label:
+            points.append((label, _rational(label)))
+    if not points:
+        raise ValueError("no points")
+    return points
+
+
+# Row builders: (row, config, args) -> rows, where row(x_or_n, value, aux)
+# makes a row named after the probe and args holds the parsed parameters.
+
+def _knot_ratio_series(row, config, args):
+    return [row(str(n), lam) for n, lam in
+            knot_ratio_series(args["n_max"], config.precision_bits)]
+
+
+def _knot_scan(row, config, args):
+    return [notched_knot_scan(args["n_max"], config.precision_bits)]
+
+
+def _long_tail_ratio(row, config, args):
+    f, t = config.density(), args["t"]
+    return [row(label, long_tail_ratio(f, x, t), {"shift": t})
+            for label, x in args["x"]]
+
+
+def _subexp_ratio(row, config, args):
+    f = config.density()
+    rows = [row(label, subexp_ratio(f, x)) for label, x in args["x"]]
+    if len(rows) > 1:
+        devs = [abs(Fraction(1) - r.value) for r in rows]
+        improving = all(a > b for a, b in zip(devs, devs[1:]))
+        span = f"{rows[0].x_or_n}..{rows[-1].x_or_n}"
+        rows.append(ProbeRow("subexp_trend", span, Fraction(int(improving)),
+                             {"monotone_improvement": improving}))
+    return rows
+
+
+def _local_tail_ratio(row, config, args):
+    f = config.density()
+    return [row(label, local_tail_ratio(f, x, config.d), {"window": config.d})
+            for label, x in args["x"]]
+
+
+def _piecewise_scan(row, config, args):
+    return [almost_decrease_scan(config.density(), args["x0"])]
+
+
+def _logperiodic_scan(row, config, args):
+    return logperiodic_scan(config.lp_params(), args["k_max"], f"k<={args['k_max']}")
+
+
+def _i2_bound_check(row, config, args):
+    # each block once, in the order it first appears: the default
+    # {half},{n} names block 1 twice at n = 1
+    return [i2_bound_check(config.notched_density(), n)
+            for n in dict.fromkeys(args["n_list"])]
+
+
+def _split_integrals(row, config, args):
+    nd = config.notched_density()
+    rows = []
+    for label, x in args["x"]:
+        i1, i2 = conv.split_integrals(nd.dense, args["block"], x)
+        whole = conv.self_conv_value(nd.dense, x)
+        rows.append(row(label, whole, {"i1": i1, "i2": i2,
+                                       "exact_partition": 2 * i1 + i2 == whole}))
+    return rows
+
+
+def _chi(row, config, args):
+    p = config.lp_params()
+    return [row(label, lp.chi(x, p)) for label, x in args["x"]]
+
+
+def _karamata_ratio(row, config, args):
+    p = config.lp_params()
+    return [row(label, lp.karamata_ratio(x, p)) for label, x in args["x"]]
+
+
+def _middle_integral(row, config, args):
+    p, h_exp = config.lp_params(), args["h_exp"]
+    return [row(f"k{k}", lp.middle_mass_ratio(lp.anchor(k), p, h_exp),
+                {"h_exp": h_exp})
+            for k in args["k_list"]]
+
+
+def _schedule(row, config, args):
+    sch = mx.build_schedule(config.m_max, config.precision_bits)
+    return [row(str(e.m), e.mass, {"n_m": e.n_m, "lower_bound": e.lower_bound})
+            for e in sch.entries]
+
+
+def _blowup(row, config, args):
+    pb = config.precision_bits
+    return mixture_blowup_probe(mx.build_schedule(config.m_max, pb),
+                                notched.build_density(4, pb), config.d)
+
+
+# params maps each parameter to (parser, default); a default may name the
+# option n as {n}, max(1, n // 2) as {half} and an earlier parameter as
+# {its name}.  rows is the row builder.
+Probe = namedtuple("Probe", "name constructions params rows")
+
+
+# `report <construction>` runs the probes that describe it, in this order.
+# A name may appear once per construction (almost_decrease_scan reads a
+# piecewise density and the log-periodic one differently).
+PROBES = (
+    Probe("knot_ratio_series", ("notched",), {"n_max": (_int, "40")},
+          _knot_ratio_series),
+    Probe("knot_scan", ("notched",), {"n_max": (_int, "40")}, _knot_scan),
+    Probe("long_tail_ratio", PIECEWISE,
+          {"x": (_points, "c{n}"), "t": (_rational, "1")}, _long_tail_ratio),
+    Probe("subexp_ratio", PIECEWISE, {"x": (_points, "c{n}")}, _subexp_ratio),
+    Probe("local_tail_ratio", PIECEWISE, {"x": (_points, "c{n}")},
+          _local_tail_ratio),
+    Probe("almost_decrease_scan", PIECEWISE, {"x0": (_rational, "0")},
+          _piecewise_scan),
+    Probe("i2_bound_check", ("notched",), {"n_list": (_ints, "{half},{n}")},
+          _i2_bound_check),
+    Probe("split_integrals", ("notched",),
+          {"block": (_int, "{n}"), "x": (_points, "c{block}")}, _split_integrals),
+    Probe("chi", ("logperiodic",), {"x": (_points, "1")}, _chi),
+    Probe("almost_decrease_scan", ("logperiodic",), {"k_max": (_int, "8")},
+          _logperiodic_scan),
+    Probe("karamata_ratio", ("logperiodic",), {"x": (_points, "100,10000")},
+          _karamata_ratio),
+    Probe("middle_integral", ("logperiodic",),
+          {"h_exp": (_rational, "3/10"), "k_list": (_ints, "3,4,5,6")},
+          _middle_integral),
+    Probe("schedule", ("mixture",), {}, _schedule),
+    Probe("blowup", ("mixture",), {}, _blowup),
+)
+
+
+def _probe_help() -> str:
+    lines = ["probes (constructions: parameter=default; {n} is the option n, "
+             "{half} is max(1, n // 2)):"]
+    for p in PROBES:
+        params = "".join(f" {k}={default}" for k, (_, default) in p.params.items())
+        lines.append(f"  {p.name:<22}{', '.join(p.constructions)}:{params}")
+    return "\n".join(lines)
+
+
+def _find_probe(name: str, construction: str) -> Probe:
+    named = [p for p in PROBES if p.name == name]
+    if not named:
+        valid = ", ".join(dict.fromkeys(p.name for p in PROBES))
+        raise UsageError(f"unknown probe {name!r}; valid probes: {valid}")
+    kind = "file:<path>" if construction.startswith("file:") else construction
+    for p in named:
+        if kind in p.constructions:
+            return p
+    accepted = ", ".join(c for p in named for c in p.constructions)
+    raise UsageError(f"probe {name} takes the construction {accepted}, "
+                     f"not {construction!r}")

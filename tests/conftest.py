@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import tailkit
 from tailkit import logperiodic as lp
 from tailkit import notched
+from tailkit.piecewise import PiecewisePoly, from_linear_knots
 
 # Opt-in profile for reading a failure fast: `pytest --hypothesis-profile=
 # triage` reports each failing property's first counterexample unshrunk.
@@ -36,6 +37,30 @@ def small_fractions(lo, hi, max_denominator):
     values = {Fraction(num, den) for den in range(1, max_denominator + 1)
               for num in range(math.ceil(lo * den), math.floor(hi * den) + 1)}
     return st.sampled_from(sorted(values, key=lambda v: (v.denominator, abs(v), v)))
+
+
+_BREAKS = small_fractions(-4, 8, max_denominator=6)
+_LEVELS = small_fractions(0, 4, max_denominator=6)
+_SIGNED = small_fractions(-4, 4, max_denominator=6)
+
+
+@st.composite
+def linear_operands(draw):
+    """Piecewise-linear functions of each kind the dense sweep meets:
+    continuous linear, piecewise constant (continuous when its levels
+    agree), all zero, and discontinuous with signed coefficients."""
+    xs = sorted(draw(st.lists(_BREAKS, min_size=2, max_size=5, unique=True)))
+    n = len(xs) - 1
+    kind = draw(st.sampled_from(["linear", "constant", "zero", "discontinuous"]))
+    if kind == "linear":
+        return from_linear_knots([(x, draw(_LEVELS)) for x in xs])
+    if kind == "constant":
+        levels = [draw(_LEVELS) for _ in range(n)]
+        return PiecewisePoly(xs, [(c, 0) for c in levels],
+                             continuous=len(set(levels)) == 1, density=any(levels))
+    if kind == "zero":
+        return PiecewisePoly(xs, [(0, 0)] * n, continuous=True)
+    return PiecewisePoly(xs, [(draw(_SIGNED), draw(_SIGNED)) for _ in range(n)])
 
 
 def child_env(**overrides):

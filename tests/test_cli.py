@@ -12,11 +12,12 @@ from itertools import chain, zip_longest
 from pathlib import Path
 
 import pytest
-from conftest import BATTERY_CSV_SHA256, child_env, small_fractions
+from conftest import BATTERY_CSV_SHA256, child_env, linear_operands, small_fractions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailkit import cli
+from tailkit import cli, probes
+from tailkit.numerics import _rational
 from tailkit.piecewise import from_linear_knots, load_text
 
 # sha256 of `tailkit convolve` on the notched N=4 knot file: the dense
@@ -247,6 +248,28 @@ class TestProbeCommand:
         assert f"bad value for n: {n!r} (n takes 1..63)" in err
         assert err.count("\n") == 1 and not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "key", "config"])
+    @pytest.mark.parametrize("bits, code", [
+        ("31", 2), ("32", 0), ("6144", 0), ("6145", 2), ("20000", 2)])
+    def test_precision_bits_takes_its_stated_range(self, bits, code, source,
+                                                   tmp_path, capsys):
+        # the ceiling bounds the work: verify takes about 10 s at 6,144 bits
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"precision_bits = {bits}\n")
+        given = {"flag": ["--precision-bits", bits],
+                 "key": [f"precision_bits={bits}"],
+                 "config": ["--config", str(cfg)]}[source]
+        assert run_cli("probe", "notched", "knot_ratio_series", "n_max=2",
+                       *given, "--out", str(out)) == code
+        err = capsys.readouterr().err
+        if code:
+            assert (f"bad value for precision_bits: {bits!r} "
+                    "(precision_bits takes 32..6144)") in err
+            assert err.count("\n") == 1 and not out.exists()
+        else:
+            assert err == "" and out.read_text().count("\n") == 2
+
     def test_n_at_the_dense_limit_builds(self, tmp_path):
         from tailkit import notched
         assert notched.DENSE_LIMIT == 64
@@ -258,6 +281,12 @@ class TestProbeCommand:
             with pytest.raises(SystemExit):
                 run_cli(command, "--help")
             assert "construction, 1..63" in capsys.readouterr().out
+
+    def test_help_states_the_range_of_precision_bits(self, capsys):
+        for command in ("build", "probe", "convolve", "verify", "report"):
+            with pytest.raises(SystemExit):
+                run_cli(command, "--help")
+            assert "snapped constant, 32..6144" in capsys.readouterr().out
 
     def test_i2_bound_check_rejects_block_outside_truncation(self, capsys):
         assert run_cli("probe", "notched", "i2_bound_check", "n=10",
@@ -289,7 +318,7 @@ class TestProbeCommand:
             run_cli("probe", "--help")
         assert done.value.code == 0
         listing = capsys.readouterr().out
-        for p in cli.PROBES:
+        for p in probes.PROBES:
             assert f"  {p.name} " in listing
         assert "logperiodic: k_max=8" in listing
 
@@ -502,10 +531,10 @@ class TestConvolve:
 
     def test_exponent_bound(self):
         for text in ("1e10000", "-2.5E-10000", "1e+10_000", " 3e0 ", "7/2"):
-            assert cli._rational(text) == Fraction(text)
+            assert _rational(text) == Fraction(text)
         for text in ("1e10001", "-2.5E-10001", "1e+10_001", "1e" + "9" * 5000, "1e"):
             with pytest.raises(ValueError):
-                cli._rational(text)
+                _rational(text)
 
     @pytest.fixture(scope="class")
     def knot_files(self, tmp_path_factory):
@@ -519,12 +548,13 @@ class TestConvolve:
         return files
 
     def test_output_streams_below_its_size(self, knot_files, tmp_path):
-        # the writer takes the serializer's lines one at a time: the command
-        # never holds its text whole (as a list of lines, a joined string or
-        # its encoding), so its traced peak stays below the file's size
+        # the sweep makes each cell as the writer asks for its line, and the
+        # writer takes the lines one at a time: the command holds neither
+        # its text (2.2 MB) nor its cells (about 0.9 MB of Fractions) whole,
+        # so its traced peak stays below a third of the file's size
         from tailkit import convolution, piecewise
         # the layers are lazy modules: run them before the trace starts
-        assert convolution.conv_linear_exact and piecewise.dump_lines
+        assert convolution.dense_sweep and piecewise.dump_cells
         out = tmp_path / "conv.pw"
         tracemalloc.start()
         try:
@@ -532,7 +562,7 @@ class TestConvolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < out.stat().st_size, (peak, out.stat().st_size)
+        assert peak < out.stat().st_size / 3, (peak, out.stat().st_size)
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_stdout_and_file_write_the_same_bytes(self, n, knot_files, tmp_path,
@@ -548,6 +578,35 @@ class TestConvolve:
         assert printed == out.read_bytes() == expected
         if n == 4:
             assert hashlib.sha256(printed).hexdigest() == NOTCHED4_CONV_SHA256
+
+    @given(linear_operands(), linear_operands(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_stream_writes_the_held_result(self, tmp_path_factory, p, q, same):
+        # one file is a self-convolution, two a cross-convolution
+        from tailkit import convolution as conv
+        from tailkit.piecewise import dump_text
+        work = tmp_path_factory.mktemp("stream")
+        files = [work / "p.pw"] if same else [work / "p.pw", work / "q.pw"]
+        for path, f in zip(files, (p, q)):
+            path.write_text(dump_text(f), encoding="utf-8")
+        loaded = [load_text(path.read_text(encoding="utf-8")) for path in files]
+        expected = dump_text(conv.conv_linear_exact(loaded[0], loaded[-1]))
+        out, printed = work / "conv.pw", io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert cli.main(["convolve", *map(str, files)]) == 0
+        assert cli.main(["convolve", *map(str, files), "--out", str(out)]) == 0
+        assert printed.getvalue() == out.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.pin
+    def test_uniform_self_convolution_is_three_knots(self, tmp_path, capsys):
+        # a continuous result of degree 1 is written as knots, on both paths
+        src, out = tmp_path / "unif.pw", tmp_path / "conv.pw"
+        src.write_text("knot 0 1\nknot 1 1\n", encoding="utf-8")
+        assert run_cli("convolve", str(src)) == 0
+        assert run_cli("convolve", str(src), "--out", str(out)) == 0
+        expected = ("# tailkit piecewise v1\n# flags: continuous density\n"
+                    "knot 0 0\nknot 1 1\nknot 2 0\n")
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8") == expected
 
     @pytest.mark.parametrize("text, code", [
         ("seg 0 1 1 0 1 0\nseg 1 2 1 0 0 0\n", 2),     # not linear
@@ -722,11 +781,11 @@ _ARGV_JUNK = st.one_of(
     st.sampled_from(["", "-", "--", "=", "1/0", "-1", "nan", "c", "file:",
                      "file:nope", "notch"]),
     st.text(alphabet="abcdnx-=:,./_ ", max_size=6))
-_ARGV_KEYS = sorted({*cli.OPTIONS, *(k for p in cli.PROBES for k in p.params),
+_ARGV_KEYS = sorted({*cli.OPTIONS, *(k for p in probes.PROBES for k in p.params),
                      "N", "bogus", ""})
 _ARGV_COMMAND = st.sampled_from(["build", "probe", "report", "convolve"])
 _ARGV_CONSTRUCTION = st.sampled_from(["notched", "mixture", "file:@knots", "@knots"])
-_ARGV_PROBE = st.sampled_from(sorted({p.name for p in cli.PROBES}))
+_ARGV_PROBE = st.sampled_from(sorted({p.name for p in probes.PROBES}))
 _ARGV_TOKEN = st.one_of(
     _ARGV_COMMAND, _ARGV_CONSTRUCTION, _ARGV_PROBE,
     st.sampled_from([cli._flag(k) for k in cli.OPTIONS]
@@ -983,6 +1042,25 @@ print(json.dumps([rc, ran, unwrapped]))
             capture_output=True, text=True, cwd="/", env=child_env())
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == [0, ran, []]
+
+    # the probe catalogue lives in probes.py, and only a probe command's
+    # parser reads it: any other command leaves the module unexecuted, a
+    # lazy module whose type is not yet types.ModuleType
+    @pytest.mark.parametrize("argv, ran", [
+        (["convolve", "{knots}"], "False"),
+        (["build", "notched", "n=2"], "False"),
+        (["probe", "notched", "knot_ratio_series", "n_max=3"], "True"),
+    ], ids=["convolve", "build", "probe"])
+    def test_only_a_probe_command_runs_the_catalogue(self, argv, ran, knots,
+                                                    tmp_path):
+        code = ("import sys, types, tailkit.cli\n"
+                "rc = tailkit.cli.main(sys.argv[1:])\n"
+                "print(rc, type(sys.modules['tailkit.probes']) is types.ModuleType)\n")
+        argv = [a.format(knots=knots) for a in argv] + ["--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True, cwd="/", env=child_env())
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", ran]
 
     def test_the_battery_runs_every_layer_when_it_loads(self):
         # none is left to run in the middle of a check (see acceptance.py)

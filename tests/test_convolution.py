@@ -2,31 +2,33 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import linear_operands, small_fractions
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailkit import convolution as conv
 from tailkit import notched
 from tailkit.mixture import AtomList, MixtureSpec
-from tailkit.piecewise import from_linear_knots
+from tailkit.piecewise import dump_cells, dump_text, from_linear_knots
+
+
+KNOTS = small_fractions(0, 12, max_denominator=8)
+VALUES = small_fractions(0, 4, max_denominator=8)
 
 
 @st.composite
 def small_densities(draw):
     """Piecewise-linear densities with small rational knots."""
     n = draw(st.integers(min_value=2, max_value=5))
-    xs = draw(st.lists(
-        st.fractions(min_value=0, max_value=12, max_denominator=8),
-        min_size=n, max_size=n, unique=True))
-    fs = [draw(st.fractions(min_value=0, max_value=4, max_denominator=8))
-          for _ in range(n)]
+    xs = draw(st.lists(KNOTS, min_size=n, max_size=n, unique=True))
+    fs = [draw(VALUES) for _ in range(n)]
     if all(f == 0 for f in fs):
         fs[0] = Fraction(1)
     return from_linear_knots(list(zip(sorted(xs), fs)))
 
 
 factors = st.fractions(min_value="1/64", max_value=64, max_denominator=64)
-unit = st.fractions(min_value=0, max_value=1, max_denominator=64)
+unit = small_fractions(0, 1, max_denominator=64)
 
 
 class TestWindowValues:
@@ -89,6 +91,21 @@ class TestFactor:
         p, q = p.scale(s), q.scale(t)
         assert (conv.conv_linear_exact(p, q).total_mass()
                 == p.total_mass() * q.total_mass())
+
+
+class TestStreamedSweep:
+    @given(linear_operands(), linear_operands(), st.booleans(),
+           st.sampled_from([1, Fraction(1, 3), 0, -2]))
+    @settings(max_examples=150, deadline=None)
+    def test_cells_and_degree_match_the_held_result(self, p, q, same, k):
+        # the degree that picks knot or seg lines is known before the first
+        # cell; it and the streamed text must be the held result's
+        p = p.scale(k)
+        q = p if same else q
+        grid, cells, degree, flags = conv.dense_sweep(p, q)
+        held = conv.conv_linear_exact(p, q)
+        assert degree == held.degree
+        assert "".join(dump_cells(grid, cells, degree, **flags)) == dump_text(held)
 
 
 class TestMomentCache:

@@ -49,8 +49,8 @@ def random_jump_function(draw):
 
 densities = st.composite(random_density)()
 jump_functions = st.composite(random_jump_function)()
-points = st.fractions(min_value=0, max_value=40, max_denominator=32)
-unit = st.fractions(min_value=0, max_value=1, max_denominator=64)
+points = small_fractions(0, 40, max_denominator=32)
+unit = small_fractions(0, 1, max_denominator=64)
 factors = st.fractions(min_value="1/64", max_value=64, max_denominator=64)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tailkit import cli, mixture as mx, notched, probes
+from tailkit import mixture as mx, notched, probes
 from tailkit import logperiodic as lp
 from tailkit.numerics import LogValue
 from tailkit.piecewise import Knot, from_linear_knots
@@ -27,7 +27,7 @@ def _records():
         "ScheduleEntry": (schedule.entries[0], "mass"),
         "BlowupSchedule": (schedule, "c"),
         "ProbeRow": (probes.notched_knot_scan(2), "value"),
-        "Probe": (cli.PROBES[0], "rows"),
+        "Probe": (probes.PROBES[0], "rows"),
     }
 
 
