@@ -268,7 +268,7 @@ def _check_split_partition(ctx: _Context):
     rows = []
     for label in ("c", "b"):
         x = notched.knot_position(label, 10, pb)
-        i1, i2 = conv.split_integrals(nd.dense, 10, x)
+        i1, i2 = probes.split_integrals(nd.dense, 10, x)
         whole = conv.self_conv_value(nd.dense, x)
         exact = 2 * i1 + i2 == whole
         ok = ok and exact

@@ -6,13 +6,14 @@ given the same configuration, and exit codes are stable:
 
     0 success, 1 check failure, 2 usage, 3 precision failure, 4 I/O.
 
-Two tables define the surface.  :data:`OPTIONS` gives each option's name,
-default, parser and help; an option is set by a flag (its name with ``-``
-for ``_``), a ``key = value`` line of a config file (``--config``) or a
-``key=value`` argument, in rising precedence.  ``probes.PROBES`` gives each
-probe's constructions, parameters and row builder; only ``probe`` and
-``report`` read it.  Anything a command does not read is rejected before
-it runs.
+Three tables define the surface.  :data:`OPTIONS` gives each option's
+name, default, parser and help; an option is set by a flag (its name with
+``-`` for ``_``), a ``key = value`` line of a config file (``--config``) or
+a ``key=value`` argument, in rising precedence.  ``_COMMANDS`` gives each
+command's help, positional arguments and the options it reads; a command
+takes no other option.  ``probes.PROBES`` gives each probe's constructions,
+parameters and row builder; only ``probe`` and ``report`` read it.
+Anything a command does not read is rejected before it runs.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ render = _lazy("render")
 
 CONSTRUCTIONS = ("notched", "logperiodic", "mixture")
 
-# commands that take a construction read every option; the others read
-# only the options marked every_command
-_CONSTRUCTION_COMMANDS = ("build", "probe", "report")
-
 
 def _int_range(key: str, lo: int, hi: int):
     """A parser of the integer option key; a value outside lo..hi is
@@ -89,9 +86,8 @@ _N_MAX = DENSE_LIMIT - 1
 _PRECISION_MAX = 6144
 
 
-# option name -> default, parser, --help text, every_command
-_Option = namedtuple("_Option", "default parse help every_command",
-                     defaults=(None, False))
+# option name -> default, parser, --help text
+_Option = namedtuple("_Option", "default parse help", defaults=(None,))
 
 OPTIONS = {
     "construction": _Option("notched", str,
@@ -102,11 +98,10 @@ OPTIONS = {
     "precision_bits": _Option(
         DEFAULT_PRECISION,
         _int_range("precision_bits", MIN_PRECISION, _PRECISION_MAX),
-        f"bits of every snapped constant, {MIN_PRECISION}..{_PRECISION_MAX}",
-        every_command=True),
+        f"bits of every snapped constant, {MIN_PRECISION}..{_PRECISION_MAX}"),
     "delta": _Option(Fraction(1, 4), _rational),
     "d": _Option(Fraction(1), _rational, "window width"),
-    "out": _Option(None, str, "output path", every_command=True),
+    "out": _Option(None, str, "output path"),
 }
 
 
@@ -144,11 +139,6 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _command_options(command: str) -> list[str]:
-    return [name for name, option in OPTIONS.items()
-            if command in _CONSTRUCTION_COMMANDS or option.every_command]
-
-
 def _parse(key: str, parse, text: str, *context):
     """parse(text, *context); malformed input is a usage error naming key,
     unless the parser raised a usage error of its own."""
@@ -170,7 +160,7 @@ def _read(path: str) -> str:
                          f"{exc.start})") from exc
 
 
-def _parse_config_file(path: str, allowed: list[str]) -> dict:
+def _parse_config_file(path: str, allowed: tuple[str, ...]) -> dict:
     values: dict = {}
     try:
         text = _read(path)
@@ -338,17 +328,22 @@ def _cmd_verify(config: RunConfig) -> int:
 
 # ------------------------------- main -------------------------------
 
-# command -> its --help line, and its positional arguments' name and help
+# command -> its --help line, its positional arguments' name and help, and
+# the options it reads, in the order of OPTIONS
 _COMMANDS = {
     "build": ("materialize a construction",
-              "positional", "construction name and key=value overrides"),
+              "positional", "construction name and key=value overrides",
+              ("construction", "n", "m_max", "precision_bits", "delta", "out")),
     "probe": ("run one probe, emit CSV",
-              "positional", "construction, probe name, key=value overrides"),
+              "positional", "construction, probe name, key=value overrides",
+              tuple(OPTIONS)),
     "convolve": ("convolve piecewise files",
-                 "files", "one or two piecewise files"),
-    "verify": ("run the acceptance battery", None, None),
+                 "files", "one or two piecewise files", ("out",)),
+    "verify": ("run the acceptance battery", None, None,
+               ("precision_bits", "out")),
     "report": ("full probe battery as CSV",
-               "positional", "construction and key=value overrides"),
+               "positional", "construction and key=value overrides",
+               tuple(OPTIONS)),
 }
 
 
@@ -364,15 +359,16 @@ def _command_parser(argv: list[str]) -> tuple[str, argparse.ArgumentParser]:
         description="exact-arithmetic probes for heavy-tailed density "
                     "counterexamples")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _, _) in _COMMANDS.items():
-        sub.add_parser(name, help=text)
+    # a flag names its option in full: `build --d` must not read as --delta
+    for name, (text, *_) in _COMMANDS.items():
+        sub.add_parser(name, help=text, allow_abbrev=False)
     command = parser.parse_args(argv[:1]).command
     p = sub.choices[command]
-    for key in _command_options(command):
+    _, dest, text, reads = _COMMANDS[command]
+    for key in reads:
         p.add_argument(_flag(key), dest=key, default=None,
                        help=OPTIONS[key].help)
     p.add_argument("--config", default=None, help="flat key = value file")
-    _, dest, text = _COMMANDS[command]
     if dest:
         p.add_argument(dest, nargs="*", help=text)
     if command == "probe":
@@ -383,7 +379,7 @@ def _command_parser(argv: list[str]) -> tuple[str, argparse.ArgumentParser]:
 
 def _config_from_args(args) -> tuple[RunConfig, list[str]]:
     """Config file, then positional arguments, then flags; later sources win."""
-    allowed = _command_options(args.command)
+    *_, allowed = _COMMANDS[args.command]
     values = _parse_config_file(args.config, allowed) if args.config else {}
     positional = list(getattr(args, "positional", []))
     names = [p for p in positional if "=" not in p]
@@ -394,7 +390,7 @@ def _config_from_args(args) -> tuple[RunConfig, list[str]]:
         if "=" in item:
             key, _, text = item.partition("=")
             key, text = key.strip().lower(), text.strip()
-            if key in OPTIONS:
+            if key in allowed:  # else a parameter, which the command refuses
                 values[key] = _parse(key, OPTIONS[key].parse, text)
             else:
                 params[key] = text

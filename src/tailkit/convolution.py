@@ -10,11 +10,12 @@ point walk, and what is built on them:
 * ``conv_window_value`` / ``self_conv_value``: single-abscissa values,
   optionally over a restricted y-window, without building the dense object
   (the point walk).
-* ``split_integrals``: the two-piece split of the self-convolution at
-  ``a_{m(n)}``, whose parts reassemble the full integral exactly.
-* ``mixture_local_conv``: the window mass of the two-sided mixture's
-  self-convolution for positive abscissas, where the negative*negative
-  term vanishes.
+* ``self_conv_window_mass``: the mass of p*p over a window, exact by
+  Simpson's rule on each cubic piece, from point values.
+
+The kernel reads piecewise functions alone.  Integrals that need a
+construction as well, such as the split at ``a_{m(n)}`` of the notched
+density or the mixture's window mass, live in :mod:`tailkit.probes`.
 
 The dense sweep writes each operand in truncated powers,
 ``sum_i J_i (x - s_i)_+^0 + W_i (x - s_i)_+^1``, where ``J_i`` and ``W_i``
@@ -59,12 +60,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from tailkit.piecewise import PiecewisePoly, _fmt
-
-if TYPE_CHECKING:
-    from tailkit.mixture import MixtureSpec
 
 
 def _linear(p: PiecewisePoly):
@@ -264,31 +261,6 @@ def self_conv_value(p: PiecewisePoly, x) -> Fraction:
     return conv_window_value(p, p, x, lo, hi)
 
 
-def split_integrals(f: PiecewisePoly, n: int, x) -> tuple[Fraction, Fraction]:
-    """(I1, I2) with I1 over y in [0, a_m], I2 over [a_m, x - a_m], m = m(n).
-
-    Requires x in (a_n, a_{n+1}] and x - a_m >= a_m, so the three-piece
-    partition [0,a_m] + [a_m, x-a_m] + [x-a_m, x] is valid and
-    2*I1 + I2 reassembles the full self-convolution at x exactly.
-    """
-    x = Fraction(x)
-    cut = _split_cut(n, x)
-    i1 = conv_window_value(f, f, x, Fraction(0), cut)
-    i2 = conv_window_value(f, f, x, cut, x - cut)
-    return i1, i2
-
-
-def _split_cut(n: int, x: Fraction) -> Fraction:
-    """a_{m(n)}, once x lies in (a_n, a_{n+1}] and x - a_m >= a_m."""
-    from tailkit.notched import a_position, m_of
-    if not a_position(n) < x <= a_position(n + 1):
-        raise ValueError(f"x={_fmt(x)} is not inside block {n}")
-    cut = a_position(m_of(n))
-    if x - cut < cut:
-        raise ValueError(f"x={_fmt(x)} violates x - a_m >= a_m for block {n}")
-    return cut
-
-
 def self_conv_window_mass(p: PiecewisePoly, x, d) -> Fraction:
     """Mass of p*p over (x, x+d] clamped to its support, exactly.
 
@@ -320,38 +292,3 @@ def self_conv_window_mass(p: PiecewisePoly, x, d) -> Fraction:
         total += (v - u) * (left + 4 * value((u + v) / 2) + right)
         left = right
     return total / 6
-
-
-def mixture_local_conv(mix: MixtureSpec, x, d) -> Fraction:
-    """Window mass of the mixture's self-convolution over (x, x+d], x > 0.
-
-    q1^2 * (f1*f1 mass) + 2 q1 q2 * sum of atom-shifted f1 masses.  Atoms
-    whose position is beyond the dense support contribute nothing here (the
-    shift pushes them past the truncation), as does the vanishing
-    negative*negative term.
-    """
-    x, d = Fraction(x), Fraction(d)
-    if x <= 0:
-        raise ValueError("x must be positive: for x <= 0 the omitted "
-                         "negative*negative term would contribute")
-    if d <= 0:
-        raise ValueError(f"window width must be positive, got {_fmt(d)}")
-    self_mass = self_conv_window_mass(mix.f1.density(), x, d)
-    return (mix.q1 ** 2 * self_mass
-            + 2 * mix.q1 * mix.q2 * mixture_cross_mass(mix, x, d))
-
-
-def mixture_cross_mass(mix: MixtureSpec, x, d) -> Fraction:
-    """F1*F2 window mass alone (the blow-up numerator), without weights."""
-    x, d = Fraction(x), Fraction(d)
-    if d <= 0:
-        raise ValueError(f"window width must be positive, got {_fmt(d)}")
-    f = mix.f1.density()
-    cross = Fraction(0)
-    for v, p in mix.f2.atoms:
-        if v is not None:
-            cross += p * f.interval_mass(x + v, d)
-    v_res, p_res = mix.f2.residual
-    if p_res:
-        cross += p_res * f.interval_mass(x + v_res, d)
-    return cross

@@ -23,6 +23,7 @@ from typing import Optional
 from tailkit.errors import PrecisionFailure
 from tailkit.notched import NotchedDensity, knot_logf, knot_position, threshold_knots
 from tailkit.numerics import DEFAULT_PRECISION, log_nat, root_snap
+from tailkit.piecewise import _fmt
 from tailkit.render import decimal_str, int_str
 
 RESIDUAL_FRACTION = Fraction(1, 20)
@@ -142,6 +143,22 @@ def mixture_from_schedule(schedule: BlowupSchedule, f1: NotchedDensity) -> Mixtu
     """The mixture with equal weights q1 = q2 = 1/2."""
     half = Fraction(1, 2)
     return MixtureSpec(q1=half, q2=half, f1=f1, f2=atom_list(schedule))
+
+
+def mixture_cross_mass(mix: MixtureSpec, x, d) -> Fraction:
+    """F1*F2 window mass alone (the blow-up numerator), without weights."""
+    x, d = Fraction(x), Fraction(d)
+    if d <= 0:
+        raise ValueError(f"window width must be positive, got {_fmt(d)}")
+    f = mix.f1.density()
+    cross = Fraction(0)
+    for v, p in mix.f2.atoms:
+        if v is not None:
+            cross += p * f.interval_mass(x + v, d)
+    v_res, p_res = mix.f2.residual
+    if p_res:
+        cross += p_res * f.interval_mass(x + v_res, d)
+    return cross
 
 
 def schedule_csv_lines(schedule: BlowupSchedule) -> list[str]:

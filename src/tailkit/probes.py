@@ -9,6 +9,10 @@ Trend claims are encoded as two-point monotone-improvement checks, not
 absolute tolerances.  The scans, the I2 bound and the blow-up return their
 rows, which ``tailkit report`` and the acceptance battery both write.
 
+The integrals that need the kernel and a construction together live here,
+so that the kernel reads piecewise functions alone: ``split_integrals`` of
+the notched self-convolution and the mixture's ``mixture_local_conv``.
+
 :data:`PROBES` is the catalogue behind ``tailkit probe`` and ``tailkit
 report``: each probe's constructions, parameters and row builder.  A row
 builder reads the run's options from ``config``, a duck type with the
@@ -57,25 +61,25 @@ def _aux_json_value(v) -> str:
     return json.dumps(v, sort_keys=True, separators=(",", ":"))
 
 
-class ProbeRow(namedtuple("ProbeRow", "probe x_or_n value aux precision_flag")):
+class ProbeRow(namedtuple("ProbeRow", "probe x_or_n value aux")):
     """One CSV row: ``value`` is a Value, a rational or int written in
     decimal or a positive LogValue written as ``log2:<decimal>``, and
-    ``aux`` a dict, empty by default."""
+    ``aux`` a dict, empty by default.  The ``precision_flag`` column is
+    written as a constant 0: no row has a precision verdict to give."""
 
     __slots__ = ()
 
     def __new__(cls, probe: str, x_or_n: str, value: Value,
-                aux: Optional[dict] = None, precision_flag: bool = False):
+                aux: Optional[dict] = None):
         return super().__new__(cls, probe, x_or_n, value,
-                               {} if aux is None else aux, precision_flag)
+                               {} if aux is None else aux)
 
     def csv(self) -> str:
         aux_json = "{" + ",".join(json.dumps(k) + ":" + _aux_json_value(v)
                                   for k, v in sorted(self.aux.items())) + "}"
-        flag = "1" if self.precision_flag else "0"
         return ",".join([_csv_field(self.probe), _csv_field(self.x_or_n),
                          _csv_field(value_str(self.value)),
-                         _csv_field(aux_json), flag])
+                         _csv_field(aux_json), "0"])
 
 
 def render_csv(rows: list[ProbeRow]) -> str:
@@ -213,6 +217,20 @@ def knot_ratio_series(n_max: int,
     return [(n, log_nat(n, precision_bits)) for n in range(2, n_max + 1)]
 
 
+def split_integrals(f: PiecewisePoly, n: int, x) -> tuple[Fraction, Fraction]:
+    """(I1, I2) with I1 over y in [0, a_m], I2 over [a_m, x - a_m], m = m(n).
+
+    Requires x in (a_n, a_{n+1}] and x - a_m >= a_m, so the three-piece
+    partition [0,a_m] + [a_m, x-a_m] + [x-a_m, x] is valid and
+    2*I1 + I2 reassembles the full self-convolution at x exactly.
+    """
+    x = Fraction(x)
+    cut = notched.split_cut(n, x)
+    i1 = conv.conv_window_value(f, f, x, Fraction(0), cut)
+    i2 = conv.conv_window_value(f, f, x, cut, x - cut)
+    return i1, i2
+
+
 def i2_bound_check(nd: notched.NotchedDensity, n: int) -> ProbeRow:
     """I2 at x = c_n against the sup-value-times-length bound.
 
@@ -224,7 +242,7 @@ def i2_bound_check(nd: notched.NotchedDensity, n: int) -> ProbeRow:
     nd.check_block(n)
     pb = nd.precision_bits
     x = notched.knot_position("c", n, pb)
-    cut = conv._split_cut(n, x)  # I1, the other part of the split, is not read
+    cut = notched.split_cut(n, x)  # I1, the other part of the split, is not read
     i2 = conv.conv_window_value(nd.dense, nd.dense, x, cut, x - cut)
     m = notched.m_of(n)
     bound = notched.knot_value("a", m, pb) ** 2 * notched.a_position(n + 1)
@@ -232,6 +250,25 @@ def i2_bound_check(nd: notched.NotchedDensity, n: int) -> ProbeRow:
     return ProbeRow("i2_bound_check", str(n), i2, {
         "bound_log2": exponent,
         "passed": i2 <= bound and bound == Fraction(2) ** exponent})
+
+
+def mixture_local_conv(mix: mx.MixtureSpec, x, d) -> Fraction:
+    """Window mass of the mixture's self-convolution over (x, x+d], x > 0.
+
+    q1^2 * (f1*f1 mass) + 2 q1 q2 * sum of atom-shifted f1 masses.  Atoms
+    whose position is beyond the dense support contribute nothing here (the
+    shift pushes them past the truncation), as does the vanishing
+    negative*negative term.
+    """
+    x, d = Fraction(x), Fraction(d)
+    if x <= 0:
+        raise ValueError("x must be positive: for x <= 0 the omitted "
+                         "negative*negative term would contribute")
+    if d <= 0:
+        raise ValueError(f"window width must be positive, got {_fmt(d)}")
+    self_mass = conv.self_conv_window_mass(mix.f1.density(), x, d)
+    return (mix.q1 ** 2 * self_mass
+            + 2 * mix.q1 * mix.q2 * mx.mixture_cross_mass(mix, x, d))
 
 
 def mixture_blowup_probe(schedule: mx.BlowupSchedule, f1: notched.NotchedDensity,
@@ -250,8 +287,8 @@ def mixture_blowup_probe(schedule: mx.BlowupSchedule, f1: notched.NotchedDensity
     b1 = notched.knot_position("b", first.n_m, schedule.precision_bits)
     mix = mx.mixture_from_schedule(schedule, f1)
     f = f1.density()
-    cross = conv.mixture_cross_mass(mix, b1, d)
-    full = conv.mixture_local_conv(mix, b1, d)
+    cross = mx.mixture_cross_mass(mix, b1, d)
+    full = mixture_local_conv(mix, b1, d)
     local_f = mix.q1 * f.interval_mass(b1, d)
     rows = [ProbeRow(
         probe="blowup_exact", x_or_n=f"m1_b{first.n_m}",
@@ -348,9 +385,10 @@ def _i2_bound_check(row, config, args):
 
 def _split_integrals(row, config, args):
     nd = config.notched_density()
+    nd.check_block(args["block"])
     rows = []
     for label, x in args["x"]:
-        i1, i2 = conv.split_integrals(nd.dense, args["block"], x)
+        i1, i2 = split_integrals(nd.dense, args["block"], x)
         whole = conv.self_conv_value(nd.dense, x)
         rows.append(row(label, whole, {"i1": i1, "i2": i2,
                                        "exact_partition": 2 * i1 + i2 == whole}))

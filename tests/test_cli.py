@@ -110,6 +110,27 @@ class TestConfig:
         assert run_cli("verify", "--config", str(cfg)) == 2
         assert "run.cfg:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, line", [
+        (["convolve", "{knots}"], "precision_bits = 64"),
+        (["build", "notched"], "d = 2"),
+    ], ids=["convolve", "build"])
+    def test_key_of_an_option_the_command_lacks_rejected(self, argv, line,
+                                                         tmp_path, capsys):
+        knots, cfg, out = tmp_path / "in.pw", tmp_path / "run.cfg", tmp_path / "o"
+        knots.write_text("knot 0 0\nknot 1 1\nknot 2 0\n")
+        cfg.write_text(f"# first\n{line}\n")
+        argv = [a.format(knots=knots) for a in argv]
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
+        key = line.split(" =")[0]
+        assert (f"run.cfg:2: this command does not read {key!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_key_value_of_an_option_build_lacks_rejected(self, tmp_path, capsys):
+        assert run_cli("build", "notched", "d=2", "--out", str(tmp_path / "o")) == 2
+        assert "unknown parameter(s) d for build" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv, config", [
         (["--alpha", "2"], ""),
         (["alpha=2"], ""),
@@ -283,15 +304,36 @@ class TestProbeCommand:
             assert "construction, 1..63" in capsys.readouterr().out
 
     def test_help_states_the_range_of_precision_bits(self, capsys):
-        for command in ("build", "probe", "convolve", "verify", "report"):
+        for command in ("build", "probe", "verify", "report"):
             with pytest.raises(SystemExit):
                 run_cli(command, "--help")
             assert "snapped constant, 32..6144" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, reads", [
+        ("build", "construction n m-max precision-bits delta out"),
+        ("probe", "construction n m-max precision-bits delta d out"),
+        ("convolve", "out"),
+        ("verify", "precision-bits out"),
+        ("report", "construction n m-max precision-bits delta d out"),
+    ])
+    def test_help_lists_the_options_the_command_reads(self, command, reads,
+                                                       capsys):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+        assert flags == [f"--{name}" for name in reads.split()] + ["--config"]
 
     def test_i2_bound_check_rejects_block_outside_truncation(self, capsys):
         assert run_cli("probe", "notched", "i2_bound_check", "n=10",
                        "n_list=5,12") == 2
         assert "block 12 is not materialized" in capsys.readouterr().err
+
+    def test_split_integrals_rejects_block_outside_truncation(self, capsys):
+        # the block is checked before its abscissa c6 is convolved
+        assert run_cli("probe", "notched", "split_integrals", "block=6",
+                       "n=5") == 2
+        assert capsys.readouterr().err == (
+            "invalid request: block 6 is not materialized (N=5)\n")
 
     @pytest.mark.parametrize("construction, probe, accepted", [
         ("file:{tri}", "split_integrals", "notched"),
@@ -909,6 +951,7 @@ class TestVerify:
         ("verify", "--delta", "1/8"),
         ("verify", "--n", "3"),
         ("convolve", "f.pw", "--construction", "notched"),
+        ("build", "notched", "--d", "2"),
     ])
     def test_option_the_command_does_not_read_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as done:
@@ -963,11 +1006,14 @@ class TestImportStructure:
         p = load_text(Path(knots).read_text())
         assert out.read_text() == dump_text(conv.conv_linear_exact(p, p))
 
-    def test_convolve_rejects_low_precision(self, knots, tmp_path):
+    def test_convolve_refuses_precision_bits(self, knots, tmp_path, capsys):
+        # the sweep is exact at any precision: convolve has no such option
         out = tmp_path / "conv.pw"
-        assert self.run_child("convolve", knots, "--precision-bits", "8",
-                              "--out", str(out)) == ["2", "False"]
-        assert not out.exists()
+        with pytest.raises(SystemExit) as done:
+            run_cli("convolve", knots, "--precision-bits", "64", "--out", str(out))
+        assert done.value.code == 2 and not out.exists()
+        assert ("unrecognized arguments: --precision-bits 64"
+                in capsys.readouterr().err)
 
     # what the child runs before it reads sys.modules; the last runs every
     # layer (tailkit.cli, imported first, would leave them to run lazily)
@@ -1030,7 +1076,9 @@ print(json.dumps([rc, ran, unwrapped]))
         (["convolve", "{knots}"], ["convolution", "piecewise"]),
         (["probe", "notched", "knot_ratio_series", "n_max=3"],
          ["piecewise", "probes", "render"]),
-    ], ids=["import", "convolve", "probe"])
+        (["build", "mixture", "m_max=2"],
+         ["mixture", "notched", "piecewise", "render"]),
+    ], ids=["import", "convolve", "probe", "build-mixture"])
     def test_a_command_runs_only_its_layers(self, argv, ran, knots, tmp_path):
         perfbench = Path(__file__).resolve().parent.parent / "perfbench"
         if argv:

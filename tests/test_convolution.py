@@ -1,5 +1,8 @@
+import ast
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import linear_operands, small_fractions
@@ -7,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailkit import convolution as conv
-from tailkit import notched
-from tailkit.mixture import AtomList, MixtureSpec
+from tailkit import notched, probes
+from tailkit.mixture import AtomList, MixtureSpec, mixture_cross_mass
 from tailkit.piecewise import dump_cells, dump_text, from_linear_knots
 
 
@@ -164,7 +167,7 @@ class TestSplitIntegrals:
     def test_partition_identity(self, nd10):
         for label in ("b", "c"):
             x = notched.knot_position(label, 10)
-            i1, i2 = conv.split_integrals(nd10.dense, 10, x)
+            i1, i2 = probes.split_integrals(nd10.dense, 10, x)
             assert 2 * i1 + i2 == conv.self_conv_value(nd10.dense, x)
 
     @given(st.integers(min_value=1, max_value=10),
@@ -174,26 +177,26 @@ class TestSplitIntegrals:
         lo, hi = notched.a_position(n), notched.a_position(n + 1)
         x = lo + (hi - lo) * u
         assume(x > lo and x >= 2 * notched.a_position(notched.m_of(n)))
-        i1, i2 = conv.split_integrals(nd10.dense, n, x)
+        i1, i2 = probes.split_integrals(nd10.dense, n, x)
         assert 2 * i1 + i2 == conv.self_conv_value(nd10.dense, x)
 
     def test_i1_tracks_local_value(self, nd10):
         x = notched.knot_position("c", 10)
-        i1, _ = conv.split_integrals(nd10.dense, 10, x)
+        i1, _ = probes.split_integrals(nd10.dense, 10, x)
         cum = nd10.dense.integral(0, notched.a_position(notched.m_of(10)))
         ratio = i1 / (nd10.dense.eval(x) * cum)
         assert Fraction(9, 10) < ratio < Fraction(11, 10)
 
     def test_rejects_x_outside_block(self, nd10):
         with pytest.raises(ValueError):
-            conv.split_integrals(nd10.dense, 10, notched.a_position(10))
+            probes.split_integrals(nd10.dense, 10, notched.a_position(10))
         with pytest.raises(ValueError):
-            conv.split_integrals(nd10.dense, 9, notched.knot_position("c", 10))
+            probes.split_integrals(nd10.dense, 9, notched.knot_position("c", 10))
 
     def test_rejects_degenerate_middle(self, nd3):
         # x barely above a_n leaves x - a_m < a_m
         with pytest.raises(ValueError):
-            conv.split_integrals(nd3.dense, 2, notched.a_position(2) + 1)
+            probes.split_integrals(nd3.dense, 2, notched.a_position(2) + 1)
 
 
 class TestMixtureConv:
@@ -206,7 +209,7 @@ class TestMixtureConv:
         f = nd3.density()
         dense = conv.conv_linear_exact(f, f)
         x, d = Fraction(30), Fraction(1)
-        assert conv.mixture_local_conv(mix, x, d) == dense.interval_mass(x, d)
+        assert probes.mixture_local_conv(mix, x, d) == dense.interval_mass(x, d)
 
     def test_single_atom_formula(self, nd3):
         atoms = AtomList(atoms=((Fraction(1), Fraction(1, 2)),),
@@ -216,7 +219,7 @@ class TestMixtureConv:
         f = nd3.density()
         dense = conv.conv_linear_exact(f, f)
         x, d = Fraction(30), Fraction(1)
-        got = conv.mixture_local_conv(mix, x, d)
+        got = probes.mixture_local_conv(mix, x, d)
         # both atoms sit at value 1, so the cross term is f-mass at x+1
         expected = (Fraction(1, 4) * dense.interval_mass(x, d)
                     + Fraction(1, 2) * f.interval_mass(x + 1, d))
@@ -229,9 +232,9 @@ class TestMixtureConv:
                               (None, Fraction(1, 4))),
                        residual=(Fraction(1), Fraction(1, 4)))
         x, d = Fraction(30), Fraction(1)
-        got_near = conv.mixture_cross_mass(
+        got_near = mixture_cross_mass(
             MixtureSpec(Fraction(1, 2), Fraction(1, 2), nd3, near), x, d)
-        got_far = conv.mixture_cross_mass(
+        got_far = mixture_cross_mass(
             MixtureSpec(Fraction(1, 2), Fraction(1, 2), nd3, far), x, d)
         # the None atom drops out; only the residual mass difference shows
         f = nd3.density()
@@ -240,12 +243,12 @@ class TestMixtureConv:
     def test_rejects_nonpositive_x(self, nd3):
         mix = self._pure_positive_mixture(nd3)
         with pytest.raises(ValueError):
-            conv.mixture_local_conv(mix, 0, 1)
+            probes.mixture_local_conv(mix, 0, 1)
 
     def test_rejects_bad_window(self, nd3):
         mix = self._pure_positive_mixture(nd3)
         with pytest.raises(ValueError):
-            conv.mixture_local_conv(mix, 1, 0)
+            probes.mixture_local_conv(mix, 1, 0)
 
     def test_atom_accounting_enforced(self):
         with pytest.raises(ValueError):
@@ -256,3 +259,44 @@ class TestMixtureConv:
         atoms = AtomList(atoms=(), residual=(Fraction(1), Fraction(1)))
         with pytest.raises(ValueError):
             MixtureSpec(q1=Fraction(1, 2), q2=Fraction(1, 4), f1=nd3, f2=atoms)
+
+
+SRC = Path(conv.__file__).resolve().parent
+
+
+def _tailkit_imports(module: str) -> list[tuple[str, bool]]:
+    """Each tailkit module the source of tailkit.<module> imports, anywhere
+    in the file, and whether the import sits at the module's top level."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "tailkit":
+            names = [f"tailkit.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        found += [(name, node in tree.body) for name in names
+                  if name.startswith("tailkit.")]
+    return found
+
+
+class TestLayering:
+    def test_kernel_imports_piecewise_alone(self):
+        # the kernel reads piecewise functions, never a construction; the
+        # construction integrals live in probes, mixture and notched
+        text = (SRC / "convolution.py").read_text()
+        assert "TYPE_CHECKING" not in text
+        assert _tailkit_imports("convolution") == [("tailkit.piecewise", True)]
+
+    def test_mixture_does_not_run_the_kernel(self):
+        assert "tailkit.convolution" not in {
+            name for name, _ in _tailkit_imports("mixture")}
+
+    def test_no_module_reads_a_private_kernel_name(self):
+        hits = [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py"))
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if re.search(r"conv\._", line)]
+        assert hits == []

@@ -101,11 +101,10 @@ class TestAtomList:
     def test_local_conv_beats_slackened_bound(self, nd3):
         # the full window mass at the first scheduled knot clears 0.9x the
         # symbolic lower bound even with both mixture weights at 1/2
-        from tailkit import convolution as conv
-        from tailkit import notched
+        from tailkit import notched, probes
         sch = mx.build_schedule(6)
         mix = mx.mixture_from_schedule(sch, nd3)
         b = notched.knot_position("b", sch.entries[0].n_m)
-        value = conv.mixture_local_conv(mix, b, 1)
+        value = probes.mixture_local_conv(mix, b, 1)
         f_b = nd3.density().eval(b)
         assert value / f_b >= Fraction(9, 10) * sch.entries[0].lower_bound

@@ -203,7 +203,7 @@ class TestI2Bound:
         cuts = [notched.a_position(notched.m_of(n)) for n in (5, 8)]
         assert walks == [(cut, x - cut) for cut, x in zip(cuts, xs)]
         for n, x, row in zip((5, 8), xs, rows):
-            assert row.value == conv_mod.split_integrals(nd10.dense, n, x)[1]
+            assert row.value == probes.split_integrals(nd10.dense, n, x)[1]
 
     @pytest.mark.parametrize("n, x, message", [
         (10, notched.a_position(10), "is not inside block 10"),
@@ -215,7 +215,7 @@ class TestI2Bound:
         with pytest.raises(ValueError, match=re.escape(message)):
             probes.i2_bound_check(nd10, n)
         with pytest.raises(ValueError, match=re.escape(message)):
-            conv_mod.split_integrals(nd10.dense, n, x)
+            probes.split_integrals(nd10.dense, n, x)
 
 
 class TestShiftInsensitivity:
@@ -282,7 +282,7 @@ class TestRendering:
 
     def test_csv_layout(self):
         rows = [probes.ProbeRow("demo", "x1", Fraction(1, 2),
-                                {"note": "hi"}, False),
+                                {"note": "hi"}),
                 probes.ProbeRow("demo", "x2", 10 ** 5000, {"n": 10 ** 5000})]
         text = probes.render_csv(rows)
         lines = text.splitlines()
@@ -293,9 +293,11 @@ class TestRendering:
         assert lines[2] == f'demo,x2,{digits},"{{""n"":{digits}}}",0'
 
     def test_csv_flag_column(self):
-        row = probes.ProbeRow("demo", "x", LogValue(Fraction(2)),
-                              {}, True)
-        assert probes.render_csv([row]).splitlines()[1].endswith(",1")
+        # no row has a precision verdict: the column is a constant 0
+        rows = [probes.ProbeRow("demo", "x", LogValue(Fraction(2))),
+                probes.ProbeRow("demo", "y", Fraction(1, 3), {"k": 1})]
+        assert [line.rsplit(",", 1)[1]
+                for line in probes.render_csv(rows).splitlines()[1:]] == ["0", "0"]
 
     @given(st.fractions(max_denominator=10 ** 6))
     @settings(max_examples=200, deadline=None)
