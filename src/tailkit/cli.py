@@ -6,14 +6,14 @@ given the same configuration, and exit codes are stable:
 
     0 success, 1 check failure, 2 usage, 3 precision failure, 4 I/O.
 
-Three tables define the surface.  :data:`OPTIONS` gives each option's
+Four tables define the surface.  :data:`OPTIONS` gives each option's
 name, default, parser and help; an option is set by a flag (its name with
 ``-`` for ``_``), a ``key = value`` line of a config file (``--config``) or
 a ``key=value`` argument, in rising precedence.  ``_COMMANDS`` gives each
 command's help, positional arguments and the options it reads; a command
-takes no other option.  ``probes.PROBES`` gives each probe's constructions,
-parameters and row builder; only ``probe`` and ``report`` read it.
-Anything a command does not read is rejected before it runs.
+takes no other option.  :data:`READS` gives each construction the options
+a run of it reads, and ``probes.PROBES`` each probe's constructions,
+parameters and row builder.  Anything a run does not read is rejected.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from tailkit.errors import PrecisionFailure, UsageError
-from tailkit.numerics import DEFAULT_PRECISION, DENSE_LIMIT, MIN_PRECISION, _rational
+from tailkit.numerics import (DEFAULT_PRECISION, DENSE_LIMIT, MIN_PRECISION,
+                              _int_range, _rational)
 
 
 def _lazy(name: str):
@@ -61,20 +62,6 @@ piecewise = _lazy("piecewise")
 probes = _lazy("probes")
 render = _lazy("render")
 
-CONSTRUCTIONS = ("notched", "logperiodic", "mixture")
-
-
-def _int_range(key: str, lo: int, hi: int):
-    """A parser of the integer option key; a value outside lo..hi is
-    refused, naming the range."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if not lo <= value <= hi:
-            raise UsageError(f"bad value for {key}: {text!r} "
-                             f"({key} takes {lo}..{hi})")
-        return value
-    return parse
-
 
 # the largest truncation the notched build makes: block n reaches a_{n+1},
 # which must lie within the dense limit
@@ -86,20 +73,27 @@ _N_MAX = DENSE_LIMIT - 1
 _PRECISION_MAX = 6144
 
 
+# construction -> the options a run of it reads besides construction and
+# out; build reads them all but d, and takes no piecewise file
+READS = {"notched": ("n", "precision_bits", "d"),
+         "logperiodic": ("delta",),
+         "mixture": ("m_max", "precision_bits", "d"),
+         "file:<path>": ("n", "precision_bits", "d")}
+
 # option name -> default, parser, --help text
-_Option = namedtuple("_Option", "default parse help", defaults=(None,))
+_Option = namedtuple("_Option", "default parse help")
 
 OPTIONS = {
-    "construction": _Option("notched", str,
-                            "notched | logperiodic | mixture | file:<path>"),
+    "construction": _Option("notched", str, " | ".join(READS)),
     "n": _Option(10, _int_range("n", 1, _N_MAX),
                  f"truncation index of the notched construction, 1..{_N_MAX}"),
-    "m_max": _Option(6, int, "number of blow-up schedule atoms"),
+    # `report mixture` takes about 9 s at 24 atoms (20 s at 26) on that VM
+    "m_max": _Option(6, _int_range("m_max", 1, 24), "blow-up schedule atoms, 1..24"),
     "precision_bits": _Option(
         DEFAULT_PRECISION,
         _int_range("precision_bits", MIN_PRECISION, _PRECISION_MAX),
         f"bits of every snapped constant, {MIN_PRECISION}..{_PRECISION_MAX}"),
-    "delta": _Option(Fraction(1, 4), _rational),
+    "delta": _Option(Fraction(1, 4), _rational, "amplitude of the exponent, in (0, 1/2)"),
     "d": _Option(Fraction(1), _rational, "window width"),
     "out": _Option(None, str, "output path"),
 }
@@ -117,9 +111,6 @@ class RunConfig:
         self.params = {} if params is None else params
         self._notched: Optional[notched.NotchedDensity] = None
 
-    def lp_params(self) -> lp.LogPeriodicParams:
-        return lp.LogPeriodicParams(delta=self.delta)
-
     def notched_density(self) -> notched.NotchedDensity:
         """The notched build at (n, precision_bits), made once per run."""
         if self._notched is None:
@@ -127,12 +118,10 @@ class RunConfig:
         return self._notched
 
     def density(self) -> piecewise.PiecewisePoly:
-        """The piecewise density the construction names: a file's, or the
-        notched build's."""
-        name = self.construction
-        if name.startswith("file:"):
-            return piecewise.load_text(_read(name[5:]))
-        return self.notched_density().density()
+        """The piecewise density the construction names: notched, or a file's."""
+        if self.construction == "notched":
+            return self.notched_density().density()
+        return piecewise.load_text(_read(self.construction.removeprefix("file:")))
 
 
 def _flag(name: str) -> str:
@@ -228,7 +217,7 @@ def _cmd_build(config: RunConfig) -> int:
         files = {"notched.knots": piecewise.dump_lines(nd.dense),
                  "notched.meta": (meta,)}
     elif config.construction == "logperiodic":
-        params = config.lp_params()
+        params = lp.LogPeriodicParams(config.delta)
         norm = lp.normalizers(params)
         meta = _meta_text([
             ("construction", "logperiodic"),
@@ -242,7 +231,7 @@ def _cmd_build(config: RunConfig) -> int:
             ("b_err", render.decimal_str(norm.b_err)),
         ])
         files = {"logperiodic.meta": (meta,)}
-    elif config.construction == "mixture":
+    else:  # mixture: _config_from_args took no other name
         sch = mx.build_schedule(config.m_max, config.precision_bits)
         lines = mx.schedule_csv_lines(sch)
         meta = _meta_text([
@@ -254,9 +243,6 @@ def _cmd_build(config: RunConfig) -> int:
         ])
         files = {"mixture_schedule.csv": ("\n".join(lines) + "\n",),
                  "mixture.meta": (meta,)}
-    else:
-        raise UsageError(f"unknown construction {config.construction!r}; "
-                         f"build takes one of {', '.join(CONSTRUCTIONS)}")
     out_dir = Path(config.out or "tailkit-out")
     for name, chunks in files.items():
         _write(str(out_dir / name), chunks)
@@ -275,28 +261,15 @@ def _run_probes(config: RunConfig, selected: list[probes.Probe], what: str) -> i
     for p in selected:
         args: dict = {}
         for key, (parse, default) in p.params.items():
-            text = (config.params[key] if key in config.params
-                    else default.format(n=config.n, half=max(1, config.n // 2), **args))
+            text = config.params.get(key, default)
+            if key not in config.params and "{" in default:  # names n or a parameter
+                text = default.format(n=config.n, half=max(1, config.n // 2), **args)
             args[key] = _parse(key, parse, text, config)
         parsed.append((p, args))
     rows = [r for p, args in parsed
             for r in p.rows(partial(probes.ProbeRow, p.name), config, args)]
     _write(config.out, (probes.render_csv(rows),))
     return 0
-
-
-def _cmd_probe(config: RunConfig, probe_name: str) -> int:
-    probe = probes._find_probe(probe_name, config.construction)
-    return _run_probes(config, [probe], f"probe {probe_name}")
-
-
-def _cmd_report(config: RunConfig) -> int:
-    name = config.construction
-    if name not in CONSTRUCTIONS:
-        raise UsageError(f"unknown construction {name!r}; "
-                         f"report takes one of {', '.join(CONSTRUCTIONS)}")
-    selected = [p for p in probes.PROBES if name in p.constructions]
-    return _run_probes(config, selected, f"report {name}")
 
 
 def _cmd_convolve(config: RunConfig, files: list[str]) -> int:
@@ -365,9 +338,11 @@ def _command_parser(argv: list[str]) -> tuple[str, argparse.ArgumentParser]:
     command = parser.parse_args(argv[:1]).command
     p = sub.choices[command]
     _, dest, text, reads = _COMMANDS[command]
+    takes = _constructions(command) if "construction" in reads else []
     for key in reads:
-        p.add_argument(_flag(key), dest=key, default=None,
-                       help=OPTIONS[key].help)
+        readers = ", ".join(c for c in takes if key in READS[c])
+        p.add_argument(_flag(key), dest=key, default=None, help=OPTIONS[key].help
+                       + (f"; read by {readers}" if readers else ""))
     p.add_argument("--config", default=None, help="flat key = value file")
     if dest:
         p.add_argument(dest, nargs="*", help=text)
@@ -377,8 +352,13 @@ def _command_parser(argv: list[str]) -> tuple[str, argparse.ArgumentParser]:
     return command, p
 
 
-def _config_from_args(args) -> tuple[RunConfig, list[str]]:
-    """Config file, then positional arguments, then flags; later sources win."""
+def _constructions(command: str) -> list[str]:
+    """The READS rows command takes: probe all, build and report no file."""
+    return [c for c in READS if command == "probe" or not c.startswith("file:")]
+
+
+def _config_from_args(args) -> tuple[RunConfig, Optional[probes.Probe]]:
+    """A run's options and probe; an option its construction does not read is refused."""
     *_, allowed = _COMMANDS[args.command]
     values = _parse_config_file(args.config, allowed) if args.config else {}
     positional = list(getattr(args, "positional", []))
@@ -398,7 +378,25 @@ def _config_from_args(args) -> tuple[RunConfig, list[str]]:
         text = getattr(args, key)
         if text is not None:
             values[key] = _parse(key, OPTIONS[key].parse, text)
-    return RunConfig(**values, params=params), names
+    config, probe = RunConfig(**values, params=params), None
+    if "construction" not in allowed:
+        return config, probe
+    name, takes = config.construction, _constructions(args.command)
+    kind = "file:<path>" if name.startswith("file:") else name
+    if args.command == "probe":
+        if len(names) != 2:
+            raise UsageError("probe needs a construction and a probe name, "
+                             "e.g. 'tailkit probe notched knot_ratio_series'")
+        probe = probes._find_probe(names[1], kind)
+    elif len(names) > 1:
+        raise UsageError(f"{args.command} takes one construction name, got {names}")
+    elif kind not in takes:
+        raise UsageError(f"unknown construction {name!r}; "
+                         f"{args.command} takes one of {', '.join(takes)}")
+    unread = sorted(set(values) - {"construction", "out", *READS[kind]})
+    if unread:
+        raise UsageError(f"the {kind} construction does not read {', '.join(unread)}")
+    return config, probe
 
 
 def run(argv=None) -> int:
@@ -409,19 +407,16 @@ def run(argv=None) -> int:
     command, parser = _command_parser(argv)
     args = parser.parse_intermixed_args(argv[1:])
     args.command = command
-    config, names = _config_from_args(args)
-    if args.command == "probe":
-        if len(names) != 2:
-            raise UsageError("probe needs a construction and a probe name, "
-                             "e.g. 'tailkit probe notched knot_ratio_series'")
-        return _cmd_probe(config, names[1])
-    if len(names) > 1:
-        raise UsageError(f"{args.command} takes one construction name, got {names}")
-    if args.command == "build":
+    config, probe = _config_from_args(args)
+    if command == "build":
         return _cmd_build(config)
-    if args.command == "report":
-        return _cmd_report(config)
-    if args.command == "convolve":
+    if command == "probe":
+        return _run_probes(config, [probe], f"probe {probe.name}")
+    if command == "report":
+        name = config.construction
+        return _run_probes(config, [p for p in probes.PROBES if name in p.constructions],
+                           f"report {name}")
+    if command == "convolve":
         return _cmd_convolve(config, args.files)
     return _cmd_verify(config)
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from tailkit.errors import PrecisionFailure
+from tailkit.errors import PrecisionFailure, UsageError
 
 if TYPE_CHECKING:
     from mpmath import mpf
@@ -64,6 +64,17 @@ def _rational(text: str, config=None) -> Fraction:
     if exponent and abs(int(exponent)) > _MAX_EXPONENT:
         raise ValueError(f"exponent beyond +-{_MAX_EXPONENT}")
     return Fraction(text)
+
+
+def _int_range(key: str, lo: int, hi: int):
+    """A parser of the integer key, refusing a value outside its ``bounds``,
+    lo..hi; it takes ``config`` as :func:`_rational` does."""
+    def parse(text: str, config=None) -> int:
+        if not lo <= (value := int(text)) <= hi:
+            raise UsageError(f"bad value for {key}: {text!r} ({key} takes {lo}..{hi})")
+        return value
+    parse.bounds = f"{lo}..{hi}"
+    return parse
 
 
 def _check_precision(precision_bits: int) -> None:

@@ -15,11 +15,11 @@ the notched self-convolution and the mixture's ``mixture_local_conv``.
 
 :data:`PROBES` is the catalogue behind ``tailkit probe`` and ``tailkit
 report``: each probe's constructions, parameters and row builder.  A row
-builder reads the run's options from ``config``, a duck type with the
-attributes ``n``, ``d``, ``m_max`` and ``precision_bits`` and the methods
-``density()`` (the piecewise density the construction names),
-``notched_density()`` and ``lp_params()``; ``cli.RunConfig`` is the one the
-CLI passes.  Only ``probe``, ``report`` and ``verify`` run this module.
+builder reads from ``config`` only the options that ``cli.READS`` gives its
+construction, of the attributes ``n``, ``d``, ``m_max``, ``delta`` and
+``precision_bits``, and the methods ``density()`` (the piecewise density
+the construction names) and ``notched_density()``; ``cli.RunConfig`` is the
+one the CLI passes.  Only ``probe``, ``report`` and ``verify`` run this module.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import json
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 from tailkit import convolution as conv
@@ -35,8 +36,8 @@ from tailkit import logperiodic as lp
 from tailkit import mixture as mx
 from tailkit import notched
 from tailkit.errors import UsageError
-from tailkit.numerics import (DEFAULT_PRECISION, LogValue, _rational, _snap_raw,
-                              log_nat)
+from tailkit.numerics import (DEFAULT_PRECISION, LogValue, _int_range, _rational,
+                              _snap_raw, log_nat)
 from tailkit.piecewise import PiecewisePoly, _fmt
 from tailkit.render import decimal_str, int_str, value_str
 
@@ -318,11 +319,11 @@ def _ints(text: str, config) -> list[int]:
     return [int(item) for item in text.split(",")]
 
 
-def _points(text: str, config) -> list[tuple[str, Fraction]]:
-    """Abscissas: decimal strings or knot labels like 'c10'."""
+def _points(text: str, config, knots: bool = True) -> list[tuple[str, Fraction]]:
+    """Abscissas: decimal strings or, if knots, knot labels like 'c10'."""
     points = []
     for label in (item.strip() for item in text.split(",")):
-        if label[:1] in notched.KNOT_KINDS and label[1:].isdigit():
+        if knots and label[:1] in notched.KNOT_KINDS and label[1:].isdigit():
             points.append((label, notched.knot_position(
                 label[0], int(label[1:]), config.precision_bits)))
         elif label:
@@ -373,7 +374,8 @@ def _piecewise_scan(row, config, args):
 
 
 def _logperiodic_scan(row, config, args):
-    return logperiodic_scan(config.lp_params(), args["k_max"], f"k<={args['k_max']}")
+    k_max = args["k_max"]
+    return logperiodic_scan(lp.LogPeriodicParams(config.delta), k_max, f"k<={k_max}")
 
 
 def _i2_bound_check(row, config, args):
@@ -396,17 +398,17 @@ def _split_integrals(row, config, args):
 
 
 def _chi(row, config, args):
-    p = config.lp_params()
+    p = lp.LogPeriodicParams(config.delta)
     return [row(label, lp.chi(x, p)) for label, x in args["x"]]
 
 
 def _karamata_ratio(row, config, args):
-    p = config.lp_params()
+    p = lp.LogPeriodicParams(config.delta)
     return [row(label, lp.karamata_ratio(x, p)) for label, x in args["x"]]
 
 
 def _middle_integral(row, config, args):
-    p, h_exp = config.lp_params(), args["h_exp"]
+    p, h_exp = lp.LogPeriodicParams(config.delta), args["h_exp"]
     return [row(f"k{k}", lp.middle_mass_ratio(lp.anchor(k), p, h_exp),
                 {"h_exp": h_exp})
             for k in args["k_list"]]
@@ -434,9 +436,10 @@ Probe = namedtuple("Probe", "name constructions params rows")
 # A name may appear once per construction (almost_decrease_scan reads a
 # piecewise density and the log-periodic one differently).
 PROBES = (
-    Probe("knot_ratio_series", ("notched",), {"n_max": (_int, "40")},
-          _knot_ratio_series),
-    Probe("knot_scan", ("notched",), {"n_max": (_int, "40")}, _knot_scan),
+    Probe("knot_ratio_series", ("notched",),
+          {"n_max": (_int_range("n_max", 2, 150_000), "40")}, _knot_ratio_series),
+    Probe("knot_scan", ("notched",),
+          {"n_max": (_int_range("n_max", 1, 70_000), "40")}, _knot_scan),
     Probe("long_tail_ratio", PIECEWISE,
           {"x": (_points, "c{n}"), "t": (_rational, "1")}, _long_tail_ratio),
     Probe("subexp_ratio", PIECEWISE, {"x": (_points, "c{n}")}, _subexp_ratio),
@@ -448,11 +451,11 @@ PROBES = (
           _i2_bound_check),
     Probe("split_integrals", ("notched",),
           {"block": (_int, "{n}"), "x": (_points, "c{block}")}, _split_integrals),
-    Probe("chi", ("logperiodic",), {"x": (_points, "1")}, _chi),
+    Probe("chi", ("logperiodic",), {"x": (partial(_points, knots=False), "1")}, _chi),
     Probe("almost_decrease_scan", ("logperiodic",), {"k_max": (_int, "8")},
           _logperiodic_scan),
-    Probe("karamata_ratio", ("logperiodic",), {"x": (_points, "100,10000")},
-          _karamata_ratio),
+    Probe("karamata_ratio", ("logperiodic",),
+          {"x": (partial(_points, knots=False), "100,10000")}, _karamata_ratio),
     Probe("middle_integral", ("logperiodic",),
           {"h_exp": (_rational, "3/10"), "k_list": (_ints, "3,4,5,6")},
           _middle_integral),
@@ -462,10 +465,12 @@ PROBES = (
 
 
 def _probe_help() -> str:
-    lines = ["probes (constructions: parameter=default; {n} is the option n, "
-             "{half} is max(1, n // 2)):"]
+    lines = ["probes (constructions: parameter=default (range); {n} is the "
+             "option n, {half} is max(1, n // 2)):"]
     for p in PROBES:
-        params = "".join(f" {k}={default}" for k, (_, default) in p.params.items())
+        params = "".join(
+            f" {k}={default}" + (f" ({parse.bounds})" if hasattr(parse, "bounds") else "")
+            for k, (parse, default) in p.params.items())
         lines.append(f"  {p.name:<22}{', '.join(p.constructions)}:{params}")
     return "\n".join(lines)
 
@@ -475,9 +480,8 @@ def _find_probe(name: str, construction: str) -> Probe:
     if not named:
         valid = ", ".join(dict.fromkeys(p.name for p in PROBES))
         raise UsageError(f"unknown probe {name!r}; valid probes: {valid}")
-    kind = "file:<path>" if construction.startswith("file:") else construction
     for p in named:
-        if kind in p.constructions:
+        if construction in p.constructions:
             return p
     accepted = ", ".join(c for p in named for c in p.constructions)
     raise UsageError(f"probe {name} takes the construction {accepted}, "

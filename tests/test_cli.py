@@ -154,6 +154,161 @@ class TestConfig:
         assert "run.cfg:2" in capsys.readouterr().err
 
 
+class RecordingConfig(cli.RunConfig):
+    """A RunConfig that records the name of each option attribute read."""
+
+    def __init__(self, **values):
+        object.__setattr__(self, "read", set())
+        super().__init__(**values)
+
+    def __getattribute__(self, name):
+        if name in cli.OPTIONS:
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+# a value for each option a construction may not read, and a probe of each
+# construction with the parameters it needs
+UNREAD_VALUES = {"n": "5", "m_max": "3", "precision_bits": "64", "delta": "1/8",
+                 "d": "2"}
+PROBE_OF = {"notched": ["knot_scan"], "logperiodic": ["chi"],
+            "mixture": ["blowup"], "file:<path>": ["long_tail_ratio", "x=1"]}
+# (command, construction, option): each option a command takes and a
+# construction it takes does not read
+UNREAD = [(command, kind, key)
+          for command in ("build", "probe", "report")
+          for kind in cli._constructions(command)
+          for key in cli._COMMANDS[command][-1]
+          if key not in ("construction", "out", *cli.READS[kind])]
+
+
+class TestConstructionReads:
+    """cli.READS against the code: what each construction's runs read, and
+    the refusal of every other option."""
+
+    @pytest.mark.parametrize("kind", sorted(cli.READS))
+    def test_runs_read_exactly_the_row(self, kind, tmp_path):
+        # build and every probe of the construction at their defaults; a
+        # file is the notched build's knots, so that c{n} lies in its support
+        assert run_cli("build", "notched", "--out", str(tmp_path)) == 0
+        name = kind.replace("<path>", str(tmp_path / "notched.knots"))
+        row, read = set(cli.READS[kind]), set()
+        if kind in cli._constructions("build"):
+            config = RecordingConfig(construction=name, out=str(tmp_path / kind))
+            assert cli._cmd_build(config) == 0
+            assert config.read - {"construction", "out"} <= row - {"d"}
+            read |= config.read
+        for probe in (p for p in probes.PROBES if kind in p.constructions):
+            config = RecordingConfig(construction=name, out=str(tmp_path / "o.csv"))
+            assert cli._run_probes(config, [probe], probe.name) == 0
+            assert config.read - {"construction", "out"} <= row, probe.name
+            read |= config.read
+        assert read - {"construction", "out"} == row
+
+    def test_count_of_refused_combinations(self):
+        # each of these parsed and changed nothing before the table
+        counts = {c: sum(u[0] == c for u in UNREAD) for c in ("build", "probe", "report")}
+        assert counts == {"build": 7, "probe": 10, "report": 8}
+
+    @pytest.mark.parametrize("source", ["flag", "config", "key"])
+    @pytest.mark.parametrize("command, kind, key", UNREAD,
+                             ids=["-".join(u).replace(":<path>", "") for u in UNREAD])
+    def test_an_option_the_construction_does_not_read_is_refused(
+            self, command, kind, key, source, tmp_path, capsys):
+        tri, cfg, out = tmp_path / "tri.pw", tmp_path / "run.cfg", tmp_path / "out"
+        tri.write_text("knot 0 0\nknot 1 1\nknot 2 0\n")
+        value = UNREAD_VALUES[key]
+        cfg.write_text(f"{key} = {value}\n")
+        given = {"flag": [cli._flag(key), value], "config": ["--config", str(cfg)],
+                 "key": [f"{key}={value}"]}[source]
+        argv = [command, kind.replace("<path>", str(tri)),
+                *(PROBE_OF[kind] if command == "probe" else [])]
+        assert run_cli(*argv, *given, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: the {kind} construction does not read {key}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("build", "--n N truncation index of the notched construction, 1..63; "
+                  "read by notched"),
+        ("probe", "--n N truncation index of the notched construction, 1..63; "
+                  "read by notched, file:<path>"),
+        ("report", "--d D window width; read by notched, mixture"),
+        ("verify", "--precision-bits PRECISION_BITS bits of every snapped "
+                   "constant, 32..6144 --out"),
+    ])
+    def test_help_names_the_constructions_that_read_each_option(
+            self, command, line, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        assert line in text
+        if command == "verify":  # it takes no construction
+            return
+        for key in cli._COMMANDS[command][-1]:
+            readers = [c for c in cli._constructions(command) if key in cli.READS[c]]
+            if readers:
+                assert f"{cli.OPTIONS[key].help}; read by {', '.join(readers)}" in text
+
+    @pytest.mark.parametrize("source", ["flag", "key", "config"])
+    @pytest.mark.parametrize("value", ["0", "25", "100000"])
+    def test_m_max_outside_its_range_is_refused(self, value, source, tmp_path,
+                                                capsys):
+        # report mixture, which builds the schedule twice, takes about 9 s
+        # at 24 atoms
+        out, cfg = tmp_path / "out", tmp_path / "run.cfg"
+        cfg.write_text(f"m_max = {value}\n")
+        given = {"flag": ["--m-max", value], "key": [f"m_max={value}"],
+                 "config": ["--config", str(cfg)]}[source]
+        assert run_cli("report", "mixture", *given, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"bad value for m_max: {value!r} (m_max takes 1..24)" in err
+        assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("probe, value, bounds", [
+        ("knot_ratio_series", "1", "2..150000"),
+        ("knot_ratio_series", "150001", "2..150000"),
+        ("knot_scan", "0", "1..70000"),
+        ("knot_scan", "70001", "1..70000"),
+        ("knot_scan", "9" * 40, "1..70000"),
+    ])
+    def test_n_max_outside_its_range_is_refused(self, probe, value, bounds,
+                                                tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("probe", "notched", probe, f"n_max={value}",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: bad value for n_max: {value!r} (n_max takes {bounds})\n"
+        assert not out.exists()
+
+    def test_counts_in_range_run(self, capsys):
+        assert run_cli("probe", "mixture", "schedule", "--m-max", "1") == 0
+        assert run_cli("probe", "notched", "knot_ratio_series", "n_max=2") == 0
+        assert run_cli("probe", "notched", "knot_scan", "n_max=1") == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+
+    def test_help_states_the_count_ranges(self, capsys):
+        for command in ("build", "probe", "report"):
+            with pytest.raises(SystemExit):
+                run_cli(command, "--help")
+            assert "schedule atoms, 1..24" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            run_cli("probe", "--help")
+        listing = capsys.readouterr().out
+        assert "notched: n_max=40 (2..150000)" in listing
+        assert "notched: n_max=40 (1..70000)" in listing
+
+    @pytest.mark.parametrize("probe", ["chi", "karamata_ratio"])
+    def test_logperiodic_abscissas_are_not_knot_labels(self, probe, tmp_path,
+                                                       capsys):
+        # a label such as c3 is a knot of the notched construction, whose
+        # position reads precision_bits
+        out = tmp_path / "out"
+        assert run_cli("probe", "logperiodic", probe, "x=c3", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "usage error: bad value for x: 'c3'\n"
+        assert not out.exists()
+
+
 class TestProbeCommand:
     def test_knot_ratio_series(self, tmp_path, capsys):
         out = tmp_path / "series.csv"
@@ -818,7 +973,8 @@ class TestConfigFuzz:
 # flags known and unknown, key=value pairs and junk, in any order.  "@knots"
 # stands for a knot file the test writes.  verify and logperiodic are left
 # out, as a valid run of either takes about half a second; no drawn number
-# exceeds 6, as a count such as n_max has no upper bound.
+# exceeds 6, as a count such as n_max may ask for seconds of work within its
+# range, and k_max has no upper bound.
 _ARGV_JUNK = st.one_of(
     st.sampled_from(["", "-", "--", "=", "1/0", "-1", "nan", "c", "file:",
                      "file:nope", "notch"]),
