@@ -226,13 +226,19 @@ def _check_long_tail(ctx: _Context):
 
 # Oracle-pinned threshold for the subexponential trend: the exact engine
 # measured |ratio - 1| ~= 2^-251, 2^-671, 2^-1291 at c15, c25, c35, so the
-# frozen bound 2^-1024 keeps a ~2^267 margin at c35 while staying far below
-# the coarse 0.1 expectation.
+# frozen bound 2^-1024 keeps a ~2^267 margin at c35, and at c35 only.  The
+# c knots are each block's least deviations: on the same N=35 density the
+# log2 deviation is -1012 at a35 and -1022 at b35, both above the pin.
 _SUBEXP_PIN = Fraction(1, 1 << 1024)
 
 
 def _check_subexp_trend(ctx: _Context):
-    """Self-convolution ratio drifts to 1 along c_15, c_25, c_35."""
+    """Self-convolution ratio drifts to 1 along c_15, c_25, c_35.
+
+    The pin 2^-1024 holds at these c knots, where each block's deviation is
+    least (about 2^-1291 at c35), with a ~2^267 margin; it is not a bound
+    on the block: at a35 and b35 the deviation is about 2^-1012 and 2^-1022.
+    """
     f = ctx.normalized(35)
     pb = ctx.precision_bits
     devs = []

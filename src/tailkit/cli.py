@@ -10,10 +10,10 @@ Four tables define the surface.  :data:`OPTIONS` gives each option's
 name, default, parser and help; an option is set by a flag (its name with
 ``-`` for ``_``), a ``key = value`` line of a config file (``--config``) or
 a ``key=value`` argument, in rising precedence.  ``_COMMANDS`` gives each
-command's help, positional arguments and the options it reads; a command
-takes no other option.  :data:`READS` gives each construction the options
-a run of it reads, and ``probes.PROBES`` each probe's constructions,
-parameters and row builder.  Anything a run does not read is rejected.
+command's help and positional arguments.  ``_BUILDS`` gives each
+construction its build's reads and builder, and ``probes.PROBES`` each
+probe's constructions, reads, parameters and row builder; a report reads
+what its probes read.  A run refuses an option it does not read.
 """
 
 from __future__ import annotations
@@ -73,18 +73,11 @@ _N_MAX = DENSE_LIMIT - 1
 _PRECISION_MAX = 6144
 
 
-# construction -> the options a run of it reads besides construction and
-# out; build reads them all but d, and takes no piecewise file
-READS = {"notched": ("n", "precision_bits", "d"),
-         "logperiodic": ("delta",),
-         "mixture": ("m_max", "precision_bits", "d"),
-         "file:<path>": ("n", "precision_bits", "d")}
-
-# option name -> default, parser, --help text
+# option name -> default, parser, --help text (construction's is per command)
 _Option = namedtuple("_Option", "default parse help")
 
 OPTIONS = {
-    "construction": _Option("notched", str, " | ".join(READS)),
+    "construction": _Option("notched", str, None),
     "n": _Option(10, _int_range("n", 1, _N_MAX),
                  f"truncation index of the notched construction, 1..{_N_MAX}"),
     # `report mixture` takes about 9 s at 24 atoms (20 s at 26) on that VM
@@ -192,11 +185,45 @@ def _write(path: Optional[str], chunks: Iterable[str]) -> None:
         out.writelines(chunks)
 
 
-def _meta_text(pairs: list[tuple[str, str]]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in pairs)
+def _meta(**values) -> tuple[str]:
+    """A .meta file as one chunk: a ``key = value`` line per value, in decimal."""
+    return ("".join(f"{k} = {v if isinstance(v, str) else render.decimal_str(v)}\n"
+                    for k, v in values.items()),)
 
 
 # ------------------------------ build ------------------------------
+
+def _build_notched(config: RunConfig) -> dict:
+    nd = config.notched_density()
+    return {"notched.knots": piecewise.dump_lines(nd.dense), "notched.meta": _meta(
+        construction="notched", n=nd.truncation_n, precision_bits=nd.precision_bits,
+        mass=nd.mass, dense_limit=notched.DENSE_LIMIT,
+        omitted_tail_bound=nd.omitted_tail_bound())}
+
+
+def _build_logperiodic(config: RunConfig) -> dict:
+    p = lp.LogPeriodicParams(config.delta)
+    norm = lp.normalizers(p)
+    # alpha, the tail rate, is a constant of the construction
+    return {"logperiodic.meta": _meta(
+        construction="logperiodic", alpha=1, delta=p.delta, quad_tol=lp.QUAD_TOL,
+        x_max=norm.x_max, a=norm.a, a_err=norm.a_err, b=norm.b, b_err=norm.b_err)}
+
+
+def _build_mixture(config: RunConfig) -> dict:
+    sch = mx.build_schedule(config.m_max, config.precision_bits)
+    return {"mixture_schedule.csv": ("\n".join(mx.schedule_csv_lines(sch)) + "\n",),
+            "mixture.meta": _meta(construction="mixture", m_max=sch.m_max,
+                                  precision_bits=sch.precision_bits, c=sch.c,
+                                  residual_mass=sch.residual_mass)}
+
+
+# construction -> the options its build reads besides construction and out,
+# and its builder; build and report take these, probe a piecewise file too
+_BUILDS = {"notched": (("n", "precision_bits"), _build_notched),
+           "logperiodic": (("delta",), _build_logperiodic),
+           "mixture": (("m_max", "precision_bits"), _build_mixture)}
+
 
 def _cmd_build(config: RunConfig) -> int:
     if config.params:
@@ -204,48 +231,8 @@ def _cmd_build(config: RunConfig) -> int:
                          "for build")
     # every value is computed before the directory is made, so a failed
     # build writes nothing; the knot file streams from its serializer
-    if config.construction == "notched":
-        nd = config.notched_density()
-        meta = _meta_text([
-            ("construction", "notched"),
-            ("n", str(nd.truncation_n)),
-            ("precision_bits", str(nd.precision_bits)),
-            ("mass", render.decimal_str(nd.mass)),
-            ("dense_limit", str(notched.DENSE_LIMIT)),
-            ("omitted_tail_bound", render.decimal_str(nd.omitted_tail_bound())),
-        ])
-        files = {"notched.knots": piecewise.dump_lines(nd.dense),
-                 "notched.meta": (meta,)}
-    elif config.construction == "logperiodic":
-        params = lp.LogPeriodicParams(config.delta)
-        norm = lp.normalizers(params)
-        meta = _meta_text([
-            ("construction", "logperiodic"),
-            ("alpha", "1"),     # the tail rate, a constant of the construction
-            ("delta", render.decimal_str(params.delta)),
-            ("quad_tol", render.decimal_str(lp.QUAD_TOL)),
-            ("x_max", render.decimal_str(norm.x_max)),
-            ("a", render.decimal_str(norm.a)),
-            ("a_err", render.decimal_str(norm.a_err)),
-            ("b", render.decimal_str(norm.b)),
-            ("b_err", render.decimal_str(norm.b_err)),
-        ])
-        files = {"logperiodic.meta": (meta,)}
-    else:  # mixture: _config_from_args took no other name
-        sch = mx.build_schedule(config.m_max, config.precision_bits)
-        lines = mx.schedule_csv_lines(sch)
-        meta = _meta_text([
-            ("construction", "mixture"),
-            ("m_max", str(sch.m_max)),
-            ("precision_bits", str(sch.precision_bits)),
-            ("c", render.decimal_str(sch.c)),
-            ("residual_mass", render.decimal_str(sch.residual_mass)),
-        ])
-        files = {"mixture_schedule.csv": ("\n".join(lines) + "\n",),
-                 "mixture.meta": (meta,)}
-    out_dir = Path(config.out or "tailkit-out")
-    for name, chunks in files.items():
-        _write(str(out_dir / name), chunks)
+    for name, chunks in _BUILDS[config.construction][1](config).items():
+        _write(str(Path(config.out or "tailkit-out") / name), chunks)
     return 0
 
 
@@ -302,22 +289,36 @@ def _cmd_verify(config: RunConfig) -> int:
 # ------------------------------- main -------------------------------
 
 # command -> its --help line, its positional arguments' name and help, and
-# the options it reads, in the order of OPTIONS
+# the options it reads, in the order of OPTIONS, or None if _options derives
+# them: construction, out and every option a run of the command reads
 _COMMANDS = {
     "build": ("materialize a construction",
-              "positional", "construction name and key=value overrides",
-              ("construction", "n", "m_max", "precision_bits", "delta", "out")),
+              "positional", "construction name and key=value overrides", None),
     "probe": ("run one probe, emit CSV",
-              "positional", "construction, probe name, key=value overrides",
-              tuple(OPTIONS)),
+              "positional", "construction, probe name, key=value overrides", None),
     "convolve": ("convolve piecewise files",
                  "files", "one or two piecewise files", ("out",)),
-    "verify": ("run the acceptance battery", None, None,
-               ("precision_bits", "out")),
+    "verify": ("run the acceptance battery", None, None, ("precision_bits", "out")),
     "report": ("full probe battery as CSV",
-               "positional", "construction and key=value overrides",
-               tuple(OPTIONS)),
+               "positional", "construction and key=value overrides", None),
 }
+
+
+def _options(command: str) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]]]:
+    """The options the command takes and, if it takes a construction, each
+    one it takes -> the options a run of it reads besides construction and
+    out: its build's, or its probes' union, in the order of OPTIONS."""
+    *_, options = _COMMANDS[command]
+    if options:
+        return options, {}
+    if command == "build":
+        reads = {c: read for c, (read, _) in _BUILDS.items()}
+    else:  # probe and report, the commands that read the catalogue
+        takes = [*_BUILDS, "file:<path>"] if command == "probe" else _BUILDS
+        reads = {c: tuple(k for k in OPTIONS if any(
+            c in p.constructions and k in p.reads for p in probes.PROBES)) for c in takes}
+    return tuple(k for k in OPTIONS if k in ("construction", "out")
+                 or any(k in read for read in reads.values())), reads
 
 
 def _command_parser(argv: list[str]) -> tuple[str, argparse.ArgumentParser]:
@@ -337,11 +338,12 @@ def _command_parser(argv: list[str]) -> tuple[str, argparse.ArgumentParser]:
         sub.add_parser(name, help=text, allow_abbrev=False)
     command = parser.parse_args(argv[:1]).command
     p = sub.choices[command]
-    _, dest, text, reads = _COMMANDS[command]
-    takes = _constructions(command) if "construction" in reads else []
-    for key in reads:
-        readers = ", ".join(c for c in takes if key in READS[c])
-        p.add_argument(_flag(key), dest=key, default=None, help=OPTIONS[key].help
+    _, dest, text, _ = _COMMANDS[command]
+    options, reads = _options(command)
+    for key in options:
+        readers = ", ".join(c for c, read in reads.items() if key in read)
+        p.add_argument(_flag(key), dest=key, default=None, help=" | ".join(reads)
+                       if key == "construction" else OPTIONS[key].help
                        + (f"; read by {readers}" if readers else ""))
     p.add_argument("--config", default=None, help="flat key = value file")
     if dest:
@@ -352,14 +354,9 @@ def _command_parser(argv: list[str]) -> tuple[str, argparse.ArgumentParser]:
     return command, p
 
 
-def _constructions(command: str) -> list[str]:
-    """The READS rows command takes: probe all, build and report no file."""
-    return [c for c in READS if command == "probe" or not c.startswith("file:")]
-
-
 def _config_from_args(args) -> tuple[RunConfig, Optional[probes.Probe]]:
-    """A run's options and probe; an option its construction does not read is refused."""
-    *_, allowed = _COMMANDS[args.command]
+    """A run's options and probe; an option the run does not read is refused."""
+    allowed, reads = _options(args.command)
     values = _parse_config_file(args.config, allowed) if args.config else {}
     positional = list(getattr(args, "positional", []))
     names = [p for p in positional if "=" not in p]
@@ -379,23 +376,25 @@ def _config_from_args(args) -> tuple[RunConfig, Optional[probes.Probe]]:
         if text is not None:
             values[key] = _parse(key, OPTIONS[key].parse, text)
     config, probe = RunConfig(**values, params=params), None
-    if "construction" not in allowed:
+    if not reads:
         return config, probe
-    name, takes = config.construction, _constructions(args.command)
+    name = config.construction
     kind = "file:<path>" if name.startswith("file:") else name
+    read, run = reads.get(kind), f"the {kind} construction"
     if args.command == "probe":
         if len(names) != 2:
             raise UsageError("probe needs a construction and a probe name, "
                              "e.g. 'tailkit probe notched knot_ratio_series'")
         probe = probes._find_probe(names[1], kind)
+        read, run = probe.reads, f"probe {probe.name} on {kind}"
     elif len(names) > 1:
         raise UsageError(f"{args.command} takes one construction name, got {names}")
-    elif kind not in takes:
+    elif read is None:
         raise UsageError(f"unknown construction {name!r}; "
-                         f"{args.command} takes one of {', '.join(takes)}")
-    unread = sorted(set(values) - {"construction", "out", *READS[kind]})
+                         f"{args.command} takes one of {', '.join(reads)}")
+    unread = sorted(set(values) - {"construction", "out", *read})
     if unread:
-        raise UsageError(f"the {kind} construction does not read {', '.join(unread)}")
+        raise UsageError(f"{run} does not read {', '.join(unread)}")
     return config, probe
 
 

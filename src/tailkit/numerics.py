@@ -66,14 +66,19 @@ def _rational(text: str, config=None) -> Fraction:
     return Fraction(text)
 
 
-def _int_range(key: str, lo: int, hi: int):
-    """A parser of the integer key, refusing a value outside its ``bounds``,
-    lo..hi; it takes ``config`` as :func:`_rational` does."""
+def _int_range(key: str, lo: int, hi: int, work_log2: int | None = None):
+    """A parser of the integer key, refusing a value outside its ``bounds``:
+    lo..hi and, given work_log2, key * precision_bits**2 <= 2**work_log2,
+    for a count of steps whose cost grows with the bits of the run's
+    ``config``.  It takes ``config`` as :func:`_rational` does."""
     def parse(text: str, config=None) -> int:
-        if not lo <= (value := int(text)) <= hi:
-            raise UsageError(f"bad value for {key}: {text!r} ({key} takes {lo}..{hi})")
+        top = hi if work_log2 is None else min(hi, (1 << work_log2) // config.precision_bits ** 2)
+        if not lo <= (value := int(text)) <= top:
+            at = "" if top == hi else f" at {config.precision_bits} bits"
+            raise UsageError(f"bad value for {key}: {text!r} ({key} takes {lo}..{top}{at})")
         return value
-    parse.bounds = f"{lo}..{hi}"
+    parse.bounds = f"{lo}..{hi}" + ("" if work_log2 is None else
+                                    f", {key}*precision_bits^2 <= 2^{work_log2}")
     return parse
 
 

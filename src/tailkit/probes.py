@@ -14,12 +14,14 @@ so that the kernel reads piecewise functions alone: ``split_integrals`` of
 the notched self-convolution and the mixture's ``mixture_local_conv``.
 
 :data:`PROBES` is the catalogue behind ``tailkit probe`` and ``tailkit
-report``: each probe's constructions, parameters and row builder.  A row
-builder reads from ``config`` only the options that ``cli.READS`` gives its
-construction, of the attributes ``n``, ``d``, ``m_max``, ``delta`` and
-``precision_bits``, and the methods ``density()`` (the piecewise density
-the construction names) and ``notched_density()``; ``cli.RunConfig`` is the
-one the CLI passes.  Only ``probe``, ``report`` and ``verify`` run this module.
+report``: each probe's constructions, the options it reads, its parameters
+and its row builder.  A row builder and its parameter parsers read from
+``config`` exactly the options its probe declares, of the attributes ``n``,
+``d``, ``m_max``, ``delta`` and ``precision_bits``, and the methods
+``density()`` (the piecewise density the construction names) and
+``notched_density()``; ``cli.RunConfig`` is the one the CLI passes, and it
+refuses any other option.  Only ``probe``, ``report`` and ``verify`` run
+this module.
 """
 
 from __future__ import annotations
@@ -315,8 +317,16 @@ def _int(text: str, config) -> int:
     return int(text)
 
 
-def _ints(text: str, config) -> list[int]:
-    return [int(item) for item in text.split(",")]
+def _ints(text: str, config, each=int) -> list[int]:
+    return [each(item) for item in text.split(",")]
+
+
+def _int_list(key: str, lo: int, hi: int):
+    """A parser of comma-separated integers, each in lo..hi."""
+    each = _int_range(key, lo, hi)
+    parse = partial(_ints, each=each)
+    parse.bounds = f"each {each.bounds}"
+    return parse
 
 
 def _points(text: str, config, knots: bool = True) -> list[tuple[str, Fraction]]:
@@ -411,7 +421,7 @@ def _middle_integral(row, config, args):
     p, h_exp = lp.LogPeriodicParams(config.delta), args["h_exp"]
     return [row(f"k{k}", lp.middle_mass_ratio(lp.anchor(k), p, h_exp),
                 {"h_exp": h_exp})
-            for k in args["k_list"]]
+            for k in dict.fromkeys(args["k_list"])]  # each anchor once, as first named
 
 
 def _schedule(row, config, args):
@@ -426,52 +436,66 @@ def _blowup(row, config, args):
                                 notched.build_density(4, pb), config.d)
 
 
-# params maps each parameter to (parser, default); a default may name the
-# option n as {n}, max(1, n // 2) as {half} and an earlier parameter as
-# {its name}.  rows is the row builder.
-Probe = namedtuple("Probe", "name constructions params rows")
+# reads names the options the rows read: the notched density reads n and
+# precision_bits, a knot label precision_bits and a default that names {n}
+# or {half} n.  params maps each parameter to (parser, default); a default
+# may name the option n as {n}, max(1, n // 2) as {half} and an earlier
+# parameter as {its name}.  rows is the row builder.
+Probe = namedtuple("Probe", "name constructions reads params rows")
 
+_BUILT = ("n", "precision_bits")
+_DELTA = ("delta",)
 
 # `report <construction>` runs the probes that describe it, in this order.
-# A name may appear once per construction (almost_decrease_scan reads a
-# piecewise density and the log-periodic one differently).
+# A name may appear once per construction (almost_decrease_scan reads the
+# notched build, a file and the log-periodic density differently).
+#
+# Each count's range bounds the run to about 10 s on a 2-vCPU VM.  A step of
+# n_max costs about precision_bits**2 (mpmath's logarithm turns to the AGM
+# past 2,500 bits), so the range also caps n_max * precision_bits**2: at
+# 6,144 bits knot_scan takes 1..455.  k_max and each anchor of k_list were
+# measured at delta = 1/32, 1/4 and 3/8; a list names each anchor once.
 PROBES = (
-    Probe("knot_ratio_series", ("notched",),
-          {"n_max": (_int_range("n_max", 2, 150_000), "40")}, _knot_ratio_series),
-    Probe("knot_scan", ("notched",),
-          {"n_max": (_int_range("n_max", 1, 70_000), "40")}, _knot_scan),
-    Probe("long_tail_ratio", PIECEWISE,
+    Probe("knot_ratio_series", ("notched",), ("precision_bits",),
+          {"n_max": (_int_range("n_max", 2, 150_000, 35), "40")}, _knot_ratio_series),
+    Probe("knot_scan", ("notched",), ("precision_bits",),
+          {"n_max": (_int_range("n_max", 1, 70_000, 34), "40")}, _knot_scan),
+    Probe("long_tail_ratio", PIECEWISE, _BUILT,
           {"x": (_points, "c{n}"), "t": (_rational, "1")}, _long_tail_ratio),
-    Probe("subexp_ratio", PIECEWISE, {"x": (_points, "c{n}")}, _subexp_ratio),
-    Probe("local_tail_ratio", PIECEWISE, {"x": (_points, "c{n}")},
+    Probe("subexp_ratio", PIECEWISE, _BUILT, {"x": (_points, "c{n}")}, _subexp_ratio),
+    Probe("local_tail_ratio", PIECEWISE, (*_BUILT, "d"), {"x": (_points, "c{n}")},
           _local_tail_ratio),
-    Probe("almost_decrease_scan", PIECEWISE, {"x0": (_rational, "0")},
+    Probe("almost_decrease_scan", ("notched",), _BUILT, {"x0": (_rational, "0")},
           _piecewise_scan),
-    Probe("i2_bound_check", ("notched",), {"n_list": (_ints, "{half},{n}")},
+    Probe("almost_decrease_scan", ("file:<path>",), (), {"x0": (_rational, "0")},
+          _piecewise_scan),
+    Probe("i2_bound_check", ("notched",), _BUILT, {"n_list": (_ints, "{half},{n}")},
           _i2_bound_check),
-    Probe("split_integrals", ("notched",),
+    Probe("split_integrals", ("notched",), _BUILT,
           {"block": (_int, "{n}"), "x": (_points, "c{block}")}, _split_integrals),
-    Probe("chi", ("logperiodic",), {"x": (partial(_points, knots=False), "1")}, _chi),
-    Probe("almost_decrease_scan", ("logperiodic",), {"k_max": (_int, "8")},
-          _logperiodic_scan),
-    Probe("karamata_ratio", ("logperiodic",),
+    Probe("chi", ("logperiodic",), _DELTA,
+          {"x": (partial(_points, knots=False), "1")}, _chi),
+    Probe("almost_decrease_scan", ("logperiodic",), _DELTA,
+          {"k_max": (_int_range("k_max", 1, 2500), "8")}, _logperiodic_scan),
+    Probe("karamata_ratio", ("logperiodic",), _DELTA,
           {"x": (partial(_points, knots=False), "100,10000")}, _karamata_ratio),
-    Probe("middle_integral", ("logperiodic",),
-          {"h_exp": (_rational, "3/10"), "k_list": (_ints, "3,4,5,6")},
+    Probe("middle_integral", ("logperiodic",), _DELTA,
+          {"h_exp": (_rational, "3/10"), "k_list": (_int_list("k_list", 1, 60), "3,4,5,6")},
           _middle_integral),
-    Probe("schedule", ("mixture",), {}, _schedule),
-    Probe("blowup", ("mixture",), {}, _blowup),
+    Probe("schedule", ("mixture",), ("m_max", "precision_bits"), {}, _schedule),
+    Probe("blowup", ("mixture",), ("m_max", "precision_bits", "d"), {}, _blowup),
 )
 
 
 def _probe_help() -> str:
-    lines = ["probes (constructions: parameter=default (range); {n} is the "
-             "option n, {half} is max(1, n // 2)):"]
+    lines = ["probes (constructions: parameter=default (range) [options read]; "
+             "{n} is the option n, {half} is max(1, n // 2)):"]
     for p in PROBES:
         params = "".join(
             f" {k}={default}" + (f" ({parse.bounds})" if hasattr(parse, "bounds") else "")
             for k, (parse, default) in p.params.items())
-        lines.append(f"  {p.name:<22}{', '.join(p.constructions)}:{params}")
+        lines.append(f"  {p.name:<22}{', '.join(p.constructions)}:{params} "
+                     f"[reads {', '.join(p.reads) or 'none'}]")
     return "\n".join(lines)
 
 

@@ -167,65 +167,90 @@ class RecordingConfig(cli.RunConfig):
         return object.__getattribute__(self, name)
 
 
-# a value for each option a construction may not read, and a probe of each
-# construction with the parameters it needs
+# a value for each option a run may not read
 UNREAD_VALUES = {"n": "5", "m_max": "3", "precision_bits": "64", "delta": "1/8",
                  "d": "2"}
-PROBE_OF = {"notched": ["knot_scan"], "logperiodic": ["chi"],
-            "mixture": ["blowup"], "file:<path>": ["long_tail_ratio", "x=1"]}
-# (command, construction, option): each option a command takes and a
-# construction it takes does not read
-UNREAD = [(command, kind, key)
-          for command in ("build", "probe", "report")
-          for kind in cli._constructions(command)
-          for key in cli._COMMANDS[command][-1]
-          if key not in ("construction", "out", *cli.READS[kind])]
+# each probe on each construction it describes
+PROBE_RUNS = [(p, kind) for p in probes.PROBES for kind in p.constructions]
+# (command, construction, probe or None, option): each option a command takes
+# that its run on that construction does not read
+UNREAD = [("build", kind, None, key) for kind, (read, _) in cli._BUILDS.items()
+          for key in cli._options("build")[0]
+          if key not in ("construction", "out", *read)] + [
+    ("report", kind, None, key) for kind, read in cli._options("report")[1].items()
+    for key in cli._options("report")[0] if key not in ("construction", "out", *read)] + [
+    ("probe", kind, p.name, key) for p, kind in PROBE_RUNS
+    for key in cli._options("probe")[0] if key not in ("construction", "out", *p.reads)]
+# the options each construction's runs read, as a hand-kept table gave them
+# before each probe declared its own; a build reads no window d
+CONSTRUCTION_READS = {"notched": ("n", "precision_bits", "d"),
+                      "logperiodic": ("delta",),
+                      "mixture": ("m_max", "precision_bits", "d"),
+                      "file:<path>": ("n", "precision_bits", "d")}
+# (probe, construction, option): read by another probe of the construction,
+# so each was accepted and changed nothing until each probe declared its reads
+NEWLY_REFUSED = {
+    ("knot_ratio_series", "notched", "n"), ("knot_ratio_series", "notched", "d"),
+    ("knot_scan", "notched", "n"), ("knot_scan", "notched", "d"),
+    ("long_tail_ratio", "notched", "d"), ("subexp_ratio", "notched", "d"),
+    ("almost_decrease_scan", "notched", "d"), ("i2_bound_check", "notched", "d"),
+    ("split_integrals", "notched", "d"), ("schedule", "mixture", "d"),
+    ("long_tail_ratio", "file:<path>", "d"), ("subexp_ratio", "file:<path>", "d"),
+    ("almost_decrease_scan", "file:<path>", "n"),
+    ("almost_decrease_scan", "file:<path>", "precision_bits"),
+    ("almost_decrease_scan", "file:<path>", "d")}
 
 
 class TestConstructionReads:
-    """cli.READS against the code: what each construction's runs read, and
-    the refusal of every other option."""
+    """Each probe's and each build's declared reads against the code: what
+    its runs read, and the refusal of every other option."""
 
-    @pytest.mark.parametrize("kind", sorted(cli.READS))
-    def test_runs_read_exactly_the_row(self, kind, tmp_path):
-        # build and every probe of the construction at their defaults; a
-        # file is the notched build's knots, so that c{n} lies in its support
+    @pytest.mark.parametrize("probe, kind", PROBE_RUNS,
+                             ids=[f"{p.name}-{kind[:4]}" for p, kind in PROBE_RUNS])
+    def test_a_probe_reads_exactly_its_declared_options(self, probe, kind, tmp_path):
+        # at its defaults; a file is the notched build's knots, so that c{n}
+        # lies in its support
         assert run_cli("build", "notched", "--out", str(tmp_path)) == 0
         name = kind.replace("<path>", str(tmp_path / "notched.knots"))
-        row, read = set(cli.READS[kind]), set()
-        if kind in cli._constructions("build"):
-            config = RecordingConfig(construction=name, out=str(tmp_path / kind))
-            assert cli._cmd_build(config) == 0
-            assert config.read - {"construction", "out"} <= row - {"d"}
-            read |= config.read
-        for probe in (p for p in probes.PROBES if kind in p.constructions):
-            config = RecordingConfig(construction=name, out=str(tmp_path / "o.csv"))
-            assert cli._run_probes(config, [probe], probe.name) == 0
-            assert config.read - {"construction", "out"} <= row, probe.name
-            read |= config.read
-        assert read - {"construction", "out"} == row
+        config = RecordingConfig(construction=name, out=str(tmp_path / "o.csv"))
+        assert cli._run_probes(config, [probe], probe.name) == 0
+        assert config.read - {"construction", "out"} == set(probe.reads)
+
+    @pytest.mark.parametrize("kind", sorted(cli._BUILDS))
+    def test_a_build_reads_exactly_its_declared_options(self, kind, tmp_path):
+        config = RecordingConfig(construction=kind, out=str(tmp_path))
+        assert cli._cmd_build(config) == 0
+        assert config.read - {"construction", "out"} == set(cli._BUILDS[kind][0])
+
+    def test_a_construction_reads_the_union_of_its_runs(self):
+        named = {k: v for k, v in CONSTRUCTION_READS.items() if k != "file:<path>"}
+        assert cli._options("probe")[1] == CONSTRUCTION_READS
+        assert cli._options("report")[1] == named
+        assert cli._options("build")[1] == {
+            kind: tuple(key for key in read if key != "d") for kind, read in named.items()}
 
     def test_count_of_refused_combinations(self):
-        # each of these parsed and changed nothing before the table
         counts = {c: sum(u[0] == c for u in UNREAD) for c in ("build", "probe", "report")}
-        assert counts == {"build": 7, "probe": 10, "report": 8}
+        assert counts == {"build": 7, "probe": 59, "report": 8}
+        # a probe run refuses what its construction's other probes read
+        assert {(p, kind, key) for _, kind, p, key in UNREAD
+                if p and key in CONSTRUCTION_READS[kind]} == NEWLY_REFUSED
 
     @pytest.mark.parametrize("source", ["flag", "config", "key"])
-    @pytest.mark.parametrize("command, kind, key", UNREAD,
-                             ids=["-".join(u).replace(":<path>", "") for u in UNREAD])
-    def test_an_option_the_construction_does_not_read_is_refused(
-            self, command, kind, key, source, tmp_path, capsys):
+    @pytest.mark.parametrize("command, kind, probe, key", UNREAD, ids=[
+        "-".join(filter(None, u)).replace(":<path>", "") for u in UNREAD])
+    def test_an_option_the_run_does_not_read_is_refused(
+            self, command, kind, probe, key, source, tmp_path, capsys):
         tri, cfg, out = tmp_path / "tri.pw", tmp_path / "run.cfg", tmp_path / "out"
         tri.write_text("knot 0 0\nknot 1 1\nknot 2 0\n")
         value = UNREAD_VALUES[key]
         cfg.write_text(f"{key} = {value}\n")
         given = {"flag": [cli._flag(key), value], "config": ["--config", str(cfg)],
                  "key": [f"{key}={value}"]}[source]
-        argv = [command, kind.replace("<path>", str(tri)),
-                *(PROBE_OF[kind] if command == "probe" else [])]
+        argv = [command, kind.replace("<path>", str(tri)), *filter(None, [probe])]
         assert run_cli(*argv, *given, "--out", str(out)) == 2
-        assert capsys.readouterr().err == (
-            f"usage error: the {kind} construction does not read {key}\n")
+        run = f"probe {probe} on {kind}" if probe else f"the {kind} construction"
+        assert capsys.readouterr().err == f"usage error: {run} does not read {key}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, line", [
@@ -243,12 +268,34 @@ class TestConstructionReads:
             run_cli(command, "--help")
         text = " ".join(capsys.readouterr().out.split())
         assert line in text
-        if command == "verify":  # it takes no construction
-            return
-        for key in cli._COMMANDS[command][-1]:
-            readers = [c for c in cli._constructions(command) if key in cli.READS[c]]
+        options, reads = cli._options(command)
+        for key in options:
+            readers = [c for c, read in reads.items() if key in read]
             if readers:
                 assert f"{cli.OPTIONS[key].help}; read by {', '.join(readers)}" in text
+
+    @pytest.mark.parametrize("command, takes", [
+        ("build", "notched | logperiodic | mixture"),
+        ("report", "notched | logperiodic | mixture"),
+        ("probe", "notched | logperiodic | mixture | file:<path>"),
+    ])
+    def test_help_lists_the_constructions_the_command_takes(self, command, takes,
+                                                            capsys):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"--construction CONSTRUCTION {takes} --n N" in text
+        assert " | ".join(cli._options(command)[1]) == takes
+
+    def test_probe_help_names_the_options_each_probe_reads(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("probe", "--help")
+        listing = capsys.readouterr().out.splitlines()
+        for p in probes.PROBES:
+            line, = [x for x in listing
+                     if x.startswith(f"  {p.name:<22}{', '.join(p.constructions)}:")]
+            assert line.endswith(f" [reads {', '.join(p.reads) or 'none'}]")
+        assert "  almost_decrease_scan  file:<path>: x0=0 [reads none]" in listing
 
     @pytest.mark.parametrize("source", ["flag", "key", "config"])
     @pytest.mark.parametrize("value", ["0", "25", "100000"])
@@ -265,27 +312,67 @@ class TestConstructionReads:
         assert f"bad value for m_max: {value!r} (m_max takes 1..24)" in err
         assert err.count("\n") == 1 and not out.exists()
 
-    @pytest.mark.parametrize("probe, value, bounds", [
-        ("knot_ratio_series", "1", "2..150000"),
-        ("knot_ratio_series", "150001", "2..150000"),
-        ("knot_scan", "0", "1..70000"),
-        ("knot_scan", "70001", "1..70000"),
-        ("knot_scan", "9" * 40, "1..70000"),
+    # n_max * precision_bits**2 is at most 2**35 in knot_ratio_series and
+    # 2**34 in knot_scan, whose steps cost about the square of the bits
+    @pytest.mark.parametrize("probe, value, bits, bounds", [
+        ("knot_ratio_series", "1", "256", "2..150000"),
+        ("knot_ratio_series", "150001", "256", "2..150000"),
+        ("knot_ratio_series", "911", "6144", "2..910 at 6144 bits"),
+        ("knot_ratio_series", "131073", "512", "2..131072 at 512 bits"),
+        ("knot_scan", "0", "256", "1..70000"),
+        ("knot_scan", "70001", "256", "1..70000"),
+        ("knot_scan", "9" * 40, "256", "1..70000"),
+        ("knot_scan", "456", "6144", "1..455 at 6144 bits"),
+        ("knot_scan", "1000", "6144", "1..455 at 6144 bits"),
+        ("knot_scan", "16385", "1024", "1..16384 at 1024 bits"),
     ])
-    def test_n_max_outside_its_range_is_refused(self, probe, value, bounds,
+    def test_n_max_outside_its_range_is_refused(self, probe, value, bits, bounds,
                                                 tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("probe", "notched", probe, f"n_max={value}",
-                       "--out", str(out)) == 2
+                       "--precision-bits", bits, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err == f"usage error: bad value for n_max: {value!r} (n_max takes {bounds})\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("probe, key, value, bounds", [
+        ("almost_decrease_scan", "k_max", "0", "1..2500"),
+        ("almost_decrease_scan", "k_max", "2501", "1..2500"),
+        ("almost_decrease_scan", "k_max", "20000", "1..2500"),
+        ("middle_integral", "k_list", "0", "1..60"),
+        ("middle_integral", "k_list", "61", "1..60"),
+        ("middle_integral", "k_list", "4000", "1..60"),
+    ])
+    def test_anchor_counts_outside_their_range_are_refused(
+            self, probe, key, value, bounds, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("probe", "logperiodic", probe, f"{key}=3,{value}"
+                       if key == "k_list" else f"{key}={value}", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: bad value for {key}: {value!r} ({key} takes {bounds})\n"
+        assert not out.exists()
+
+    def test_middle_integral_computes_each_anchor_once(self, monkeypatch, capsys):
+        # in the order each is first named, however long the list
+        assert run_cli("probe", "logperiodic", "middle_integral", "k_list=4,3") == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        calls = []
+        ratio = cli.lp.middle_mass_ratio
+        monkeypatch.setattr(cli.lp, "middle_mass_ratio",
+                            lambda x, *rest: calls.append(x) or ratio(x, *rest))
+        assert run_cli("probe", "logperiodic", "middle_integral",
+                       "k_list=" + ",".join(["4", "3"] * 2000)) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == rows
+        assert calls == [cli.lp.anchor(4), cli.lp.anchor(3)]
 
     def test_counts_in_range_run(self, capsys):
         assert run_cli("probe", "mixture", "schedule", "--m-max", "1") == 0
         assert run_cli("probe", "notched", "knot_ratio_series", "n_max=2") == 0
         assert run_cli("probe", "notched", "knot_scan", "n_max=1") == 0
-        assert len(capsys.readouterr().out.splitlines()) == 6
+        assert run_cli("probe", "notched", "knot_scan", "n_max=3",
+                       "--precision-bits", "6144") == 0
+        assert run_cli("probe", "logperiodic", "almost_decrease_scan", "k_max=1") == 0
+        assert len(capsys.readouterr().out.splitlines()) == 11
 
     def test_help_states_the_count_ranges(self, capsys):
         for command in ("build", "probe", "report"):
@@ -295,8 +382,11 @@ class TestConstructionReads:
         with pytest.raises(SystemExit):
             run_cli("probe", "--help")
         listing = capsys.readouterr().out
-        assert "notched: n_max=40 (2..150000)" in listing
-        assert "notched: n_max=40 (1..70000)" in listing
+        assert ("notched: n_max=40 (2..150000, n_max*precision_bits^2 <= 2^35)"
+                in listing)
+        assert "notched: n_max=40 (1..70000, n_max*precision_bits^2 <= 2^34)" in listing
+        assert "logperiodic: k_max=8 (1..2500)" in listing
+        assert "k_list=3,4,5,6 (each 1..60)" in listing
 
     @pytest.mark.parametrize("probe", ["chi", "karamata_ratio"])
     def test_logperiodic_abscissas_are_not_knot_labels(self, probe, tmp_path,
@@ -973,8 +1063,8 @@ class TestConfigFuzz:
 # flags known and unknown, key=value pairs and junk, in any order.  "@knots"
 # stands for a knot file the test writes.  verify and logperiodic are left
 # out, as a valid run of either takes about half a second; no drawn number
-# exceeds 6, as a count such as n_max may ask for seconds of work within its
-# range, and k_max has no upper bound.
+# exceeds 6, as a count such as n_max or k_max may ask for seconds of work
+# within its range.
 _ARGV_JUNK = st.one_of(
     st.sampled_from(["", "-", "--", "=", "1/0", "-1", "nan", "c", "file:",
                      "file:nope", "notch"]),
@@ -1355,7 +1445,7 @@ PINNED_CLI_LINES = [
     ["build", "notched", "--n", "4", "--out", "n4"],
     ["convolve", "n4/notched.knots", "--out", "n4/conv.pw"],
     ["verify", "--out", "battery.csv"],
-    ["probe", "notched", "knot_scan", "--n", "12", "n_max=5"],
+    ["probe", "notched", "knot_scan", "--precision-bits", "128", "n_max=5"],
     ["report", "notched", "n_list=2,5", "--n", "5", "--out", "n5.csv"],
 ]
 
