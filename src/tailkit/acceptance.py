@@ -422,8 +422,8 @@ def run_all(precision_bits: int = DEFAULT_PRECISION) -> list[CheckResult]:
         f"< {_SUITE_BUDGET:.0f}s", elapsed, _SUITE_BUDGET,
         [ProbeRow("determinism", "battery", Fraction(int(det_ok)),
                   {"csv_bytes": len(csv_a)})])
-    results.insert(11, det)
-    return results
+    # in the order of the check names, which number the checks
+    return sorted(results + [det], key=lambda r: r.name)
 
 
 def acceptance_csv(results: list[CheckResult]) -> str:

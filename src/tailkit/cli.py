@@ -67,25 +67,30 @@ render = _lazy("render")
 # which must lie within the dense limit
 _N_MAX = DENSE_LIMIT - 1
 
-# the most bits a run may snap its constants to: `verify`, the slowest
-# command, takes about 10 s at 6,144 bits on a 2-vCPU Xeon VM (5.7 s at
-# 4,096, 18.5 s at 8,192), and its cost grows faster than the bits
+# the most bits a run may snap its constants to: at 6,144 bits, on a 2-vCPU
+# Xeon VM, `verify` takes 10-13 s (5-6 s at 4,096), `report notched --n 63`
+# 11-14 s and `report mixture --m-max 24` 12-13 s, and the cost of each grows
+# faster than the bits
 _PRECISION_MAX = 6144
 
 
 # option name -> default, parser, --help text (construction's is per command)
 _Option = namedtuple("_Option", "default parse help")
 
+
+def _ranged(default, parse, about: str) -> _Option:  # help ends with the bounds
+    return _Option(default, parse, f"{about}, {parse.bounds}")
+
+
 OPTIONS = {
     "construction": _Option("notched", str, None),
-    "n": _Option(10, _int_range("n", 1, _N_MAX),
-                 f"truncation index of the notched construction, 1..{_N_MAX}"),
-    # `report mixture` takes about 9 s at 24 atoms (20 s at 26) on that VM
-    "m_max": _Option(6, _int_range("m_max", 1, 24), "blow-up schedule atoms, 1..24"),
-    "precision_bits": _Option(
-        DEFAULT_PRECISION,
-        _int_range("precision_bits", MIN_PRECISION, _PRECISION_MAX),
-        f"bits of every snapped constant, {MIN_PRECISION}..{_PRECISION_MAX}"),
+    "n": _ranged(10, _int_range("n", 1, _N_MAX),
+                 "truncation index of the notched construction"),
+    # `report mixture` takes 7.5-9 s at 24 atoms on that VM
+    "m_max": _ranged(6, _int_range("m_max", 1, 24), "blow-up schedule atoms"),
+    "precision_bits": _ranged(
+        DEFAULT_PRECISION, _int_range("precision_bits", MIN_PRECISION, _PRECISION_MAX),
+        "bits of every snapped constant"),
     "delta": _Option(Fraction(1, 4), _rational, "amplitude of the exponent, in (0, 1/2)"),
     "d": _Option(Fraction(1), _rational, "window width"),
     "out": _Option(None, str, "output path"),
@@ -103,12 +108,19 @@ class RunConfig:
             raise TypeError(f"unknown option(s) {', '.join(sorted(values))}")
         self.params = {} if params is None else params
         self._notched: Optional[notched.NotchedDensity] = None
+        self._schedule: Optional[mx.BlowupSchedule] = None
 
     def notched_density(self) -> notched.NotchedDensity:
         """The notched build at (n, precision_bits), made once per run."""
         if self._notched is None:
             self._notched = notched.build_density(self.n, self.precision_bits)
         return self._notched
+
+    def schedule(self) -> mx.BlowupSchedule:
+        """The blow-up schedule at (m_max, precision_bits), made once per run."""
+        if self._schedule is None:
+            self._schedule = mx.build_schedule(self.m_max, self.precision_bits)
+        return self._schedule
 
     def density(self) -> piecewise.PiecewisePoly:
         """The piecewise density the construction names: notched, or a file's."""
@@ -211,7 +223,7 @@ def _build_logperiodic(config: RunConfig) -> dict:
 
 
 def _build_mixture(config: RunConfig) -> dict:
-    sch = mx.build_schedule(config.m_max, config.precision_bits)
+    sch = config.schedule()
     return {"mixture_schedule.csv": ("\n".join(mx.schedule_csv_lines(sch)) + "\n",),
             "mixture.meta": _meta(construction="mixture", m_max=sch.m_max,
                                   precision_bits=sch.precision_bits, c=sch.c,
@@ -267,8 +279,8 @@ def _cmd_convolve(config: RunConfig, files: list[str]) -> int:
     second = piecewise.load_text(_read(files[1])) if len(files) == 2 else first
     # the sweep checks its operands before the file opens, then makes each
     # cell as the writer asks for its line
-    grid, cells, degree, flags = conv.dense_sweep(first, second)
-    _write(config.out, piecewise.dump_cells(grid, cells, degree, **flags))
+    grid, cells, knots, flags = conv.dense_sweep(first, second)
+    _write(config.out, piecewise.dump_cells(grid, cells, knots, **flags))
     return 0
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cache, cmp_to_key
 from typing import Callable, Optional
 
 from mpmath.libmp import (fhalf, finf, fone, from_int, from_str, ftwo, fzero, mpf_abs,
@@ -73,6 +73,12 @@ def _raw(q: Fraction, wp: int = _WP) -> Raw:
     """``mpf(q.numerator) / q.denominator`` at wp bits."""
     num = mpf_pos(from_int(q.numerator), wp, _RND)
     return mpf_div(num, from_int(q.denominator), wp, _RND)
+
+
+# QUAD_TOL; half of it, the budget of the a and every tail integral; log(10/QUAD_TOL)
+_TOL = _raw(QUAD_TOL)
+_HALF_TOL = mpf_div(_TOL, ftwo, _WP, _RND)
+_LOG_TERM = mpf_log(mpf_rdiv_int(10, _TOL, _WP, _RND), _WP, _RND)
 
 
 def _chi_raw(delta: Raw, wp: int = _WP) -> Callable[[Raw], Raw]:
@@ -235,41 +241,37 @@ def _tail(y: Raw, chi_y: Raw) -> Raw:
     return mpf_exp(mpf_sub(mpf_neg(y), chi_y, _WP, _RND), _WP, _RND)
 
 
-class Normalizers:
+def _reach(chi_x: Raw) -> Raw:
+    """How far past x the tail integral from x runs, given chi(x):
+    chi(x) + log(10/QUAD_TOL) + 4.  At x = 0 it bounds the chi table of
+    :func:`normalizers` (0 + L rounds to L)."""
+    return mpf_add(mpf_add(chi_x, _LOG_TERM, _WP, _RND), from_int(4), _WP, _RND)
+
+
+class Normalizers(namedtuple("Normalizers", "a a_err x_max tail log_of_a")):
     """Both normalizing constants of one parameter set, each with an error
     bound: a quadrature error estimate plus a rigorous tail bound.
 
-    ``a``, ``a_err`` and ``x_max`` are computed with the object; ``b`` and
-    ``b_err`` on the first read of either, which runs the tail integral, and
-    ``log_a`` on its first read.
+    ``a`` (1 / integral of exp(-chi)), its error bound ``a_err`` and that
+    integral's cutoff ``x_max`` come with the record.  ``tail`` and
+    ``log_of_a`` are cached functions of no argument: the first read of
+    ``b`` or ``b_err`` runs the tail integral, the first of ``log_a`` the log.
     """
-
-    def __init__(self, a: Fraction, a_err: Fraction, x_max: Fraction,
-                 tail: Callable[[], tuple[Fraction, Fraction]]):
-        self.a = a              # 1 / integral of exp(-chi)
-        self.a_err = a_err      # bound on |a - true a| (quadrature + tail)
-        self.x_max = x_max      # upper cutoff used for the chi-only integral
-        self._tail = tail       # () -> (b, b_err); dropped once they are read
-
-    @cached_property
-    def _b_pair(self) -> tuple[Fraction, Fraction]:
-        pair = self._tail()
-        del self._tail          # drops the chi table the tail integral read
-        return pair
+    __slots__ = ()
 
     @property
     def b(self) -> Fraction:
         """1 / integral of the tail exp(-y - chi(y))."""
-        return self._b_pair[0]
+        return self.tail()[0]
 
     @property
     def b_err(self) -> Fraction:
-        return self._b_pair[1]
+        return self.tail()[1]
 
-    @cached_property
+    @property
     def log_a(self) -> Raw:
         """log(a) at the working precision, as a raw mpf."""
-        return mpf_log(_raw(self.a), _WP, _RND)
+        return self.log_of_a()
 
 
 _NORMALIZER_CACHE: dict = {}
@@ -288,25 +290,23 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
     if p in _NORMALIZER_CACHE:
         return _NORMALIZER_CACHE[p]
     wp, rnd = _WP, _RND
-    delta, tol = _raw(p.delta), _raw(QUAD_TOL)
-    z0 = mpf_add(mpf_log(mpf_rdiv_int(10, tol, wp, rnd), wp, rnd), from_int(4), wp, rnd)
-    # chi for every abscissa the b integral can reach, each computed once
-    # and read by all three integrands; the table lives until b is read
-    chi_at = _memo(_chi_raw(delta), upto=z0)
+    delta = _raw(p.delta)
+    # chi for every abscissa the b integral, which starts at 0 where chi
+    # vanishes, can reach, each computed once and read by all three integrands
+    chi_at = _memo(_chi_raw(delta), upto=_reach(fzero))
 
     def chi_integrand(y):
         return mpf_exp(mpf_neg(chi_at(y), wp, rnd), wp, rnd)
 
-    half_tol = mpf_div(tol, ftwo, wp, rnd)
     coarse, _ = _integrate(chi_integrand, _anchor_points(fzero, from_int(4096)),
                            mpf_pos(from_str("1e-3", wp, rnd), wp, rnd))
     x_max = from_int(4096)
-    tail_target = mpf_div(mpf_mul(tol, coarse, wp, rnd), from_int(10), wp, rnd)
+    tail_target = mpf_div(mpf_mul(_TOL, coarse, wp, rnd), from_int(10), wp, rnd)
     while not mpf_lt(tail := _chi_tail_bound(x_max, delta), tail_target):
         x_max = mpf_mul_int(x_max, 2, wp, rnd)
         if mpf_gt(x_max, mpf_pow_int(ftwo, 64, wp, rnd)):
             raise PrecisionFailure("no cutoff reaches the tail target")
-    inv_a, err_a = _integrate(chi_integrand, _anchor_points(fzero, x_max), half_tol)
+    inv_a, err_a = _integrate(chi_integrand, _anchor_points(fzero, x_max), _HALF_TOL)
     err_a = mpf_add(err_a, tail, wp, rnd)
     ulp = mpf_pow_int(ftwo, -_SNAP_BITS, wp, rnd)
 
@@ -315,13 +315,14 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
         return (_snap_raw(mpf_rdiv_int(1, inv, wp, rnd), _SNAP_BITS),
                 _snap_raw(mpf_add(rel, ulp, wp, rnd), _SNAP_BITS))
 
+    @cache
     def b_and_error():
-        # the tail integral from 0, where chi vanishes: its cutoff is z0
         inv_b, err_b, _ = _tail_integral(fzero, chi_at)
         return inverse_and_error(inv_b, err_b)
 
     a, a_err = inverse_and_error(inv_a, err_a)
-    result = Normalizers(a, a_err, _snap_raw(x_max, 8), b_and_error)
+    result = Normalizers(a, a_err, _snap_raw(x_max, 8), b_and_error,
+                         cache(lambda: mpf_log(_raw(a), wp, rnd)))
     return _NORMALIZER_CACHE.setdefault(p, result)
 
 
@@ -342,13 +343,10 @@ def _tail_integral(x: Raw, chi_of: Callable[[Raw], Raw]):
 
     chi(x) sets the cutoff beyond which the analytic tail bound takes over."""
     wp, rnd = _WP, _RND
-    tol = _raw(QUAD_TOL)
     chi_x = chi_of(x)
-    log_term = mpf_log(mpf_rdiv_int(10, tol, wp, rnd), wp, rnd)
-    z = mpf_add(mpf_add(chi_x, log_term, wp, rnd), from_int(4), wp, rnd)
-    end = mpf_add(x, z, wp, rnd)
+    end = mpf_add(x, _reach(chi_x), wp, rnd)
     val, err = _integrate(lambda y: _tail(y, chi_of(y)), _anchor_points(x, end),
-                          mpf_div(tol, ftwo, wp, rnd))
+                          _HALF_TOL)
     cut = mpf_exp(mpf_neg(end), wp, rnd)
     return val, mpf_add(err, cut, wp, rnd), chi_x
 
@@ -400,7 +398,7 @@ def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
                      + [mpf_sub(xm, t, wp, rnd) for t in anchors]),
                  key=cmp_to_key(mpf_cmp))
     pts = [t for t in pts if mpf_le(h, t) and mpf_le(t, top)]
-    val, _ = _integrate(integrand, pts, _raw(QUAD_TOL))
+    val, _ = _integrate(integrand, pts, _TOL)
     if mpf_le(val, fzero):  # the integrand is positive: the quadrature failed
         raise PrecisionFailure(f"middle integral at x={_fmt(x)} is not positive "
                                f"({to_str(val, 6)})")

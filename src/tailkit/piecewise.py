@@ -273,11 +273,12 @@ def _rational(text: str) -> Fraction:
 def dump_lines(p: PiecewisePoly) -> Iterator[str]:
     """Serialize the represented function, one newline-ended line at a
     time (see :func:`dump_cells`)."""
-    return dump_cells(p.breakpoints, p.coeffs, p.degree, p.continuous,
+    knots = p.continuous and p.degree <= 1 and min(map(p.eval, p.breakpoints)) >= 0
+    return dump_cells(p.breakpoints, p.coeffs, knots, p.continuous,
                       p.density, p.factor)
 
 
-def dump_cells(breaks: Sequence[Fraction], cells: Iterable, degree: int,
+def dump_cells(breaks: Sequence[Fraction], cells: Iterable, knots: bool,
                continuous: bool, density: bool,
                factor: Fraction) -> Iterator[str]:
     """Serialize the function ``factor * cells`` on ``breaks``, one
@@ -286,10 +287,10 @@ def dump_cells(breaks: Sequence[Fraction], cells: Iterable, degree: int,
     ``cells`` yields one coefficient quadruple per segment, in order, and
     is read once: each line is made from its cell as the cell arrives, and
     the factor is applied coefficient by coefficient, so neither the text
-    nor the scaled coefficients are ever held whole.  ``degree`` is the
-    function's degree, given up front because it picks the format before
-    the first cell: a continuous function of degree at most 1 is written
-    as knots, any other as segments.
+    nor the scaled coefficients are ever held whole.  ``knots`` picks the
+    format before the first cell: knot lines for a continuous function of
+    degree at most 1 that is nowhere negative (the loader refuses a
+    negative knot), segment lines for any other.
     """
     yield "# tailkit piecewise v1\n"
     flags = []
@@ -303,7 +304,7 @@ def dump_cells(breaks: Sequence[Fraction], cells: Iterable, degree: int,
     def scaled(c: Fraction) -> str:
         return _fmt(c if one else c * factor)
 
-    if continuous and degree <= 1:
+    if knots:
         for x, seg in zip(breaks, cells):
             yield f"knot {_fmt(x)} {scaled(seg[0])}\n"
         # the value at the right end, from the last cell

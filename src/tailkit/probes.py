@@ -1,13 +1,19 @@
 """Diagnostic probes: every ratio, scan and bound check the constructions
 support, emitted as report rows.
 
-Probes report evidence, never verdicts.  Scans over piecewise-linear
-densities enumerate knots only (extrema of a piecewise-linear function sit
-at knots); scans over the log-periodic density use a log-spaced grid
-augmented with the anchor abscissas where the exponent modulation peaks.
-Trend claims are encoded as two-point monotone-improvement checks, not
-absolute tolerances.  The scans, the I2 bound and the blow-up return their
-rows, which ``tailkit report`` and the acceptance battery both write.
+A row holds a computed value and, in ``aux``, what it was computed from.
+Three rows also hold the outcome of an exact comparison of values the
+probe computed: ``i2_bound_check``'s ``passed`` (I2 within its bound, the
+bound the stated power of two), ``split_integrals``' ``exact_partition``
+(2 I1 + I2 equals the whole) and the ``subexp_trend`` row that
+``subexp_ratio`` appends (the deviations from 1 fall along the points).
+No row is checked against a tolerance; the acceptance battery gives the
+verdicts.  Scans over piecewise-linear densities enumerate knots only
+(extrema of a piecewise-linear function sit at knots); scans over the
+log-periodic density use a log-spaced grid augmented with the anchor
+abscissas where the exponent modulation peaks.  The scans, the I2 bound
+and the blow-up return their rows, which ``tailkit report`` and the
+acceptance battery both write.
 
 The integrals that need the kernel and a construction together live here,
 so that the kernel reads piecewise functions alone: ``split_integrals`` of
@@ -18,10 +24,11 @@ report``: each probe's constructions, the options it reads, its parameters
 and its row builder.  A row builder and its parameter parsers read from
 ``config`` exactly the options its probe declares, of the attributes ``n``,
 ``d``, ``m_max``, ``delta`` and ``precision_bits``, and the methods
-``density()`` (the piecewise density the construction names) and
-``notched_density()``; ``cli.RunConfig`` is the one the CLI passes, and it
-refuses any other option.  Only ``probe``, ``report`` and ``verify`` run
-this module.
+``density()`` (the piecewise density the construction names),
+``notched_density()`` and ``schedule()`` (the mixture's blow-up schedule),
+the last two made once per run; ``cli.RunConfig`` is the one the CLI
+passes, and it refuses any other option.  Only ``probe``, ``report`` and
+``verify`` run this module.
 """
 
 from __future__ import annotations
@@ -127,8 +134,14 @@ def _scan_row(probe: str, label: str, best: Value, low: str, high: str) -> Probe
 
 def almost_decrease_scan(p: PiecewisePoly, x0=0) -> ProbeRow:
     """sup of f(y)/f(x) over knot pairs x0 <= x <= y with f(x) > 0, with
-    the maximizing pair.  Exact for piecewise-linear p (extrema at knots)."""
+    the maximizing pair.  Exact for piecewise-linear p (extrema at knots).
+
+    A positive factor cancels in every ratio, so the scan reads the stored
+    coefficients: a normalized density's values would all carry the long
+    denominator of 1/mass."""
     x0 = Fraction(x0)
+    if p.factor > 0:
+        p = p.scale(1 / p.factor)
     lo, hi = p.support
     start = max(x0, lo)
     if start > hi:
@@ -425,15 +438,13 @@ def _middle_integral(row, config, args):
 
 
 def _schedule(row, config, args):
-    sch = mx.build_schedule(config.m_max, config.precision_bits)
     return [row(str(e.m), e.mass, {"n_m": e.n_m, "lower_bound": e.lower_bound})
-            for e in sch.entries]
+            for e in config.schedule().entries]
 
 
 def _blowup(row, config, args):
-    pb = config.precision_bits
-    return mixture_blowup_probe(mx.build_schedule(config.m_max, pb),
-                                notched.build_density(4, pb), config.d)
+    return mixture_blowup_probe(config.schedule(),
+                                notched.build_density(4, config.precision_bits), config.d)
 
 
 # reads names the options the rows read: the notched density reads n and

@@ -20,8 +20,7 @@ from tailkit import convolution as conv
 from tailkit import logperiodic as lp
 from tailkit.numerics import DEFAULT_PRECISION
 
-CRITERIA = [name for name, _, _ in acceptance._CHECKS]
-CRITERIA.insert(11, "12_determinism")
+CRITERIA = sorted([name for name, _, _ in acceptance._CHECKS] + ["12_determinism"])
 
 
 @pytest.fixture(scope="module")

@@ -156,18 +156,22 @@ class TestParams:
         assert lp.LogPeriodicParams._fields == ("delta",)
 
 
+def _fresh(p: lp.LogPeriodicParams):
+    """The normalizers of p computed afresh, b included, and chi's calls per
+    abscissa."""
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_NORMALIZER_CACHE", {})
+        mp.setattr(lp, "_chi_raw", _counting_chi(calls))
+        norm = lp.normalizers(p)
+        norm.b
+        return norm, calls
+
+
 class TestNormalizers:
     @pytest.fixture(scope="class")
     def fresh(self, lp_default):
-        """Default normalizers computed afresh, b included, and chi's calls
-        per abscissa."""
-        calls = Counter()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lp, "_NORMALIZER_CACHE", {})
-            mp.setattr(lp, "_chi_raw", _counting_chi(calls))
-            norm = lp.normalizers(lp_default)
-            norm.b
-            return norm, calls
+        return _fresh(lp_default)
 
     def test_pinned_constants(self, lp_default):
         n = lp.normalizers(lp_default)
@@ -211,16 +215,20 @@ class TestNormalizers:
         assert logs_of_a == [(lp._WP, lp._RND)]
         assert lp.normalizers(lp_default).log_a == mpf_log(a, lp._WP, lp._RND)
 
-    def test_one_chi_per_abscissa(self, fresh, lp_default):
+    @pytest.mark.parametrize("delta", [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)],
+                             ids=str)
+    def test_one_chi_per_abscissa(self, fresh, lp_default, delta):
         # every abscissa up to the b integral's cutoff (alpha = 1) is
-        # computed once; above it the table does not reach, and 28 calls
-        # repeat an abscissa that the coarse and a integrals share or an
-        # anchor that ends one panel and starts the next
-        _, calls = fresh
+        # computed once; above it the table does not reach, and at the
+        # default delta 28 calls repeat an abscissa that the coarse and a
+        # integrals share or an anchor that ends one panel and starts the next
+        default = delta == lp_default.delta
+        _, calls = fresh if default else _fresh(lp.LogPeriodicParams(delta))
         with mpmath.workprec(lp._WP):
             z0 = mpmath.log(10 / _mpf(lp._raw(lp.QUAD_TOL))) + 4
             assert max(n for y, n in calls.items() if _mpf(y) <= z0) == 1
-        assert sum(calls.values()) <= 1357
+        if default:
+            assert sum(calls.values()) <= 1357
 
     def test_errors_reported(self, lp_default):
         n = lp.normalizers(lp_default)

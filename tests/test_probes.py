@@ -128,6 +128,16 @@ class TestScans:
         assert row.value == log_nat(10)
         assert row.x_or_n == f"x0={decimal_str(notched.a_position(9))}"
 
+    @pytest.mark.parametrize("k", [Fraction(1, 3), 7, None], ids=["1/3", "7", "1/mass"])
+    def test_positive_scale_leaves_the_rows(self, nd10, k):
+        # f(y)/f(x) does not depend on a positive scale, so the scan reads
+        # the stored coefficients: the normalized density's 1/mass drops out
+        p = nd10.dense
+        scaled = nd10.density() if k is None else p.scale(k)
+        for x0 in (0, notched.a_position(9)):
+            assert probes.almost_decrease_scan(scaled, x0) == \
+                probes.almost_decrease_scan(p, x0)
+
     def test_scan_empty_range(self, nd3):
         with pytest.raises(ValueError):
             probes.almost_decrease_scan(nd3.dense, notched.a_position(4) + 1)

@@ -19,6 +19,7 @@ def _records():
     return {
         "LogValue": (LogValue(Fraction(3)), "log2mag"),
         "LogPeriodicParams": (lp.LogPeriodicParams(), "delta"),
+        "Normalizers": (lp.normalizers(lp.LogPeriodicParams()), "a"),
         "Knot": (Knot(0, 1), "x"),
         "PiecewisePoly": (from_linear_knots([(0, 1), (1, 1)]), "factor"),
         "NotchedDensity": (nd, "dense"),
