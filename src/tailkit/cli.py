@@ -278,8 +278,13 @@ def _cmd_convolve(config: RunConfig, files: list[str]) -> int:
     first = piecewise.load_text(_read(files[0]))
     second = piecewise.load_text(_read(files[1])) if len(files) == 2 else first
     # the sweep checks its operands before the file opens, then makes each
-    # cell as the writer asks for its line
-    grid, cells, knots, flags = conv.dense_sweep(first, second)
+    # cell as the writer asks for its line; a result of degree at most 1 is
+    # made whole first, as its values pick the format (they are its cells'
+    # c0, and 0 at the right end)
+    grid, cells, degree, flags = conv.dense_sweep(first, second)
+    if degree <= 1:
+        cells = list(cells)
+    knots = piecewise.writes_knots(True, degree, (flags["factor"] * c[0] for c in cells))
     _write(config.out, piecewise.dump_cells(grid, cells, knots, **flags))
     return 0
 

@@ -75,13 +75,6 @@ def _linear(p: PiecewisePoly):
     return p.breakpoints, c0s, c1s
 
 
-def _signs(breaks, c0s, c1s) -> set:
-    """The signs of a piecewise-linear function's values: a linear piece
-    takes its extremes at its ends."""
-    ends = c0s + [v + w * (b - a) for v, w, a, b in zip(c0s, c1s, breaks, breaks[1:])]
-    return {(v > 0) - (v < 0) for v in ends} - {0}
-
-
 def _balanced_sum(values):
     """Sum added pairwise, so that operands stay of like size."""
     while len(values) > 1:
@@ -117,24 +110,18 @@ def _jumps(breaks, c0, c1):
 def dense_sweep(p: PiecewisePoly, q: PiecewisePoly):
     """The dense sweep of p*q: checked and set up now, its cells to come.
 
-    Returns ``(grid, cells, knots, flags)``: the sorted pairwise sums of
+    Returns ``(grid, cells, degree, flags)``: the sorted pairwise sums of
     the breakpoints; an iterator that makes one coefficient quadruple per
     cell, in the cell's local variable ``x - z``, as the sweep reaches it;
-    whether p*q is written as knot lines (see ``piecewise.dump_cells``);
-    and the ``continuous``, ``density`` and ``factor`` arguments of its
-    ``PiecewisePoly``.  An operand that is not piecewise linear is refused
-    here, before any cell is made.
+    the degree of p*q; and the ``continuous``, ``density`` and ``factor``
+    arguments of its ``PiecewisePoly``.  An operand that is not piecewise
+    linear is refused here, before any cell is made.
 
-    ``knots`` is known before the first cell.  It needs degree at most 1,
-    and the degree is deg p + deg q + 1 when neither operand is zero, else
-    0, where an operand's degree is 1 if a slope is nonzero: the earliest
-    pair of nonzero top jumps (in slope, else in value) is the only pair
-    at its sum, which is not the last sum, so the cell that starts there
-    has a nonzero top coefficient.  It needs p*q nowhere negative too,
-    which one-signed operands decide by their signs.  An operand of both
-    signs may still give a p*q that is nowhere negative, so then a first
-    pass over a copy of the terms reads p*q's values: it vanishes at both
-    ends and is linear between sums, so they are its cells' c0.
+    The degree is known before the first cell: it is deg p + deg q + 1
+    when neither operand is zero, else 0, where an operand's degree is 1
+    if a slope is nonzero.  The earliest pair of nonzero top jumps (in
+    slope, else in value) is the only pair at its sum, which is not the
+    last sum, so the cell that starts there has a nonzero top coefficient.
     """
     zero = Fraction(0)
     same = q is p
@@ -167,15 +154,9 @@ def dense_sweep(p: PiecewisePoly, q: PiecewisePoly):
                 if v:
                     acc[2] += wb * v
     grid = sorted(terms)
-    factor = p.factor * q.factor
-    knots = degree <= 1
-    if knots and factor:
-        sign = 1 if factor > 0 else -1
-        signs = {sign * s * t for s in _signs(*p_linear) for t in _signs(*q_linear)}
-        knots = signs == {1} if len(signs) == 1 else all(
-            c[0] * sign >= 0 for c in _cells(grid, dict(terms)))
-    flags = {"continuous": True, "density": p.density and q.density, "factor": factor}
-    return grid, _cells(grid, terms), knots, flags
+    flags = {"continuous": True, "density": p.density and q.density,
+             "factor": p.factor * q.factor}
+    return grid, _cells(grid, terms), degree, flags
 
 
 def _cells(grid, terms):

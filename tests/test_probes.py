@@ -12,7 +12,7 @@ from tailkit import mixture as mx
 from tailkit import notched
 from tailkit import probes
 from tailkit.numerics import LogValue, log2_snap, log_nat
-from tailkit.piecewise import from_linear_knots
+from tailkit.piecewise import PiecewisePoly, from_linear_knots
 from tailkit.render import decimal_str, value_str
 
 UNIFORM = from_linear_knots([(0, 1), (1, 1)])
@@ -129,14 +129,23 @@ class TestScans:
         assert row.x_or_n == f"x0={decimal_str(notched.a_position(9))}"
 
     @pytest.mark.parametrize("k", [Fraction(1, 3), 7, None], ids=["1/3", "7", "1/mass"])
-    def test_positive_scale_leaves_the_rows(self, nd10, k):
+    def test_positive_scale_leaves_the_rows(self, nd10, k, monkeypatch):
         # f(y)/f(x) does not depend on a positive scale, so the scan reads
         # the stored coefficients: the normalized density's 1/mass drops out
         p = nd10.dense
         scaled = nd10.density() if k is None else p.scale(k)
+        factors = []
+        evaluate = PiecewisePoly.eval
+
+        def recording(self, x):
+            factors.append(self.factor)
+            return evaluate(self, x)
+        monkeypatch.setattr(PiecewisePoly, "eval", recording)
         for x0 in (0, notched.a_position(9)):
-            assert probes.almost_decrease_scan(scaled, x0) == \
-                probes.almost_decrease_scan(p, x0)
+            row = probes.almost_decrease_scan(scaled, x0)
+            assert factors and set(factors) == {1}
+            factors.clear()
+            assert row == probes.almost_decrease_scan(p, x0)
 
     def test_scan_empty_range(self, nd3):
         with pytest.raises(ValueError):
