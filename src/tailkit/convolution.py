@@ -6,7 +6,9 @@ point walk, and what is built on them:
 * ``conv_linear_exact``: the full piecewise-cubic convolution of two
   piecewise-linear functions (the dense sweep).  ``dense_sweep`` is the
   same sweep with its cells made one at a time, so that ``tailkit
-  convolve`` writes each cell as it is made and never holds the result.
+  convolve`` writes each cell as it is made: the writer,
+  ``piecewise.dump_cells``, picks knot or segment lines from the cells it
+  is given, and holds a cell only while knot lines are still possible.
 * ``conv_window_value`` / ``self_conv_value``: single-abscissa values,
   optionally over a restricted y-window, without building the dense object
   (the point walk).
@@ -110,18 +112,12 @@ def _jumps(breaks, c0, c1):
 def dense_sweep(p: PiecewisePoly, q: PiecewisePoly):
     """The dense sweep of p*q: checked and set up now, its cells to come.
 
-    Returns ``(grid, cells, degree, flags)``: the sorted pairwise sums of
-    the breakpoints; an iterator that makes one coefficient quadruple per
+    Returns ``(grid, cells, flags)``: the sorted pairwise sums of the
+    breakpoints; an iterator that makes one coefficient quadruple per
     cell, in the cell's local variable ``x - z``, as the sweep reaches it;
-    the degree of p*q; and the ``continuous``, ``density`` and ``factor``
-    arguments of its ``PiecewisePoly``.  An operand that is not piecewise
-    linear is refused here, before any cell is made.
-
-    The degree is known before the first cell: it is deg p + deg q + 1
-    when neither operand is zero, else 0, where an operand's degree is 1
-    if a slope is nonzero.  The earliest pair of nonzero top jumps (in
-    slope, else in value) is the only pair at its sum, which is not the
-    last sum, so the cell that starts there has a nonzero top coefficient.
+    and the ``continuous``, ``density`` and ``factor`` arguments of its
+    ``PiecewisePoly``.  An operand that is not piecewise linear is refused
+    here, before any cell is made.
     """
     zero = Fraction(0)
     same = q is p
@@ -129,10 +125,6 @@ def dense_sweep(p: PiecewisePoly, q: PiecewisePoly):
     q_linear = p_linear if same else _linear(q)
     p_jumps = _jumps(*p_linear)
     q_jumps = p_jumps if same else _jumps(*q_linear)
-    degree = 0
-    if p.factor * q.factor and all(any(c0s) or any(c1s)
-                                   for _, c0s, c1s in (p_linear, q_linear)):
-        degree = any(p_linear[2]) + any(q_linear[2]) + 1
     terms = {}
     for a, (s, j, w) in enumerate(p_jumps):
         # identical operands: the pair (a, b), b > a, stands for (b, a) too
@@ -156,7 +148,7 @@ def dense_sweep(p: PiecewisePoly, q: PiecewisePoly):
     grid = sorted(terms)
     flags = {"continuous": True, "density": p.density and q.density,
              "factor": p.factor * q.factor}
-    return grid, _cells(grid, terms), degree, flags
+    return grid, _cells(grid, terms), flags
 
 
 def _cells(grid, terms):
@@ -186,7 +178,7 @@ def conv_linear_exact(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
     deduplicated with exact equality; each cell's coefficients are in its
     local variable x - breakpoint.
     """
-    grid, cells, _, flags = dense_sweep(p, q)
+    grid, cells, flags = dense_sweep(p, q)
     return PiecewisePoly(grid, cells, **flags)
 
 

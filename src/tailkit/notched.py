@@ -139,7 +139,8 @@ def threshold_knots(n: int,
     sqrt_lam = root_snap(lam, 2, precision_bits)
     f_a = knot_value("a", n, precision_bits)
     f_b = knot_value("b", n, precision_bits)
-    f_next = knot_value("a", n + 1, precision_bits)
+    # f0(a_{n+1}), read directly: at n = DENSE_LIMIT, a_{n+1} is past it
+    f_next = Fraction(2, 1 << (3 * (n + 1) ** 2))
     target = f_b * sqrt_lam
     if not f_b < target < f_a:
         raise ValueError(f"threshold target out of range at n={n}")

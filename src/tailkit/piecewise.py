@@ -12,19 +12,22 @@ coefficient would drag that denominator through all later arithmetic, so
 ``normalize`` and ``scale`` change the factor alone, and evaluation and
 integration apply it once per result.
 
-Segment ownership is right-continuous: segment ``i`` owns ``(x_i, x_{i+1}]``
-and the first segment additionally owns the left support end.  All
-operations are pure and exact over ``Fraction``; instances are immutable.
+Segment ownership is left-continuous: segment ``i`` owns ``(x_i, x_{i+1}]``
+and the first segment additionally owns the left support end, so the value
+at an interior breakpoint is the left segment's.  All operations are pure
+and exact over ``Fraction``; instances are immutable.
 
-Serialization streams: :func:`dump_cells` yields the text one line at a
-time, each line from one cell as the cell arrives, and the CLI writes each
-line as it is made.  ``tailkit convolve`` hands it the dense sweep's cells
-as the sweep makes them (``convolution.dense_sweep``), so an exact result
-of megabytes is held neither as text nor as coefficients; only one of
-degree at most 1 is held, since its values pick the format.  Its inputs are
-checked before the output file is opened, so a rejected input leaves an
-existing file as it was; a sweep cut short leaves a partial file, as a
-cut-short write always could.
+Serialization streams: :func:`dump_cells` alone picks the format, knot
+lines or segment lines, from the values it writes, and yields the text one
+line at a time; the CLI writes each line as it is made.  ``tailkit
+convolve`` hands it the dense sweep's cells as the sweep makes them
+(``convolution.dense_sweep``).  It holds cells only while knot lines are
+still possible, so an exact result of megabytes, cubic from its first
+cell, is held neither as text nor as coefficients.  Every file it writes
+loads back to the function written, flags included.  The inputs of
+``convolve`` are checked before the output file is opened, so a rejected
+input leaves an existing file as it was; a sweep cut short leaves a
+partial file, as a cut-short write always could.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class Knot(namedtuple("Knot", "x f")):
@@ -72,10 +76,11 @@ class PiecewisePoly:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
-    def _with_factor(self, factor: Fraction, density: bool) -> "PiecewisePoly":
-        # shares the validated breakpoints and coefficients: O(1)
+    def _replace(self, **fields) -> "PiecewisePoly":
+        # a copy with the given fields changed, which must leave it valid;
+        # it shares the rest, the breakpoints and coefficients too: O(1)
         out = object.__new__(PiecewisePoly)
-        out.__dict__.update(self.__dict__, factor=factor, density=density)
+        out.__dict__.update(self.__dict__, **fields)
         return out
 
     def head(self, segments: int) -> "PiecewisePoly":
@@ -89,12 +94,8 @@ class PiecewisePoly:
             raise ValueError(f"a prefix takes 1..{len(self.coeffs)} segments, "
                              f"got {segments}")
         coeffs = self.coeffs[:segments]
-        out = object.__new__(PiecewisePoly)
-        out.__dict__.update(self.__dict__,
-                            breakpoints=self.breakpoints[:segments + 1],
-                            coeffs=coeffs,
-                            density=self.density and any(map(any, coeffs)))
-        return out
+        return self._replace(breakpoints=self.breakpoints[:segments + 1], coeffs=coeffs,
+                             density=self.density and any(map(any, coeffs)))
 
     def _times_factor(self, value: Fraction) -> Fraction:
         return value if self.factor == 1 else value * self.factor
@@ -124,18 +125,6 @@ class PiecewisePoly:
     def support(self) -> tuple[Fraction, Fraction]:
         return self.breakpoints[0], self.breakpoints[-1]
 
-    @property
-    def degree(self) -> int:
-        if self.factor == 0:
-            return 0
-        d = 0
-        for seg in self.coeffs:
-            for k in (3, 2, 1):
-                if seg[k] != 0:
-                    d = max(d, k)
-                    break
-        return d
-
     def _segment_of(self, x: Fraction) -> int:
         lo, hi = self.support
         if x < lo or x > hi:
@@ -144,7 +133,7 @@ class PiecewisePoly:
         return max(idx, 0)
 
     def eval(self, x) -> Fraction:
-        """Exact value at x; right-continuous at interior breakpoints."""
+        """Exact value at x; left-continuous at interior breakpoints."""
         x = Fraction(x)
         i = self._segment_of(x)
         u = x - self.breakpoints[i]
@@ -201,11 +190,11 @@ class PiecewisePoly:
         mass = self.total_mass()
         if mass <= 0:
             raise ValueError(f"cannot normalize: total mass {mass} is not positive")
-        return self._with_factor(self.factor / mass, self.density), mass
+        return self._replace(factor=self.factor / mass), mass
 
     def scale(self, k) -> "PiecewisePoly":
         k = Fraction(k)
-        return self._with_factor(self.factor * k, self.density and k > 0)
+        return self._replace(factor=self.factor * k, density=self.density and k > 0)
 
 
 def from_linear_knots(knots: Iterable) -> PiecewisePoly:
@@ -274,31 +263,23 @@ def _rational(text: str) -> Fraction:
 def dump_lines(p: PiecewisePoly) -> Iterator[str]:
     """Serialize the represented function, one newline-ended line at a
     time (see :func:`dump_cells`)."""
-    knots = writes_knots(p.continuous, p.degree, map(p.eval, p.breakpoints))
-    return dump_cells(p.breakpoints, p.coeffs, knots, p.continuous,
-                      p.density, p.factor)
+    return dump_cells(p.breakpoints, p.coeffs, p.continuous, p.density, p.factor)
 
 
-def writes_knots(continuous: bool, degree: int, values: Iterable[Fraction]) -> bool:
-    """Whether a function is written as knot lines: it is continuous, of
-    degree at most 1, and nowhere negative (the loader refuses a negative
-    knot), which its ``values`` at the breakpoints show; they are read
-    only if the rest holds."""
-    return continuous and degree <= 1 and all(v >= 0 for v in values)
-
-
-def dump_cells(breaks: Sequence[Fraction], cells: Iterable, knots: bool,
-               continuous: bool, density: bool,
-               factor: Fraction) -> Iterator[str]:
+def dump_cells(breaks: Sequence[Fraction], cells: Iterable, continuous: bool,
+               density: bool, factor: Fraction) -> Iterator[str]:
     """Serialize the function ``factor * cells`` on ``breaks``, one
     newline-ended line at a time.
 
     ``cells`` yields one coefficient quadruple per segment, in order, and
-    is read once: each line is made from its cell as the cell arrives, and
-    the factor is applied coefficient by coefficient, so neither the text
-    nor the scaled coefficients are ever held whole.  ``knots`` picks the
-    format before the first cell (see :func:`writes_knots`): knot lines, or
-    segment lines.
+    is read once; the factor is applied coefficient by coefficient.  A
+    function flagged continuous whose cells are linear (or whose factor is
+    0), meet at every interior breakpoint and are nowhere negative is
+    written as knot lines, any other as segment lines: the values tested
+    are the values written.  The cells are held only while knot lines are
+    still possible; at the first cell that rules them out, the held cells
+    are written as segment lines, and every later line is made from its
+    cell as the cell arrives.
     """
     yield "# tailkit piecewise v1\n"
     flags = []
@@ -309,25 +290,37 @@ def dump_cells(breaks: Sequence[Fraction], cells: Iterable, knots: bool,
     yield "# flags: " + " ".join(flags) + "\n"
     one = factor == 1
 
-    def scaled(c: Fraction) -> str:
-        return _fmt(c if one else c * factor)
+    def scaled(c: Fraction) -> Fraction:
+        return c if one else c * factor
 
-    if knots:
-        for x, seg in zip(breaks, cells):
-            yield f"knot {_fmt(x)} {scaled(seg[0])}\n"
-        # the value at the right end, from the last cell
-        u = breaks[-1] - breaks[-2]
-        c0, c1, c2, c3 = seg
-        end = ((c3 * u + c2) * u + c1) * u + c0
-        yield f"knot {_fmt(breaks[-1])} {scaled(end)}\n"
-    else:
+    cells = iter(cells)
+    # while knot lines are possible: the cells, and each one's value at its
+    # left end, which its knot line writes for the cell before it too
+    held, values = [], []
+    if continuous:
         for lo, hi, seg in zip(breaks, breaks[1:], cells):
-            yield " ".join(["seg", _fmt(lo), _fmt(hi)]
-                           + [scaled(c) for c in seg]) + "\n"
+            held.append(seg)
+            c0, c1, c2, c3 = seg
+            start = scaled(c0)
+            if start < 0 or (values and start != end) or (factor and (c2 or c3)):
+                break
+            values.append(start)
+            end = scaled(c0 + c1 * (hi - lo))
+        else:
+            if end >= 0:
+                for x, f in zip(breaks, values + [end]):
+                    yield f"knot {_fmt(x)} {_fmt(f)}\n"
+                return
+    for lo, hi, seg in zip(breaks, breaks[1:], chain(held, cells)):
+        yield " ".join(["seg", _fmt(lo), _fmt(hi)]
+                       + [_fmt(scaled(c)) for c in seg]) + "\n"
 
 
 def load_lines(lines: Sequence[str]) -> PiecewisePoly:
-    flags: set[str] = set()
+    """The function a piecewise text describes.  A ``# flags:`` line sets
+    both flags; a knot text without one is continuous, and a density unless
+    its values are all 0."""
+    flags: Optional[set[str]] = None
     knots: list[tuple[Fraction, Fraction]] = []
     segs: list[tuple[Fraction, ...]] = []
     for raw in lines:
@@ -337,7 +330,7 @@ def load_lines(lines: Sequence[str]) -> PiecewisePoly:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("flags:"):
-                flags.update(body[len("flags:"):].split())
+                flags = (flags or set()) | set(body[len("flags:"):].split())
             continue
         parts = line.split()
         if not ((parts[0] == "knot" and len(parts) == 3)
@@ -354,7 +347,10 @@ def load_lines(lines: Sequence[str]) -> PiecewisePoly:
     if knots and segs:
         raise ValueError("a piecewise file may not mix knot and seg lines")
     if knots:
-        return from_linear_knots(knots)
+        p = from_linear_knots(knots)
+        if flags is None:
+            return p
+        return p._replace(continuous="continuous" in flags, density="density" in flags)
     if not segs:
         raise ValueError("no knot or seg lines found")
     breaks = [segs[0][0]]
@@ -364,6 +360,7 @@ def load_lines(lines: Sequence[str]) -> PiecewisePoly:
             raise ValueError("seg lines must be contiguous and ordered")
         breaks.append(seg[1])
         coeffs.append(tuple(seg[2:]))
+    flags = flags or set()
     return PiecewisePoly(tuple(breaks), tuple(coeffs),
                          continuous="continuous" in flags,
                          density="density" in flags)

@@ -573,6 +573,16 @@ class TestProbeCommand:
                        "n_list=5,12") == 2
         assert "block 12 is not materialized" in capsys.readouterr().err
 
+    def test_crossing_of_the_last_block_is_outside_the_support(self, capsys):
+        # at n=63 the support ends at a_64: d64, like c64, parses and lies
+        # past it
+        errors = []
+        for x in ("c64", "d64"):
+            assert run_cli("probe", "notched", "long_tail_ratio", f"x={x}",
+                           "--n", "63") == 2
+            errors.append(capsys.readouterr().err.partition(" is outside")[1:])
+        assert errors[0] == errors[1] and errors[0][0]
+
     def test_split_integrals_rejects_block_outside_truncation(self, capsys):
         # the block is checked before its abscissa c6 is convolved
         assert run_cli("probe", "notched", "split_integrals", "block=6",
@@ -876,9 +886,11 @@ class TestConvolve:
              _UNIFORM, True)
     @example(_UNIFORM.scale(-2), _UNIFORM, False)  # below 0: seg lines
     @example(_UNIFORM.scale(-2), _UNIFORM, True)   # p*p above 0: knot lines
+    # no flags: p*p is continuous, a knot file, and not a density
+    @example(load_text("# flags:\nseg 0 1 1 0 0 0"), _UNIFORM, True)
     def test_stream_writes_the_held_result(self, tmp_path_factory, p, q, same):
-        # one file is a self-convolution, two a cross-convolution; a result
-        # of degree at most 1 is written as knots only if nowhere negative
+        # one file is a self-convolution, two a cross-convolution; a linear
+        # result is written as knots only if nowhere negative
         from tailkit import convolution as conv
         from tailkit.piecewise import dump_text
         work = tmp_path_factory.mktemp("stream")
@@ -893,11 +905,8 @@ class TestConvolve:
         assert cli.main(["convolve", *map(str, files), "--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert printed.getvalue() == text == dump_text(held)
-        # the file loads back to the held result; a knot file's density flag
-        # is read from its values, not from the file's flags
-        back = load_text(text)
-        assert (back.breakpoints, back.scaled_coeffs(), back.continuous) == \
-            (held.breakpoints, held.scaled_coeffs(), held.continuous)
+        # the file loads back to the held result, flags included
+        assert load_text(text) == held
 
     @pytest.mark.pin
     def test_uniform_self_convolution_is_three_knots(self, tmp_path, capsys):

@@ -100,16 +100,34 @@ class TestStreamedSweep:
     @given(linear_operands(), linear_operands(), st.booleans(),
            st.sampled_from([1, Fraction(1, 3), 0, -2]))
     @settings(max_examples=150, deadline=None)
-    def test_cells_and_degree_match_the_held_result(self, p, q, same, k):
-        # the degree is known before the first cell; it and the streamed
-        # text, in the held result's format, must be the held result's
+    def test_cells_match_the_held_result(self, p, q, same, k):
+        # the streamed text, whose format the writer picks from the cells as
+        # they come, is the held result's
         p = p.scale(k)
         q = p if same else q
-        grid, cells, degree, flags = conv.dense_sweep(p, q)
+        grid, cells, flags = conv.dense_sweep(p, q)
         held = conv.conv_linear_exact(p, q)
-        text = dump_text(held)
-        assert degree == held.degree
-        assert "".join(dump_cells(grid, cells, "\nknot " in text, **flags)) == text
+        assert "".join(dump_cells(grid, cells, **flags)) == dump_text(held)
+
+    def test_each_seg_line_draws_one_cell(self):
+        # the notched self-convolution is cubic from its first cell (f0 has
+        # slope -3/8 on [0, 2]), so the writer holds no cell: its first seg
+        # line comes after one cell is drawn, and each line after one more
+        f = notched.build_density(4).dense
+        grid, cells, flags = conv.dense_sweep(f, f)
+        drawn = 0
+
+        def counted():
+            nonlocal drawn
+            for cell in cells:
+                drawn += 1
+                yield cell
+
+        lines = dump_cells(grid, counted(), **flags)
+        assert next(lines) + next(lines) == ("# tailkit piecewise v1\n"
+                                             "# flags: continuous density\n")
+        for expected in range(1, 6):
+            assert next(lines).startswith("seg ") and drawn == expected
 
 
 class TestMomentCache:

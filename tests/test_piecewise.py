@@ -2,8 +2,8 @@ import sys
 from fractions import Fraction
 
 import pytest
-from conftest import small_fractions
-from hypothesis import given, settings
+from conftest import linear_operands, small_fractions
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailkit.piecewise import (PiecewisePoly, dump_text, from_linear_knots,
@@ -227,6 +227,33 @@ class TestSerialization:
             sys.set_int_max_str_digits(old)
         assert text == expected and back == p
         assert first_seg in text
+
+    @given(linear_operands(), st.sampled_from([1, Fraction(1, 3), 0, -2]))
+    @settings(max_examples=150, deadline=None)
+    def test_loads_back_to_what_was_written(self, p, k):
+        # equality compares the flags too
+        p = p.scale(k)
+        assert load_text(dump_text(p)) == p
+
+    @given(st.lists(small_fractions(-4, 8, max_denominator=4), min_size=2,
+                    max_size=5, unique=True).map(sorted),
+           st.lists(st.tuples(*[small_fractions(-4, 4, max_denominator=4)] * 2,
+                              st.sampled_from([0, 0, 1]), st.sampled_from([0, 0, -1])),
+                    min_size=4, max_size=4),
+           st.booleans(), st.sampled_from([1, Fraction(1, 3), 0, -2]))
+    @settings(max_examples=150, deadline=None)
+    # eval(13/2) is the left piece's 29/12, but a knot line there would
+    # write the right piece's -9/2, which no knot file may hold
+    @example([4, Fraction(13, 2), 11], [(Fraction(13, 4), Fraction(-1, 3), 0, 0),
+                                         (Fraction(-9, 2), 10, 0, 0)], True, 1)
+    # nowhere negative, but knot lines would close the jump at 1
+    @example([0, 1, 2], [(1, 0, 0, 0), (2, 0, 0, 0)], True, 1)
+    def test_any_continuous_flag_loads_back(self, breaks, cells, density, factor):
+        # whatever the values of a function flagged continuous, its text
+        # loads, and to the function written
+        p = PiecewisePoly(breaks, cells[:len(breaks) - 1], continuous=True,
+                          density=density, factor=factor)
+        assert load_text(dump_text(p)) == p
 
     @pytest.mark.parametrize("line", ["knot 0 1/0", "knot 0 one",
                                       "seg 0 1 1 0 0 2/0"])
