@@ -69,7 +69,7 @@ _N_MAX = DENSE_LIMIT - 1
 
 # the most bits a run may snap its constants to: at 6,144 bits, on a 2-vCPU
 # Xeon VM, `verify` takes 10-13 s (5-6 s at 4,096), `report notched --n 63`
-# 11-14 s and `report mixture --m-max 24` 12-13 s, and the cost of each grows
+# 8-11 s and `report mixture --m-max 24` 12-13 s, and the cost of each grows
 # faster than the bits
 _PRECISION_MAX = 6144
 

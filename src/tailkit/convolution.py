@@ -47,7 +47,9 @@ one linear ``alpha - beta y`` and the run integrates to ``alpha M0 - beta
 M1``, where ``M0`` and ``M1`` sum q's masses and first moments over it.  A
 whole segment of q reads its moments from a cache on q, filled one
 segment at a time and shared with the copies ``scale`` and ``head`` make;
-the pieces cut at the run ends take the same closed form.  Sums are added
+the pieces cut at the run ends take the same closed form.  A
+self-convolution's value over its clipped window is kept in the same
+cache, so a window is walked once whichever copy asks.  Sums are added
 in balanced trees, so each addition meets operands of like size.  For a
 self-convolution whose clipped window is symmetric about ``x/2``, so is the
 integrand: the walk stops at ``x/2`` and the result is doubled.
@@ -200,6 +202,12 @@ def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,
     whi = min(y_hi, tb[-1], x - sb[0])
     if whi <= wlo:
         return Fraction(0)
+    # a self-convolution's value over the clipped window, before the
+    # factor, is kept beside the segment moments: every copy sharing the
+    # cache shares the coefficients on that window and its reflection
+    cache, key = q._moment_cache, (x, wlo, whi)
+    if same and key in cache:
+        return cache[key] * (p.factor * q.factor)
     # p(x-y) p(y) is symmetric about y = x/2: on a window symmetric about
     # x/2, integrate its lower half and double
     double = same and wlo + whi == x
@@ -212,7 +220,6 @@ def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,
     j = bisect_right(tb, wlo) - 1
     i = bisect_left(sb, x - wlo) - 1
     r = x - sb[i]
-    cache = q._moment_cache
     u, runs = wlo, []
     while True:
         v = min(whi, r)
@@ -240,6 +247,8 @@ def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,
         u, r = v, x - sb[i]
     total = _balanced_sum(runs)
     value = (total + total if double else total) / 6
+    if same:
+        cache[key] = value
     return value * (p.factor * q.factor)
 
 

@@ -24,7 +24,7 @@ from tailkit.errors import PrecisionFailure
 from tailkit.notched import NotchedDensity, knot_logf, knot_position, threshold_knots
 from tailkit.numerics import DEFAULT_PRECISION, log_nat, root_snap
 from tailkit.piecewise import _fmt
-from tailkit.render import decimal_str, int_str
+from tailkit.render import decimal_str
 
 RESIDUAL_FRACTION = Fraction(1, 20)
 RESIDUAL_VALUE = Fraction(1)
@@ -165,7 +165,7 @@ def schedule_csv_lines(schedule: BlowupSchedule) -> list[str]:
     lines = ["m,n_m,mass,log2_f_b,lower_bound"]
     for e in schedule.entries:
         lines.append(",".join([
-            str(e.m), int_str(e.n_m), decimal_str(e.mass),
+            str(e.m), _fmt(e.n_m), decimal_str(e.mass),
             decimal_str(e.logf_b.log2mag), decimal_str(e.lower_bound)]))
     lines.append(f"residual,,{decimal_str(schedule.residual_mass)},,")
     return lines

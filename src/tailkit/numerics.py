@@ -24,6 +24,7 @@ that needs it, so a caller that snaps nothing never loads it.
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -56,14 +57,25 @@ _MAX_EXPONENT = 10_000
 
 
 def _rational(text: str, config=None) -> Fraction:
-    """A decimal or p/q rational; a decimal exponent past +-_MAX_EXPONENT is
-    refused before Fraction computes its power of ten.  ``config``, the
-    run's options, is what every probe parameter parser is given; a
-    rational reads none of them."""
+    """A decimal or p/q rational: the one reader of options, parameters,
+    config lines and piecewise file values.  A decimal exponent past
+    +-_MAX_EXPONENT is refused before Fraction computes its power of ten;
+    an integer or p/q past ``sys.get_int_max_str_digits()``, which Fraction
+    refuses, is read through Decimal.  ``config``, the run's options, is
+    what every probe parameter parser is given; a rational reads none of
+    them."""
     exponent = text.lower().partition("e")[2]
     if exponent and abs(int(exponent)) > _MAX_EXPONENT:
         raise ValueError(f"exponent beyond +-{_MAX_EXPONENT}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        match = re.fullmatch(r"([-+]?[0-9]+)(?:/([0-9]+))?", text)
+        if match is None:
+            raise
+        from decimal import Decimal
+        num, den = match.groups()
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
 def _int_range(key: str, lo: int, hi: int, work_log2: int | None = None):

@@ -38,6 +38,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
+from tailkit.numerics import _rational
+
 
 class Knot(namedtuple("Knot", "x f")):
     """A breakpoint together with the function value there."""
@@ -67,8 +69,8 @@ class PiecewisePoly:
         for seg in coeffs:
             if len(seg) != 4:
                 raise ValueError("segments take at most 4 coefficients (degree <= 3)")
-        # _moment_cache: segment moments for the point walk; the copies
-        # below share it
+        # _moment_cache: segment moments and self-convolution window values
+        # for the point walk; the copies below share it
         self.__dict__.update(breakpoints=breaks, coeffs=coeffs,
                              continuous=continuous, density=density,
                              factor=Fraction(factor), _moment_cache={})
@@ -229,35 +231,23 @@ def from_linear_knots(knots: Iterable) -> PiecewisePoly:
 # Values are exact base-10 rational strings ("5", "-3/7"); lines starting
 # with '#' are comments, except '# flags:' which records the construction
 # flags so that load(dump(P)) reproduces P exactly.  A value with an
-# exponent is refused on load: Fraction("1e<k>") builds 10**k, so a line of
-# a few bytes could stall the load for minutes.
+# exponent is refused on load: the format never writes one, and a file
+# value is otherwise read as any rational the CLI reads, by
+# numerics._rational.
 #
 # The text must not depend on sys.get_int_max_str_digits(): str() and
-# Fraction() refuse integers with more digits than that limit, and only
-# those values go through Decimal, which converts integers of any size.
+# Fraction() refuse integers with more digits than that limit, so _fmt, the
+# one exact writer, and numerics._rational, the one reader, send only those
+# values through Decimal, which converts integers of any size.
 
 def _fmt(q: Fraction) -> str:
+    """The exact text of a rational or int, of any length."""
     try:
         return str(q)
     except ValueError:
         from decimal import Decimal
         num = str(Decimal(q.numerator))
         return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
-
-
-def _rational(text: str) -> Fraction:
-    if "e" in text or "E" in text:
-        raise ValueError(f"{text!r} has an exponent")
-    try:
-        return Fraction(text)
-    except ValueError:
-        import re
-        from decimal import Decimal
-        match = re.fullmatch(r"([-+]?[0-9]+)(?:/([0-9]+))?", text)
-        if match is None:
-            raise
-        num, den = match.groups()
-        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
 def dump_lines(p: PiecewisePoly) -> Iterator[str]:
@@ -337,7 +327,10 @@ def load_lines(lines: Sequence[str]) -> PiecewisePoly:
                 or (parts[0] == "seg" and len(parts) == 7)):
             raise ValueError(f"unrecognized piecewise line: {raw!r}")
         try:
-            values = tuple(_rational(v) for v in parts[1:])
+            for v in parts[1:]:
+                if "e" in v or "E" in v:
+                    raise ValueError(f"{v!r} has an exponent")
+            values = tuple(map(_rational, parts[1:]))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational in piecewise line {raw!r}: {exc}") from None
         if parts[0] == "knot":

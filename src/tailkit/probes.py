@@ -48,7 +48,7 @@ from tailkit.errors import UsageError
 from tailkit.numerics import (DEFAULT_PRECISION, LogValue, _int_range, _rational,
                               _snap_raw, log_nat)
 from tailkit.piecewise import PiecewisePoly, _fmt
-from tailkit.render import decimal_str, int_str, value_str
+from tailkit.render import decimal_str, value_str
 
 Value = Union[Fraction, LogValue, int]
 
@@ -62,12 +62,12 @@ def _csv_field(text: str) -> str:
 
 
 def _aux_json_value(v) -> str:
-    # ints are written as JSON numbers by int_str: json.dumps would refuse
+    # ints are written as JSON numbers by _fmt: json.dumps would refuse
     # the longest ones (schedule indices n_m) under Python's digit limit
     if isinstance(v, (Fraction, LogValue)):
         return json.dumps(value_str(v))
     if isinstance(v, int) and not isinstance(v, bool):
-        return int_str(v)
+        return _fmt(v)
     return json.dumps(v, sort_keys=True, separators=(",", ":"))
 
 
@@ -343,12 +343,17 @@ def _int_list(key: str, lo: int, hi: int):
 
 
 def _points(text: str, config, knots: bool = True) -> list[tuple[str, Fraction]]:
-    """Abscissas: decimal strings or, if knots, knot labels like 'c10'."""
+    """Abscissas, the parameter x: decimal strings or, if knots, knot labels
+    like 'c10'.  A label the construction cannot place is refused with the
+    reason."""
     points = []
     for label in (item.strip() for item in text.split(",")):
         if knots and label[:1] in notched.KNOT_KINDS and label[1:].isdigit():
-            points.append((label, notched.knot_position(
-                label[0], int(label[1:]), config.precision_bits)))
+            try:
+                x = notched.knot_position(label[0], int(label[1:]), config.precision_bits)
+            except ValueError as exc:
+                raise UsageError(f"bad value for x: {label!r} ({exc})") from exc
+            points.append((label, x))
         elif label:
             points.append((label, _rational(label)))
     if not points:

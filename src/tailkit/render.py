@@ -9,25 +9,21 @@ rational-string piecewise files, not of these reports.
 
 Nothing here calls ``str`` on an integer that can be long: Python refuses
 int-to-decimal conversions past ``sys.get_int_max_str_digits()``, and the
-bytes of a report must not depend on that interpreter setting.
+bytes of a report must not depend on that interpreter setting.  An int of
+any size is written whole by ``piecewise._fmt``, the one exact writer.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 from math import log10
 
 from tailkit.numerics import LogValue
+from tailkit.piecewise import _fmt
 
 SIG_DIGITS = 40
 _EXACT_WIDTH = 80
 _LOG10_2 = log10(2)
-
-
-def int_str(n: int) -> str:
-    """Decimal digits of an int of any size."""
-    return str(Decimal(n))
 
 
 def _at_least(num: int, den: int, e: int) -> bool:
@@ -101,5 +97,5 @@ def value_str(v) -> str:
     if isinstance(v, LogValue):
         return f"log2:{decimal_str(v.log2mag)}"
     if isinstance(v, int):
-        return int_str(v)
+        return _fmt(v)
     return decimal_str(v)

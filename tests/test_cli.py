@@ -398,6 +398,21 @@ class TestConstructionReads:
         assert capsys.readouterr().err == "usage error: bad value for x: 'c3'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("label, reason", [
+        ("d1", "threshold knots need n >= 2"),
+        ("s1", "threshold knots need n >= 2"),
+        ("c0", "n must be a positive integer, got 0"),
+        ("a65", "n=65 exceeds the dense limit 64"),
+    ], ids=["d1", "s1", "c0", "a65"])
+    def test_a_knot_label_that_cannot_be_placed_says_why(self, label, reason,
+                                                         tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("probe", "notched", "long_tail_ratio", f"x=c2,{label}",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: bad value for x: {label!r} ({reason}")
+        assert err.count("\n") == 1 and not out.exists()
+
 
 class TestProbeCommand:
     def test_knot_ratio_series(self, tmp_path, capsys):
@@ -415,6 +430,34 @@ class TestProbeCommand:
         body = out.read_text().splitlines()
         assert body[1].startswith("long_tail_ratio,c5,")
         assert body[2].startswith("long_tail_ratio,b5,")
+
+    # 1/33...3 with a 4,400-digit denominator, past Python's default limit
+    # of 4,300 digits on int-to-str conversion, as each option and parameter
+    # that reads a rational; {cfg} is a config file holding it as d
+    LONG = "1/" + "3" * 4400
+
+    @pytest.mark.parametrize("argv", [
+        ["probe", "logperiodic", "chi", "x=1", "--delta", LONG],
+        ["probe", "logperiodic", "karamata_ratio", "x=100", "--delta", LONG],
+        ["probe", "notched", "long_tail_ratio", "x=c5", "n=6", f"t={LONG}"],
+        ["probe", "notched", "almost_decrease_scan", "n=4", f"x0={LONG}"],
+        ["probe", "notched", "local_tail_ratio", "x=c5", "n=6", "--d", LONG],
+        ["probe", "notched", "local_tail_ratio", "x=c5", "n=6", "--config", "{cfg}"],
+    ], ids=["delta-chi", "delta-karamata", "t", "x0", "d", "d-config"])
+    def test_long_rationals_read_whatever_the_digit_limit(self, argv, tmp_path):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(f"d = {self.LONG}\n")
+        argv = [a.format(cfg=cfg) for a in argv]
+        env = child_env()
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        outputs = []
+        for limit in (["-X", "int_max_str_digits=640"], [],
+                      ["-X", "int_max_str_digits=0"]):
+            child = subprocess.run([sys.executable, *limit, "-m", "tailkit.cli", *argv],
+                                   capture_output=True, env=env)
+            assert child.returncode == 0, child.stderr
+            outputs.append(child.stdout)
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
 
     def test_scan_start_past_the_digit_limit(self, capsys):
         # a start of 5,001 digits, below the support: the scan is the one

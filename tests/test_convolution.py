@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailkit import convolution as conv
-from tailkit import notched, probes
+from tailkit import cli, notched, probes
 from tailkit.mixture import AtomList, MixtureSpec, mixture_cross_mass
 from tailkit.piecewise import dump_cells, dump_text, from_linear_knots
 
@@ -156,6 +156,46 @@ class TestMomentCache:
             for x, y_lo, y_hi in calls:
                 assert (conv.conv_window_value(cut, cut, x, y_lo, y_hi)
                         == conv.conv_window_value(fresh, fresh, x, y_lo, y_hi))
+
+    def test_copies_read_each_others_window_values(self):
+        # a self-convolution's value over a clipped window is kept in the
+        # cache the copies share: a truncation and the full build read each
+        # other's values, and each reads what a fresh build walks to, at
+        # abscissas below and above the truncation's support end
+        top, other = notched.build_density(12), notched.build_density(12)
+        rng = random.Random(29)
+        for n in range(2, 12):
+            cut, fresh = top.truncate(n), notched.build_density(n)
+            hi = cut.dense.support[1]
+            for x in (hi * Fraction(rng.randrange(1, 1 << 20), 1 << 20),
+                      hi + hi * Fraction(rng.randrange(1, 1 << 20), 1 << 20)):
+                window = (max(Fraction(0), x - hi), min(x, hi))  # clipped
+                # the full build's whole window at x is not the cut's above hi
+                whole = conv.self_conv_value(top.dense, x)
+                first, second = (top, cut) if n % 2 else (cut, top)
+                values = [conv.conv_window_value(d.dense, d.dense, x, *window)
+                          for d in (first, second)]
+                assert (x, *window) in top.dense._moment_cache
+                assert values[0] == values[1] == conv.conv_window_value(
+                    fresh.dense, fresh.dense, x, *window)
+                assert (conv.self_conv_value(cut.density(), x)
+                        == conv.self_conv_value(fresh.density(), x))
+                assert whole == conv.self_conv_value(other.dense, x)
+
+    def test_report_walks_each_window_once(self, monkeypatch, capsys):
+        # at c4 two windows are symmetric about c4/2, the whole support and
+        # the I2 window [a_4, c4 - a_4]; the walk of each ends with a piece
+        # cut at c4/2.  subexp_ratio and split_integrals read the whole
+        # window, i2_bound_check and split_integrals the I2 window, and
+        # each is walked once
+        half = notched.knot_position("c", 4) / 2
+        ends = []
+        moments = conv._moments
+        monkeypatch.setattr(conv, "_moments",
+                            lambda u, v, *rest: ends.append(v) or moments(u, v, *rest))
+        assert cli.main(["report", "notched", "--n", "4"]) == 0
+        assert "\nsplit_integrals,c4," in capsys.readouterr().out
+        assert ends.count(half) == 2
 
 
 class TestSelfConvWindowMass:

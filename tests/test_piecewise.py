@@ -6,7 +6,8 @@ from conftest import linear_operands, small_fractions
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailkit.piecewise import (PiecewisePoly, dump_text, from_linear_knots,
+from tailkit.numerics import _rational
+from tailkit.piecewise import (PiecewisePoly, _fmt, dump_text, from_linear_knots,
                                load_text)
 
 TRIANGLE = from_linear_knots([(0, 0), (1, 1), (2, 0)])
@@ -25,6 +26,9 @@ def linear_knots(min_size=2, max_size=8):
 
 
 factors = st.fractions(min_value="1/64", max_value=64, max_denominator=64)
+# integers of 1 to 6,000 digits, past Python's default limit of 4,300 on
+# int-to-str conversion
+long_ints = st.integers(1, 6000).flatmap(lambda k: st.integers(10 ** (k - 1), 10 ** k - 1))
 unit = small_fractions(0, 1, max_denominator=64)
 widths = small_fractions("1/16", 3, max_denominator=16)
 
@@ -227,6 +231,23 @@ class TestSerialization:
             sys.set_int_max_str_digits(old)
         assert text == expected and back == p
         assert first_seg in text
+
+    @given(long_ints, long_ints, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    @example(7 ** 7100, 3 ** 10480, True)
+    @example(10 ** 5999, 1, False)
+    def test_long_rationals_read_back_whatever_the_digit_limit(self, num, den, negative):
+        # the one writer and the one reader, of option values and file
+        # values alike, at Python's default limit
+        q = Fraction(-num if negative else num, den)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert _rational(_fmt(q)) == q
+            p = load_text(f"knot {_fmt(q)} 1\nknot {_fmt(q + 1)} 0\n")
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert p.breakpoints == (q, q + 1)
 
     @given(linear_operands(), st.sampled_from([1, Fraction(1, 3), 0, -2]))
     @settings(max_examples=150, deadline=None)
