@@ -23,8 +23,9 @@ from functools import cached_property
 # its first use.  The battery uses every layer, so all of them run before
 # its first check: layers loaded among a check's live values raised the
 # peak RSS of `tailkit verify` by about 0.9 MB.  logperiodic runs last, and
-# mpmath with it: imported first, it raised that peak from 20.9 to 21.5 MB,
-# and imported second, to 21.3 MB.
+# libmp with it: when it still loaded the whole mpmath package, imported
+# first it raised that peak from 20.9 to 21.5 MB, and imported second, to
+# 21.3 MB.
 import tailkit.convolution as conv
 import tailkit.mixture as mx
 import tailkit.notched as notched

@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 
 from tailkit.errors import PrecisionFailure, UsageError
 from tailkit.numerics import (DEFAULT_PRECISION, DENSE_LIMIT, MIN_PRECISION,
-                              _int_range, _rational)
+                              _int_range, _quoted, _rational)
 
 
 def _lazy(name: str):
@@ -141,7 +141,7 @@ def _parse(key: str, parse, text: str, *context):
     except UsageError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad value for {key}: {text!r}") from exc
+        raise UsageError(f"bad value for {key}: {_quoted(text)}") from exc
 
 
 def _read(path: str) -> str:

@@ -17,12 +17,12 @@ calls the libmp function that mpmath's ``mpf`` operator would call (``4*fm``
 is ``mpf_mul_int``, ``/6`` is ``mpf_div`` by ``from_int(6)``), at the same
 precision with round-to-nearest, so every value keeps the bits of the
 ``mpf`` expression, without its per-operation dispatch and allocation.
-mpmath loads with this module, which ``tailkit.cli`` runs only for the
-commands that use it.  Integrals carry
-the relative error budget ``QUAD_TOL`` and a certified analytic tail
-bound, and raise :class:`PrecisionFailure` rather than return a value that
-missed it, also when one piece stops at the depth cap or the evaluation
-cap.
+libmp loads with this module (through ``numerics.libmp``, without the rest
+of mpmath), which ``tailkit.cli`` runs only for the commands that use it.
+Integrals carry the relative error budget ``QUAD_TOL`` and a certified
+analytic tail bound, and raise :class:`PrecisionFailure` rather than
+return a value that missed it, also when one piece stops at the depth cap
+or the evaluation cap.
 :func:`normalizers` (whose three integrals share a panel) and
 :func:`middle_mass_ratio` (symmetric about ``x/2``) keep chi per abscissa
 for one call: each is computed once.  The tail normalizer ``b`` is
@@ -37,14 +37,19 @@ from fractions import Fraction
 from functools import cache, cmp_to_key
 from typing import Callable, Optional
 
-from mpmath.libmp import (fhalf, finf, fone, from_int, from_str, ftwo, fzero, mpf_abs,
-                          mpf_add, mpf_cmp, mpf_cos, mpf_div, mpf_exp, mpf_gt, mpf_le,
-                          mpf_ln2, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
-                          mpf_pos, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sub, to_str)
-
 from tailkit.errors import PrecisionFailure
-from tailkit.numerics import LogValue, _snap_raw
+from tailkit.numerics import _RND, LogValue, _snap_raw, libmp
 from tailkit.piecewise import _fmt
+
+_lm = libmp()
+fhalf, finf, fone, ftwo, fzero = _lm.fhalf, _lm.finf, _lm.fone, _lm.ftwo, _lm.fzero
+from_int, from_str, to_str = _lm.from_int, _lm.from_str, _lm.to_str
+mpf_abs, mpf_add, mpf_cmp, mpf_cos = _lm.mpf_abs, _lm.mpf_add, _lm.mpf_cmp, _lm.mpf_cos
+mpf_div, mpf_exp, mpf_gt, mpf_le = _lm.mpf_div, _lm.mpf_exp, _lm.mpf_gt, _lm.mpf_le
+mpf_ln2, mpf_log, mpf_lt, mpf_mul = _lm.mpf_ln2, _lm.mpf_log, _lm.mpf_lt, _lm.mpf_mul
+mpf_mul_int, mpf_neg, mpf_pi, mpf_pos = _lm.mpf_mul_int, _lm.mpf_neg, _lm.mpf_pi, _lm.mpf_pos
+mpf_pow, mpf_pow_int, mpf_rdiv_int = _lm.mpf_pow, _lm.mpf_pow_int, _lm.mpf_rdiv_int
+mpf_sub = _lm.mpf_sub
 
 _WP = 192          # working precision (bits) for all evaluation
 _SNAP_BITS = 96    # precision of rationals snapped out of the floats
@@ -53,7 +58,6 @@ _MAX_DEPTH = 52
 # reports need at most 1,886, and a piece that cannot converge (chi at small
 # delta) would otherwise refine for minutes
 _MAX_EVALS = 1 << 15
-_RND = "n"         # round to nearest, mpmath's default rounding
 QUAD_TOL = Fraction(1, 10 ** 8)  # relative error budget of every integral
 
 Raw = tuple        # libmp's raw mpf: (sign, mantissa, exponent, bitcount)

@@ -22,7 +22,7 @@ from typing import Optional
 
 from tailkit.errors import PrecisionFailure
 from tailkit.notched import NotchedDensity, knot_logf, knot_position, threshold_knots
-from tailkit.numerics import DEFAULT_PRECISION, log_nat, root_snap
+from tailkit.numerics import _RND, DEFAULT_PRECISION, libmp, log_nat, root_snap
 from tailkit.piecewise import _fmt
 from tailkit.render import decimal_str
 
@@ -89,17 +89,18 @@ def schedule_index(m: int, precision_bits: int = DEFAULT_PRECISION) -> int:
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    import mpmath
+    lm = libmp()
     k = m ** 4
     wp = max(precision_bits, 3 * k // 2 + 192)
     for _ in range(8):
-        with mpmath.workprec(wp):
-            v = mpmath.exp(k)
-            fl = mpmath.floor(v)
-            frac = v - fl
-            err = mpmath.ldexp(mpmath.mpf(1), int(mpmath.mag(v)) - wp + 4)
-            if frac > err and (1 - frac) > err:
-                return int(fl)
+        # the libmp calls of mpmath's exp(k), floor(v), v - fl,
+        # ldexp(1, mag(v) - wp + 4) and 1 - frac at wp bits
+        v = lm.mpf_exp(lm.from_int(k), wp, _RND)
+        fl = lm.mpf_floor(v, wp, _RND)
+        frac = lm.mpf_sub(v, fl, wp, _RND)
+        err = lm.mpf_shift(lm.fone, v[2] + v[3] - wp + 4)
+        if lm.mpf_gt(frac, err) and lm.mpf_gt(lm.mpf_sub(lm.fone, frac, wp, _RND), err):
+            return int(lm.to_int(fl))
         wp *= 2
     raise PrecisionFailure(f"could not certify floor(exp({k}))")
 

@@ -17,23 +17,26 @@ construction) then hold exactly in rational arithmetic.
 
 All snap functions are deterministic: identical arguments give
 bit-identical rationals, and results are cached with idempotent inserts,
-so concurrent readers are safe.  mpmath is imported on the first snap
-that needs it, so a caller that snaps nothing never loads it.
+so concurrent readers are safe.  They run on libmp, mpmath's low-level
+floating-point library, through :func:`libmp`: each step calls the libmp
+function that mpmath's ``mpf`` operator would call, at the same precision
+with round-to-nearest, so every value keeps the bits of the ``mpf``
+expression.  libmp is loaded on the first snap that needs it, without the
+rest of mpmath, so a caller that snaps nothing loads neither.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
-from typing import TYPE_CHECKING
+from functools import cache, lru_cache
 
 from tailkit.errors import PrecisionFailure, UsageError
-
-if TYPE_CHECKING:
-    from mpmath import mpf
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 32
@@ -54,6 +57,42 @@ DENSE_LIMIT = 64
 # would then render its digits; every knot of the notched construction lies
 # below 1e1234 (a_64 = 2**4096)
 _MAX_EXPONENT = 10_000
+
+# a usage error quotes at most this many characters of the text it refuses
+_QUOTE_CHARS = 40
+
+_RND = "n"  # round to nearest, mpmath's default rounding
+
+
+@cache
+def libmp():
+    """mpmath's libmp, the one way into it: the ``mpmath.libmp`` imported
+    already, or else the package ``mpmath/libmp`` loaded once as
+    ``tailkit._libmp``, without running ``mpmath/__init__.py`` (contexts,
+    functions, calculus, matrices, plotting).  libmp imports only its own
+    submodules and the standard library.  Reusing an imported
+    ``mpmath.libmp`` keeps one libmp per process and adds no module to
+    ``sys.modules`` when a layer loads there."""
+    if "mpmath.libmp" in sys.modules:
+        return sys.modules["mpmath.libmp"]
+    (mpmath_dir,) = importlib.util.find_spec("mpmath").submodule_search_locations
+    path = os.path.join(mpmath_dir, "libmp")
+    spec = importlib.util.spec_from_file_location(
+        "tailkit._libmp", os.path.join(path, "__init__.py"),
+        submodule_search_locations=[path])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _quoted(text: str) -> str:
+    """``repr(text)`` for a usage error; a text longer than _QUOTE_CHARS is
+    cut to that many characters and followed by its length, so the message
+    stays one short line."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS] + '…'!r} ({len(text):,} characters)"
 
 
 def _rational(text: str, config=None) -> Fraction:
@@ -87,7 +126,8 @@ def _int_range(key: str, lo: int, hi: int, work_log2: int | None = None):
         top = hi if work_log2 is None else min(hi, (1 << work_log2) // config.precision_bits ** 2)
         if not lo <= (value := int(text)) <= top:
             at = "" if top == hi else f" at {config.precision_bits} bits"
-            raise UsageError(f"bad value for {key}: {text!r} ({key} takes {lo}..{top}{at})")
+            raise UsageError(f"bad value for {key}: {_quoted(text)} "
+                             f"({key} takes {lo}..{top}{at})")
         return value
     parse.bounds = f"{lo}..{hi}" + ("" if work_log2 is None else
                                     f", {key}*precision_bits^2 <= 2^{work_log2}")
@@ -101,24 +141,28 @@ def _check_precision(precision_bits: int) -> None:
             f"got {precision_bits!r}")
 
 
-def _snap(value: mpf, precision_bits: int) -> Fraction:
-    """Round an mpf to the nearest multiple of 2**-precision_bits."""
-    return _snap_raw(value._mpf_, precision_bits)
-
-
 def _snap_raw(value: tuple, precision_bits: int) -> Fraction:
-    """:func:`_snap` for libmp's raw mpf tuple.
+    """Round libmp's raw mpf tuple to the nearest multiple of
+    2**-precision_bits.
 
     to_fixed would turn an infinity or NaN into 0; they raise
     :class:`PrecisionFailure` instead.
     """
-    from mpmath.libmp import finf, fnan, fninf, to_fixed, to_str
-    if value in (finf, fninf, fnan):
-        raise PrecisionFailure(f"cannot snap {to_str(value, 6)} to a rational")
+    lm = libmp()
+    if value in (lm.finf, lm.fninf, lm.fnan):
+        raise PrecisionFailure(f"cannot snap {lm.to_str(value, 6)} to a rational")
     # int() guards against the gmpy backend handing back an mpz, which would
     # otherwise leak into Fraction internals
-    fixed = int(to_fixed(value, precision_bits + 1))
+    fixed = int(lm.to_fixed(value, precision_bits + 1))
     return Fraction((fixed + 1) >> 1, 1 << precision_bits)
+
+
+def _ln_raw(q: Fraction, wp: int) -> tuple:
+    """``log(mpf(q.numerator)) - log(mpf(q.denominator))`` at wp bits."""
+    lm = libmp()
+    num, den = (lm.mpf_log(lm.mpf_pos(lm.from_int(v), wp, _RND), wp, _RND)
+                for v in (q.numerator, q.denominator))
+    return lm.mpf_sub(num, den, wp, _RND)
 
 
 @lru_cache(maxsize=None)
@@ -130,10 +174,7 @@ def ln_snap(q: Fraction, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
         raise ValueError(f"ln_snap requires a positive argument, got {q}")
     if q == 1:
         return Fraction(0)
-    import mpmath
-    with mpmath.workprec(precision_bits + _GUARD):
-        v = mpmath.log(mpmath.mpf(q.numerator)) - mpmath.log(mpmath.mpf(q.denominator))
-        return _snap(v, precision_bits)
+    return _snap_raw(_ln_raw(q, precision_bits + _GUARD), precision_bits)
 
 
 @lru_cache(maxsize=None)
@@ -146,10 +187,10 @@ def log2_snap(q: Fraction, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
     num, den = q.numerator, q.denominator
     if num & (num - 1) == 0 and den & (den - 1) == 0:
         return Fraction(num.bit_length() - den.bit_length())
-    import mpmath
-    with mpmath.workprec(precision_bits + _GUARD):
-        v = (mpmath.log(mpmath.mpf(num)) - mpmath.log(mpmath.mpf(den))) / mpmath.ln2
-        return _snap(v, precision_bits)
+    lm, wp = libmp(), precision_bits + _GUARD
+    # ``ln(q) / mpmath.ln2``: the constant is taken at the working precision
+    v = lm.mpf_div(_ln_raw(q, wp), lm.mpf_ln2(wp, _RND), wp, _RND)
+    return _snap_raw(v, precision_bits)
 
 
 @lru_cache(maxsize=None)
@@ -169,10 +210,12 @@ def exp2_snap(q: Fraction, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
     if frac == 0:
         scaled = Fraction(1)
     else:
-        import mpmath
-        with mpmath.workprec(precision_bits + _GUARD):
-            f = mpmath.mpf(frac.numerator) / mpmath.mpf(frac.denominator)
-            scaled = _snap(mpmath.power(2, f), precision_bits)
+        # ``mpmath.power(2, mpf(num) / mpf(den))``
+        lm, wp = libmp(), precision_bits + _GUARD
+        num = lm.mpf_pos(lm.from_int(frac.numerator), wp, _RND)
+        den = lm.mpf_pos(lm.from_int(frac.denominator), wp, _RND)
+        f = lm.mpf_div(num, den, wp, _RND)
+        scaled = _snap_raw(lm.mpf_pow(lm.from_int(2), f, wp, _RND), precision_bits)
     if i >= 0:
         return scaled * (1 << i)
     return scaled / (1 << (-i))

@@ -45,8 +45,8 @@ from tailkit import logperiodic as lp
 from tailkit import mixture as mx
 from tailkit import notched
 from tailkit.errors import UsageError
-from tailkit.numerics import (DEFAULT_PRECISION, LogValue, _int_range, _rational,
-                              _snap_raw, log_nat)
+from tailkit.numerics import (DEFAULT_PRECISION, DENSE_LIMIT, LogValue, _int_range,
+                              _quoted, _rational, _snap_raw, log_nat)
 from tailkit.piecewise import PiecewisePoly, _fmt
 from tailkit.render import decimal_str, value_str
 
@@ -350,9 +350,12 @@ def _points(text: str, config, knots: bool = True) -> list[tuple[str, Fraction]]
     for label in (item.strip() for item in text.split(",")):
         if knots and label[:1] in notched.KNOT_KINDS and label[1:].isdigit():
             try:
-                x = notched.knot_position(label[0], int(label[1:]), config.precision_bits)
+                n = int(label[1:])
+                if n > DENSE_LIMIT:
+                    raise ValueError(f"knots are placed for n <= {DENSE_LIMIT}")
+                x = notched.knot_position(label[0], n, config.precision_bits)
             except ValueError as exc:
-                raise UsageError(f"bad value for x: {label!r} ({exc})") from exc
+                raise UsageError(f"bad value for x: {_quoted(label)} ({exc})") from exc
             points.append((label, x))
         elif label:
             points.append((label, _rational(label)))

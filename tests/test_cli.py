@@ -402,16 +402,34 @@ class TestConstructionReads:
         ("d1", "threshold knots need n >= 2"),
         ("s1", "threshold knots need n >= 2"),
         ("c0", "n must be a positive integer, got 0"),
-        ("a65", "n=65 exceeds the dense limit 64"),
-    ], ids=["d1", "s1", "c0", "a65"])
+        ("a65", "knots are placed for n <= 64)"),
+        ("c" + "9" * 60, "knots are placed for n <= 64)"),
+    ], ids=["d1", "s1", "c0", "a65", "c-long"])
     def test_a_knot_label_that_cannot_be_placed_says_why(self, label, reason,
                                                          tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("probe", "notched", "long_tail_ratio", f"x=c2,{label}",
                        "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"usage error: bad value for x: {label!r} ({reason}")
+        quoted = repr(label) if len(label) <= 40 else f"'{label[:40]}…' (61 characters)"
+        assert err.startswith(f"usage error: bad value for x: {quoted} ({reason}")
         assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["build", "logperiodic", "--delta"], "delta", "1/" + "3" * 4400 + "x"),
+        (["build", "notched", "--n"], "n", "9" * 4000),
+        (["probe", "notched", "knot_scan"], "n_max", "n_max=" + "7" * 300),
+        (["probe", "notched", "subexp_ratio"], "x", "x=" + "1" * 3000 + ".5.5"),
+    ], ids=["rational", "int-range", "probe-int-range", "points"])
+    def test_usage_error_quotes_a_bounded_prefix(self, argv, key, value, tmp_path,
+                                                 capsys):
+        # a fixed-length prefix and the text's length, not the whole text
+        out = tmp_path / "out"
+        assert run_cli(*argv, value, "--out", str(out)) == 2
+        text = value.removeprefix(f"{key}=")
+        assert capsys.readouterr().err.startswith(
+            f"usage error: bad value for {key}: '{text[:40]}…' ({len(text):,} characters)")
+        assert not out.exists()
 
 
 class TestProbeCommand:
@@ -1305,18 +1323,19 @@ class TestImportStructure:
     each check runs in a child process."""
 
     # runs `tailkit.cli.main(argv)` when given arguments, then prints the
-    # exit code and whether mpmath was loaded
+    # exit code, whether mpmath was loaded and whether tailkit loaded libmp
+    # alone
     CHILD = ("import sys\n"
              "import tailkit.cli\n"
              "rc = tailkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-             "print(rc, 'mpmath' in sys.modules)\n")
+             "print(rc, 'mpmath' in sys.modules, 'tailkit._libmp' in sys.modules)\n")
 
-    def run_child(self, *argv):
-        done = subprocess.run([sys.executable, "-c", self.CHILD, *argv],
+    def run_child(self, *argv, code=CHILD):
+        done = subprocess.run([sys.executable, "-c", code, *argv],
                               capture_output=True, text=True, cwd="/",
                               env=child_env())
         assert "Traceback" not in done.stderr, done.stderr
-        return done.stdout.split()[-2:]
+        return done.stdout.split()[-3:]
 
     @pytest.fixture()
     def knots(self, tmp_path):
@@ -1324,16 +1343,48 @@ class TestImportStructure:
         return str(tmp_path / "notched.knots")
 
     def test_import_does_not_load_mpmath(self):
-        assert self.run_child() == ["0", "False"]
+        assert self.run_child() == ["0", "False", "False"]
 
     def test_convolve_does_not_load_mpmath(self, knots, tmp_path):
         out = tmp_path / "conv.pw"
         assert self.run_child("convolve", knots, "--out", str(out)) == [
-            "0", "False"]
+            "0", "False", "False"]
         from tailkit import convolution as conv
         from tailkit.piecewise import dump_text
         p = load_text(Path(knots).read_text())
         assert out.read_text() == dump_text(conv.conv_linear_exact(p, p))
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["build", "notched", "n=8"],
+        ["build", "mixture", "m_max=2"],
+        ["report", "logperiodic"],
+        ["probe", "notched", "long_tail_ratio"],
+    ], ids=["verify", "build-notched", "build-mixture", "report-logperiodic", "probe"])
+    def test_snaps_load_libmp_without_mpmath(self, argv, tmp_path):
+        # every snap and quadrature runs on libmp alone; mpmath's package
+        # (contexts, functions, calculus, matrices, plotting) is never run
+        out = tmp_path / ("out" if argv[0] == "build" else "out.csv")
+        assert self.run_child(*argv, "--out", str(out)) == ["0", "False", "True"]
+
+    # the benchmark runner's process: its own imports, then mpmath.libmp
+    # (machine_info reads its BACKEND) and tailkit.cli.  machine_info reads
+    # __file__ of every tailkit module while it iterates over sys.modules, so
+    # it runs each lazy layer there; a layer that added a module would end
+    # the iteration with "dictionary changed size during iteration"
+    RUNNER_CHILD = ("import sys\n"
+                    f"sys.path.insert(0, {str(Path(__file__).parent.parent / 'perfbench')!r})\n"
+                    "import run\n"
+                    "import mpmath.libmp\n"
+                    "import tailkit.cli\n"
+                    "from tailkit import numerics\n"
+                    "before = set(sys.modules)\n"
+                    "run.machine_info()\n"
+                    "print(numerics.libmp() is mpmath.libmp, 'tailkit._libmp' in sys.modules,\n"
+                    "      sorted(set(sys.modules) - before) or '-')\n")
+
+    def test_loader_reuses_an_imported_libmp(self):
+        assert self.run_child(code=self.RUNNER_CHILD) == ["True", "False", "-"]
 
     def test_convolve_refuses_precision_bits(self, knots, tmp_path, capsys):
         # the sweep is exact at any precision: convolve has no such option

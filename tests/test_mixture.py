@@ -15,7 +15,7 @@ class TestScheduleIndex:
     def test_m2(self):
         assert mx.schedule_index(2) == 8886110
 
-    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_against_mpmath_oracle(self, m):
         k = m ** 4
         with mpmath.workprec(2 * k + 256):

@@ -11,10 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
 from mpmath.libmp import finf, fnan, fninf
 
 from tailkit.errors import PrecisionFailure
-from tailkit.numerics import (LogValue, _snap_raw, exp2_snap, ln_snap, log2_snap,
+from tailkit.numerics import (_GUARD, LogValue, _snap_raw, exp2_snap, ln_snap, log2_snap,
                               log_nat, root_snap)
 
 
@@ -136,6 +137,41 @@ class TestSnaps:
         # a silent 0 here would print as a valid constant
         with pytest.raises(PrecisionFailure):
             _snap_raw(value, 96)
+
+
+def _positive_rationals(max_digits: int = 60):
+    """Positive rationals whose terms run from one digit to max_digits."""
+    terms = st.integers(1, max_digits).flatmap(
+        lambda d: st.integers(1, 10 ** d))
+    return st.builds(Fraction, terms, terms)
+
+
+class TestLibmpTranslation:
+    """The snaps run on libmp's raw tuples; they keep the bits of the mpmath
+    expressions they replaced, evaluated here with mpf at the same working
+    precision."""
+
+    @given(_positive_rationals().filter(lambda q: q != 1), st.integers(32, 4096))
+    @settings(max_examples=60, deadline=None)
+    def test_ln_and_log2_keep_the_mpf_bits(self, q, bits):
+        with mpmath.workprec(bits + _GUARD):
+            ln = mpmath.log(mpmath.mpf(q.numerator)) - mpmath.log(mpmath.mpf(q.denominator))
+            assert ln_snap(q, bits) == _snap_raw(ln._mpf_, bits)
+            if q.numerator & (q.numerator - 1) or q.denominator & (q.denominator - 1):
+                assert log2_snap(q, bits) == _snap_raw((ln / mpmath.ln2)._mpf_, bits)
+
+    @given(st.fractions(-64, 64, max_denominator=10 ** 40), st.integers(32, 4096))
+    @settings(max_examples=60, deadline=None)
+    def test_exp2_keeps_the_mpf_bits(self, q, bits):
+        i = q.numerator // q.denominator
+        frac = q - i
+        if frac == 0:
+            want = Fraction(1)
+        else:
+            with mpmath.workprec(bits + _GUARD):
+                f = mpmath.mpf(frac.numerator) / mpmath.mpf(frac.denominator)
+                want = _snap_raw(mpmath.power(2, f)._mpf_, bits)
+        assert exp2_snap(q, bits) == want * Fraction(2) ** i
 
 
 class TestLogValue:
