@@ -68,9 +68,9 @@ render = _lazy("render")
 _N_MAX = DENSE_LIMIT - 1
 
 # the most bits a run may snap its constants to: at 6,144 bits, on a 2-vCPU
-# Xeon VM, `verify` takes 10-13 s (5-6 s at 4,096), `report notched --n 63`
-# 8-11 s and `report mixture --m-max 24` 12-13 s, and the cost of each grows
-# faster than the bits
+# Xeon VM, `verify` takes 6.7-7.7 s (3.7 s at 4,096), `report notched
+# --n 63` 5.6-6.0 s and `report mixture --m-max 24` 7.8-9.0 s, and the cost of
+# each grows faster than the bits
 _PRECISION_MAX = 6144
 
 
@@ -86,7 +86,7 @@ OPTIONS = {
     "construction": _Option("notched", str, None),
     "n": _ranged(10, _int_range("n", 1, _N_MAX),
                  "truncation index of the notched construction"),
-    # `report mixture` takes 7.5-9 s at 24 atoms on that VM
+    # `report mixture` takes 6.3-7.1 s at 24 atoms on that VM
     "m_max": _ranged(6, _int_range("m_max", 1, 24), "blow-up schedule atoms"),
     "precision_bits": _ranged(
         DEFAULT_PRECISION, _int_range("precision_bits", MIN_PRECISION, _PRECISION_MAX),

@@ -65,7 +65,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from tailkit.piecewise import PiecewisePoly, _fmt
+from tailkit.piecewise import PiecewisePoly, _brief
 
 
 def _linear(p: PiecewisePoly):
@@ -193,7 +193,7 @@ def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,
     """
     x, y_lo, y_hi = Fraction(x), Fraction(y_lo), Fraction(y_hi)
     if y_lo > y_hi:
-        raise ValueError(f"reversed bounds: {_fmt(y_lo)} > {_fmt(y_hi)}")
+        raise ValueError(f"reversed bounds: {_brief(y_lo)} > {_brief(y_hi)}")
     same = q is p
     sb, pc0, pc1 = _linear(p)
     tb, qc0, qc1 = (sb, pc0, pc1) if same else _linear(q)
@@ -257,8 +257,8 @@ def self_conv_value(p: PiecewisePoly, x) -> Fraction:
     x = Fraction(x)
     lo, hi = p.support
     if not 2 * lo <= x <= 2 * hi:
-        raise ValueError(f"{_fmt(x)} is outside the self-convolution support "
-                         f"[{_fmt(2 * lo)}, {_fmt(2 * hi)}]")
+        raise ValueError(f"{_brief(x)} is outside the self-convolution support "
+                         f"[{_brief(2 * lo)}, {_brief(2 * hi)}]")
     return conv_window_value(p, p, x, lo, hi)
 
 
@@ -273,7 +273,7 @@ def self_conv_window_mass(p: PiecewisePoly, x, d) -> Fraction:
     """
     x, d = Fraction(x), Fraction(d)
     if d <= 0:
-        raise ValueError(f"window width must be positive, got {_fmt(d)}")
+        raise ValueError(f"window width must be positive, got {_brief(d)}")
     lo, hi = p.support
     w_lo, w_hi = max(x, 2 * lo), min(x + d, 2 * hi)
     if w_hi <= w_lo:

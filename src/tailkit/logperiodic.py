@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 from tailkit.errors import PrecisionFailure
 from tailkit.numerics import _RND, LogValue, _snap_raw, libmp
-from tailkit.piecewise import _fmt
+from tailkit.piecewise import _brief, _fmt
 
 _lm = libmp()
 fhalf, finf, fone, ftwo, fzero = _lm.fhalf, _lm.finf, _lm.fone, _lm.ftwo, _lm.fzero
@@ -69,7 +69,7 @@ class LogPeriodicParams(namedtuple("LogPeriodicParams", "delta")):
     def __new__(cls, delta: Fraction = Fraction(1, 4)):
         delta = Fraction(delta)
         if not Fraction(0) < delta < Fraction(1, 2):
-            raise ValueError(f"delta must lie in (0, 1/2), got {_fmt(delta)}")
+            raise ValueError(f"delta must lie in (0, 1/2), got {_brief(delta)}")
         return super().__new__(cls, delta)
 
 
@@ -101,7 +101,7 @@ def chi(x, p: LogPeriodicParams, precision_bits: int = _SNAP_BITS) -> Fraction:
     """x ** (1/2 + delta*cos(ln(x+1))) snapped to 2**-precision_bits."""
     x = Fraction(x)
     if x < 0:
-        raise ValueError(f"chi is defined on x >= 0, got {_fmt(x)}")
+        raise ValueError(f"chi is defined on x >= 0, got {_brief(x)}")
     if x == 0:
         return Fraction(0)
     wp = max(_WP, precision_bits + 64)
@@ -334,7 +334,7 @@ def density_log(x, p: LogPeriodicParams) -> LogValue:
     """log2 view of the density a * exp(-chi(x))."""
     x = Fraction(x)
     if x < 0:
-        raise ValueError(f"density is supported on x >= 0, got {_fmt(x)}")
+        raise ValueError(f"density is supported on x >= 0, got {_brief(x)}")
     log_a = normalizers(p).log_a
     chi_x = _chi_raw(_raw(p.delta))(_raw(x))
     log2_val = mpf_div(mpf_sub(log_a, chi_x, _WP, _RND), mpf_ln2(_WP, _RND), _WP, _RND)
@@ -363,7 +363,7 @@ def karamata_ratio(x, p: LogPeriodicParams) -> Fraction:
     """
     x = Fraction(x)
     if x < 0:
-        raise ValueError(f"x must be nonnegative, got {_fmt(x)}")
+        raise ValueError(f"x must be nonnegative, got {_brief(x)}")
     xm = _raw(x)
     val, _, chi_x = _tail_integral(xm, _chi_raw(_raw(p.delta)))
     return _snap_raw(mpf_div(val, _tail(xm, chi_x), _WP, _RND), _SNAP_BITS)
@@ -380,13 +380,13 @@ def middle_mass_ratio(x, p: LogPeriodicParams, h_exp) -> LogValue:
     x = Fraction(x)
     h_exp = Fraction(h_exp)
     if not Fraction(0) < h_exp < 1:
-        raise ValueError(f"h_exp must lie in (0, 1), got {_fmt(h_exp)}")
+        raise ValueError(f"h_exp must lie in (0, 1), got {_brief(h_exp)}")
     norm = normalizers(p)
     wp, rnd = _WP, _RND
     xm = _raw(x)
     h = mpf_pow(xm, _raw(h_exp), wp, rnd)
     if not mpf_gt(xm, mpf_mul_int(h, 2, wp, rnd)):
-        raise ValueError(f"need x > 2 * x**h_exp (x={_fmt(x)}, h={to_str(h, 6)})")
+        raise ValueError(f"need x > 2 * x**h_exp (x={_brief(x)}, h={to_str(h, 6)})")
     # the integrand is symmetric about x/2 and its points are mirrored, so
     # most abscissas recur as x - y; the table ends with the call
     chi_at = _memo(_chi_raw(_raw(p.delta)))

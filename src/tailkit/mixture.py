@@ -23,7 +23,7 @@ from typing import Optional
 from tailkit.errors import PrecisionFailure
 from tailkit.notched import NotchedDensity, knot_logf, knot_position, threshold_knots
 from tailkit.numerics import _RND, DEFAULT_PRECISION, libmp, log_nat, root_snap
-from tailkit.piecewise import _fmt
+from tailkit.piecewise import _brief, _fmt
 from tailkit.render import decimal_str
 
 RESIDUAL_FRACTION = Fraction(1, 20)
@@ -150,7 +150,7 @@ def mixture_cross_mass(mix: MixtureSpec, x, d) -> Fraction:
     """F1*F2 window mass alone (the blow-up numerator), without weights."""
     x, d = Fraction(x), Fraction(d)
     if d <= 0:
-        raise ValueError(f"window width must be positive, got {_fmt(d)}")
+        raise ValueError(f"window width must be positive, got {_brief(d)}")
     f = mix.f1.density()
     cross = Fraction(0)
     for v, p in mix.f2.atoms:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from tailkit.numerics import (DEFAULT_PRECISION, DENSE_LIMIT, LogValue, log2_snap,
                               log_nat, root_snap)
-from tailkit.piecewise import Knot, PiecewisePoly, _fmt, from_linear_knots
+from tailkit.piecewise import Knot, PiecewisePoly, _brief, from_linear_knots
 
 KNOT_KINDS = ("a", "b", "c", "d", "s")
 
@@ -57,10 +57,10 @@ def a_position(n: int) -> Fraction:
 def split_cut(n: int, x: Fraction) -> Fraction:
     """a_{m(n)}, once x lies in (a_n, a_{n+1}] and x - a_m >= a_m."""
     if not a_position(n) < x <= a_position(n + 1):
-        raise ValueError(f"x={_fmt(x)} is not inside block {n}")
+        raise ValueError(f"x={_brief(x)} is not inside block {n}")
     cut = a_position(m_of(n))
     if x - cut < cut:
-        raise ValueError(f"x={_fmt(x)} violates x - a_m >= a_m for block {n}")
+        raise ValueError(f"x={_brief(x)} violates x - a_m >= a_m for block {n}")
     return cut
 
 

@@ -58,7 +58,8 @@ DENSE_LIMIT = 64
 # below 1e1234 (a_64 = 2**4096)
 _MAX_EXPONENT = 10_000
 
-# a usage error quotes at most this many characters of the text it refuses
+# a usage error quotes at most this many characters of the text it refuses,
+# and an error message as many of a value's text (piecewise._brief)
 _QUOTE_CHARS = 40
 
 _RND = "n"  # round to nearest, mpmath's default rounding

@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
-from tailkit.numerics import _rational
+from tailkit.numerics import _QUOTE_CHARS, _rational
 
 
 class Knot(namedtuple("Knot", "x f")):
@@ -60,7 +60,7 @@ class PiecewisePoly:
         for a, b in zip(breaks, breaks[1:]):
             if not a < b:
                 raise ValueError(
-                    f"breakpoints must strictly increase ({_fmt(a)} !< {_fmt(b)})")
+                    f"breakpoints must strictly increase ({_brief(a)} !< {_brief(b)})")
         coeffs = tuple(
             tuple(Fraction(c) for c in seg) + (Fraction(0),) * (4 - len(seg))
             for seg in coeffs)
@@ -130,7 +130,8 @@ class PiecewisePoly:
     def _segment_of(self, x: Fraction) -> int:
         lo, hi = self.support
         if x < lo or x > hi:
-            raise ValueError(f"{_fmt(x)} is outside the support [{_fmt(lo)}, {_fmt(hi)}]")
+            raise ValueError(f"{_brief(x)} is outside the support "
+                             f"[{_brief(lo)}, {_brief(hi)}]")
         idx = bisect_left(self.breakpoints, x) - 1
         return max(idx, 0)
 
@@ -155,10 +156,10 @@ class PiecewisePoly:
         lo, hi = Fraction(lo), Fraction(hi)
         s_lo, s_hi = self.support
         if lo > hi:
-            raise ValueError(f"reversed bounds: {_fmt(lo)} > {_fmt(hi)}")
+            raise ValueError(f"reversed bounds: {_brief(lo)} > {_brief(hi)}")
         if lo < s_lo or hi > s_hi:
-            raise ValueError(f"[{_fmt(lo)}, {_fmt(hi)}] exceeds the support "
-                             f"[{_fmt(s_lo)}, {_fmt(s_hi)}]")
+            raise ValueError(f"[{_brief(lo)}, {_brief(hi)}] exceeds the support "
+                             f"[{_brief(s_lo)}, {_brief(s_hi)}]")
         total = Fraction(0)
         breaks = self.breakpoints
         i = max(bisect_left(breaks, lo) - 1, 0)
@@ -174,7 +175,7 @@ class PiecewisePoly:
         """Mass over (x, x+d] clamped to the support; 0 when disjoint."""
         x, d = Fraction(x), Fraction(d)
         if d <= 0:
-            raise ValueError(f"window width must be positive, got {_fmt(d)}")
+            raise ValueError(f"window width must be positive, got {_brief(d)}")
         s_lo, s_hi = self.support
         lo = max(x, s_lo)
         hi = min(x + d, s_hi)
@@ -210,10 +211,10 @@ def from_linear_knots(knots: Iterable) -> PiecewisePoly:
     for (x0, _), (x1, _) in zip(pts, pts[1:]):
         if not x0 < x1:
             raise ValueError(
-                f"knot abscissas must strictly increase ({_fmt(x0)} !< {_fmt(x1)})")
+                f"knot abscissas must strictly increase ({_brief(x0)} !< {_brief(x1)})")
     for _, f in pts:
         if f < 0:
-            raise ValueError(f"knot values must be nonnegative, got {_fmt(f)}")
+            raise ValueError(f"knot values must be nonnegative, got {_brief(f)}")
     breaks = tuple(x for x, _ in pts)
     coeffs = []
     for (x0, f0), (x1, f1) in zip(pts, pts[1:]):
@@ -248,6 +249,17 @@ def _fmt(q: Fraction) -> str:
         from decimal import Decimal
         num = str(Decimal(q.numerator))
         return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
+def _brief(q: Fraction) -> str:
+    """A rational or int for an error message: its exact text up to
+    _QUOTE_CHARS characters, else the first that many, an ellipsis and the
+    text's length, so the message stays one short line (``_quoted`` does the
+    same for text)."""
+    text = _fmt(q)
+    if len(text) <= _QUOTE_CHARS:
+        return text
+    return f"{text[:_QUOTE_CHARS]}… ({len(text):,} characters)"
 
 
 def dump_lines(p: PiecewisePoly) -> Iterator[str]:

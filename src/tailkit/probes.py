@@ -47,7 +47,7 @@ from tailkit import notched
 from tailkit.errors import UsageError
 from tailkit.numerics import (DEFAULT_PRECISION, DENSE_LIMIT, LogValue, _int_range,
                               _quoted, _rational, _snap_raw, log_nat)
-from tailkit.piecewise import PiecewisePoly, _fmt
+from tailkit.piecewise import PiecewisePoly, _brief, _fmt
 from tailkit.render import decimal_str, value_str
 
 Value = Union[Fraction, LogValue, int]
@@ -98,31 +98,37 @@ def render_csv(rows: list[ProbeRow]) -> str:
 
 # ------------------------------ ratios ------------------------------
 
+def _stored(p: PiecewisePoly) -> PiecewisePoly:
+    """p less a positive factor, which cancels in any ratio of p's values."""
+    return p.scale(1 / p.factor) if p.factor > 0 else p
+
+
+def _stored_at(p: PiecewisePoly, x: Fraction) -> tuple[PiecewisePoly, Fraction]:
+    p = _stored(p)
+    if (fx := p.eval(x)) == 0:
+        raise ValueError(f"density vanishes at x={_brief(x)}")
+    return p, fx
+
+
 def long_tail_ratio(p: PiecewisePoly, x, t) -> Fraction:
     """f(x+t) / f(x): drifts to 1 for long-tailed densities."""
     x, t = Fraction(x), Fraction(t)
-    denom = p.eval(x)
-    if denom == 0:
-        raise ValueError(f"density vanishes at x={_fmt(x)}")
-    return p.eval(x + t) / denom
+    p, fx = _stored_at(p, x)
+    return p.eval(x + t) / fx
 
 
 def subexp_ratio(p: PiecewisePoly, x) -> Fraction:
     """(f*f)(x) / (2 f(x)): drifts to 1 for subexponential densities."""
     x = Fraction(x)
-    denom = p.eval(x)
-    if denom == 0:
-        raise ValueError(f"density vanishes at x={_fmt(x)}")
-    return conv.self_conv_value(p, x) / (2 * denom)
+    q, fx = _stored_at(p, x)  # of the factor dropped, one survives in (f*f)/(2f)
+    return conv.self_conv_value(q, x) / (2 * fx) * (p.factor / q.factor)
 
 
 def local_tail_ratio(p: PiecewisePoly, x, d) -> Fraction:
     """Window mass over (x, x+d] divided by d * f(x)."""
     x, d = Fraction(x), Fraction(d)
-    denom = p.eval(x)
-    if denom == 0:
-        raise ValueError(f"density vanishes at x={_fmt(x)}")
-    return p.interval_mass(x, d) / (d * denom)
+    p, fx = _stored_at(p, x)
+    return p.interval_mass(x, d) / (d * fx)
 
 
 # ------------------------------- scans -------------------------------
@@ -134,18 +140,12 @@ def _scan_row(probe: str, label: str, best: Value, low: str, high: str) -> Probe
 
 def almost_decrease_scan(p: PiecewisePoly, x0=0) -> ProbeRow:
     """sup of f(y)/f(x) over knot pairs x0 <= x <= y with f(x) > 0, with
-    the maximizing pair.  Exact for piecewise-linear p (extrema at knots).
-
-    A positive factor cancels in every ratio, so the scan reads the stored
-    coefficients: a normalized density's values would all carry the long
-    denominator of 1/mass."""
-    x0 = Fraction(x0)
-    if p.factor > 0:
-        p = p.scale(1 / p.factor)
+    the maximizing pair.  Exact for piecewise-linear p (extrema at knots)."""
+    x0, p = Fraction(x0), _stored(p)
     lo, hi = p.support
     start = max(x0, lo)
     if start > hi:
-        raise ValueError(f"scan start {_fmt(x0)} is beyond the support end {_fmt(hi)}")
+        raise ValueError(f"scan start {_brief(x0)} is beyond the support end {_brief(hi)}")
     values = ((x, p.eval(x)) for x in [start] + [b for b in p.breakpoints if b > start])
     best, low, high = _max_rise(((x, v) for x, v in values if v > 0), operator.truediv)
     return _scan_row("almost_decrease_scan", f"x0={_fmt(x0)}", best,
@@ -281,7 +281,7 @@ def mixture_local_conv(mix: mx.MixtureSpec, x, d) -> Fraction:
         raise ValueError("x must be positive: for x <= 0 the omitted "
                          "negative*negative term would contribute")
     if d <= 0:
-        raise ValueError(f"window width must be positive, got {_fmt(d)}")
+        raise ValueError(f"window width must be positive, got {_brief(d)}")
     self_mass = conv.self_conv_window_mass(mix.f1.density(), x, d)
     return (mix.q1 ** 2 * self_mass
             + 2 * mix.q1 * mix.q2 * mx.mixture_cross_mass(mix, x, d))
@@ -298,7 +298,7 @@ def mixture_blowup_probe(schedule: mx.BlowupSchedule, f1: notched.NotchedDensity
     """
     d = Fraction(d)
     if d <= 0:
-        raise ValueError(f"window width must be positive, got {_fmt(d)}")
+        raise ValueError(f"window width must be positive, got {_brief(d)}")
     first = schedule.entries[0]
     b1 = notched.knot_position("b", first.n_m, schedule.precision_bits)
     mix = mx.mixture_from_schedule(schedule, f1)
@@ -349,9 +349,11 @@ def _points(text: str, config, knots: bool = True) -> list[tuple[str, Fraction]]
     points = []
     for label in (item.strip() for item in text.split(",")):
         if knots and label[:1] in notched.KNOT_KINDS and label[1:].isdigit():
+            # the digit count first: int() refuses more than
+            # sys.get_int_max_str_digits() digits, leading zeros included
+            digits = label[1:].lstrip("0") or "0"
             try:
-                n = int(label[1:])
-                if n > DENSE_LIMIT:
+                if len(digits) > len(str(DENSE_LIMIT)) or (n := int(digits)) > DENSE_LIMIT:
                     raise ValueError(f"knots are placed for n <= {DENSE_LIMIT}")
                 x = notched.knot_position(label[0], n, config.precision_bits)
             except ValueError as exc:

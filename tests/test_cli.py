@@ -404,14 +404,17 @@ class TestConstructionReads:
         ("c0", "n must be a positive integer, got 0"),
         ("a65", "knots are placed for n <= 64)"),
         ("c" + "9" * 60, "knots are placed for n <= 64)"),
-    ], ids=["d1", "s1", "c0", "a65", "c-long"])
+        # more digits than int() reads under Python's default limit
+        ("c" + "1" * 4401, "knots are placed for n <= 64)"),
+    ], ids=["d1", "s1", "c0", "a65", "c-long", "c-past-digit-limit"])
     def test_a_knot_label_that_cannot_be_placed_says_why(self, label, reason,
                                                          tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("probe", "notched", "long_tail_ratio", f"x=c2,{label}",
                        "--out", str(out)) == 2
         err = capsys.readouterr().err
-        quoted = repr(label) if len(label) <= 40 else f"'{label[:40]}…' (61 characters)"
+        quoted = (repr(label) if len(label) <= 40
+                  else f"'{label[:40]}…' ({len(label):,} characters)")
         assert err.startswith(f"usage error: bad value for x: {quoted} ({reason}")
         assert err.count("\n") == 1 and not out.exists()
 
@@ -430,6 +433,46 @@ class TestConstructionReads:
         assert capsys.readouterr().err.startswith(
             f"usage error: bad value for {key}: '{text[:40]}…' ({len(text):,} characters)")
         assert not out.exists()
+
+    def test_a_knot_label_with_leading_zeros_names_its_knot(self, tmp_path):
+        # the label's digits are counted before int() reads them, which
+        # refuses more than sys.get_int_max_str_digits() of them
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        label = "c" + "0" * 4400 + "1"
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert run_cli("probe", "notched", "long_tail_ratio", f"x={label}",
+                           "--out", str(out)) == 0
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert run_cli("probe", "notched", "long_tail_ratio", "x=c1",
+                       "--out", str(ref)) == 0
+        (head, row), (ref_head, ref_row) = (
+            f.read_text().splitlines() for f in (out, ref))
+        # the same row but for the label, which is written as given
+        assert head == ref_head and row.startswith(f"long_tail_ratio,{label},")
+        assert row.removeprefix(f"long_tail_ratio,{label}") == \
+            ref_row.removeprefix("long_tail_ratio,c1")
+
+    @pytest.mark.parametrize("argv", [
+        ["notched", "long_tail_ratio", "x=c64"],
+        ["notched", "subexp_ratio", "x=c40"],
+        ["notched", "split_integrals", "block=3", "x=c40"],
+        ["notched", "local_tail_ratio", "x=b30"],
+        ["file:{knots}", "subexp_ratio", "x=1e300"],
+    ], ids=["long-tail-c64", "subexp-c40", "split-c40", "local-tail-b30", "file-1e300"])
+    def test_a_refused_value_is_named_in_a_short_line(self, argv, tmp_path, capsys):
+        # each value past the support or the block is hundreds of digits
+        # long; the refusal names its first 40 characters and its length
+        knots, out = tmp_path / "f.knots", tmp_path / "out"
+        knots.write_text("knot 0 1\nknot 1 1\n")
+        assert run_cli("probe", *[a.format(knots=knots) for a in argv],
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid request: ") and " characters)" in err
+        assert all(len(line) <= 200 for line in err.splitlines())
+        assert err.count("\n") == 1 and not out.exists()
 
 
 class TestProbeCommand:
@@ -839,7 +882,7 @@ class TestConvolve:
          [f"seg 0 {'7' * 5000} 1 0 0 0", f"seg {'7' * 5000} 1 1 0 0 0"],
          "strictly increase", "7" * 5000),
         (["convolve", "{src}"], ["knot 0 1", f"knot 1 -{'7' * 5000}"],
-         "nonnegative", "7" * 5000),
+         "nonnegative", "-" + "7" * 5000),
         (["probe", "notched", "subexp_ratio", "x=1e5000"], [],
          "outside the support", "1" + "0" * 5000),
         (["build", "logperiodic", "--delta", "1e5000"], [],
@@ -851,7 +894,8 @@ class TestConvolve:
     def test_error_names_the_fault_past_the_digit_limit(self, argv, lines, names,
                                                          value, tmp_path, capsys):
         # the offending value, of 5,000 digits or more, is past the default
-        # limit on int-to-str conversion, which must not replace the message
+        # limit on int-to-str conversion, which must not replace the message;
+        # the message names its first 40 characters and its length
         src, out = tmp_path / "f.pw", tmp_path / "o.pw"
         src.write_text("\n".join(lines) + "\n")
         old = sys.get_int_max_str_digits()
@@ -861,7 +905,8 @@ class TestConvolve:
         finally:
             sys.set_int_max_str_digits(old)
         err = capsys.readouterr().err
-        assert code == 2 and names in err and value in err
+        brief = f"{value[:40]}… ({len(value):,} characters)"
+        assert code == 2 and names in err and brief in err
         assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize("argv, key, value", [

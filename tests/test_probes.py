@@ -2,6 +2,7 @@ import re
 import time
 from decimal import ROUND_HALF_UP, Context, Decimal, Inexact
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,60 @@ class TestRatios:
         f = notched.build_density(25).dense
         value = conv_mod.self_conv_value(f, notched.knot_position("c", 25))
         assert value > 0
+
+
+_POSITIVE = st.builds(Fraction, _bits_up_to(64), _bits_up_to(64))
+
+
+class TestStoredRatios:
+    """A positive factor cancels in f(x+t)/f(x) and in the window mass over
+    d f(x), and one factor survives in (f*f)(x)/(2 f(x)), so each ratio
+    probe reads the stored polynomial."""
+
+    @given(n=st.sampled_from([2, 3, 4]), normalized=st.booleans(), k=_POSITIVE,
+           at=st.fractions(0, 1), step=st.fractions(-1, 1),
+           d=st.fractions(0, 64).filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_a_positive_scale(self, nd10, n, normalized, k, at, step, d):
+        nd = nd10.truncate(n)
+        p = nd.density() if normalized else nd.dense
+        lo, hi = p.support
+        x = lo + at * (hi - lo)
+        t = step * ((hi - x) if step > 0 else (x - lo))  # x + t in the support
+        q = p.scale(k)
+        assert probes.long_tail_ratio(q, x, t) == probes.long_tail_ratio(p, x, t)
+        assert probes.local_tail_ratio(q, x, d) == probes.local_tail_ratio(p, x, d)
+        assert probes.subexp_ratio(q, x) == k * probes.subexp_ratio(p, x)
+
+    @given(k=_POSITIVE, x=st.sampled_from([0, 2]))
+    @settings(max_examples=20, deadline=None)
+    def test_a_zero_value_is_refused(self, k, x):
+        tri = from_linear_knots([(0, 0), (1, 1), (2, 0)]).scale(k)
+        for ratio in (partial(probes.long_tail_ratio, t=0), probes.subexp_ratio,
+                      partial(probes.local_tail_ratio, d=1)):
+            with pytest.raises(ValueError, match=f"density vanishes at x={x}$"):
+                ratio(tri, x)
+
+    @pytest.mark.parametrize("k", [7, None], ids=["7", "1/mass"])
+    def test_values_come_from_the_stored_polynomial(self, nd10, k, monkeypatch):
+        p = nd10.density() if k is None else nd10.dense.scale(k)
+        factors = []
+
+        def recording(method):
+            def read(f, *args):
+                factors.append(f.factor)
+                return method(f, *args)
+            return read
+        for name in ("eval", "interval_mass"):
+            monkeypatch.setattr(PiecewisePoly, name,
+                                recording(getattr(PiecewisePoly, name)))
+        monkeypatch.setattr(conv_mod, "self_conv_value",
+                            recording(conv_mod.self_conv_value))
+        x = notched.knot_position("c", 9)
+        probes.long_tail_ratio(p, x, 1)
+        probes.local_tail_ratio(p, x, 1)
+        probes.subexp_ratio(p, x)
+        assert len(factors) >= 5 and set(factors) == {1}
 
 
 class TestScans:
