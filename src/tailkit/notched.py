@@ -13,6 +13,12 @@ without bound, which is exactly the non-almost-decreasing behaviour the
 probes measure.  Everything in sight is an exact rational once ``L_n`` is
 snapped, so knot identities are checked at zero tolerance.
 
+One builder, ``_block(n)``, makes block n's knots a_n, b_n and c_n, and
+the a_{n+1} that closes the block, each a ``Knot(x, f0(x))``: it is the one
+place those formulas are written and the one place the dense index is
+checked.  The accessors `knot_position` and `knot_value` read it through one
+kind dispatch, and `threshold_knots` and `build_density` read it directly.
+
 Indices are materialized densely only up to ``DENSE_LIMIT`` = 64 (``a_65``
 is a ~4300-bit integer, still exact but useless beyond tests).  Past the
 limit, the symbolic accessors (`knot_logf`) serve log-scale views at
@@ -73,33 +79,35 @@ def _check_dense(n: int) -> None:
             "use knot_logf for symbolic log-scale access")
 
 
+def _block(n: int, precision_bits: int) -> tuple[Knot, Knot, Knot, Knot]:
+    """Block n's knots a_n, b_n and c_n and the a_{n+1} that closes it,
+    each a Knot(x, f0(x)); a_{n+1} is made at n = DENSE_LIMIT too."""
+    _check_dense(n)
+    lam = log_nat(n, precision_bits)
+    a, a_next = (Knot(a_position(k), Fraction(2, 1 << (3 * k * k))) for k in (n, n + 1))
+    b = a.x + a_position(m_of(n)) * lam * lam
+    return a, Knot(b, a.f / lam), Knot((a_next.x + b) / 2, a.f), a_next
+
+
+def _knot(kind: str, n: int, precision_bits: int) -> Knot:
+    """The knot of a kind in block n: the one kind dispatch behind
+    `knot_position` and `knot_value`.  A bad n is refused before a bad kind."""
+    if kind in ("d", "s"):
+        return threshold_knots(n, precision_bits)[kind == "s"]
+    block = _block(n, precision_bits)
+    if kind not in ("a", "b", "c"):
+        raise ValueError(f"unknown knot kind {kind!r} (expected one of {KNOT_KINDS})")
+    return block[KNOT_KINDS.index(kind)]
+
+
 def knot_position(kind: str, n: int, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
     """Exact abscissa of a knot, for n within the dense limit."""
-    _check_dense(n)
-    if kind == "a":
-        return a_position(n)
-    if kind == "b":
-        lam = log_nat(n, precision_bits)
-        return a_position(n) + a_position(m_of(n)) * lam * lam
-    if kind == "c":
-        return (a_position(n + 1) + knot_position("b", n, precision_bits)) / 2
-    if kind in ("d", "s"):
-        d_knot, s_knot = threshold_knots(n, precision_bits)
-        return d_knot.x if kind == "d" else s_knot.x
-    raise ValueError(f"unknown knot kind {kind!r} (expected one of {KNOT_KINDS})")
+    return _knot(kind, n, precision_bits).x
 
 
 def knot_value(kind: str, n: int, precision_bits: int = DEFAULT_PRECISION) -> Fraction:
     """Exact unnormalized value f0 at a knot, for n within the dense limit."""
-    _check_dense(n)
-    if kind in ("a", "c"):
-        return Fraction(2, 1 << (3 * n * n))
-    if kind == "b":
-        return Fraction(2, 1 << (3 * n * n)) / log_nat(n, precision_bits)
-    if kind in ("d", "s"):
-        d_knot, s_knot = threshold_knots(n, precision_bits)
-        return d_knot.f if kind == "d" else s_knot.f
-    raise ValueError(f"unknown knot kind {kind!r} (expected one of {KNOT_KINDS})")
+    return _knot(kind, n, precision_bits).f
 
 
 def knot_logf(kind: str, n: int,
@@ -131,24 +139,15 @@ def threshold_knots(n: int,
 
     Undefined for n=1: L_1 < 1 puts the target on the wrong side of f0(b_1).
     """
-    if not isinstance(n, int) or n < 2:
+    a, b, c, a_next = _block(n, precision_bits)
+    if n < 2:
         raise ValueError(
             f"threshold knots need n >= 2 (L_1 = ln 2 < 1 flips the target), got {n!r}")
-    _check_dense(n)
-    lam = log_nat(n, precision_bits)
-    sqrt_lam = root_snap(lam, 2, precision_bits)
-    f_a = knot_value("a", n, precision_bits)
-    f_b = knot_value("b", n, precision_bits)
-    # f0(a_{n+1}), read directly: at n = DENSE_LIMIT, a_{n+1} is past it
-    f_next = Fraction(2, 1 << (3 * (n + 1) ** 2))
-    target = f_b * sqrt_lam
-    if not f_b < target < f_a:
+    target = b.f * root_snap(log_nat(n, precision_bits), 2, precision_bits)
+    if not b.f < target < a.f:
         raise ValueError(f"threshold target out of range at n={n}")
-    b = knot_position("b", n, precision_bits)
-    c = knot_position("c", n, precision_bits)
-    a_next = a_position(n + 1)
-    d_x = b + (target - f_b) * (c - b) / (f_a - f_b)
-    s_x = c + (f_a - target) * (a_next - c) / (f_a - f_next)
+    d_x = b.x + (target - b.f) * (c.x - b.x) / (a.f - b.f)
+    s_x = c.x + (c.f - target) * (a_next.x - c.x) / (c.f - a_next.f)
     return Knot(d_x, target), Knot(s_x, target)
 
 
@@ -198,8 +197,8 @@ class NotchedDensity(namedtuple("NotchedDensity",
         and later blocks shrink by more than a factor 2 each, so twice that
         bounds the whole tail.
         """
-        n = self.truncation_n + 1
-        return 2 * knot_value("a", n, self.precision_bits) * a_position(n + 1)
+        n = self.truncation_n
+        return 2 * _block(n, self.precision_bits)[3].f * a_position(n + 2)
 
 
 def build_density(truncation_n: int,
@@ -211,20 +210,17 @@ def build_density(truncation_n: int,
     if n_top + 1 > DENSE_LIMIT:
         raise ValueError(
             f"truncation index {n_top} needs knots beyond the dense limit {DENSE_LIMIT}")
-    a_1, f_1 = a_position(1), knot_value("a", 1, precision_bits)
-    knots = [(Fraction(0), Fraction(1)), (a_1, f_1)]
+    blocks = [_block(n, precision_bits) for n in range(1, n_top + 1)]
+    a_1 = blocks[0][0]
+    knots = [Knot(0, 1), a_1]
     # The trapezoid rule is exact on linear segments, and f0(a_n) = f0(c_n)
     # folds block n's first two trapezoids into one over [a_n, c_n].  After
     # block n the running mass is the mass of truncation n.
-    mass = a_1 * (1 + f_1) / 2
+    mass = a_1.x * (1 + a_1.f) / 2
     prefix_masses = []
-    for n in range(1, n_top + 1):
-        a, f_a = knots[-1]
-        b, f_b = knot_position("b", n, precision_bits), knot_value("b", n, precision_bits)
-        c, f_c = knot_position("c", n, precision_bits), knot_value("c", n, precision_bits)
-        a_next, f_next = a_position(n + 1), knot_value("a", n + 1, precision_bits)
-        knots += [(b, f_b), (c, f_c), (a_next, f_next)]
-        mass += ((c - a) * (f_a + f_b) + (a_next - c) * (f_c + f_next)) / 2
+    for a, b, c, a_next in blocks:
+        knots += [b, c, a_next]
+        mass += ((c.x - a.x) * (a.f + b.f) + (a_next.x - c.x) * (c.f + a_next.f)) / 2
         prefix_masses.append(mass)
     return NotchedDensity(truncation_n=n_top, dense=from_linear_knots(knots),
                           precision_bits=precision_bits,

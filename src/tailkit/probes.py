@@ -9,11 +9,11 @@ bound the stated power of two), ``split_integrals``' ``exact_partition``
 ``subexp_ratio`` appends (the deviations from 1 fall along the points).
 No row is checked against a tolerance; the acceptance battery gives the
 verdicts.  Scans over piecewise-linear densities enumerate knots only
-(extrema of a piecewise-linear function sit at knots); scans over the
-log-periodic density use a log-spaced grid augmented with the anchor
-abscissas where the exponent modulation peaks.  The scans, the I2 bound
-and the blow-up return their rows, which ``tailkit report`` and the
-acceptance battery both write.
+(extrema of a piecewise-linear function sit at knots), and refuse a curved
+segment, whose extrema need not; scans over the log-periodic density use a
+log-spaced grid augmented with the anchor abscissas where the exponent
+modulation peaks.  The scans, the I2 bound and the blow-up return their
+rows, which ``tailkit report`` and the acceptance battery both write.
 
 The integrals that need the kernel and a construction together live here,
 so that the kernel reads piecewise functions alone: ``split_integrals`` of
@@ -140,12 +140,18 @@ def _scan_row(probe: str, label: str, best: Value, low: str, high: str) -> Probe
 
 def almost_decrease_scan(p: PiecewisePoly, x0=0) -> ProbeRow:
     """sup of f(y)/f(x) over knot pairs x0 <= x <= y with f(x) > 0, with
-    the maximizing pair.  Exact for piecewise-linear p (extrema at knots)."""
+    the maximizing pair.  Exact for piecewise-linear p (extrema at knots),
+    so a segment of degree 2 or 3 on the scan range is refused."""
     x0, p = Fraction(x0), _stored(p)
     lo, hi = p.support
     start = max(x0, lo)
     if start > hi:
         raise ValueError(f"scan start {_brief(x0)} is beyond the support end {_brief(hi)}")
+    for s_lo, s_hi, (_, _, c2, c3) in zip(p.breakpoints, p.breakpoints[1:], p.coeffs):
+        if s_hi > start and (c2 or c3):
+            raise ValueError(
+                f"segment [{_brief(s_lo)}, {_brief(s_hi)}] has degree {3 if c3 else 2}; "
+                "the knot scan is exact on piecewise-linear densities only")
     values = ((x, p.eval(x)) for x in [start] + [b for b in p.breakpoints if b > start])
     best, low, high = _max_rise(((x, v) for x, v in values if v > 0), operator.truediv)
     return _scan_row("almost_decrease_scan", f"x0={_fmt(x0)}", best,

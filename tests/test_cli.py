@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import re
@@ -769,6 +770,22 @@ class TestProbeCommand:
         assert run_cli("probe", f"file:{src}", "long_tail_ratio", "x=1/2",
                        "t=1/4", "--out", str(out)) == 0
         assert "long_tail_ratio,1/2," in out.read_text()
+
+    @pytest.mark.parametrize("seg, degree", [("1 -3 3 0", 2), ("1 0 0 1", 3)],
+                             ids=["quadratic", "cubic"])
+    def test_scan_refuses_a_file_that_is_not_piecewise_linear(self, seg, degree,
+                                                              tmp_path, capsys):
+        # f = 1 - 3u + 3u^2 dips to 1/4 at u = 1/2 and is 1 at both knots:
+        # a scan of the knot values alone read sup f(y)/f(x) = 1 there,
+        # where long_tail_ratio x=1/2 t=1 reads 4
+        src = tmp_path / "dip.pw"
+        src.write_text(f"# flags: density\nseg 0 1 {seg}\nseg 1 2 1 0 0 0\n")
+        assert run_cli("probe", f"file:{src}", "almost_decrease_scan") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"invalid request: segment [0, 1] has degree {degree}; "
+            "the knot scan is exact on piecewise-linear densities only"]
 
     def test_file_that_is_not_utf8_names_it(self, tmp_path, capsys):
         src = tmp_path / "tri.pw"
@@ -1578,6 +1595,31 @@ print(json.dumps([rc, ran, unwrapped]))
                               text=True, cwd="/", env=child_env())
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_every_name_the_tracer_wraps_exists(self):
+        # perfbench/tracer.py wraps its layers by name and reads the snap
+        # functions' cache statistics; a snap that loses its cache would
+        # break the traced benchmark run alone.  Every name that no longer
+        # resolves is listed.  Loaded by path and only read, never installed
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        missing = []
+        for modname, attr, *_ in tracer.LAYERS:
+            owner = sys.modules[modname]
+            *cls, name = attr.split(".")
+            if cls:
+                owner = getattr(owner, cls[0], None)
+                found = isinstance(owner, type) and callable(vars(owner).get(name))
+            else:
+                found = callable(getattr(owner, name, None))
+            if not found:
+                missing.append(f"{modname}.{attr}")
+        numerics = sys.modules["tailkit.numerics"]
+        missing += [f"tailkit.numerics.{name}.cache_info" for name in tracer.SNAP_FUNCTIONS
+                    if not callable(getattr(getattr(numerics, name, None), "cache_info", None))]
+        assert missing == []
 
 
 def readme_cli_lines():

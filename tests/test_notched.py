@@ -6,6 +6,7 @@ Expected values were derived by hand from the knot formulas (positions,
 arithmetic and are asserted at zero tolerance.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,34 @@ class TestBuild:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             notched.build_density(0)
+
+
+class TestBlocks:
+    """Each block of a build holds the knots the accessors give."""
+
+    @pytest.mark.parametrize("n_top, bits", [(63, 256), (40, 2048)])
+    def test_build_reads_the_accessors(self, n_top, bits):
+        dense = notched.build_density(n_top, bits).dense
+        for n in range(1, n_top + 1):
+            # breakpoints 3n-1, 3n and 3n+1 are b_n, c_n and a_{n+1}
+            for i, (kind, k) in enumerate([("b", n), ("c", n), ("a", n + 1)],
+                                          start=3 * n - 1):
+                x = notched.knot_position(kind, k, bits)
+                assert dense.breakpoints[i] == x
+                assert dense.eval(x) == notched.knot_value(kind, k, bits)
+            if n >= 2:
+                d, s = notched.threshold_knots(n, bits)
+                assert dense.eval(d.x) == dense.eval(s.x) == d.f == s.f
+
+    @pytest.mark.parametrize("kind, n, message", [
+        ("d", 0, "n must be a positive integer, got 0"),
+        ("s", 65, "exceeds the dense limit 64"),
+        ("z", 65, "exceeds the dense limit 64"),
+    ])
+    def test_a_bad_index_is_refused_before_a_bad_kind(self, kind, n, message):
+        for accessor in (notched.knot_position, notched.knot_value):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                accessor(kind, n)
 
 
 class TestTruncate:

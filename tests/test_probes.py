@@ -214,6 +214,15 @@ class TestScans:
         with pytest.raises(ValueError, match="vanishes on the whole scan range"):
             probes.almost_decrease_scan(f, 4)
 
+    @pytest.mark.parametrize("coeffs", [(0, 0, 1), (1, 0, 0, -1)],
+                             ids=["quadratic", "cubic"])
+    def test_scan_refuses_a_curved_segment_on_its_range(self, coeffs):
+        f = PiecewisePoly([0, 1, 2, 3], [(1, 0), coeffs, (1, 0)], density=True)
+        for x0 in (0, Fraction(3, 2)):
+            with pytest.raises(ValueError, match=r"^segment \[1, 2\] has degree"):
+                probes.almost_decrease_scan(f, x0)
+        assert probes.almost_decrease_scan(f, 2).value == 1
+
     def test_knot_scan_matches_dense(self):
         row = probes.notched_knot_scan(40)
         assert (row.probe, row.x_or_n) == ("knot_scan", "n<=40")
