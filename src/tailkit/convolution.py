@@ -36,10 +36,24 @@ only the pairs with ``s`` at or before ``t`` are visited and those with
 ``s != t`` count twice.  One sweep over the sorted sums keeps a running
 cubic in the local variable ``u = x - z``: at each sum it is Taylor-shifted
 by the step from the previous sum and the new terms are added.  That
-running cubic is the output cell's coefficients, so every intermediate
-stays the size of an output coefficient; a cubic in global ``x`` would
-carry ``z**3``-sized terms that cancel only at the end.  The work is
+running cubic is the output cell's coefficients; a cubic in global ``x``
+would carry ``z**3``-sized terms that cancel only at the end.  The work is
 O(pairs + cells).
+
+The running cubic is held in integers: coefficient i is ``n_i / (2**a_i
+q)``, a numerator, a binary exponent of its own, and one odd denominator
+``q`` shared by all four.  A step ``m / (2**e k)``, k odd, moves the
+numerators by integer products and shifts; ``q`` takes ``k**3`` only when
+``k > 1``, which no step between the dyadic knots of the notched density
+is.  The pair table keeps each term as an unreduced integer numerator and
+denominator, the /2 and /6 folded in, and a term's odd denominator enters
+``q`` by lcm only when it does not divide ``q``.  So a shift spends no
+gcd, where ``Fraction`` arithmetic reduces after each of its operations.
+The gcds left are per cell: each cell is reduced once as it is yielded
+(each numerator's power of two against its exponent, then ``gcd(n_i,
+q)``, and ``q`` drops the factor all four share, so it stays the lcm of
+the cell's odd denominators), and its ``Fraction``s are made with their
+slots set, since ``Fraction(n, d)`` would spend a second gcd to find 1.
 
 The point walk integrates over a y-window at one abscissa, by runs.  A
 run ends at a reflected breakpoint ``x - s`` of p, so on it p(x - y) is
@@ -64,6 +78,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd
 
 from tailkit.piecewise import PiecewisePoly, _brief
 
@@ -97,7 +112,8 @@ def _moments(u, v, b_u, slope):
 
 
 def _jumps(breaks, c0, c1):
-    """(s_i, J_i, W_i) per breakpoint: the jumps in value and in slope.
+    """(s_i, J_i, W_i) per breakpoint: the jumps in value and in slope,
+    each jump as its integer numerator and denominator.
 
     A piecewise-linear function that vanishes outside its support equals
     sum_i J_i (x - s_i)_+^0 + W_i (x - s_i)_+^1; both support ends count.
@@ -107,8 +123,11 @@ def _jumps(breaks, c0, c1):
     left = [(zero, zero)] + [(v + w * (b - a), w)
                              for (v, w), a, b in zip(right, breaks, breaks[1:])]
     right.append((zero, zero))
-    return [(s, rv - lv, rw - lw)
-            for s, (rv, rw), (lv, lw) in zip(breaks, right, left)]
+    out = []
+    for s, (rv, rw), (lv, lw) in zip(breaks, right, left):
+        j, w = rv - lv, rw - lw
+        out.append((s, j.numerator, j.denominator, w.numerator, w.denominator))
+    return out
 
 
 def dense_sweep(p: PiecewisePoly, q: PiecewisePoly):
@@ -121,55 +140,126 @@ def dense_sweep(p: PiecewisePoly, q: PiecewisePoly):
     ``PiecewisePoly``.  An operand that is not piecewise linear is refused
     here, before any cell is made.
     """
-    zero = Fraction(0)
     same = q is p
     p_linear = _linear(p)
     q_linear = p_linear if same else _linear(q)
     p_jumps = _jumps(*p_linear)
     q_jumps = p_jumps if same else _jumps(*q_linear)
     terms = {}
-    for a, (s, j, w) in enumerate(p_jumps):
+    for a, (s, jn, jd, wn, wd) in enumerate(p_jumps):
         # identical operands: the pair (a, b), b > a, stands for (b, a) too
-        start, j2, w2 = (a, j + j, w + w) if same else (0, j, w)
+        start, j2, w2 = (a, jn + jn, wn + wn) if same else (0, jn, wn)
         for b in range(start, len(q_jumps)):
-            t, k, v = q_jumps[b]
-            jb, wb = (j, w) if b == a else (j2, w2)
-            # coefficients of (x-z)_+, (x-z)_+^2/2 and (x-z)_+^3/6, z = s+t;
-            # a sum whose terms are all zero still cuts the grid
-            acc = terms.setdefault(s + t, [zero, zero, zero])
-            if jb:
-                if k:
-                    acc[0] += jb * k
-                if v:
-                    acc[1] += jb * v
-            if wb:
-                if k:
-                    acc[1] += wb * k
-                if v:
-                    acc[2] += wb * v
+            t, kn, kd, vn, vd = q_jumps[b]
+            j, w = (jn, wn) if b == a else (j2, w2)
+            # (i, numerator, denominator): a term of u**i, u = x - z, z =
+            # s+t, unreduced, with the /2 and /6 of the truncated powers
+            # folded in; a sum whose terms are all zero still cuts the grid
+            acc = terms.setdefault(s + t, [])
+            if j:
+                if kn:
+                    acc.append((1, j * kn, jd * kd))
+                if vn:
+                    acc.append((2, j * vn, 2 * jd * vd))
+            if w:
+                if kn:
+                    acc.append((2, w * kn, 2 * wd * kd))
+                if vn:
+                    acc.append((3, w * vn, 6 * wd * vd))
     grid = sorted(terms)
     flags = {"continuous": True, "density": p.density and q.density,
              "factor": p.factor * q.factor}
     return grid, _cells(grid, terms), flags
 
 
+def _twos(n: int) -> int:
+    """The exponent of 2 in the nonzero integer n."""
+    return (n & -n).bit_length() - 1
+
+
+def _align(x, ax, y, ay):
+    """x / 2**ax + y / 2**ay, as a numerator over the larger power."""
+    if not y:
+        return x, ax
+    if not x:
+        return y, ay
+    if ax < ay:
+        return (x << (ay - ax)) + y, ay
+    return x + (y << (ax - ay)), ax
+
+
+def _shift(n, a, m, e):
+    """Taylor-shift the cubic with coefficients n[i] / 2**a[i], in place,
+    by the dyadic step h = m / 2**e: c0 += ((c3 h + c2) h + c1) h, c1 +=
+    (3 c3 h + 2 c2) h, c2 += 3 c3 h."""
+    t, at = n[3] * m, a[3] + e
+    s, as_ = _align(t, at, n[2], a[2])
+    s, as_ = _align(s * m, as_ + e, n[1], a[1])
+    n[0], a[0] = _align(n[0], a[0], s * m, as_ + e)
+    r, ar = _align(3 * t, at, 2 * n[2], a[2])
+    n[1], a[1] = _align(n[1], a[1], r * m, ar + e)
+    n[2], a[2] = _align(n[2], a[2], 3 * t, at)
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """numerator/denominator, already in lowest terms with a positive
+    denominator, as a Fraction made without the gcd that ``Fraction(n, d)``
+    spends to find 1."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = numerator, denominator
+    return value
+
+
 def _cells(grid, terms):
     """The sweep proper: one running cubic, shifted from sum to sum; each
-    sum's terms are dropped from ``terms`` once they are added."""
-    c0 = c1 = c2 = c3 = Fraction(0)
+    sum's terms are dropped from ``terms`` once they are added.
+    Coefficient i is n[i] / (2**a[i] * q), q odd (see the module
+    docstring); the running cubic keeps the form each cell is reduced to."""
+    n, a, q = [0, 0, 0, 0], [0, 0, 0, 0], 1
     prev = grid[0]
     for z in grid[:-1]:
-        # Taylor-shift the running cubic to u = x - z, then add z's terms
         h = z - prev
-        c3h = c3 * h
-        c0 += ((c3h + c2) * h + c1) * h
-        c1 += (3 * c3h + 2 * c2) * h
-        c2 += 3 * c3h
-        first, second, third = terms.pop(z)
-        c1 += first
-        c2 += second / 2
-        c3 += third / 6
-        yield c0, c1, c2, c3
+        if h:
+            m, d = h.numerator, h.denominator
+            e = _twos(d)
+            k = d >> e
+            if k == 1:
+                _shift(n, a, m, e)
+            else:
+                # in v = k u the step is the dyadic m / 2**e: scale c_i by
+                # k**-i over q k**3, shift, and scale back by k**i
+                k2 = k * k
+                k3 = k2 * k
+                q *= k3
+                n[0] *= k3
+                n[1] *= k2
+                n[2] *= k
+                _shift(n, a, m, e)
+                n[1] *= k
+                n[2] *= k2
+                n[3] *= k3
+        for i, num, den in terms.pop(z):
+            e = _twos(den)
+            r = den >> e
+            if q % r:
+                lcm = q // gcd(q, r) * r
+                n = [c * (lcm // q) for c in n]
+                q = lcm
+            n[i], a[i] = _align(n[i], a[i], num * (q // r), e)
+        # lowest terms: strip each numerator's twos against its exponent,
+        # then its common factor with q; q drops the factor all four share
+        for i, c in enumerate(n):
+            if c:
+                t = min(_twos(c), a[i])
+                n[i], a[i] = c >> t, a[i] - t
+            else:
+                a[i] = 0
+        g = [gcd(c, q) for c in n]
+        yield tuple(_fraction(c // gi, q // gi << ai) for c, gi, ai in zip(n, g, a))
+        common = gcd(*g)
+        if common > 1:
+            n = [c // common for c in n]
+            q //= common
         prev = z
 
 

@@ -10,7 +10,8 @@ bound the stated power of two), ``split_integrals``' ``exact_partition``
 No row is checked against a tolerance; the acceptance battery gives the
 verdicts.  Scans over piecewise-linear densities enumerate knots only
 (extrema of a piecewise-linear function sit at knots), and refuse a curved
-segment, whose extrema need not; scans over the log-periodic density use a
+segment, whose extrema need not, and a jump in value, whose right limit no
+knot value holds; scans over the log-periodic density use a
 log-spaced grid augmented with the anchor abscissas where the exponent
 modulation peaks.  The scans, the I2 bound and the blow-up return their
 rows, which ``tailkit report`` and the acceptance battery both write.
@@ -140,18 +141,27 @@ def _scan_row(probe: str, label: str, best: Value, low: str, high: str) -> Probe
 
 def almost_decrease_scan(p: PiecewisePoly, x0=0) -> ProbeRow:
     """sup of f(y)/f(x) over knot pairs x0 <= x <= y with f(x) > 0, with
-    the maximizing pair.  Exact for piecewise-linear p (extrema at knots),
-    so a segment of degree 2 or 3 on the scan range is refused."""
+    the maximizing pair.  Exact for continuous piecewise-linear p (extrema
+    at knots), so a segment of degree 2 or 3 on the scan range is refused,
+    and so is a jump in value at a breakpoint on it: the knot value is the
+    left limit, and a sup approached from the right has no knot to name."""
     x0, p = Fraction(x0), _stored(p)
     lo, hi = p.support
     start = max(x0, lo)
     if start > hi:
         raise ValueError(f"scan start {_brief(x0)} is beyond the support end {_brief(hi)}")
-    for s_lo, s_hi, (_, _, c2, c3) in zip(p.breakpoints, p.breakpoints[1:], p.coeffs):
+    end = None
+    for s_lo, s_hi, (c0, c1, c2, c3) in zip(p.breakpoints, p.breakpoints[1:], p.coeffs):
         if s_hi > start and (c2 or c3):
             raise ValueError(
                 f"segment [{_brief(s_lo)}, {_brief(s_hi)}] has degree {3 if c3 else 2}; "
                 "the knot scan is exact on piecewise-linear densities only")
+        if end is not None and s_lo >= start and c0 != end:
+            raise ValueError(
+                f"the value jumps at {_brief(s_lo)}; "
+                "the knot scan is exact on continuous densities only")
+        u = s_hi - s_lo
+        end = ((c3 * u + c2) * u + c1) * u + c0
     values = ((x, p.eval(x)) for x in [start] + [b for b in p.breakpoints if b > start])
     best, low, high = _max_rise(((x, v) for x, v in values if v > 0), operator.truediv)
     return _scan_row("almost_decrease_scan", f"x0={_fmt(x0)}", best,

@@ -21,9 +21,15 @@ from tailkit import cli, probes
 from tailkit.numerics import _rational
 from tailkit.piecewise import PiecewisePoly, from_linear_knots, load_text
 
-# sha256 of `tailkit convolve` on the notched N=4 knot file: the dense
-# convolution's exact output is the spec, byte for byte
+# sha256 of `tailkit convolve` on the notched knot files (`build notched
+# n=N`, 256 bits): the dense convolution's exact output is the spec, byte
+# for byte
 NOTCHED4_CONV_SHA256 = "0640e7835bb91572d5df651380f0f71f3f00e55f49fa66f7b618734b5252937d"
+NOTCHED_CONV_SHA256 = {
+    4: NOTCHED4_CONV_SHA256,
+    6: "5854967464ea504bae3cbed4ec9ca465f0b0aad8be3a10b1ff80746f35e10d4b",
+    8: "5fd01980b21b63a5986ce840bb25648403e5e125745b0dfac2dab1858caa13d6",
+}
 
 
 # sha256 of `tailkit report <construction>` at its defaults
@@ -787,6 +793,23 @@ class TestProbeCommand:
             f"invalid request: segment [0, 1] has degree {degree}; "
             "the knot scan is exact on piecewise-linear densities only"]
 
+    def test_scan_refuses_a_file_that_jumps_in_value(self, tmp_path, capsys):
+        # f is 1 on [0, 1] and jumps to 5 at 1: the knot values are 1, 1
+        # and 1, where long_tail_ratio x=1/2 t=1 reads 3 and the sup is 5,
+        # approached just right of 1
+        src = tmp_path / "jump.pw"
+        src.write_text("# flags: density\nseg 0 1 1 0 0 0\nseg 1 2 5 -4 0 0\n")
+        assert run_cli("probe", f"file:{src}", "almost_decrease_scan") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "invalid request: the value jumps at 1; "
+            "the knot scan is exact on continuous densities only"]
+        out = tmp_path / "ratio.csv"
+        assert run_cli("probe", f"file:{src}", "long_tail_ratio", "x=1/2", "t=1",
+                       "--out", str(out)) == 0
+        assert "long_tail_ratio,1/2,3," in out.read_text()
+
     def test_file_that_is_not_utf8_names_it(self, tmp_path, capsys):
         src = tmp_path / "tri.pw"
         src.write_bytes(b"knot 0 0\nknot 1 \xff1\nknot 2 0\n")
@@ -838,6 +861,15 @@ class TestConvolve:
         assert run_cli("convolve", str(tmp_path / "notched.knots"),
                        "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == NOTCHED4_CONV_SHA256
+
+    @pytest.mark.pin
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_larger_notched_convolutions_match_spec(self, n, tmp_path):
+        assert run_cli("build", "notched", f"n={n}", "--out", str(tmp_path)) == 0
+        out = tmp_path / "conv.pw"
+        assert run_cli("convolve", str(tmp_path / "notched.knots"),
+                       "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == NOTCHED_CONV_SHA256[n]
 
     def test_round_trip_probe_equality(self, tmp_path):
         # build -> serialize -> load -> probe equals the in-memory probe

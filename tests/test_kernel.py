@@ -5,10 +5,11 @@ routes to the same integral, so they must agree to the last bit.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from conftest import small_fractions
-from hypothesis import assume, given, settings
+from conftest import linear_operands, small_fractions
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tailkit import convolution as conv
@@ -178,6 +179,36 @@ class TestProperties:
             c0, c1, c2, c3 = dense.coeffs[i - 1]
             left_limit = ((c3 * u + c2) * u + c1) * u + c0
             assert left_limit == dense.coeffs[i][0]
+
+
+# breakpoints in thirds and in fifths: the sweep's steps have odd
+# denominators 3, 5 and 15, and the second operand jumps in value
+THIRDS = PiecewisePoly([0, Fraction(1, 3), 1], [(0, 3), (1, Fraction(-3, 2))],
+                       continuous=True, density=True)
+FIFTHS = PiecewisePoly([Fraction(-2, 5), Fraction(1, 5), 2],
+                       [(Fraction(1, 5), 1), (Fraction(-3, 7), Fraction(2, 3))])
+
+
+class TestLowestTerms:
+    """The sweep reduces each cell once, as it yields it, and writes the
+    Fractions' slots itself: every coefficient it yields must be in lowest
+    terms with a positive denominator.  A comparison of values need not show
+    an unreduced cell, which the writer would print as, say, ``2/4``."""
+
+    @given(linear_operands(), linear_operands(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    @example(THIRDS, THIRDS, True)
+    @example(THIRDS, FIFTHS, False)
+    @example(FIFTHS, FIFTHS, True)
+    def test_every_coefficient_is_in_lowest_terms(self, p, q, same):
+        grid, cells, _ = conv.dense_sweep(p, p if same else q)
+        cells = list(cells)
+        assert len(cells) == len(grid) - 1
+        for cell in cells:
+            for c in cell:
+                assert type(c) is Fraction
+                assert c.denominator > 0
+                assert gcd(c.numerator, c.denominator) == 1
 
 
 class TestPointWindows:

@@ -221,7 +221,28 @@ class TestScans:
         for x0 in (0, Fraction(3, 2)):
             with pytest.raises(ValueError, match=r"^segment \[1, 2\] has degree"):
                 probes.almost_decrease_scan(f, x0)
-        assert probes.almost_decrease_scan(f, 2).value == 1
+        # u**2 ends at 1, where the last segment starts; 1 - u**3 ends at 0,
+        # so a scan from 2 starts at a jump, and one from 5/2 is past it
+        if len(coeffs) == 3:
+            assert probes.almost_decrease_scan(f, 2).value == 1
+        else:
+            with pytest.raises(ValueError, match=r"^the value jumps at 2; "):
+                probes.almost_decrease_scan(f, 2)
+        assert probes.almost_decrease_scan(f, Fraction(5, 2)).value == 1
+
+    @pytest.mark.parametrize("right", [5, Fraction(1, 2), 0])
+    def test_scan_refuses_a_jump_in_value_on_its_range(self, right):
+        # f jumps from 1 to `right` at 1: up, down, or to 0; the knot value
+        # at 1 is the left limit, so the sup approached just right of 1 (5
+        # there, or 2 / (1/2) for the drop) has no knot to name
+        f = PiecewisePoly([0, 1, 2, 3], [(1, 0), (right, 1), (right + 1, 0)],
+                          density=True)
+        for x0 in (0, 1):
+            with pytest.raises(ValueError, match=r"^the value jumps at 1; "):
+                probes.almost_decrease_scan(f, x0)
+        # past the jump the segments meet, unflagged, and are scanned
+        row = probes.almost_decrease_scan(f, Fraction(3, 2))
+        assert row.aux == {"witness_x": "1.5", "witness_y": "2"}
 
     def test_knot_scan_matches_dense(self):
         row = probes.notched_knot_scan(40)
