@@ -1,11 +1,13 @@
-"""The two-sided mixture and its blow-up atom schedule.
+"""The two-sided mixture's blow-up schedule, which is the law of X2.
 
-The negative part of the mixture is the law of ``-X2`` where ``X2`` places
-mass ``c * L(n_m)**(-1/3)`` on an interval pinned between the threshold
-knots of block ``n_m``, along the schedule ``n_m = floor(exp(m**4))``.
-Each interval's mass is carried by a single atom at the interval midpoint
-(any placement inside the interval preserves the blow-up bound, and an atom
-keeps every convolution exact).
+The mixture weighs the notched density f1 and the law of ``-X2`` by 1/2
+each.  ``X2`` places mass ``c * L(n_m)**(-1/3)`` on an interval pinned
+between the threshold knots of block ``n_m``, along the schedule
+``n_m = floor(exp(m**4))``.  Each interval's mass is carried by a single
+atom at the interval midpoint (any placement inside the interval preserves
+the blow-up bound, and an atom keeps every convolution exact).  The
+schedule's entries and its residual atom at RESIDUAL_VALUE are X2's atoms,
+whose masses sum to 1 exactly.
 
 Only the m=1 atom has a materializable position; for m >= 2 the block index
 ``n_m`` is astronomically large, so those entries are kept symbolically:
@@ -21,55 +23,13 @@ from fractions import Fraction
 from typing import Optional
 
 from tailkit.errors import PrecisionFailure
-from tailkit.notched import NotchedDensity, knot_logf, knot_position, threshold_knots
+from tailkit.notched import knot_logf, knot_position, threshold_knots
 from tailkit.numerics import _RND, DEFAULT_PRECISION, libmp, log_nat, root_snap
-from tailkit.piecewise import _brief, _fmt
+from tailkit.piecewise import PiecewisePoly, _brief, _fmt
 from tailkit.render import decimal_str
 
 RESIDUAL_FRACTION = Fraction(1, 20)
 RESIDUAL_VALUE = Fraction(1)
-
-
-class AtomList(namedtuple("AtomList", "atoms residual")):
-    """Atoms of X2: (value, mass) pairs plus a residual atom.
-
-    ``atoms`` holds (value, mass) pairs and ``residual`` one pair.  ``value``
-    is None for atoms whose position is beyond any dense support (they still
-    carry mass).  Masses and the residual sum to 1 exactly.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, atoms: tuple, residual: tuple):
-        total = residual[1]
-        if residual[0] <= 0 or residual[1] < 0:
-            raise ValueError("residual atom needs a positive value and mass >= 0")
-        for v, p in atoms:
-            if p <= 0:
-                raise ValueError(f"atom masses must be positive, got {p}")
-            if v is not None and v <= 0:
-                raise ValueError(f"atom values must be positive, got {v}")
-            total += p
-        if total != 1:
-            raise ValueError(f"atom masses plus residual must equal 1, got {total}")
-        return super().__new__(cls, atoms, residual)
-
-
-class MixtureSpec(namedtuple("MixtureSpec", "q1 q2 f1 f2")):
-    """Weights and parts of the two-sided distribution.
-
-    ``f1`` is the absolutely continuous positive part, a NotchedDensity;
-    ``f2`` the discrete negative part, an AtomList of the positive values
-    of X2.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, q1: Fraction, q2: Fraction, f1: NotchedDensity, f2: AtomList):
-        q1, q2 = Fraction(q1), Fraction(q2)
-        if not (0 < q1 <= 1) or q1 + q2 != 1:
-            raise ValueError("need q1 in (0, 1] with q1 + q2 = 1")
-        return super().__new__(cls, q1, q2, f1, f2)
 
 
 # One atom of the schedule: m, its block n_m, mass, value (the position of
@@ -135,31 +95,17 @@ def build_schedule(m_max: int, precision_bits: int = DEFAULT_PRECISION) -> Blowu
                           precision_bits=precision_bits)
 
 
-def atom_list(schedule: BlowupSchedule) -> AtomList:
-    atoms = tuple((e.value, e.mass) for e in schedule.entries)
-    return AtomList(atoms=atoms, residual=(RESIDUAL_VALUE, schedule.residual_mass))
-
-
-def mixture_from_schedule(schedule: BlowupSchedule, f1: NotchedDensity) -> MixtureSpec:
-    """The mixture with equal weights q1 = q2 = 1/2."""
-    half = Fraction(1, 2)
-    return MixtureSpec(q1=half, q2=half, f1=f1, f2=atom_list(schedule))
-
-
-def mixture_cross_mass(mix: MixtureSpec, x, d) -> Fraction:
-    """F1*F2 window mass alone (the blow-up numerator), without weights."""
+def mixture_cross_mass(schedule: BlowupSchedule, f: PiecewisePoly, x, d) -> Fraction:
+    """Window mass over (x, x+d] of f convolved with the law of -X2 (the
+    blow-up numerator, without the mixture's weights): each atom shifts f's
+    window by its value.  Entries whose value is None are beyond the dense
+    support and contribute nothing."""
     x, d = Fraction(x), Fraction(d)
     if d <= 0:
         raise ValueError(f"window width must be positive, got {_brief(d)}")
-    f = mix.f1.density()
-    cross = Fraction(0)
-    for v, p in mix.f2.atoms:
-        if v is not None:
-            cross += p * f.interval_mass(x + v, d)
-    v_res, p_res = mix.f2.residual
-    if p_res:
-        cross += p_res * f.interval_mass(x + v_res, d)
-    return cross
+    atoms = [(e.value, e.mass) for e in schedule.entries if e.value is not None]
+    atoms.append((RESIDUAL_VALUE, schedule.residual_mass))
+    return sum((p * f.interval_mass(x + v, d) for v, p in atoms), Fraction(0))
 
 
 def schedule_csv_lines(schedule: BlowupSchedule) -> list[str]:

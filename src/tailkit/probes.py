@@ -18,7 +18,8 @@ rows, which ``tailkit report`` and the acceptance battery both write.
 
 The integrals that need the kernel and a construction together live here,
 so that the kernel reads piecewise functions alone: ``split_integrals`` of
-the notched self-convolution and the mixture's ``mixture_local_conv``.
+the notched self-convolution and, in ``mixture_blowup_probe``, the
+mixture's window mass.
 
 :data:`PROBES` is the catalogue behind ``tailkit probe`` and ``tailkit
 report``: each probe's constructions, the options it reads, its parameters
@@ -144,7 +145,9 @@ def almost_decrease_scan(p: PiecewisePoly, x0=0) -> ProbeRow:
     the maximizing pair.  Exact for continuous piecewise-linear p (extrema
     at knots), so a segment of degree 2 or 3 on the scan range is refused,
     and so is a jump in value at a breakpoint on it: the knot value is the
-    left limit, and a sup approached from the right has no knot to name."""
+    left limit, and a sup approached from the right has no knot to name.
+    A knot where f <= 0 followed by one where f > 0 is refused as well: f
+    tends to 0+ between them, so the sup is unbounded."""
     x0, p = Fraction(x0), _stored(p)
     lo, hi = p.support
     start = max(x0, lo)
@@ -162,7 +165,12 @@ def almost_decrease_scan(p: PiecewisePoly, x0=0) -> ProbeRow:
                 "the knot scan is exact on continuous densities only")
         u = s_hi - s_lo
         end = ((c3 * u + c2) * u + c1) * u + c0
-    values = ((x, p.eval(x)) for x in [start] + [b for b in p.breakpoints if b > start])
+    values = [(x, p.eval(x)) for x in [start] + [b for b in p.breakpoints if b > start]]
+    zero = next((x for x, v in values if v <= 0), None)
+    if zero is not None and any(v > 0 for x, v in values if x > zero):
+        raise ValueError(
+            f"f is not positive at {_brief(zero)} but is after it, "
+            "so f(y)/f(x) is unbounded")
     best, low, high = _max_rise(((x, v) for x, v in values if v > 0), operator.truediv)
     return _scan_row("almost_decrease_scan", f"x0={_fmt(x0)}", best,
                      decimal_str(low), decimal_str(high))
@@ -284,44 +292,24 @@ def i2_bound_check(nd: notched.NotchedDensity, n: int) -> ProbeRow:
         "passed": i2 <= bound and bound == Fraction(2) ** exponent})
 
 
-def mixture_local_conv(mix: mx.MixtureSpec, x, d) -> Fraction:
-    """Window mass of the mixture's self-convolution over (x, x+d], x > 0.
-
-    q1^2 * (f1*f1 mass) + 2 q1 q2 * sum of atom-shifted f1 masses.  Atoms
-    whose position is beyond the dense support contribute nothing here (the
-    shift pushes them past the truncation), as does the vanishing
-    negative*negative term.
-    """
-    x, d = Fraction(x), Fraction(d)
-    if x <= 0:
-        raise ValueError("x must be positive: for x <= 0 the omitted "
-                         "negative*negative term would contribute")
-    if d <= 0:
-        raise ValueError(f"window width must be positive, got {_brief(d)}")
-    self_mass = conv.self_conv_window_mass(mix.f1.density(), x, d)
-    return (mix.q1 ** 2 * self_mass
-            + 2 * mix.q1 * mix.q2 * mx.mixture_cross_mass(mix, x, d))
-
-
 def mixture_blowup_probe(schedule: mx.BlowupSchedule, f1: notched.NotchedDensity,
                          d) -> list[ProbeRow]:
     """One exact row (m=1) plus symbolic lower-bound rows (m >= 2), on the
-    mixture of the notched f1 and the schedule's atoms.
+    mixture of the notched f1 and the schedule's atoms, weighted 1/2 each.
 
     The exact row reports the cross-convolution window mass over
     d * f(b_{n_1}); the symbolic rows carry c * L(n_m)**(1/6), whose
     divergence is the desk-scale witness of the blow-up.
     """
     d = Fraction(d)
-    if d <= 0:
-        raise ValueError(f"window width must be positive, got {_brief(d)}")
     first = schedule.entries[0]
     b1 = notched.knot_position("b", first.n_m, schedule.precision_bits)
-    mix = mx.mixture_from_schedule(schedule, f1)
     f = f1.density()
-    cross = mx.mixture_cross_mass(mix, b1, d)
-    full = mixture_local_conv(mix, b1, d)
-    local_f = mix.q1 * f.interval_mass(b1, d)
+    cross = mx.mixture_cross_mass(schedule, f, b1, d)
+    # both weights are 1/2: at x > 0 the mixture's self-convolution is
+    # (f*f + 2 f*F2) / 4, the negative*negative term vanishing there
+    full = (conv.self_conv_window_mass(f, b1, d) + 2 * cross) / 4
+    local_f = f.interval_mass(b1, d) / 2
     rows = [ProbeRow(
         probe="blowup_exact", x_or_n=f"m1_b{first.n_m}",
         value=cross / (d * f.eval(b1)),

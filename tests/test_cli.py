@@ -38,6 +38,9 @@ REPORT_SHA256 = {
     "logperiodic": "6be5e26bc88d2d574b0af0f3c6548b3688bc0f830a90184690fb0ef4b99bf6b3",
     "mixture": "46d1dc88b48149d0b7a8e644a0c0d9aa684087133e6277402c546631bc5a7f84",
 }
+# sha256 of `tailkit probe mixture blowup m_max=3 d=1/2`: the blow-up row at
+# a window other than the d = 1 that `report mixture` reads
+BLOWUP_HALF_SHA256 = "35e4eb1541c73ce142e4dba127c6d100eda4eb7f4038fdc2f920c2064a6c5810"
 # sha256 of `tailkit report logperiodic --delta <delta>` beyond the default
 LOGPERIODIC_DELTA_SHA256 = {
     "1/8": "f7900046511dd0a3ab6e2c544de2f9cc27ddf3e0aa2e154da3d95e772b7a0f25",
@@ -308,7 +311,7 @@ class TestConstructionReads:
     @pytest.mark.parametrize("value", ["0", "25", "100000"])
     def test_m_max_outside_its_range_is_refused(self, value, source, tmp_path,
                                                 capsys):
-        # report mixture, which builds the schedule twice, takes about 9 s
+        # report mixture, which builds the schedule once, takes about 6.5 s
         # at 24 atoms
         out, cfg = tmp_path / "out", tmp_path / "run.cfg"
         cfg.write_text(f"m_max = {value}\n")
@@ -767,6 +770,13 @@ class TestProbeCommand:
         lines = out.read_text().splitlines()
         assert lines[1].startswith("blowup_exact,")
         assert lines[2].startswith("blowup_lower_bound,")
+
+    @pytest.mark.pin
+    def test_blowup_at_half_window_matches_spec(self, tmp_path):
+        out = tmp_path / "blowup.csv"
+        assert run_cli("probe", "mixture", "blowup", "m_max=3", "d=1/2",
+                       "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BLOWUP_HALF_SHA256
 
     def test_file_construction(self, tmp_path):
         src = tmp_path / "tri.pw"

@@ -2,6 +2,7 @@ import ast
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from tailkit import convolution as conv
 from tailkit import cli, notched, probes
-from tailkit.mixture import AtomList, MixtureSpec, mixture_cross_mass
+from tailkit import mixture as mx
 from tailkit.piecewise import dump_cells, dump_text, from_linear_knots
 
 
@@ -259,65 +260,35 @@ class TestSplitIntegrals:
 
 
 class TestMixtureConv:
-    def _pure_positive_mixture(self, nd):
-        atoms = AtomList(atoms=(), residual=(Fraction(1), Fraction(1)))
-        return MixtureSpec(q1=Fraction(1), q2=Fraction(0), f1=nd, f2=atoms)
+    def test_cross_mass_reads_the_schedule(self):
+        # f(y) = y on [0, 10]: the mass over (a, a+1] is a + 1/2.  The placed
+        # atom at 3 reads (5, 6], the residual at 1 reads (3, 4], and the
+        # entry with no position contributes nothing
+        f = from_linear_knots([(0, 0), (10, 10)])
+        entry = partial(mx.ScheduleEntry, n_m=2, logf_b=None, lower_bound=None)
+        sch = mx.BlowupSchedule(
+            m_max=2, entries=(entry(m=1, mass=Fraction(1, 2), value=Fraction(3)),
+                              entry(m=2, mass=Fraction(1, 4), value=None)),
+            c=None, residual_mass=Fraction(1, 4), precision_bits=256)
+        expected = Fraction(1, 2) * Fraction(11, 2) + Fraction(1, 4) * Fraction(7, 2)
+        assert mx.mixture_cross_mass(sch, f, 2, 1) == expected
 
-    def test_degenerate_mixture_reduces_to_self_conv(self, nd3):
-        mix = self._pure_positive_mixture(nd3)
+    @pytest.mark.parametrize("d", [Fraction(1, 2), 1, 3])
+    def test_blowup_row_is_the_weighted_window_mass(self, nd3, d):
+        # with weights 1/2 and 1/2 the mixture's window mass at x > 0 is
+        # (f*f + 2 f*F2) / 4 and its positive part's is f / 2
+        sch = mx.build_schedule(3)
+        row = probes.mixture_blowup_probe(sch, nd3, d)[0]
         f = nd3.density()
-        dense = conv.conv_linear_exact(f, f)
-        x, d = Fraction(30), Fraction(1)
-        assert probes.mixture_local_conv(mix, x, d) == dense.interval_mass(x, d)
-
-    def test_single_atom_formula(self, nd3):
-        atoms = AtomList(atoms=((Fraction(1), Fraction(1, 2)),),
-                         residual=(Fraction(1), Fraction(1, 2)))
-        mix = MixtureSpec(q1=Fraction(1, 2), q2=Fraction(1, 2), f1=nd3,
-                          f2=atoms)
-        f = nd3.density()
-        dense = conv.conv_linear_exact(f, f)
-        x, d = Fraction(30), Fraction(1)
-        got = probes.mixture_local_conv(mix, x, d)
-        # both atoms sit at value 1, so the cross term is f-mass at x+1
-        expected = (Fraction(1, 4) * dense.interval_mass(x, d)
-                    + Fraction(1, 2) * f.interval_mass(x + 1, d))
-        assert got == expected
-
-    def test_far_atoms_contribute_nothing(self, nd3):
-        near = AtomList(atoms=((Fraction(1), Fraction(1, 2)),),
-                        residual=(Fraction(1), Fraction(1, 2)))
-        far = AtomList(atoms=((Fraction(1), Fraction(1, 2)),
-                              (None, Fraction(1, 4))),
-                       residual=(Fraction(1), Fraction(1, 4)))
-        x, d = Fraction(30), Fraction(1)
-        got_near = mixture_cross_mass(
-            MixtureSpec(Fraction(1, 2), Fraction(1, 2), nd3, near), x, d)
-        got_far = mixture_cross_mass(
-            MixtureSpec(Fraction(1, 2), Fraction(1, 2), nd3, far), x, d)
-        # the None atom drops out; only the residual mass difference shows
-        f = nd3.density()
-        assert got_near - got_far == Fraction(1, 4) * f.interval_mass(x + 1, d)
-
-    def test_rejects_nonpositive_x(self, nd3):
-        mix = self._pure_positive_mixture(nd3)
-        with pytest.raises(ValueError):
-            probes.mixture_local_conv(mix, 0, 1)
+        b1 = notched.knot_position("b", sch.entries[0].n_m)
+        cross = mx.mixture_cross_mass(sch, f, b1, d)
+        full = (conv.conv_linear_exact(f, f).interval_mass(b1, d) + 2 * cross) / 4
+        assert row.aux["conv_over_window_mass"] == full / (f.interval_mass(b1, d) / 2)
+        assert row.value == cross / (d * f.eval(b1))
 
     def test_rejects_bad_window(self, nd3):
-        mix = self._pure_positive_mixture(nd3)
-        with pytest.raises(ValueError):
-            probes.mixture_local_conv(mix, 1, 0)
-
-    def test_atom_accounting_enforced(self):
-        with pytest.raises(ValueError):
-            AtomList(atoms=((Fraction(1), Fraction(1, 2)),),
-                     residual=(Fraction(1), Fraction(1, 4)))
-
-    def test_mixture_weights_enforced(self, nd3):
-        atoms = AtomList(atoms=(), residual=(Fraction(1), Fraction(1)))
-        with pytest.raises(ValueError):
-            MixtureSpec(q1=Fraction(1, 2), q2=Fraction(1, 4), f1=nd3, f2=atoms)
+        with pytest.raises(ValueError, match="window width must be positive"):
+            mx.mixture_cross_mass(mx.build_schedule(1), nd3.density(), 1, 0)
 
 
 SRC = Path(conv.__file__).resolve().parent

@@ -86,25 +86,16 @@ class TestSerialization:
         assert a == b
 
 
-class TestAtomList:
-    def test_from_schedule(self):
-        sch = mx.build_schedule(2)
-        atoms = mx.atom_list(sch)
-        assert len(atoms.atoms) == 2
-        assert atoms.residual == (Fraction(1), sch.residual_mass)
-
-    def test_mixture_defaults(self, nd3):
-        sch = mx.build_schedule(1)
-        mix = mx.mixture_from_schedule(sch, nd3)
-        assert mix.q1 == mix.q2 == Fraction(1, 2)
-
-    def test_local_conv_beats_slackened_bound(self, nd3):
-        # the full window mass at the first scheduled knot clears 0.9x the
-        # symbolic lower bound even with both mixture weights at 1/2
-        from tailkit import notched, probes
+class TestBlowupRow:
+    def test_window_mass_beats_slackened_bound(self, nd3):
+        # the m=1 row clears 0.9x its symbolic lower bound, and so does the
+        # mixture's full window mass at b_{n_1} over f(b_{n_1}), with both
+        # mixture weights at 1/2
+        from tailkit import probes
         sch = mx.build_schedule(6)
-        mix = mx.mixture_from_schedule(sch, nd3)
-        b = notched.knot_position("b", sch.entries[0].n_m)
-        value = probes.mixture_local_conv(mix, b, 1)
-        f_b = nd3.density().eval(b)
-        assert value / f_b >= Fraction(9, 10) * sch.entries[0].lower_bound
+        row = probes.mixture_blowup_probe(sch, nd3, 1)[0]
+        bound = Fraction(9, 10) * row.aux["lower_bound"]
+        assert row.value >= bound
+        f, b = nd3.density(), notched.knot_position("b", sch.entries[0].n_m)
+        full = row.aux["conv_over_window_mass"] * f.interval_mass(b, 1) / 2
+        assert full / f.eval(b) >= bound

@@ -207,10 +207,13 @@ class TestScans:
             probes.almost_decrease_scan(nd3.dense, notched.a_position(4) + 1)
 
     def test_scan_skips_zeros(self):
+        # f tends to 0+ next to 0 and 2, so from 0 the sup is unbounded; from
+        # 3 the trailing zero is skipped
         f = from_linear_knots([(0, 0), (1, 2), (2, 0), (3, 3), (4, 0)])
-        row = probes.almost_decrease_scan(f)
-        assert (row.value, row.aux["witness_x"], row.aux["witness_y"]) == (
-            Fraction(3, 2), "1", "3")
+        with pytest.raises(ValueError, match=r"^f is not positive at 0 but is after it"):
+            probes.almost_decrease_scan(f)
+        row = probes.almost_decrease_scan(f, 3)
+        assert (row.value, row.aux["witness_x"], row.aux["witness_y"]) == (1, "3", "3")
         with pytest.raises(ValueError, match="vanishes on the whole scan range"):
             probes.almost_decrease_scan(f, 4)
 

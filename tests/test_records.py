@@ -13,8 +13,6 @@ from tailkit.piecewise import Knot, from_linear_knots
 def _records():
     """(record, one of its fields) for each immutable record type."""
     nd = notched.build_density(1)
-    half = Fraction(1, 2)
-    atoms = mx.AtomList(((Fraction(2), half),), (Fraction(1), half))
     schedule = mx.build_schedule(1)
     return {
         "LogValue": (LogValue(Fraction(3)), "log2mag"),
@@ -23,8 +21,6 @@ def _records():
         "Knot": (Knot(0, 1), "x"),
         "PiecewisePoly": (from_linear_knots([(0, 1), (1, 1)]), "factor"),
         "NotchedDensity": (nd, "dense"),
-        "AtomList": (atoms, "residual"),
-        "MixtureSpec": (mx.MixtureSpec(half, half, nd, atoms), "q1"),
         "ScheduleEntry": (schedule.entries[0], "mass"),
         "BlowupSchedule": (schedule, "c"),
         "ProbeRow": (probes.notched_knot_scan(2), "value"),
