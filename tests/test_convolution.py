@@ -273,6 +273,46 @@ class TestMixtureConv:
         expected = Fraction(1, 2) * Fraction(11, 2) + Fraction(1, 4) * Fraction(7, 2)
         assert mx.mixture_cross_mass(sch, f, 2, 1) == expected
 
+    def test_single_atom_formula(self, nd3):
+        # one placed atom and the residual, both at value 1: the cross mass
+        # is f's window shifted by 1
+        sch = mx.BlowupSchedule(
+            m_max=1, entries=(mx.ScheduleEntry(
+                m=1, n_m=2, mass=Fraction(1, 2), value=Fraction(1), logf_b=None,
+                lower_bound=None),), c=None, residual_mass=Fraction(1, 2),
+            precision_bits=256)
+        f = nd3.density()
+        x, d = Fraction(30), Fraction(1)
+        assert mx.mixture_cross_mass(sch, f, x, d) == f.interval_mass(x + 1, d)
+
+    def test_far_atoms_contribute_nothing(self, nd3):
+        entry = partial(mx.ScheduleEntry, n_m=2, logf_b=None, lower_bound=None)
+        schedule = partial(mx.BlowupSchedule, c=None, precision_bits=256)
+        near = schedule(m_max=1, entries=(
+            entry(m=1, mass=Fraction(1, 2), value=Fraction(1)),),
+            residual_mass=Fraction(1, 2))
+        far = schedule(m_max=2, entries=(
+            entry(m=1, mass=Fraction(1, 2), value=Fraction(1)),
+            entry(m=2, mass=Fraction(1, 4), value=None)),
+            residual_mass=Fraction(1, 4))
+        f = nd3.density()
+        x, d = Fraction(30), Fraction(1)
+        # the None entry drops out; only the residual mass difference shows
+        assert (mx.mixture_cross_mass(near, f, x, d)
+                - mx.mixture_cross_mass(far, f, x, d)
+                == Fraction(1, 4) * f.interval_mass(x + 1, d))
+
+    def test_built_schedule_reads_placed_entries_and_residual(self, nd3):
+        # of build_schedule(2) only the m=1 entry is placed; the m=2 entry's
+        # mass is not read, and the residual sits at RESIDUAL_VALUE
+        sch = mx.build_schedule(2)
+        first = sch.entries[0]
+        f = nd3.density()
+        x, d = Fraction(30), Fraction(1)
+        assert mx.mixture_cross_mass(sch, f, x, d) == (
+            first.mass * f.interval_mass(x + first.value, d)
+            + sch.residual_mass * f.interval_mass(x + mx.RESIDUAL_VALUE, d))
+
     @pytest.mark.parametrize("d", [Fraction(1, 2), 1, 3])
     def test_blowup_row_is_the_weighted_window_mass(self, nd3, d):
         # with weights 1/2 and 1/2 the mixture's window mass at x > 0 is

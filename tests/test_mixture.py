@@ -45,6 +45,16 @@ class TestBuildSchedule:
         assert all(a > b for a, b in zip(masses, masses[1:]))
         assert sum(masses) + sch.residual_mass == 1
 
+    @pytest.mark.parametrize("m_max", [1, 2, 3])
+    def test_masses_and_positions_are_positive(self, m_max):
+        # the law of X2 needs no check of its own: every mass and every
+        # placed position is positive, and the masses sum to 1 exactly
+        sch = mx.build_schedule(m_max)
+        masses = [e.mass for e in sch.entries] + [sch.residual_mass]
+        assert all(p > 0 for p in masses) and sum(masses) == 1
+        assert all(e.value > 0 for e in sch.entries if e.value is not None)
+        assert mx.RESIDUAL_VALUE > 0
+
     def test_lower_bounds(self):
         sch = mx.build_schedule(6)
         lbs = [e.lower_bound for e in sch.entries]
