@@ -79,34 +79,30 @@ class _Context:
 # --------------------------- float quadrature oracle ---------------------------
 
 def _float_eval(p: PiecewisePoly):
+    """Float evaluator of a piecewise-linear p: it reads c0 and c1 only."""
     breaks = [float(b) for b in p.breakpoints]
-    coeffs = [tuple(float(c) for c in seg) for seg in p.scaled_coeffs()]
+    coeffs = [(float(seg[0]), float(seg[1])) for seg in p.scaled_coeffs()]
 
     def f(x: float) -> float:
         i = min(max(bisect_left(breaks, x) - 1, 0), len(coeffs) - 1)
-        u = x - breaks[i]
-        c0, c1, c2, c3 = coeffs[i]
-        return ((c3 * u + c2) * u + c1) * u + c0
+        c0, c1 = coeffs[i]
+        return c1 * (x - breaks[i]) + c0
 
     return f
 
 
-def _simpson_adaptive(f, a, b, tol):
+def _simpson(f, a, b):
+    """Simpson's rule on [a, b] and its halves, with Richardson's correction:
+    exact on a cubic.  The oracle cuts at p's breakpoints and their
+    reflections, so with p piecewise linear the integrand p(x-y)*p(y) is a
+    quadratic on each piece."""
     m = (a + b) / 2
-    fa, fm, fb = f(a), f(m), f(b)
+    lm, rm = (a + m) / 2, (m + b) / 2
+    fa, flm, fm, frm, fb = f(a), f(lm), f(m), f(rm), f(b)
     whole = (b - a) * (fa + 4 * fm + fb) / 6
-
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm, rm = (a + m) / 2, (m + b) / 2
-        flm, frm = f(lm), f(rm)
-        left = (m - a) * (fa + 4 * flm + fm) / 6
-        right = (b - m) * (fm + 4 * frm + fb) / 6
-        if abs(left + right - whole) <= 15 * tol or depth > 48:
-            return left + right + (left + right - whole) / 15
-        return (recurse(a, fa, lm, flm, m, fm, left, tol / 2, depth + 1)
-                + recurse(m, fm, rm, frm, b, fb, right, tol / 2, depth + 1))
-
-    return recurse(a, fa, m, fm, b, fb, whole, tol, 0)
+    left = (m - a) * (fa + 4 * flm + fm) / 6
+    right = (b - m) * (fm + 4 * frm + fb) / 6
+    return left + right + (left + right - whole) / 15
 
 
 def _sum_left(values) -> float:
@@ -122,9 +118,9 @@ def _sum_left(values) -> float:
     return total
 
 
-def _conv_quad_oracle(p: PiecewisePoly, f, x: Fraction, rel_tol: float) -> float:
-    """Float adaptive-Simpson value of (p*p)(x), with f = _float_eval(p):
-    independent of the kernel."""
+def _conv_quad_oracle(p: PiecewisePoly, f, x: Fraction) -> float:
+    """Float Simpson value of (p*p)(x), with f = _float_eval(p): independent
+    of the kernel, and exact up to rounding as p is piecewise linear."""
     lo, hi = float(p.support[0]), float(p.support[1])
     xf = float(x)
     y0, y1 = max(lo, xf - hi), min(hi, xf - lo)
@@ -139,10 +135,7 @@ def _conv_quad_oracle(p: PiecewisePoly, f, x: Fraction, rel_tol: float) -> float
         if y0 < rf < y1:
             cuts.append(rf)
     cuts = sorted(set(cuts))
-    coarse = _sum_left(abs(_simpson_adaptive(lambda y: f(xf - y) * f(y), a, b, 1.0))
-                       for a, b in zip(cuts, cuts[1:]))
-    budget = rel_tol * max(coarse, 1e-300) / max(len(cuts) - 1, 1)
-    return _sum_left(_simpson_adaptive(lambda y: f(xf - y) * f(y), a, b, budget)
+    return _sum_left(_simpson(lambda y: f(xf - y) * f(y), a, b)
                      for a, b in zip(cuts, cuts[1:]))
 
 
@@ -181,7 +174,7 @@ def _check_conv_quadrature(ctx: _Context):
         x = Fraction(round(xf * (1 << 20)), 1 << 20)
         x = min(max(x, Fraction(1, 100)), top * Fraction(999, 1000))
         exact = dense.eval(x)
-        oracle = _conv_quad_oracle(f3, f3_float, x, 1e-8)
+        oracle = _conv_quad_oracle(f3, f3_float, x)
         rel = abs(oracle - float(exact)) / float(exact)
         worst = max(worst, rel)
         rows.append(ProbeRow("conv_vs_quadrature", decimal_str(x, 12),

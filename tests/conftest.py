@@ -21,6 +21,8 @@ settings.register_profile(
 
 # sha256 of the battery CSV: exact results are the spec, byte for byte
 BATTERY_CSV_SHA256 = "d3ac6cbb790ed0c71bf46f51e321843f80c00d6b0fa5a65a2993672d8ae0ec1b"
+# and of `verify --precision-bits 1024`'s CSV
+BATTERY_CSV_1024_SHA256 = "55854e892b32cc5c7c74e7983db5e529eed28e0bcf4a52ad6b198947a82a2588"
 
 
 def small_fractions(lo, hi, max_denominator):

@@ -10,10 +10,13 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import BATTERY_CSV_SHA256, child_env
+from conftest import BATTERY_CSV_1024_SHA256, BATTERY_CSV_SHA256, child_env
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailkit import acceptance, cli, notched, probes
 from tailkit import convolution as conv
@@ -27,10 +30,10 @@ CRITERIA = sorted([name for name, _, _ in acceptance._CHECKS] + ["12_determinism
 def battery():
     """One battery run with cold log-periodic normalizers, and what it
     computed: the (N, precision) of each notched build, the log-periodic
-    integrals, the float evaluators of check 02's oracle and the segment
-    moments of the point walks, by their arguments."""
+    integrals, the float evaluators of check 02's oracle and their calls,
+    and the segment moments of the point walks, by their arguments."""
     computed = {"builds": [], "integrals": 0, "float_evals": 0,
-                "moments": Counter(), "dense": []}
+                "float_eval_calls": 0, "moments": Counter(), "dense": []}
     build, integrate, float_eval, moments = (
         notched.build_density, lp._integrate, acceptance._float_eval, conv._moments)
 
@@ -50,7 +53,13 @@ def battery():
 
     def counting_float_eval(p):
         computed["float_evals"] += 1
-        return float_eval(p)
+        f = float_eval(p)
+
+        def counting_f(x):
+            computed["float_eval_calls"] += 1
+            return f(x)
+
+        return counting_f
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(notched, "build_density", counting_build)
@@ -83,6 +92,13 @@ def test_tail_normalizer_never_integrated(battery):
 def test_one_float_evaluator(battery):
     # check 02's oracle evaluates the same f3 at all 20 points
     assert battery[1]["float_evals"] == 1
+
+
+def test_each_oracle_piece_integrated_once(battery):
+    # the 20 points cut the oracle's integral into 138 pieces; one Simpson
+    # step of 5 integrand evaluations, each 2 evaluator calls, is exact on
+    # each, so nothing is integrated twice
+    assert battery[1]["float_eval_calls"] == 138 * 5 * 2
 
 
 def test_segment_moments_computed_once(battery):
@@ -147,6 +163,37 @@ def test_acceptance_csv_matches_spec(results):
     ordered = [results[name] for name in CRITERIA]
     csv = acceptance.acceptance_csv(ordered)
     assert hashlib.sha256(csv.encode()).hexdigest() == BATTERY_CSV_SHA256
+
+
+@pytest.mark.pin
+def test_acceptance_csv_matches_spec_at_1024_bits():
+    # the battery's bytes at a second precision, which moves every snapped
+    # value and so every exact figure that check 02's oracle is held to
+    csv = acceptance.acceptance_csv(acceptance.run_all(1024))
+    assert hashlib.sha256(csv.encode()).hexdigest() == BATTERY_CSV_1024_SHA256
+
+
+# endpoints no nearer 0 than 1e-3 unless 0: a cubic term of a smaller x
+# underflows, which is not the rule's error
+_ENDS = st.floats(-1e3, 1e3).filter(lambda x: x == 0 or abs(x) >= 1e-3)
+
+
+@given(st.lists(st.integers(-1000, 1000), min_size=4, max_size=4), _ENDS, _ENDS)
+@settings(max_examples=200, deadline=None)
+def test_simpson_exact_on_cubics(coeffs, a, b):
+    # the oracle integrates each piece in one Simpson step, which is exact
+    # on a polynomial of degree <= 3; checked against the closed form,
+    # relative to the length times the sum of the terms' absolute values at
+    # the endpoint farthest from 0, the scale of the rounding
+    a, b = sorted((a, b))
+    c0, c1, c2, c3 = coeffs
+    got = acceptance._simpson(lambda x: ((c3 * x + c2) * x + c1) * x + c0, a, b)
+    fa, fb = Fraction(a), Fraction(b)
+    exact = sum(c * (fb ** (k + 1) - fa ** (k + 1)) / (k + 1)
+                for k, c in enumerate(coeffs))
+    r = max(abs(fa), abs(fb))
+    scale = (fb - fa) * sum(abs(c) * r ** k for k, c in enumerate(coeffs))
+    assert abs(Fraction(got) - exact) <= Fraction(1e-12) * scale
 
 
 def test_oracle_sums_left_to_right():
