@@ -1,77 +1,48 @@
 """Exact convolution of piecewise-linear functions over rationals.
 
-Two independent exact routes to the same integral, a dense sweep and a
-point walk, and what is built on them:
+Two independent exact routes to the same integral, and what is built on
+them.  The kernel reads piecewise functions alone; integrals that need a
+construction too, such as the notched split at ``a_{m(n)}``, are probes.
 
-* ``conv_linear_exact``: the full piecewise-cubic convolution of two
-  piecewise-linear functions (the dense sweep).  ``dense_sweep`` is the
-  same sweep with its cells made one at a time, so that ``tailkit
-  convolve`` writes each cell as it is made: the writer,
-  ``piecewise.dump_cells``, picks knot or segment lines from the cells it
-  is given, and holds a cell only while knot lines are still possible.
-* ``conv_window_value`` / ``self_conv_value``: single-abscissa values,
-  optionally over a restricted y-window, without building the dense object
-  (the point walk).
+* ``conv_linear_exact``: the full piecewise-cubic p*q (the dense sweep).
+  ``dense_sweep`` makes its cells one at a time, so that ``tailkit
+  convolve`` writes each as it is made (``piecewise.dump_cells``).
+* ``conv_window_value`` / ``self_conv_value``: a value at one abscissa,
+  optionally over a y-window, without the dense object (the point walk).
 * ``self_conv_window_mass``: the mass of p*p over a window, exact by
   Simpson's rule on each cubic piece, from point values.
 
-The kernel reads piecewise functions alone.  Integrals that need a
-construction as well, such as the split at ``a_{m(n)}`` of the notched
-density or the mixture's window mass, live in :mod:`tailkit.probes`.
+The sweep writes each operand in truncated powers, ``sum_i J_i (x -
+s_i)_+^0 + W_i (x - s_i)_+^1`` (jumps in value and slope at ``s_i``,
+support ends included).  As ``(x - s)_+^a / a! * (x - t)_+^b / b! = (x -
+s - t)_+^(a+b+1) / (a+b+1)!``, each breakpoint pair adds ``J K (x-z)_+ +
+(J V + W K) (x-z)_+^2 / 2 + W V (x-z)_+^3 / 6`` at ``z = s + t``.  A
+continuous density jumps in value only at its support ends, so most pairs
+add slope terms alone: zero products are skipped, but every sum enters the
+grid.  For ``q is p`` each unordered pair is visited once.  One sweep over
+the sorted sums Taylor-shifts a running cubic in ``u = x - z`` from sum to
+sum: it is each cell's coefficients, in O(pairs + cells), where a cubic in
+``x`` would carry ``z**3``-sized terms that cancel only at the end.
 
-The dense sweep writes each operand in truncated powers,
-``sum_i J_i (x - s_i)_+^0 + W_i (x - s_i)_+^1``, where ``J_i`` and ``W_i``
-are its jumps in value and in slope at breakpoint ``s_i`` (support ends and
-interior discontinuities included).  Since
-
-    (x - s)_+^a / a!  *  (x - t)_+^b / b!  =  (x - s - t)_+^(a+b+1) / (a+b+1)!
-
-every breakpoint pair adds ``J K (x-z)_+ + (J V + W K) (x-z)_+^2 / 2 +
-W V (x-z)_+^3 / 6`` at ``z = s + t``.  A product with a zero jump factor
-is skipped: a continuous density jumps in value only at its support ends,
-so most pairs add slope terms alone.  Every pairwise sum still enters the
-grid, also when all of its terms are zero.  For a self-convolution
-(``q is p``) the pairs ``(s, t)`` and ``(t, s)`` add the same terms, so
-only the pairs with ``s`` at or before ``t`` are visited and those with
-``s != t`` count twice.  One sweep over the sorted sums keeps a running
-cubic in the local variable ``u = x - z``: at each sum it is Taylor-shifted
-by the step from the previous sum and the new terms are added.  That
-running cubic is the output cell's coefficients; a cubic in global ``x``
-would carry ``z**3``-sized terms that cancel only at the end.  The work is
-O(pairs + cells).
-
-The running cubic is held in integers: coefficient i is ``n_i / (2**a_i
-q)``, a numerator, a binary exponent of its own, and one odd denominator
-``q`` shared by all four.  A step ``m / (2**e k)``, k odd, moves the
-numerators by integer products and shifts; ``q`` takes ``k**3`` only when
-``k > 1``, which no step between the dyadic knots of the notched density
-is.  The pair table keeps each term as an unreduced integer numerator and
-denominator, the /2 and /6 folded in, and a term's odd denominator enters
-``q`` by lcm only when it does not divide ``q``.  So a shift spends no
-gcd, where ``Fraction`` arithmetic reduces after each of its operations.
-The gcds left are per cell: each cell is reduced once as it is yielded
-(each numerator's power of two against its exponent, then ``gcd(n_i,
-q)``, and ``q`` drops the factor all four share, so it stays the lcm of
-the cell's odd denominators), and its ``Fraction``s are made with their
-slots set, since ``Fraction(n, d)`` would spend a second gcd to find 1.
-
-The point walk integrates over a y-window at one abscissa, by runs.  A
-run ends at a reflected breakpoint ``x - s`` of p, so on it p(x - y) is
-one linear ``alpha - beta y`` and the run integrates to ``alpha M0 - beta
-M1``, where ``M0`` and ``M1`` sum q's masses and first moments over it.  A
-whole segment of q reads its moments from a cache on q, filled one
-segment at a time and shared with the copies ``scale`` and ``head`` make;
-the pieces cut at the run ends take the same closed form.  A
-self-convolution's value over its clipped window is kept in the same
-cache, so a window is walked once whichever copy asks.  Sums are added
-in balanced trees, so each addition meets operands of like size.  For a
-self-convolution whose clipped window is symmetric about ``x/2``, so is the
-integrand: the walk stops at ``x/2`` and the result is doubled.
-
-Both routes read the stored coefficients of a :class:`PiecewisePoly`,
-which are already ``Fraction``s, never its factor: each applies
-``p.factor * q.factor`` once to its result, so a normalized density
-convolves at the cost of its short-denominator coefficients.
+Both routes compute in integers, a rational as ``n / (2**e k)``, k odd:
+equal odd parts add by a shift, where ``Fraction`` spends a gcd on every
+operation.  The sweep's cubic has an exponent per coefficient and one odd
+``q`` for all four, which takes an odd part only when it does not divide
+``q``; no step between the notched density's dyadic knots has one.  Each
+cell is reduced once as it is yielded.  The walk integrates by runs: a run
+ends at a reflected breakpoint ``x - s`` of p, so on it p(x - y) is one
+linear ``alpha - beta y`` and the run gives ``alpha M0 - beta M1``, with
+``M0`` and ``M1`` q's masses and first moments over it.  A piece of q takes
+them from the line's end values, each reduced once: the slope's long odd
+part cancels there.  Unequal odd parts meet at their lcm, and sums are
+added in balanced trees, so operands are of like size.  Nothing else is
+reduced until the window value, one ``Fraction``.  A whole segment's
+moments are cached on q and shared with the copies ``scale`` and ``head``
+make; so is a self-convolution's value over its clipped window, which is
+then walked once whichever copy asks.  A self-convolution on a window
+symmetric about ``x/2`` stops there and doubles.  Both routes read stored
+coefficients, never the factor, and apply ``p.factor * q.factor`` once: a
+normalized density convolves at the cost of its short coefficients.
 """
 
 from __future__ import annotations
@@ -92,23 +63,6 @@ def _linear(p: PiecewisePoly):
         c0s.append(seg[0])
         c1s.append(seg[1])
     return p.breakpoints, c0s, c1s
-
-
-def _balanced_sum(values):
-    """Sum added pairwise, so that operands stay of like size."""
-    while len(values) > 1:
-        paired = [a + b for a, b in zip(values[::2], values[1::2])]
-        if len(values) % 2:
-            paired.append(values[-1])
-        values = paired
-    return values[0]
-
-
-def _moments(u, v, b_u, slope):
-    """6 * (mass, first moment) over [u, v] of b_u + slope (y - u)."""
-    h = v - u
-    b_v = b_u + slope * h
-    return 3 * h * (b_u + b_v), h * (u * (b_u + b_u + b_v) + v * (b_u + b_v + b_v))
 
 
 def _jumps(breaks, c0, c1):
@@ -210,6 +164,52 @@ def _fraction(numerator: int, denominator: int) -> Fraction:
     return value
 
 
+def _dyadic(f: Fraction):
+    """f as (n, e, k), f = n / (2**e * k) with k odd, by a bit count."""
+    e = _twos(f.denominator)
+    return f.numerator, e, f.denominator >> e
+
+
+def _add(a, b, sign=1):
+    """a + sign * b in (n, e, k) form, over the lcm of the odd parts."""
+    (an, ae, ak), (bn, be, bk) = a, b
+    if ak != bk and an and bn:
+        g = gcd(ak, bk)
+        an, bn, bk = an * (bk // g), bn * (ak // g), ak // g * bk
+    n, e = _align(an, ae, sign * bn, be)
+    return n, e, bk if bn else ak
+
+
+def _mul(a, b):
+    return a[0] * b[0], a[1] + b[1], a[2] * b[2]
+
+
+def _balanced_sum(values):
+    """Sum added pairwise, so that operands stay of like size."""
+    while len(values) > 1:
+        paired = [_add(a, b) for a, b in zip(values[::2], values[1::2])]
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return values[0]
+
+
+def _moments(u, v, lo, c0, c1):
+    """6 * (mass, first moment) over [u, v] of c0 + c1 (y - lo), in (n, e,
+    k) form: 3 h s and h (u (s + b_u) + v (s + b_v)), with h = v - u, b_u
+    and b_v the line's end values and s = b_u + b_v."""
+    lo, c0, c1, u, v = map(_dyadic, (lo, c0, c1, u, v))
+    ends = []
+    for y in (u, v):  # each end value is reduced: the slope's odd part cancels
+        n, e, k = _add(c0, _mul(c1, _add(y, lo, -1)))
+        g = gcd(n, k)
+        ends.append((n // g, e, k // g))
+    (b_u, b_v), h = ends, _add(v, u, -1)
+    s = _add(b_u, b_v)
+    return (_mul(h, (3 * s[0], s[1], s[2])),
+            _mul(h, _add(_mul(u, _add(s, b_u)), _mul(v, _add(s, b_v)))))
+
+
 def _cells(grid, terms):
     """The sweep proper: one running cubic, shifted from sum to sum; each
     sum's terms are dropped from ``terms`` once they are added.
@@ -220,9 +220,7 @@ def _cells(grid, terms):
     for z in grid[:-1]:
         h = z - prev
         if h:
-            m, d = h.numerator, h.denominator
-            e = _twos(d)
-            k = d >> e
+            m, e, k = _dyadic(h)
             if k == 1:
                 _shift(n, a, m, e)
             else:
@@ -319,24 +317,26 @@ def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,
             end = min(v, hi)
             if u == lo and end == hi:
                 if j not in cache:
-                    cache[j] = _moments(lo, hi, qc0[j], qc1[j])
+                    cache[j] = _moments(lo, hi, lo, qc0[j], qc1[j])
                 ms.append(cache[j])
             else:
-                ms.append(_moments(u, end, qc0[j] + qc1[j] * (u - lo), qc1[j]))
+                ms.append(_moments(u, end, lo, qc0[j], qc1[j]))
             if end == v:
                 break
             j, u = j + 1, hi
-        m0s, m1s = zip(*ms)
-        runs.append((pc0[i] + pc1[i] * r) * _balanced_sum(m0s)
-                    - pc1[i] * _balanced_sum(m1s))
+        m0, m1 = map(_balanced_sum, zip(*ms))
+        beta = _dyadic(pc1[i])
+        alpha = _add(_dyadic(pc0[i]), _mul(beta, _dyadic(r)))
+        runs.append(_add(_mul(alpha, m0), _mul(beta, m1), -1))
         if v == whi:
             break
         if v == tb[j + 1]:
             j += 1
         i -= 1
         u, r = v, x - sb[i]
-    total = _balanced_sum(runs)
-    value = (total + total if double else total) / 6
+    # total / 6, or total / 3 when doubled, as one Fraction reduced once
+    n, e, k = _balanced_sum(runs)
+    value = Fraction(n, 3 * k << (e + (not double)))
     if same:
         cache[key] = value
     return value * (p.factor * q.factor)

@@ -255,14 +255,42 @@ class TestPointWindows:
         assert conv.conv_window_value(p, twin, x, lo, hi) == dense.eval(x)
 
 
+def dyadic_value():
+    """m 2**-e / r with e up to 300 and r odd, and zero."""
+    return st.one_of(st.just(Fraction(0)), st.builds(
+        lambda m, e, r: Fraction(m, (2 * r + 1) << e),
+        st.integers(-(1 << 40), 1 << 40), st.integers(0, 300),
+        st.integers(0, 1 << 24)))
+
+
+@st.composite
+def dyadic_bulk(draw):
+    """Breakpoints 2**(k*k) plus dyadic offsets below 1/4, with knot values
+    or, with interior jumps, segment values and slopes from dyadic_value:
+    odd parts meet powers of two of a few hundred bits."""
+    ks = sorted(draw(st.lists(st.integers(0, 12), min_size=2, max_size=6,
+                              unique=True)))
+    xs = [(1 << k * k) + Fraction(draw(st.integers(-(1 << 20), 1 << 20)),
+                                  1 << draw(st.integers(22, 200))) for k in ks]
+    if draw(st.booleans()):
+        return from_linear_knots([(x, abs(draw(dyadic_value()))) for x in xs])
+    return PiecewisePoly(xs, [(draw(dyadic_value()), draw(dyadic_value()))
+                              for _ in xs[1:]])
+
+
+walk_operands = st.one_of(jump_functions, dyadic_bulk())
+
+
 class TestRunWalk:
     """The point walk by runs against the cell-by-cell Milne oracle.
 
     Window ends are drawn anywhere, so they mostly cut a segment; a second
     call on the same operands reads the segment moments the first cached.
+    The dyadic operands carry long powers of two beside odd denominators,
+    so the walk's binary exponents must align.
     """
 
-    @given(jump_functions, jump_functions, factors, unit, unit, unit)
+    @given(walk_operands, walk_operands, factors, unit, unit, unit)
     @settings(max_examples=80, deadline=None)
     def test_unequal_operands_with_jumps(self, p, q, s, fx, f1, f2):
         p = p.scale(s)
@@ -274,7 +302,7 @@ class TestRunWalk:
             assert (conv.conv_window_value(p, q, x, *window)
                     == milne_oracle(p, q, x, *window))
 
-    @given(st.one_of(densities, jump_functions), unit, unit, unit)
+    @given(st.one_of(densities, jump_functions, dyadic_bulk()), unit, unit, unit)
     @settings(max_examples=80, deadline=None)
     def test_self_convolution(self, p, fx, f1, f2):
         # the symmetric window takes the halving at x/2
@@ -282,9 +310,18 @@ class TestRunWalk:
         x = 2 * lo + 2 * (hi - lo) * fx
         y_lo, y_hi = sorted(lo + (hi - lo) * f for f in (f1, f2))
         symmetric = tuple(sorted((y_lo, x - y_lo)))
-        for window in ((y_lo, y_hi), symmetric, p.support):
-            assert (conv.conv_window_value(p, p, x, *window)
-                    == milne_oracle(p, p, x, *window))
+        windows = ((y_lo, y_hi), symmetric, p.support)
+        wants = [milne_oracle(p, p, x, *window) for window in windows]
+        assert [conv.conv_window_value(p, p, x, *window) for window in windows] == wants
+        # box(hi - y) is one run over p's support, which caches every
+        # segment's moments; an equal copy then walks each window unhalved,
+        # reading them
+        box = from_linear_knots([(0, 1), (hi - lo, 1)])
+        assert (conv.conv_window_value(box, p, hi, lo, hi)
+                == milne_oracle(box, p, hi, lo, hi))
+        assert all(j in p._moment_cache for j in range(len(p.coeffs)))
+        twin = PiecewisePoly(p.breakpoints, p.coeffs)
+        assert [conv.conv_window_value(twin, p, x, *window) for window in windows] == wants
 
     @given(jump_functions, jump_functions, unit, unit,
            st.integers(min_value=1, max_value=5))
