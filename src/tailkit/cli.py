@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 
 from tailkit.errors import PrecisionFailure, UsageError
 from tailkit.numerics import (DEFAULT_PRECISION, DENSE_LIMIT, MIN_PRECISION,
-                              _int_range, _quoted, _rational)
+                              _cut, _int_range, _quoted, _rational)
 
 
 def _lazy(name: str):
@@ -169,7 +169,7 @@ def _parse_config_file(path: str, allowed: tuple[str, ...]) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         if key not in OPTIONS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise UsageError(f"{path}:{lineno}: unknown config key {_quoted(key)}")
         if key not in allowed:
             raise UsageError(f"{path}:{lineno}: this command does not read {key!r}")
         try:
@@ -239,7 +239,7 @@ _BUILDS = {"notched": (("n", "precision_bits"), _build_notched),
 
 def _cmd_build(config: RunConfig) -> int:
     if config.params:
-        raise UsageError(f"unknown parameter(s) {', '.join(sorted(config.params))} "
+        raise UsageError(f"unknown parameter(s) {_cut(', '.join(sorted(config.params)))} "
                          "for build")
     # every value is computed before the directory is made, so a failed
     # build writes nothing; the knot file streams from its serializer
@@ -255,7 +255,7 @@ def _run_probes(config: RunConfig, selected: list[probes.Probe], what: str) -> i
     known = {k for p in selected for k in p.params}
     unknown = sorted(set(config.params) - known)
     if unknown:
-        raise UsageError(f"unknown parameter(s) {', '.join(unknown)} for {what}")
+        raise UsageError(f"unknown parameter(s) {_cut(', '.join(unknown))} for {what}")
     parsed = []
     for p in selected:
         args: dict = {}
@@ -279,8 +279,7 @@ def _cmd_convolve(config: RunConfig, files: list[str]) -> int:
     second = piecewise.load_text(_read(files[1])) if len(files) == 2 else first
     # the sweep checks its operands before the file opens, then makes each
     # cell as the writer asks for it; the writer picks the format
-    grid, cells, flags = conv.dense_sweep(first, second)
-    _write(config.out, piecewise.dump_cells(grid, cells, **flags))
+    _write(config.out, piecewise.dump_cells(*conv.dense_sweep(first, second)))
     return 0
 
 
@@ -400,9 +399,10 @@ def _config_from_args(args) -> tuple[RunConfig, Optional[probes.Probe]]:
         probe = probes._find_probe(names[1], kind)
         read, run = probe.reads, f"probe {probe.name} on {kind}"
     elif len(names) > 1:
-        raise UsageError(f"{args.command} takes one construction name, got {names}")
+        raise UsageError(f"{args.command} takes one construction name, "
+                         f"got {_cut(str(names))}")
     elif read is None:
-        raise UsageError(f"unknown construction {name!r}; "
+        raise UsageError(f"unknown construction {_quoted(name)}; "
                          f"{args.command} takes one of {', '.join(reads)}")
     unread = sorted(set(values) - {"construction", "out", *read})
     if unread:

@@ -87,12 +87,12 @@ def _jumps(breaks, c0, c1):
 def dense_sweep(p: PiecewisePoly, q: PiecewisePoly):
     """The dense sweep of p*q: checked and set up now, its cells to come.
 
-    Returns ``(grid, cells, flags)``: the sorted pairwise sums of the
-    breakpoints; an iterator that makes one coefficient quadruple per
-    cell, in the cell's local variable ``x - z``, as the sweep reaches it;
-    and the ``continuous``, ``density`` and ``factor`` arguments of its
-    ``PiecewisePoly``.  An operand that is not piecewise linear is refused
-    here, before any cell is made.
+    Returns ``(grid, cells, factor)``, the arguments of its
+    ``PiecewisePoly`` and of ``piecewise.dump_cells``: the sorted pairwise
+    sums of the breakpoints; an iterator that makes one coefficient
+    quadruple per cell, in the cell's local variable ``x - z``, as the
+    sweep reaches it; and ``p.factor * q.factor``.  An operand that is not
+    piecewise linear is refused here, before any cell is made.
     """
     same = q is p
     p_linear = _linear(p)
@@ -121,9 +121,7 @@ def dense_sweep(p: PiecewisePoly, q: PiecewisePoly):
                 if vn:
                     acc.append((3, w * vn, 6 * wd * vd))
     grid = sorted(terms)
-    flags = {"continuous": True, "density": p.density and q.density,
-             "factor": p.factor * q.factor}
-    return grid, _cells(grid, terms), flags
+    return grid, _cells(grid, terms), p.factor * q.factor
 
 
 def _twos(n: int) -> int:
@@ -268,8 +266,7 @@ def conv_linear_exact(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
     deduplicated with exact equality; each cell's coefficients are in its
     local variable x - breakpoint.
     """
-    grid, cells, flags = dense_sweep(p, q)
-    return PiecewisePoly(grid, cells, **flags)
+    return PiecewisePoly(*dense_sweep(p, q))
 
 
 def conv_window_value(p: PiecewisePoly, q: PiecewisePoly, x,

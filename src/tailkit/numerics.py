@@ -58,8 +58,8 @@ DENSE_LIMIT = 64
 # below 1e1234 (a_64 = 2**4096)
 _MAX_EXPONENT = 10_000
 
-# a usage error quotes at most this many characters of the text it refuses,
-# and an error message as many of a value's text (piecewise._brief)
+# an error message quotes at most this many characters of the text it
+# refuses, or of a value's text (piecewise._brief)
 _QUOTE_CHARS = 40
 
 _RND = "n"  # round to nearest, mpmath's default rounding
@@ -87,10 +87,17 @@ def libmp():
     return module
 
 
-def _quoted(text: str) -> str:
-    """``repr(text)`` for a usage error; a text longer than _QUOTE_CHARS is
-    cut to that many characters and followed by its length, so the message
+def _cut(text: str) -> str:
+    """``text`` for an error message; a text longer than _QUOTE_CHARS is cut
+    to that many characters, an ellipsis and its length, so the message
     stays one short line."""
+    if len(text) <= _QUOTE_CHARS:
+        return text
+    return f"{text[:_QUOTE_CHARS]}… ({len(text):,} characters)"
+
+
+def _quoted(text: str) -> str:
+    """``repr(text)`` for an error message, cut as :func:`_cut` cuts."""
     if len(text) <= _QUOTE_CHARS:
         return repr(text)
     return f"{text[:_QUOTE_CHARS] + '…'!r} ({len(text):,} characters)"

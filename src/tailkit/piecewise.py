@@ -24,7 +24,7 @@ convolve`` hands it the dense sweep's cells as the sweep makes them
 (``convolution.dense_sweep``).  It holds cells only while knot lines are
 still possible, so an exact result of megabytes, cubic from its first
 cell, is held neither as text nor as coefficients.  Every file it writes
-loads back to the function written, flags included.  The inputs of
+loads back to the function written.  The inputs of
 ``convolve`` are checked before the output file is opened, so a rejected
 input leaves an existing file as it was; a sweep cut short leaves a
 partial file, as a cut-short write always could.
@@ -36,9 +36,9 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from tailkit.numerics import _QUOTE_CHARS, _rational
+from tailkit.numerics import _cut, _quoted, _rational
 
 
 class Knot(namedtuple("Knot", "x f")):
@@ -52,7 +52,6 @@ class Knot(namedtuple("Knot", "x f")):
 
 class PiecewisePoly:
     def __init__(self, breakpoints: Iterable, coeffs: Iterable,
-                 continuous: bool = False, density: bool = False,
                  factor: Fraction = Fraction(1)):
         breaks = tuple(Fraction(x) for x in breakpoints)
         if len(breaks) < 2:
@@ -72,7 +71,6 @@ class PiecewisePoly:
         # _moment_cache: segment moments and self-convolution window values
         # for the point walk; the copies below share it
         self.__dict__.update(breakpoints=breaks, coeffs=coeffs,
-                             continuous=continuous, density=density,
                              factor=Fraction(factor), _moment_cache={})
 
     def __setattr__(self, name, value):
@@ -89,15 +87,13 @@ class PiecewisePoly:
         """The first ``segments`` segments, on the support they cover.
 
         A prefix of a validated polynomial is valid, so it shares this
-        instance's values in O(segments).  A prefix of a density is a
-        density unless it is identically zero.
+        instance's values in O(segments).
         """
         if not 1 <= segments <= len(self.coeffs):
             raise ValueError(f"a prefix takes 1..{len(self.coeffs)} segments, "
                              f"got {segments}")
-        coeffs = self.coeffs[:segments]
-        return self._replace(breakpoints=self.breakpoints[:segments + 1], coeffs=coeffs,
-                             density=self.density and any(map(any, coeffs)))
+        return self._replace(breakpoints=self.breakpoints[:segments + 1],
+                             coeffs=self.coeffs[:segments])
 
     def _times_factor(self, value: Fraction) -> Fraction:
         return value if self.factor == 1 else value * self.factor
@@ -111,16 +107,14 @@ class PiecewisePoly:
     def __eq__(self, other):
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        if (self.breakpoints, self.continuous, self.density) != \
-                (other.breakpoints, other.continuous, other.density):
+        if self.breakpoints != other.breakpoints:
             return False
         if self.factor == other.factor:
             return self.coeffs == other.coeffs
         return self.scaled_coeffs() == other.scaled_coeffs()
 
     def __hash__(self):
-        return hash((self.breakpoints, self.scaled_coeffs(), self.continuous,
-                     self.density))
+        return hash((self.breakpoints, self.scaled_coeffs()))
 
     # ------------------------------------------------------------------
     @property
@@ -196,8 +190,7 @@ class PiecewisePoly:
         return self._replace(factor=self.factor / mass), mass
 
     def scale(self, k) -> "PiecewisePoly":
-        k = Fraction(k)
-        return self._replace(factor=self.factor * k, density=self.density and k > 0)
+        return self._replace(factor=self.factor * Fraction(k))
 
 
 def from_linear_knots(knots: Iterable) -> PiecewisePoly:
@@ -220,8 +213,7 @@ def from_linear_knots(knots: Iterable) -> PiecewisePoly:
     for (x0, f0), (x1, f1) in zip(pts, pts[1:]):
         slope = (f1 - f0) / (x1 - x0)
         coeffs.append((f0, slope, Fraction(0), Fraction(0)))
-    return PiecewisePoly(breaks, tuple(coeffs), continuous=True,
-                         density=any(f > 0 for _, f in pts))
+    return PiecewisePoly(breaks, tuple(coeffs))
 
 
 # --------------------------- serialization ---------------------------
@@ -230,10 +222,10 @@ def from_linear_knots(knots: Iterable) -> PiecewisePoly:
 #   knot <x> <f>
 #   seg <x_lo> <x_hi> <c0> <c1> <c2> <c3>
 # Values are exact base-10 rational strings ("5", "-3/7"); lines starting
-# with '#' are comments, except '# flags:' which records the construction
-# flags so that load(dump(P)) reproduces P exactly.  A value with an
-# exponent is refused on load: the format never writes one, and a file
-# value is otherwise read as any rational the CLI reads, by
+# with '#' are comments, the '# flags:' line of an older file among them:
+# the values alone are the function, so load(dump(P)) reproduces P exactly.
+# A value with an exponent is refused on load: the format never writes one,
+# and a file value is otherwise read as any rational the CLI reads, by
 # numerics._rational.
 #
 # The text must not depend on sys.get_int_max_str_digits(): str() and
@@ -252,44 +244,32 @@ def _fmt(q: Fraction) -> str:
 
 
 def _brief(q: Fraction) -> str:
-    """A rational or int for an error message: its exact text up to
-    _QUOTE_CHARS characters, else the first that many, an ellipsis and the
-    text's length, so the message stays one short line (``_quoted`` does the
-    same for text)."""
-    text = _fmt(q)
-    if len(text) <= _QUOTE_CHARS:
-        return text
-    return f"{text[:_QUOTE_CHARS]}… ({len(text):,} characters)"
+    """A rational or int for an error message: its exact text, cut as
+    ``numerics._cut`` cuts."""
+    return _cut(_fmt(q))
 
 
 def dump_lines(p: PiecewisePoly) -> Iterator[str]:
     """Serialize the represented function, one newline-ended line at a
     time (see :func:`dump_cells`)."""
-    return dump_cells(p.breakpoints, p.coeffs, p.continuous, p.density, p.factor)
+    return dump_cells(p.breakpoints, p.coeffs, p.factor)
 
 
-def dump_cells(breaks: Sequence[Fraction], cells: Iterable, continuous: bool,
-               density: bool, factor: Fraction) -> Iterator[str]:
+def dump_cells(breaks: Sequence[Fraction], cells: Iterable,
+               factor: Fraction) -> Iterator[str]:
     """Serialize the function ``factor * cells`` on ``breaks``, one
     newline-ended line at a time.
 
     ``cells`` yields one coefficient quadruple per segment, in order, and
     is read once; the factor is applied coefficient by coefficient.  A
-    function flagged continuous whose cells are linear (or whose factor is
-    0), meet at every interior breakpoint and are nowhere negative is
-    written as knot lines, any other as segment lines: the values tested
-    are the values written.  The cells are held only while knot lines are
-    still possible; at the first cell that rules them out, the held cells
-    are written as segment lines, and every later line is made from its
-    cell as the cell arrives.
+    function whose cells are linear (or whose factor is 0), meet at every
+    interior breakpoint and are nowhere negative is written as knot lines,
+    any other as segment lines: the values tested are the values written.
+    The cells are held only while knot lines are still possible; at the
+    first cell that rules them out, the held cells are written as segment
+    lines, and every later line is made from its cell as the cell arrives.
     """
     yield "# tailkit piecewise v1\n"
-    flags = []
-    if continuous:
-        flags.append("continuous")
-    if density:
-        flags.append("density")
-    yield "# flags: " + " ".join(flags) + "\n"
     one = factor == 1
 
     def scaled(c: Fraction) -> Fraction:
@@ -299,52 +279,47 @@ def dump_cells(breaks: Sequence[Fraction], cells: Iterable, continuous: bool,
     # while knot lines are possible: the cells, and each one's value at its
     # left end, which its knot line writes for the cell before it too
     held, values = [], []
-    if continuous:
-        for lo, hi, seg in zip(breaks, breaks[1:], cells):
-            held.append(seg)
-            c0, c1, c2, c3 = seg
-            start = scaled(c0)
-            if start < 0 or (values and start != end) or (factor and (c2 or c3)):
-                break
-            values.append(start)
-            end = scaled(c0 + c1 * (hi - lo))
-        else:
-            if end >= 0:
-                for x, f in zip(breaks, values + [end]):
-                    yield f"knot {_fmt(x)} {_fmt(f)}\n"
-                return
+    for lo, hi, seg in zip(breaks, breaks[1:], cells):
+        held.append(seg)
+        c0, c1, c2, c3 = seg
+        start = scaled(c0)
+        if start < 0 or (values and start != end) or (factor and (c2 or c3)):
+            break
+        values.append(start)
+        end = scaled(c0 + c1 * (hi - lo))
+    else:
+        if end >= 0:
+            for x, f in zip(breaks, values + [end]):
+                yield f"knot {_fmt(x)} {_fmt(f)}\n"
+            return
     for lo, hi, seg in zip(breaks, breaks[1:], chain(held, cells)):
         yield " ".join(["seg", _fmt(lo), _fmt(hi)]
                        + [_fmt(scaled(c)) for c in seg]) + "\n"
 
 
 def load_lines(lines: Sequence[str]) -> PiecewisePoly:
-    """The function a piecewise text describes.  A ``# flags:`` line sets
-    both flags; a knot text without one is continuous, and a density unless
-    its values are all 0."""
-    flags: Optional[set[str]] = None
-    knots: list[tuple[Fraction, Fraction]] = []
-    segs: list[tuple[Fraction, ...]] = []
+    """The function a piecewise text describes, read from its knot or seg
+    lines alone; every ``#`` line is a comment, an older file's
+    ``# flags:`` line too."""
+    knots: list[list[Fraction]] = []
+    segs: list[list[Fraction]] = []
     for raw in lines:
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("flags:"):
-                flags = (flags or set()) | set(body[len("flags:"):].split())
+        if not line or line.startswith("#"):
             continue
         parts = line.split()
         if not ((parts[0] == "knot" and len(parts) == 3)
                 or (parts[0] == "seg" and len(parts) == 7)):
-            raise ValueError(f"unrecognized piecewise line: {raw!r}")
-        try:
-            for v in parts[1:]:
+            raise ValueError(f"unrecognized piecewise line: {_quoted(raw)}")
+        values = []
+        for v in parts[1:]:
+            try:
                 if "e" in v or "E" in v:
-                    raise ValueError(f"{v!r} has an exponent")
-            values = tuple(map(_rational, parts[1:]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational in piecewise line {raw!r}: {exc}") from None
+                    raise ValueError("it has an exponent")
+                values.append(_rational(v))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"bad rational {_quoted(v)} in piecewise line "
+                                 f"{_quoted(raw)}: {_cut(str(exc))}") from None
         if parts[0] == "knot":
             knots.append(values)
         else:
@@ -352,10 +327,7 @@ def load_lines(lines: Sequence[str]) -> PiecewisePoly:
     if knots and segs:
         raise ValueError("a piecewise file may not mix knot and seg lines")
     if knots:
-        p = from_linear_knots(knots)
-        if flags is None:
-            return p
-        return p._replace(continuous="continuous" in flags, density="density" in flags)
+        return from_linear_knots(knots)
     if not segs:
         raise ValueError("no knot or seg lines found")
     breaks = [segs[0][0]]
@@ -365,10 +337,7 @@ def load_lines(lines: Sequence[str]) -> PiecewisePoly:
             raise ValueError("seg lines must be contiguous and ordered")
         breaks.append(seg[1])
         coeffs.append(tuple(seg[2:]))
-    flags = flags or set()
-    return PiecewisePoly(tuple(breaks), tuple(coeffs),
-                         continuous="continuous" in flags,
-                         density="density" in flags)
+    return PiecewisePoly(tuple(breaks), tuple(coeffs))
 
 
 def dump_text(p: PiecewisePoly) -> str:

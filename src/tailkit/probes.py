@@ -528,10 +528,10 @@ def _find_probe(name: str, construction: str) -> Probe:
     named = [p for p in PROBES if p.name == name]
     if not named:
         valid = ", ".join(dict.fromkeys(p.name for p in PROBES))
-        raise UsageError(f"unknown probe {name!r}; valid probes: {valid}")
+        raise UsageError(f"unknown probe {_quoted(name)}; valid probes: {valid}")
     for p in named:
         if construction in p.constructions:
             return p
     accepted = ", ".join(c for p in named for c in p.constructions)
     raise UsageError(f"probe {name} takes the construction {accepted}, "
-                     f"not {construction!r}")
+                     f"not {_quoted(construction)}")

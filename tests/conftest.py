@@ -58,10 +58,9 @@ def linear_operands(draw):
         return from_linear_knots([(x, draw(_LEVELS)) for x in xs])
     if kind == "constant":
         levels = [draw(_LEVELS) for _ in range(n)]
-        return PiecewisePoly(xs, [(c, 0) for c in levels],
-                             continuous=len(set(levels)) == 1, density=any(levels))
+        return PiecewisePoly(xs, [(c, 0) for c in levels])
     if kind == "zero":
-        return PiecewisePoly(xs, [(0, 0)] * n, continuous=True)
+        return PiecewisePoly(xs, [(0, 0)] * n)
     return PiecewisePoly(xs, [(draw(_SIGNED), draw(_SIGNED)) for _ in range(n)])
 
 

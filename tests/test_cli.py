@@ -24,11 +24,11 @@ from tailkit.piecewise import PiecewisePoly, from_linear_knots, load_text
 # sha256 of `tailkit convolve` on the notched knot files (`build notched
 # n=N`, 256 bits): the dense convolution's exact output is the spec, byte
 # for byte
-NOTCHED4_CONV_SHA256 = "0640e7835bb91572d5df651380f0f71f3f00e55f49fa66f7b618734b5252937d"
+NOTCHED4_CONV_SHA256 = "e2fbdaed6c581b0cc316323660267c9b15935bafc190cfe436871b56cb42ca91"
 NOTCHED_CONV_SHA256 = {
     4: NOTCHED4_CONV_SHA256,
-    6: "5854967464ea504bae3cbed4ec9ca465f0b0aad8be3a10b1ff80746f35e10d4b",
-    8: "5fd01980b21b63a5986ce840bb25648403e5e125745b0dfac2dab1858caa13d6",
+    6: "2c4d2d5d3d0a606e9d91edffbdf490f18dd0a77665281688808821abebdddd09",
+    8: "5b1bd12e4705911cf59486ba72429ec3864ce826f32083802bb3ea21c915c237",
 }
 
 
@@ -1051,7 +1051,7 @@ class TestConvolve:
              _UNIFORM, True)
     @example(_UNIFORM.scale(-2), _UNIFORM, False)  # below 0: seg lines
     @example(_UNIFORM.scale(-2), _UNIFORM, True)   # p*p above 0: knot lines
-    # no flags: p*p is continuous, a knot file, and not a density
+    # an older file's empty flags line is a comment; p*p is a knot file
     @example(load_text("# flags:\nseg 0 1 1 0 0 0"), _UNIFORM, True)
     def test_stream_writes_the_held_result(self, tmp_path_factory, p, q, same):
         # one file is a self-convolution, two a cross-convolution; a linear
@@ -1070,7 +1070,7 @@ class TestConvolve:
         assert cli.main(["convolve", *map(str, files), "--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert printed.getvalue() == text == dump_text(held)
-        # the file loads back to the held result, flags included
+        # the file loads back to the held result
         assert load_text(text) == held
 
     @pytest.mark.pin
@@ -1080,9 +1080,28 @@ class TestConvolve:
         src.write_text("knot 0 1\nknot 1 1\n", encoding="utf-8")
         assert run_cli("convolve", str(src)) == 0
         assert run_cli("convolve", str(src), "--out", str(out)) == 0
-        expected = ("# tailkit piecewise v1\n# flags: continuous density\n"
-                    "knot 0 0\nknot 1 1\nknot 2 0\n")
+        expected = "# tailkit piecewise v1\nknot 0 0\nknot 1 1\nknot 2 0\n"
         assert capsys.readouterr().out == out.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("flags", ["", " continuous", " density",
+                                       " continuous density"])
+    @pytest.mark.parametrize("body", [
+        "knot 0 1\nknot 1 1\n",
+        "seg 0 1/3 0 3 0 0\nseg 1/3 1 1 -3/2 0 0\n",
+        "seg 0 1 1 0 0 0\nseg 1 2 3 0 0 0\n",
+    ], ids=["knots", "thirds", "jump"])
+    def test_older_flags_line_is_a_comment(self, flags, body, tmp_path):
+        # a file written with a flags line loads, and convolves, as the same
+        # file without it; no file written has one
+        old, new = tmp_path / "old.pw", tmp_path / "new.pw"
+        old.write_text(f"# tailkit piecewise v1\n# flags:{flags}\n{body}")
+        new.write_text(f"# tailkit piecewise v1\n{body}")
+        assert load_text(old.read_text()) == load_text(new.read_text())
+        for f in (old, new):
+            assert run_cli("convolve", str(f), "--out", str(f) + ".conv") == 0
+        written = (tmp_path / "old.pw.conv").read_text()
+        assert written == (tmp_path / "new.pw.conv").read_text()
+        assert "# flags:" not in written
 
     @pytest.mark.parametrize("text, code", [
         ("seg 0 1 1 0 1 0\nseg 1 2 1 0 0 0\n", 2),     # not linear
@@ -1163,6 +1182,34 @@ def piecewise_bytes(draw):
     at = draw(st.integers(0, len(data)))
     splice = draw(st.sampled_from([b""] * 5 + [b"\xff", b"\xc3(", b"\x80"]))
     return data[:at] + splice + data[at:]
+
+
+# a text of 100,000 characters where a refusal names the text it refuses;
+# each case reads the piecewise file "{pw}" and the config file "{cfg}"
+_LONG = "x" * 100_000
+_LONG_TEXT_REFUSALS = {
+    "unrecognized piecewise line": ("seg 0 1 " + "1" * 200_000, ["convolve", "{pw}"]),
+    "bad rational": ("seg 0 1 1 0 0 " + "1" * 200_000 + "x", ["convolve", "{pw}"]),
+    "config key": ("", ["convolve", "{pw}", "--config", "{cfg}"]),
+    "construction": ("", ["build", _LONG]),
+    "second construction": ("", ["build", "notched", _LONG]),
+    "build parameter": ("", ["build", "notched", f"{_LONG}=1"]),
+    "probe": ("", ["probe", "notched", _LONG]),
+    "probe construction": ("", ["probe", _LONG, "knot_ratio_series"]),
+    "probe parameter": ("", ["probe", "notched", "knot_ratio_series", f"{_LONG}=1"]),
+}
+
+
+@pytest.mark.parametrize("case", _LONG_TEXT_REFUSALS)
+def test_refusal_cuts_a_long_text(case, tmp_path, capsys):
+    # a usage error quotes the first 40 characters of a text and its length
+    text, argv = _LONG_TEXT_REFUSALS[case]
+    pw, cfg = tmp_path / "in.pw", tmp_path / "run.cfg"
+    pw.write_text(text or "knot 0 1\nknot 1 1\n")
+    cfg.write_text(f"{_LONG} = 1\n")
+    assert run_cli(*(a.format(pw=pw, cfg=cfg) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300, err[:300]
 
 
 class TestConvolveFuzz:

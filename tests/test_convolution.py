@@ -106,16 +106,15 @@ class TestStreamedSweep:
         # they come, is the held result's
         p = p.scale(k)
         q = p if same else q
-        grid, cells, flags = conv.dense_sweep(p, q)
         held = conv.conv_linear_exact(p, q)
-        assert "".join(dump_cells(grid, cells, **flags)) == dump_text(held)
+        assert "".join(dump_cells(*conv.dense_sweep(p, q))) == dump_text(held)
 
     def test_each_seg_line_draws_one_cell(self):
         # the notched self-convolution is cubic from its first cell (f0 has
         # slope -3/8 on [0, 2]), so the writer holds no cell: its first seg
         # line comes after one cell is drawn, and each line after one more
         f = notched.build_density(4).dense
-        grid, cells, flags = conv.dense_sweep(f, f)
+        grid, cells, factor = conv.dense_sweep(f, f)
         drawn = 0
 
         def counted():
@@ -124,9 +123,8 @@ class TestStreamedSweep:
                 drawn += 1
                 yield cell
 
-        lines = dump_cells(grid, counted(), **flags)
-        assert next(lines) + next(lines) == ("# tailkit piecewise v1\n"
-                                             "# flags: continuous density\n")
+        lines = dump_cells(grid, counted(), factor)
+        assert next(lines) == "# tailkit piecewise v1\n" and drawn == 0
         for expected in range(1, 6):
             assert next(lines).startswith("seg ") and drawn == expected
 

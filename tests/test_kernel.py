@@ -183,8 +183,7 @@ class TestProperties:
 
 # breakpoints in thirds and in fifths: the sweep's steps have odd
 # denominators 3, 5 and 15, and the second operand jumps in value
-THIRDS = PiecewisePoly([0, Fraction(1, 3), 1], [(0, 3), (1, Fraction(-3, 2))],
-                       continuous=True, density=True)
+THIRDS = PiecewisePoly([0, Fraction(1, 3), 1], [(0, 3), (1, Fraction(-3, 2))])
 FIFTHS = PiecewisePoly([Fraction(-2, 5), Fraction(1, 5), 2],
                        [(Fraction(1, 5), 1), (Fraction(-3, 7), Fraction(2, 3))])
 

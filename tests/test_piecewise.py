@@ -175,10 +175,6 @@ class TestHead:
         k = min(k, len(knots) - 1)
         assert p.head(k) == from_linear_knots(knots[:k + 1])
 
-    def test_zero_prefix_is_not_a_density(self):
-        p = from_linear_knots([(0, 0), (1, 0), (2, 1)])
-        assert p.density and not p.head(1).density
-
     @pytest.mark.parametrize("k", [0, 3])
     def test_rejects_outside_the_segments(self, k):
         with pytest.raises(ValueError):
@@ -252,7 +248,6 @@ class TestSerialization:
     @given(linear_operands(), st.sampled_from([1, Fraction(1, 3), 0, -2]))
     @settings(max_examples=150, deadline=None)
     def test_loads_back_to_what_was_written(self, p, k):
-        # equality compares the flags too
         p = p.scale(k)
         assert load_text(dump_text(p)) == p
 
@@ -261,20 +256,23 @@ class TestSerialization:
            st.lists(st.tuples(*[small_fractions(-4, 4, max_denominator=4)] * 2,
                               st.sampled_from([0, 0, 1]), st.sampled_from([0, 0, -1])),
                     min_size=4, max_size=4),
-           st.booleans(), st.sampled_from([1, Fraction(1, 3), 0, -2]))
+           st.sampled_from([1, Fraction(1, 3), 0, -2]))
     @settings(max_examples=150, deadline=None)
     # eval(13/2) is the left piece's 29/12, but a knot line there would
     # write the right piece's -9/2, which no knot file may hold
     @example([4, Fraction(13, 2), 11], [(Fraction(13, 4), Fraction(-1, 3), 0, 0),
-                                         (Fraction(-9, 2), 10, 0, 0)], True, 1)
+                                         (Fraction(-9, 2), 10, 0, 0)], 1)
     # nowhere negative, but knot lines would close the jump at 1
-    @example([0, 1, 2], [(1, 0, 0, 0), (2, 0, 0, 0)], True, 1)
-    def test_any_continuous_flag_loads_back(self, breaks, cells, density, factor):
-        # whatever the values of a function flagged continuous, its text
-        # loads, and to the function written
-        p = PiecewisePoly(breaks, cells[:len(breaks) - 1], continuous=True,
-                          density=density, factor=factor)
-        assert load_text(dump_text(p)) == p
+    @example([0, 1, 2], [(1, 0, 0, 0), (2, 0, 0, 0)], 1)
+    # continuous, linear and nowhere negative: knot lines
+    @example([0, 1, 2], [(0, 1, 0, 0), (1, -1, 0, 0)], Fraction(1, 3))
+    def test_any_cells_load_back(self, breaks, cells, factor):
+        # whatever the values, the text loads, and to the function written;
+        # the values alone pick the format, and no line records a flag
+        p = PiecewisePoly(breaks, cells[:len(breaks) - 1], factor)
+        text = dump_text(p)
+        assert load_text(text) == p
+        assert "# flags:" not in text
 
     @pytest.mark.parametrize("line", ["knot 0 1/0", "knot 0 one",
                                       "seg 0 1 1 0 0 2/0"])
@@ -297,8 +295,7 @@ class TestFactor:
         doubled = TRIANGLE.scale(2)
         stored = PiecewisePoly(TRIANGLE.breakpoints,
                                tuple(tuple(2 * c for c in seg)
-                                     for seg in TRIANGLE.coeffs),
-                               continuous=True, density=True)
+                                     for seg in TRIANGLE.coeffs))
         assert doubled == stored and hash(doubled) == hash(stored)
         assert doubled.scale(Fraction(1, 2)) == TRIANGLE
         assert doubled != TRIANGLE

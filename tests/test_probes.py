@@ -220,7 +220,7 @@ class TestScans:
     @pytest.mark.parametrize("coeffs", [(0, 0, 1), (1, 0, 0, -1)],
                              ids=["quadratic", "cubic"])
     def test_scan_refuses_a_curved_segment_on_its_range(self, coeffs):
-        f = PiecewisePoly([0, 1, 2, 3], [(1, 0), coeffs, (1, 0)], density=True)
+        f = PiecewisePoly([0, 1, 2, 3], [(1, 0), coeffs, (1, 0)])
         for x0 in (0, Fraction(3, 2)):
             with pytest.raises(ValueError, match=r"^segment \[1, 2\] has degree"):
                 probes.almost_decrease_scan(f, x0)
@@ -238,8 +238,7 @@ class TestScans:
         # f jumps from 1 to `right` at 1: up, down, or to 0; the knot value
         # at 1 is the left limit, so the sup approached just right of 1 (5
         # there, or 2 / (1/2) for the drop) has no knot to name
-        f = PiecewisePoly([0, 1, 2, 3], [(1, 0), (right, 1), (right + 1, 0)],
-                          density=True)
+        f = PiecewisePoly([0, 1, 2, 3], [(1, 0), (right, 1), (right + 1, 0)])
         for x0 in (0, 1):
             with pytest.raises(ValueError, match=r"^the value jumps at 1; "):
                 probes.almost_decrease_scan(f, x0)
