@@ -215,11 +215,11 @@ def _build_notched(config: RunConfig) -> dict:
 
 def _build_logperiodic(config: RunConfig) -> dict:
     p = lp.LogPeriodicParams(config.delta)
-    norm = lp.normalizers(p)
+    norm, (b, b_err) = lp.normalizers(p), lp.tail_normalizers(p)
     # alpha, the tail rate, is a constant of the construction
     return {"logperiodic.meta": _meta(
         construction="logperiodic", alpha=1, delta=p.delta, quad_tol=lp.QUAD_TOL,
-        x_max=norm.x_max, a=norm.a, a_err=norm.a_err, b=norm.b, b_err=norm.b_err)}
+        x_max=norm.x_max, a=norm.a, a_err=norm.a_err, b=b, b_err=b_err)}
 
 
 def _build_mixture(config: RunConfig) -> dict:

@@ -237,13 +237,15 @@ def _cells(grid, terms):
         for i, num, den in terms.pop(z):
             e = _twos(den)
             r = den >> e
-            if q % r:
-                lcm = q // gcd(q, r) * r
-                n = [c * (lcm // q) for c in n]
-                q = lcm
-            n[i], a[i] = _align(n[i], a[i], num * (q // r), e)
-        # lowest terms: strip each numerator's twos against its exponent,
-        # then its common factor with q; q drops the factor all four share
+            s, rest = divmod(q, r)  # the term's scale over q
+            if rest:  # q becomes lcm(q, r) = s r, with s = q / gcd(q, r)
+                d = gcd(q, r)
+                s = q // d
+                n = [c * (r // d) for c in n]
+                q = s * r
+            n[i], a[i] = _align(n[i], a[i], num * s, e)
+        # lowest terms: strip each numerator's twos against its exponent; q
+        # drops the factor all four share, then each numerator its own with q
         for i, c in enumerate(n):
             if c:
                 t = min(_twos(c), a[i])
@@ -251,11 +253,12 @@ def _cells(grid, terms):
             else:
                 a[i] = 0
         g = [gcd(c, q) for c in n]
-        yield tuple(_fraction(c // gi, q // gi << ai) for c, gi, ai in zip(n, g, a))
         common = gcd(*g)
         if common > 1:
             n = [c // common for c in n]
             q //= common
+            g = [gi // common for gi in g]
+        yield tuple(_fraction(c // gi, q // gi << ai) for c, gi, ai in zip(n, g, a))
         prev = z
 
 

@@ -23,11 +23,12 @@ Integrals carry the relative error budget ``QUAD_TOL`` and a certified
 analytic tail bound, and raise :class:`PrecisionFailure` rather than
 return a value that missed it, also when one piece stops at the depth cap
 or the evaluation cap.
-:func:`normalizers` (whose three integrals share a panel) and
-:func:`middle_mass_ratio` (symmetric about ``x/2``) keep chi per abscissa
-for one call: each is computed once.  The tail normalizer ``b`` is
-integrated on its first read, so a caller that reads only ``a`` never
-runs the tail integral.
+:func:`normalizers` (``a``, its error bound and log) and
+:func:`tail_normalizers` (``b`` and its bound) are values computed once per
+delta, on one chi table per delta that :func:`density_log` and
+:func:`karamata_ratio` read too; only a caller that asks for ``b`` runs the
+tail integral.  :func:`middle_mass_ratio` keeps its own table for one call:
+its mirrored abscissas lie far above that table's reach.
 """
 
 from __future__ import annotations
@@ -247,57 +248,48 @@ def _tail(y: Raw, chi_y: Raw) -> Raw:
 
 def _reach(chi_x: Raw) -> Raw:
     """How far past x the tail integral from x runs, given chi(x):
-    chi(x) + log(10/QUAD_TOL) + 4.  At x = 0 it bounds the chi table of
-    :func:`normalizers` (0 + L rounds to L)."""
+    chi(x) + log(10/QUAD_TOL) + 4.  At x = 0 it bounds :func:`_chi_table`
+    (0 + L rounds to L)."""
     return mpf_add(mpf_add(chi_x, _LOG_TERM, _WP, _RND), from_int(4), _WP, _RND)
 
 
-class Normalizers(namedtuple("Normalizers", "a a_err x_max tail log_of_a")):
-    """Both normalizing constants of one parameter set, each with an error
-    bound: a quadrature error estimate plus a rigorous tail bound.
+@cache
+def _chi_table(p: LogPeriodicParams) -> Callable[[Raw], Raw]:
+    """chi of p, each abscissa up to ``_reach(0)`` computed once: as far as
+    the b integral, which starts at 0 where chi vanishes, can reach.  The
+    coarse, ``a`` and ``b`` integrands, :func:`density_log` and
+    :func:`karamata_ratio` read it."""
+    return _memo(_chi_raw(_raw(p.delta)), upto=_reach(fzero))
 
-    ``a`` (1 / integral of exp(-chi)), its error bound ``a_err`` and that
-    integral's cutoff ``x_max`` come with the record.  ``tail`` and
-    ``log_of_a`` are cached functions of no argument: the first read of
-    ``b`` or ``b_err`` runs the tail integral, the first of ``log_a`` the log.
-    """
+
+def _inverse_and_error(inv: Raw, err: Raw) -> tuple[Fraction, Fraction]:
+    """1/inv and its error bound err/inv**2 plus one snap ulp, snapped."""
+    wp, rnd = _WP, _RND
+    rel = mpf_div(err, mpf_mul(inv, inv, wp, rnd), wp, rnd)
+    ulp = mpf_pow_int(ftwo, -_SNAP_BITS, wp, rnd)
+    return (_snap_raw(mpf_rdiv_int(1, inv, wp, rnd), _SNAP_BITS),
+            _snap_raw(mpf_add(rel, ulp, wp, rnd), _SNAP_BITS))
+
+
+class Normalizers(namedtuple("Normalizers", "a a_err x_max log_a")):
+    """``a`` = 1 / integral of exp(-chi), its error bound ``a_err`` (quadrature
+    estimate plus rigorous tail bound), the integral's cutoff ``x_max``, and
+    ``log_a``, log(a) at the working precision as a raw mpf."""
     __slots__ = ()
 
-    @property
-    def b(self) -> Fraction:
-        """1 / integral of the tail exp(-y - chi(y))."""
-        return self.tail()[0]
 
-    @property
-    def b_err(self) -> Fraction:
-        return self.tail()[1]
-
-    @property
-    def log_a(self) -> Raw:
-        """log(a) at the working precision, as a raw mpf."""
-        return self.log_of_a()
-
-
-_NORMALIZER_CACHE: dict = {}
-
-
+@cache
 def normalizers(p: LogPeriodicParams) -> Normalizers:
-    """Both normalizing constants, each with a quadrature error estimate
-    plus a rigorous tail bound.
+    """The density's normalizing constant, with its error bound and log.
 
     The cutoff for the chi-only integral doubles from 4096 until its
     certified analytic tail bound drops below QUAD_TOL/10 of a coarse value
     of the integral; past 2**64 it raises :class:`PrecisionFailure`.  The
-    coarse and ``a`` integrals run here, the ``b`` integral on the first
-    read of ``b`` or ``b_err``; the three share a panel and one chi table.
+    coarse and ``a`` integrals share a panel and :func:`_chi_table`.
     """
-    if p in _NORMALIZER_CACHE:
-        return _NORMALIZER_CACHE[p]
     wp, rnd = _WP, _RND
     delta = _raw(p.delta)
-    # chi for every abscissa the b integral, which starts at 0 where chi
-    # vanishes, can reach, each computed once and read by all three integrands
-    chi_at = _memo(_chi_raw(delta), upto=_reach(fzero))
+    chi_at = _chi_table(p)
 
     def chi_integrand(y):
         return mpf_exp(mpf_neg(chi_at(y), wp, rnd), wp, rnd)
@@ -311,23 +303,16 @@ def normalizers(p: LogPeriodicParams) -> Normalizers:
         if mpf_gt(x_max, mpf_pow_int(ftwo, 64, wp, rnd)):
             raise PrecisionFailure("no cutoff reaches the tail target")
     inv_a, err_a = _integrate(chi_integrand, _anchor_points(fzero, x_max), _HALF_TOL)
-    err_a = mpf_add(err_a, tail, wp, rnd)
-    ulp = mpf_pow_int(ftwo, -_SNAP_BITS, wp, rnd)
+    a, a_err = _inverse_and_error(inv_a, mpf_add(err_a, tail, wp, rnd))
+    return Normalizers(a, a_err, _snap_raw(x_max, 8), mpf_log(_raw(a), wp, rnd))
 
-    def inverse_and_error(inv, err):
-        rel = mpf_div(err, mpf_mul(inv, inv, wp, rnd), wp, rnd)
-        return (_snap_raw(mpf_rdiv_int(1, inv, wp, rnd), _SNAP_BITS),
-                _snap_raw(mpf_add(rel, ulp, wp, rnd), _SNAP_BITS))
 
-    @cache
-    def b_and_error():
-        inv_b, err_b, _ = _tail_integral(fzero, chi_at)
-        return inverse_and_error(inv_b, err_b)
-
-    a, a_err = inverse_and_error(inv_a, err_a)
-    result = Normalizers(a, a_err, _snap_raw(x_max, 8), b_and_error,
-                         cache(lambda: mpf_log(_raw(a), wp, rnd)))
-    return _NORMALIZER_CACHE.setdefault(p, result)
+@cache
+def tail_normalizers(p: LogPeriodicParams) -> tuple[Fraction, Fraction]:
+    """(b, b_err): 1 / integral of the tail exp(-y - chi(y)) over y >= 0,
+    and its error bound, on the chi table that :func:`normalizers` reads."""
+    inv_b, err_b, _ = _tail_integral(fzero, _chi_table(p))
+    return _inverse_and_error(inv_b, err_b)
 
 
 def density_log(x, p: LogPeriodicParams) -> LogValue:
@@ -336,7 +321,7 @@ def density_log(x, p: LogPeriodicParams) -> LogValue:
     if x < 0:
         raise ValueError(f"density is supported on x >= 0, got {_brief(x)}")
     log_a = normalizers(p).log_a
-    chi_x = _chi_raw(_raw(p.delta))(_raw(x))
+    chi_x = _chi_table(p)(_raw(x))
     log2_val = mpf_div(mpf_sub(log_a, chi_x, _WP, _RND), mpf_ln2(_WP, _RND), _WP, _RND)
     return LogValue(_snap_raw(log2_val, _SNAP_BITS))
 
@@ -365,7 +350,7 @@ def karamata_ratio(x, p: LogPeriodicParams) -> Fraction:
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {_brief(x)}")
     xm = _raw(x)
-    val, _, chi_x = _tail_integral(xm, _chi_raw(_raw(p.delta)))
+    val, _, chi_x = _tail_integral(xm, _chi_table(p))
     return _snap_raw(mpf_div(val, _tail(xm, chi_x), _WP, _RND), _SNAP_BITS)
 
 

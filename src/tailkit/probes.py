@@ -106,31 +106,42 @@ def _stored(p: PiecewisePoly) -> PiecewisePoly:
 
 
 def _stored_at(p: PiecewisePoly, x: Fraction) -> tuple[PiecewisePoly, Fraction]:
+    """p less a positive factor, and its value at x, which must be positive."""
     p = _stored(p)
-    if (fx := p.eval(x)) == 0:
-        raise ValueError(f"density vanishes at x={_brief(x)}")
+    if (fx := p.eval(x)) <= 0:
+        raise ValueError(f"density {'vanishes' if fx == 0 else 'is negative'} "
+                         f"at x={_brief(x)}")
     return p, fx
+
+
+def _nonnegative(ratio: Fraction, what: str) -> Fraction:
+    """A ratio over a positive f(x); a negative one is a negative density."""
+    if ratio < 0:
+        raise ValueError(f"{what} is negative")
+    return ratio
 
 
 def long_tail_ratio(p: PiecewisePoly, x, t) -> Fraction:
     """f(x+t) / f(x): drifts to 1 for long-tailed densities."""
     x, t = Fraction(x), Fraction(t)
     p, fx = _stored_at(p, x)
-    return p.eval(x + t) / fx
+    return _nonnegative(p.eval(x + t) / fx, f"density at x={_brief(x + t)}")
 
 
 def subexp_ratio(p: PiecewisePoly, x) -> Fraction:
     """(f*f)(x) / (2 f(x)): drifts to 1 for subexponential densities."""
     x = Fraction(x)
     q, fx = _stored_at(p, x)  # of the factor dropped, one survives in (f*f)/(2f)
-    return conv.self_conv_value(q, x) / (2 * fx) * (p.factor / q.factor)
+    return _nonnegative(conv.self_conv_value(q, x) / (2 * fx) * (p.factor / q.factor),
+                        f"self-convolution at x={_brief(x)}")
 
 
 def local_tail_ratio(p: PiecewisePoly, x, d) -> Fraction:
     """Window mass over (x, x+d] divided by d * f(x)."""
     x, d = Fraction(x), Fraction(d)
     p, fx = _stored_at(p, x)
-    return p.interval_mass(x, d) / (d * fx)
+    return _nonnegative(p.interval_mass(x, d) / (d * fx),
+                        f"mass over ({_brief(x)}, {_brief(x + d)}]")
 
 
 # ------------------------------- scans -------------------------------

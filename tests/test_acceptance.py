@@ -61,9 +61,10 @@ def battery():
 
         return counting_f
 
+    for cached in (lp.normalizers, lp.tail_normalizers, lp._chi_table):
+        cached.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(notched, "build_density", counting_build)
-        mp.setattr(lp, "_NORMALIZER_CACHE", {})
         mp.setattr(lp, "_integrate", counting_integrate)
         mp.setattr(acceptance, "_float_eval", counting_float_eval)
         mp.setattr(conv, "_moments", counting_moments)

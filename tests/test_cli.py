@@ -46,6 +46,13 @@ LOGPERIODIC_DELTA_SHA256 = {
     "1/8": "f7900046511dd0a3ab6e2c544de2f9cc27ddf3e0aa2e154da3d95e772b7a0f25",
     "3/8": "71f499afafee2a1327823dc5dc0605912f2f18ec9e1d80bcd43f07f1586e1fa6",
 }
+# sha256 of `tailkit build logperiodic --delta <delta>`'s meta: the only
+# output that carries the tail normalizer b
+LOGPERIODIC_META_SHA256 = {
+    "1/8": "a3f89a5389361adfd24e7ed66ba9e871b8eab414045ed317adef6c84f6b58847",
+    "1/4": "54ebb614b0e911d3ec6859b13f6eae877c84c03e1d21430dd1ab95bc1f112bbe",
+    "3/8": "a6a71ee58ceb606d3d9d7a7d3003a73777687e5bdc5329232eb74a115c76541f",
+}
 
 
 def run_cli(*argv):
@@ -71,6 +78,14 @@ class TestBuild:
         meta = (tmp_path / "logperiodic.meta").read_text()
         assert "a = 0.1699929587" in meta
         assert "a_err = " in meta and "b_err = " in meta
+
+    @pytest.mark.pin
+    @pytest.mark.parametrize("delta", sorted(LOGPERIODIC_META_SHA256))
+    def test_logperiodic_meta_matches_spec(self, delta, tmp_path):
+        assert run_cli("build", "logperiodic", "--delta", delta,
+                       "--out", str(tmp_path)) == 0
+        digest = hashlib.sha256((tmp_path / "logperiodic.meta").read_bytes()).hexdigest()
+        assert digest == LOGPERIODIC_META_SHA256[delta]
 
     def test_mixture_build(self, tmp_path):
         assert run_cli("build", "mixture", "m_max=3", "--out", str(tmp_path)) == 0
@@ -786,6 +801,26 @@ class TestProbeCommand:
         assert run_cli("probe", f"file:{src}", "long_tail_ratio", "x=1/2",
                        "t=1/4", "--out", str(out)) == 0
         assert "long_tail_ratio,1/2," in out.read_text()
+
+    @pytest.mark.parametrize("probe, x, refusal", [
+        ("long_tail_ratio", "1", "density is negative at x=1"),
+        ("local_tail_ratio", "1", "density is negative at x=1"),
+        ("subexp_ratio", "1", "density is negative at x=1"),
+        ("long_tail_ratio", "7/4", "density at x=11/4 is negative"),
+        ("local_tail_ratio", "7/4", "mass over (7/4, 11/4] is negative"),
+        ("subexp_ratio", "7/4", "self-convolution at x=7/4 is negative"),
+    ])
+    def test_ratio_probes_refuse_a_negative_function(self, probe, x, refusal,
+                                                     tmp_path, capsys):
+        # f is -1, 3, -3 on (0, 1], (1, 2], (2, 3]: f(1) < 0, and at 7/4,
+        # where f = 3, f(11/4), the mass over (7/4, 11/4] and (f*f)(7/4)
+        # are negative; each used to print a negative ratio with exit 0
+        src = tmp_path / "neg.pw"
+        src.write_text("seg 0 1 -1 0 0 0\nseg 1 2 3 0 0 0\nseg 2 3 -3 0 0 0\n")
+        assert run_cli("probe", f"file:{src}", probe, f"x={x}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"invalid request: {refusal}"]
 
     @pytest.mark.parametrize("seg, degree", [("1 -3 3 0", 2), ("1 0 0 1", 3)],
                              ids=["quadratic", "cubic"])

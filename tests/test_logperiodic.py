@@ -156,16 +156,25 @@ class TestParams:
         assert lp.LogPeriodicParams._fields == ("delta",)
 
 
+def _clear_caches():
+    """Forget every cached constant and chi table of the module."""
+    for f in (lp.normalizers, lp.tail_normalizers, lp._chi_table):
+        f.cache_clear()
+
+
 def _fresh(p: lp.LogPeriodicParams):
-    """The normalizers of p computed afresh, b included, and chi's calls per
-    abscissa."""
+    """All five constants of p computed afresh, and chi's calls per
+    abscissa; the counting chi table is forgotten after."""
     calls = Counter()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_NORMALIZER_CACHE", {})
-        mp.setattr(lp, "_chi_raw", _counting_chi(calls))
-        norm = lp.normalizers(p)
-        norm.b
-        return norm, calls
+    _clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "_chi_raw", _counting_chi(calls))
+            norm = lp.normalizers(p)
+            b, b_err = lp.tail_normalizers(p)
+            return dict(norm._asdict(), b=b, b_err=b_err), calls
+    finally:
+        _clear_caches()
 
 
 class TestNormalizers:
@@ -174,41 +183,48 @@ class TestNormalizers:
         return _fresh(lp_default)
 
     def test_pinned_constants(self, lp_default):
-        n = lp.normalizers(lp_default)
-        assert abs(n.a - PINNED_A) < Fraction(1, 10 ** 9)
-        assert abs(n.b - PINNED_B) < Fraction(1, 10 ** 9)
+        b, _ = lp.tail_normalizers(lp_default)
+        assert abs(lp.normalizers(lp_default).a - PINNED_A) < Fraction(1, 10 ** 9)
+        assert abs(b - PINNED_B) < Fraction(1, 10 ** 9)
 
     @pytest.mark.pin
     def test_fresh_values_are_pinned_bit_for_bit(self, fresh):
-        assert {k: getattr(fresh[0], k) for k in PINNED_NORMALIZERS} == PINNED_NORMALIZERS
+        assert {k: fresh[0][k] for k in PINNED_NORMALIZERS} == PINNED_NORMALIZERS
 
-    def test_tail_integral_runs_on_first_read_of_b(self, lp_default, monkeypatch):
-        # the coarse and a integrals run with the call; b's only when read
+    def test_normalizers_fields(self, lp_default):
+        assert lp.Normalizers._fields == ("a", "a_err", "x_max", "log_a")
+
+    def test_tail_integral_runs_only_in_tail_normalizers(self, lp_default, monkeypatch):
+        # normalizers runs the coarse and a integrals, tail_normalizers b's
         integrals = []
         integrate = lp._integrate
-        monkeypatch.setattr(lp, "_NORMALIZER_CACHE", {})
+        _clear_caches()
         monkeypatch.setattr(lp, "_integrate",
                             lambda *args: integrals.append(args) or integrate(*args))
-        norm = lp.normalizers(lp_default)
+        lp.normalizers(lp_default)
         assert len(integrals) == 2
-        assert (norm.b_err, norm.b) == (PINNED_NORMALIZERS["b_err"], PINNED_NORMALIZERS["b"])
+        assert lp.tail_normalizers(lp_default) == (PINNED_NORMALIZERS["b"],
+                                                   PINNED_NORMALIZERS["b_err"])
+        lp.normalizers(lp_default)
+        lp.tail_normalizers(lp_default)
         assert len(integrals) == 3
 
     def test_log_a_once_per_parameter_set(self, lp_default, monkeypatch):
-        # density_log and middle_mass_ratio read log(a) from the normalizers:
-        # one 192-bit log for all their calls, bit for bit the one each call
-        # used to take
+        # normalizers takes log(a) with a, and density_log and
+        # middle_mass_ratio read it there: one 192-bit log for all their
+        # calls, bit for bit the one each call used to take
         logs_of_a = []
         mpf_log = lp.mpf_log
-        monkeypatch.setattr(lp, "_NORMALIZER_CACHE", {})
-        a = lp._raw(lp.normalizers(lp_default).a)
+        a = lp._raw(PINNED_NORMALIZERS["a"])
 
         def counting(x, *args):
             if x == a:
                 logs_of_a.append(args)
             return mpf_log(x, *args)
 
+        _clear_caches()
         monkeypatch.setattr(lp, "mpf_log", counting)
+        assert lp._raw(lp.normalizers(lp_default).a) == a
         for x in (1, 10, 100, 10 ** 4):
             lp.density_log(x, lp_default)
         lp.middle_mass_ratio(lp.anchor(3), lp_default, Fraction(3, 10))
@@ -231,9 +247,9 @@ class TestNormalizers:
             assert sum(calls.values()) <= 1357
 
     def test_errors_reported(self, lp_default):
-        n = lp.normalizers(lp_default)
-        assert 0 < n.a_err < Fraction(1, 10 ** 8)
-        assert 0 < n.b_err < Fraction(1, 10 ** 6)
+        _, b_err = lp.tail_normalizers(lp_default)
+        assert 0 < lp.normalizers(lp_default).a_err < Fraction(1, 10 ** 8)
+        assert 0 < b_err < Fraction(1, 10 ** 6)
 
     def test_against_mpmath_quad(self, lp_default):
         n = lp.normalizers(lp_default)
@@ -249,6 +265,8 @@ class TestNormalizers:
 
     def test_cached(self, lp_default):
         assert lp.normalizers(lp_default) is lp.normalizers(lp_default)
+        assert lp.tail_normalizers(lp_default) is lp.tail_normalizers(lp_default)
+        assert lp._chi_table(lp_default) is lp._chi_table(lp_default)
 
     def test_unreachable_cutoff_raises(self):
         # at delta = 9/20 the tail is bounded through exp(-y**(1/20)), a bound
@@ -262,7 +280,7 @@ class TestTails:
     """The integrated tail behind karamata_ratio."""
 
     def test_integrated_tail_at_zero_is_one(self, lp_default):
-        b = lp.normalizers(lp_default).b
+        b, _ = lp.tail_normalizers(lp_default)
         chi_of = lp._chi_raw(lp._raw(lp_default.delta))
         with mpmath.workprec(lp._WP):
             val, _, _ = lp._tail_integral(lp._raw(Fraction(0)), chi_of)
