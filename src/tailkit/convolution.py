@@ -10,7 +10,7 @@ construction too, such as the notched split at ``a_{m(n)}``, are probes.
 * ``conv_window_value`` / ``self_conv_value``: a value at one abscissa,
   optionally over a y-window, without the dense object (the point walk).
 * ``self_conv_window_mass``: the mass of p*p over a window, exact by
-  Simpson's rule on each cubic piece, from point values.
+  Simpson's rule on each cubic piece, from point walks.
 
 The sweep writes each operand in truncated powers, ``sum_i J_i (x -
 s_i)_+^0 + W_i (x - s_i)_+^1`` (jumps in value and slope at ``s_i``,
@@ -19,10 +19,12 @@ s - t)_+^(a+b+1) / (a+b+1)!``, each breakpoint pair adds ``J K (x-z)_+ +
 (J V + W K) (x-z)_+^2 / 2 + W V (x-z)_+^3 / 6`` at ``z = s + t``.  A
 continuous density jumps in value only at its support ends, so most pairs
 add slope terms alone: zero products are skipped, but every sum enters the
-grid.  For ``q is p`` each unordered pair is visited once.  One sweep over
-the sorted sums Taylor-shifts a running cubic in ``u = x - z`` from sum to
-sum: it is each cell's coefficients, in O(pairs + cells), where a cubic in
-``x`` would carry ``z**3``-sized terms that cancel only at the end.
+grid.  Jumps are ``(n, e, k)`` triples (below), and a pair's term of
+``u**i`` is ``(i, n, e, k)``: the /2 and /6 are ``e + 1`` and ``3k``.  For
+``q is p`` each unordered pair is visited once.  One sweep over the sorted
+sums Taylor-shifts a running cubic in ``u = x - z`` from sum to sum: it is
+each cell's coefficients, in O(pairs + cells), where a cubic in ``x``
+would carry ``z**3``-sized terms that cancel only at the end.
 
 Both routes compute in integers, a rational as ``n / (2**e k)``, k odd:
 equal odd parts add by a shift, where ``Fraction`` spends a gcd on every
@@ -41,8 +43,9 @@ moments are cached on q and shared with the copies ``scale`` and ``head``
 make; so is a self-convolution's value over its clipped window, which is
 then walked once whichever copy asks.  A self-convolution on a window
 symmetric about ``x/2`` stops there and doubles.  Both routes read stored
-coefficients, never the factor, and apply ``p.factor * q.factor`` once: a
-normalized density convolves at the cost of its short coefficients.
+coefficients, never the factor, and apply ``p.factor * q.factor`` once,
+and the window mass ``p.factor ** 2``: a normalized density convolves at
+the cost of its short coefficients.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ def _linear(p: PiecewisePoly):
 
 def _jumps(breaks, c0, c1):
     """(s_i, J_i, W_i) per breakpoint: the jumps in value and in slope,
-    each jump as its integer numerator and denominator.
+    each as an (n, e, k) triple.
 
     A piecewise-linear function that vanishes outside its support equals
     sum_i J_i (x - s_i)_+^0 + W_i (x - s_i)_+^1; both support ends count.
@@ -77,11 +80,8 @@ def _jumps(breaks, c0, c1):
     left = [(zero, zero)] + [(v + w * (b - a), w)
                              for (v, w), a, b in zip(right, breaks, breaks[1:])]
     right.append((zero, zero))
-    out = []
-    for s, (rv, rw), (lv, lw) in zip(breaks, right, left):
-        j, w = rv - lv, rw - lw
-        out.append((s, j.numerator, j.denominator, w.numerator, w.denominator))
-    return out
+    return [(s, _dyadic(rv - lv), _dyadic(rw - lw))
+            for s, (rv, rw), (lv, lw) in zip(breaks, right, left)]
 
 
 def dense_sweep(p: PiecewisePoly, q: PiecewisePoly):
@@ -100,26 +100,25 @@ def dense_sweep(p: PiecewisePoly, q: PiecewisePoly):
     p_jumps = _jumps(*p_linear)
     q_jumps = p_jumps if same else _jumps(*q_linear)
     terms = {}
-    for a, (s, jn, jd, wn, wd) in enumerate(p_jumps):
+    for a, (s, (jn, je, jk), (wn, we, wk)) in enumerate(p_jumps):
         # identical operands: the pair (a, b), b > a, stands for (b, a) too
         start, j2, w2 = (a, jn + jn, wn + wn) if same else (0, jn, wn)
         for b in range(start, len(q_jumps)):
-            t, kn, kd, vn, vd = q_jumps[b]
+            t, (kn, ke, kk), (vn, ve, vk) = q_jumps[b]
             j, w = (jn, wn) if b == a else (j2, w2)
-            # (i, numerator, denominator): a term of u**i, u = x - z, z =
-            # s+t, unreduced, with the /2 and /6 of the truncated powers
-            # folded in; a sum whose terms are all zero still cuts the grid
+            # (i, n, e, k): n / (2**e k) u**i, u = x - z, z = s + t, with the
+            # /2 and /6; a sum whose terms are all zero still cuts the grid
             acc = terms.setdefault(s + t, [])
             if j:
                 if kn:
-                    acc.append((1, j * kn, jd * kd))
+                    acc.append((1, j * kn, je + ke, jk * kk))
                 if vn:
-                    acc.append((2, j * vn, 2 * jd * vd))
+                    acc.append((2, j * vn, je + ve + 1, jk * vk))
             if w:
                 if kn:
-                    acc.append((2, w * kn, 2 * wd * kd))
+                    acc.append((2, w * kn, we + ke + 1, wk * kk))
                 if vn:
-                    acc.append((3, w * vn, 6 * wd * vd))
+                    acc.append((3, w * vn, we + ve + 1, 3 * wk * vk))
     grid = sorted(terms)
     return grid, _cells(grid, terms), p.factor * q.factor
 
@@ -234,9 +233,7 @@ def _cells(grid, terms):
                 n[1] *= k
                 n[2] *= k2
                 n[3] *= k3
-        for i, num, den in terms.pop(z):
-            e = _twos(den)
-            r = den >> e
+        for i, num, e, r in terms.pop(z):
             s, rest = divmod(q, r)  # the term's scale over q
             if rest:  # q becomes lcm(q, r) = s r, with s = q / gcd(q, r)
                 d = gcd(q, r)
@@ -356,10 +353,10 @@ def self_conv_window_mass(p: PiecewisePoly, x, d) -> Fraction:
     """Mass of p*p over (x, x+d] clamped to its support, exactly.
 
     p*p is one cubic between consecutive pairwise sums of p's breakpoints,
-    so Simpson's rule is exact on each such piece of the window; its end
-    and midpoint values come from point evaluation.  The cost grows with
-    the number of pairwise sums inside the window, not with the whole
-    dense convolution.
+    so Simpson's rule is exact on each such piece of the window.  Its end
+    and midpoint values are walks of the stored coefficients, and the total
+    takes ``p.factor ** 2`` once.  Two bisects per breakpoint find the sums
+    inside the window: the cost grows with their number alone.
     """
     x, d = Fraction(x), Fraction(d)
     if d <= 0:
@@ -368,13 +365,15 @@ def self_conv_window_mass(p: PiecewisePoly, x, d) -> Fraction:
     w_lo, w_hi = max(x, 2 * lo), min(x + d, 2 * hi)
     if w_hi <= w_lo:
         return Fraction(0)
-    breaks = p.breakpoints
-    cuts = {s + t for i, s in enumerate(breaks) for t in breaks[i:]
-            if w_lo < s + t < w_hi}
-    grid = sorted(cuts | {w_lo, w_hi})
+    b, cuts = p.breakpoints, {w_lo, w_hi}
+    for i, s in enumerate(b):  # the t >= s with w_lo < s + t < w_hi
+        first, stop = bisect_right(b, w_lo - s, i), bisect_left(b, w_hi - s, i)
+        cuts.update(s + t for t in b[first:stop])
+    grid = sorted(cuts)
+    stored = p.scale(1 / p.factor) if p.factor else p  # shares p's cache
 
     def value(t):
-        return conv_window_value(p, p, t, lo, hi)
+        return conv_window_value(stored, stored, t, lo, hi)
 
     total = Fraction(0)
     left = value(grid[0])
@@ -382,4 +381,4 @@ def self_conv_window_mass(p: PiecewisePoly, x, d) -> Fraction:
         right = value(v)
         total += (v - u) * (left + 4 * value((u + v) / 2) + right)
         left = right
-    return total / 6
+    return total / 6 * p.factor ** 2

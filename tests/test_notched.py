@@ -148,6 +148,20 @@ class TestBuild:
             c = notched.knot_position("c", n)
             assert nd10.dense.eval(c) / nd10.dense.eval(b) == log_nat(n)
 
+    def test_positive_piecewise_linear_over_the_dense_range(self):
+        # the paper's positive piecewise linear function, on every block a
+        # build can hold: the notch at block n deepens to exactly L_n
+        f = notched.build_density(63).dense
+        assert all(seg[2] == seg[3] == 0 for seg in f.coeffs)
+        smallest = min(f.eval(x) for x in f.breakpoints)
+        assert smallest > 0
+        assert smallest == Fraction(1, 1 << 12287)  # f0(a_64) = 2 a_64**-3
+        blocks = range(2, 64)
+        ratios = [f.eval(notched.knot_position("c", n))
+                  / f.eval(notched.knot_position("b", n)) for n in blocks]
+        assert ratios == [log_nat(n) for n in blocks]
+        assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             notched.build_density(0)

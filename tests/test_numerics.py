@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import mpmath
-from mpmath.libmp import finf, fnan, fninf
+from mpmath.libmp import finf, fnan, fninf, to_rational
 
 from tailkit.errors import PrecisionFailure
-from tailkit.numerics import (_GUARD, LogValue, _snap_raw, exp2_snap, ln_snap, log2_snap,
-                              log_nat, root_snap)
+from tailkit.numerics import (_GUARD, LogValue, _ln_raw, _snap_raw, exp2_snap, ln_snap,
+                              log2_snap, log_nat, root_snap)
 
 
 def _atanh_series(z: Fraction, bits: int) -> Fraction:
@@ -89,6 +89,16 @@ class TestLogNat:
     def test_error_bound_against_oracle(self, n):
         lam = log_nat(n, 64)
         assert abs(lam - ln_oracle(Fraction(n + 1), 96)) <= Fraction(1, 1 << 63)
+
+    @pytest.mark.parametrize("bits", [256, 1024])
+    def test_rounded_to_nearest_at_pinned_precisions(self, bits):
+        # the snap from 512 guard bits in place of 64, and within half a unit
+        # of that reference, which a truncating snap misses
+        half_unit = Fraction(1, 1 << (bits + 1))
+        for n in range(1, 65):
+            raw = _ln_raw(Fraction(n + 1), bits + 512)
+            assert log_nat(n, bits) == _snap_raw(raw, bits)
+            assert abs(log_nat(n, bits) - Fraction(*to_rational(raw))) <= half_unit
 
 
 class TestSnaps:
